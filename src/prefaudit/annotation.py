@@ -24,6 +24,7 @@ from .model import (
     proxy_reward,
     reward,
 )
+from .population import seeded_rng
 
 __all__ = [
     "TrueRewardLabels",
@@ -110,7 +111,7 @@ def generate_dataset(
         raise ConfigError("dataset generation needs at least 1 voter")
     if assignment not in (EACH_PAIR_RANDOM_VOTER, PARTITION_BY_VOTER):
         raise ConfigError(f"unknown assignment scheme {assignment!r}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = seeded_rng(seed)
     pairs = _pair_indices(pair_scheme, len(alts), rng)
     records = []
     for k, (i, j) in enumerate(pairs):

@@ -23,6 +23,7 @@ from .model import RewardModel
 from .population import (
     empirical_unanimous_gap,
     population_mean_gap,
+    seeded_rng,
     validate_population,
 )
 
@@ -202,7 +203,7 @@ def audit_consistency(
             f"{scheme.min_fraction:.0%} of the voters"
         )
 
-    rng = np.random.Generator(np.random.Philox(key=scheme.seed))
+    rng = seeded_rng(scheme.seed)
     block_models = []
     skipped = 0
     for _ in range(scheme.num_partitions):

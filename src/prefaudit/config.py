@@ -168,15 +168,24 @@ def _label_scheme_from_dict(d: dict, path: str):
     raise ConfigError(f"{path}.kind: unknown label scheme {kind!r}")
 
 
-def _merged(defaults: dict, given: dict) -> dict:
+def _merged(defaults: dict, given, path: str, strict: bool) -> dict:
+    """Fill ``given`` from ``defaults``, recursing into nested sections.
+
+    With ``strict``, a key the defaults do not define is a typo and raises
+    ConfigError naming its path; otherwise it is kept as given.
+    """
+    if not isinstance(given, dict):
+        raise ConfigError(f"{path}: must be a JSON object")
     out = {}
     for key, val in defaults.items():
         if isinstance(val, dict):
-            out[key] = _merged(val, given.get(key, {}) or {})
+            out[key] = _merged(val, given.get(key, {}) or {}, f"{path}.{key}", strict)
         else:
             out[key] = given.get(key, val)
     for key, val in given.items():
         if key not in out:
+            if strict:
+                raise ConfigError(f"{path}.{key}: unknown field")
             out[key] = val
     return out
 
@@ -195,10 +204,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     full = dict(raw)
     full["num_voters"] = int(raw.get("num_voters", DEFAULTS["num_voters"]))
     full["num_alternatives"] = int(raw.get("num_alternatives", DEFAULTS["num_alternatives"]))
-    full["estimation"] = _merged(DEFAULTS["estimation"], raw.get("estimation", {}))
-    full["audit"] = _merged(DEFAULTS["audit"], raw.get("audit", {}))
-    full["distortion"] = _merged(DEFAULTS["distortion"], raw.get("distortion", {}))
-    full["annotation"] = _merged(DEFAULTS["annotation"], raw.get("annotation", {}))
+    for section in ("estimation", "audit", "distortion", "annotation"):
+        # pair and label schemes take kind-specific fields, checked by kind below
+        full[section] = _merged(DEFAULTS[section], raw.get(section, {}), f"config.{section}",
+                                strict=section != "annotation")
 
     population = _population_from_dict(_require(raw, "population", "config"), dim, "config.population")
     alternatives = _alternatives_from_dict(

@@ -17,9 +17,9 @@ from itertools import product
 import numpy as np
 
 from .errors import InputError
-from .estimation import fit_mle, nll, score
+from .estimation import _nll_from_deltas, _winner_deltas, fit_mle, nll, score
 from .model import RewardModel
-from .population import population_mean, validate_population
+from .population import population_mean, seeded_rng, validate_population
 
 __all__ = [
     "SearchSpec",
@@ -122,7 +122,7 @@ def _hypotheses(d: int, search: SearchSpec):
                 for wp in product(w_axis, repeat=d):
                     yield theta, np.array(wp)
     else:
-        rng = np.random.Generator(np.random.Philox(key=search.seed))
+        rng = seeded_rng(search.seed)
         for _ in range(search.random_samples):
             theta = rng.uniform(-search.bound, search.bound, size=d)
             if search.w_mode == "ones":
@@ -158,32 +158,36 @@ def worst_case_regret(
     if model.theta_hat.shape[0] != d:
         raise InputError("model dimension differs from slate dimension")
 
+    lam = model.lam
+    deltas = _winner_deltas(data)
+    if deltas.shape[1] != d:
+        raise InputError("data dimension differs from slate dimension")
+
     scores = np.array([score(model, a) for a in slate])
     a_star = int(np.argmax(scores))  # np.argmax ties -> lowest index
 
-    # Two passes over the deterministic hypothesis stream: first find the
-    # best NLL achieved on the grid (the continuous fit sits strictly below
-    # every grid point, so using it would empty the set at delta=0), then
-    # collect the max regret over the consistent hypotheses.
+    # The winner-minus-loser matrix is built once and every hypothesis is
+    # scored with the kernel nll() uses, so each NLL equals nll(theta * w).
+    # Pass 1 keeps one NLL per hypothesis and finds the best NLL achieved
+    # on the grid (the continuous fit sits strictly below every grid point,
+    # so using it would empty the set at delta=0). Pass 2 regenerates the
+    # same deterministic stream (the random fallback reseeds from
+    # search.seed) and takes the max regret over the consistent
+    # hypotheses; the first maximizer in stream order wins.
     fit_nll = model.final_nll
-    lam = model.lam
-    evaluated = 0
-    best_nll = np.inf
-    cache = []
-    for theta, w in _hypotheses(d, search):
-        val = nll(theta * w, data, lam)
-        evaluated += 1
-        cache.append((theta, w, val))
-        if np.isfinite(val) and val < best_nll:
-            best_nll = val
+    vals = np.fromiter(
+        (_nll_from_deltas(theta * w, deltas, lam) for theta, w in _hypotheses(d, search)),
+        dtype=np.float64,
+    )
+    finite = np.isfinite(vals)
+    best_nll = float(np.min(vals[finite])) if finite.any() else np.inf
+    consistent = finite & (vals <= best_nll + delta)
 
     regret = None
     worst = None
-    consistent_count = 0
-    for theta, w, val in cache:
-        if not np.isfinite(val) or val > best_nll + delta:
+    for (theta, w), ok in zip(_hypotheses(d, search), consistent):
+        if not ok:
             continue
-        consistent_count += 1
         utilities = alts @ theta
         r = float(np.max(utilities) - utilities[a_star])
         if regret is None or r > regret:
@@ -195,8 +199,8 @@ def worst_case_regret(
         "bound": search.bound,
         "w_mode": search.w_mode,
         "seed": search.seed,
-        "hypotheses_evaluated": evaluated,
-        "consistent_count": consistent_count,
+        "hypotheses_evaluated": len(vals),
+        "consistent_count": int(np.count_nonzero(consistent)),
         "best_nll": best_nll,
         "fit_nll": fit_nll,
         "lambda": lam,

@@ -8,6 +8,7 @@ identical draws.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "population_dim",
     "population_mean",
     "sample_voters",
+    "seeded_rng",
     "validate_alternative_space",
     "alternative_space_dim",
     "sample_alternatives",
@@ -119,8 +121,15 @@ def population_mean(spec) -> np.ndarray:
     return mean
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
+def seeded_rng(seed: int) -> np.random.Generator:
+    """Philox generator keyed by seed, an integer in [0, 2**128)."""
+    try:
+        key = operator.index(seed)
+    except TypeError:
+        raise InputError(f"seed must be an integer, got {seed!r}") from None
+    if not 0 <= key < 2**128:
+        raise InputError(f"seed must be in [0, 2**128), got {seed!r}")
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample_voters(spec, n: int, seed: int) -> list[VoterParams]:
@@ -128,7 +137,7 @@ def sample_voters(spec, n: int, seed: int) -> list[VoterParams]:
     validate_population(spec)
     if n < 1:
         raise ConfigError("need at least one voter")
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     d = population_dim(spec)
     if isinstance(spec, PointMass):
         thetas = np.tile(spec.theta, (n, 1))
@@ -213,7 +222,7 @@ def sample_alternatives(spec, m: int, seed: int) -> list[np.ndarray]:
     validate_alternative_space(spec)
     if m < 1:
         raise ConfigError("need at least one alternative")
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     if isinstance(spec, ExplicitSlate):
         if m == len(spec.points):
             return [np.array(p) for p in spec.points]

@@ -11,7 +11,7 @@ from prefaudit.annotation import (
     generate_dataset,
     sample_label,
 )
-from prefaudit.errors import ConfigError
+from prefaudit.errors import ConfigError, InputError
 from prefaudit.estimation import nll
 from prefaudit.model import ComparisonRecord, VoterParams
 from prefaudit.population import PointMass, sample_voters
@@ -80,6 +80,12 @@ class TestGenerateDataset:
         with pytest.raises(ConfigError):
             generate_dataset(voters, [np.array([1.0])], RoundRobin(),
                              EACH_PAIR_RANDOM_VOTER, TrueRewardLabels(), seed=0)
+
+    def test_negative_seed(self):
+        voters = sample_voters(PointMass(theta=[1.0]), 1, seed=0)
+        with pytest.raises(InputError, match="seed"):
+            generate_dataset(voters, [np.array([0.0]), np.array([1.0])], RoundRobin(),
+                             EACH_PAIR_RANDOM_VOTER, TrueRewardLabels(), seed=-1)
 
     def test_determinism(self):
         voters = sample_voters(PointMass(theta=[1.0, -1.0]), 4, seed=0)

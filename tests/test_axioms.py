@@ -118,6 +118,13 @@ class TestConsistency:
         b = audit_consistency(trainer, data, slate, 0.1, scheme=scheme)
         assert a.anchors == b.anchors and a.min_margin == b.min_margin
 
+    def test_negative_seed(self):
+        slate, data = self._dataset([1.0, 1.0])
+        trainer = lambda recs: fit_mle(recs, lam=1e-3)
+        with pytest.raises(InputError, match="seed"):
+            audit_consistency(trainer, data, slate, 0.1,
+                              scheme=ConsistencyScheme(num_partitions=1, seed=-1))
+
 
 class TestEpsilonMonotonicity:
     def test_dominated_sets_shrink(self):

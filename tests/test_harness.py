@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -68,6 +69,21 @@ class TestLoadConfig:
         }
         with pytest.raises(ConfigError, match="config.population"):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize("section, given, path", [
+        ("estimation", {"lamda": 0.1}, "config.estimation.lamda"),
+        ("audit", {"epsilon": [0.1]}, "config.audit.epsilon"),
+        ("audit", {"consistency": {"partition": 3}}, "config.audit.consistency.partition"),
+        ("distortion", {"grid_resoluton": 3}, "config.distortion.grid_resoluton"),
+    ])
+    def test_unknown_field_names_its_path(self, section, given, path):
+        raw = {**MINIMAL, section: given}
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: unknown field$"):
+            config_from_dict(raw)
+
+    def test_section_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="config.distortion: must be a JSON object"):
+            config_from_dict({**MINIMAL, "distortion": 5})
 
     def test_missing_seed(self):
         raw = {k: v for k, v in MINIMAL.items() if k != "seed"}

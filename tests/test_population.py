@@ -13,6 +13,7 @@ from prefaudit.population import (
     population_mean_gap,
     sample_alternatives,
     sample_voters,
+    seeded_rng,
     validate_population,
 )
 
@@ -53,6 +54,11 @@ class TestSampleVoters:
         with pytest.raises(ConfigError):
             sample_voters(PointMass(theta=[1.0]), 0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(InputError, match="seed"):
+            sample_voters(PointMass(theta=[1.0]), 2, seed=seed)
+
 
 class TestSampleAlternatives:
     def test_explicit_slate_in_order(self):
@@ -81,6 +87,20 @@ class TestSampleAlternatives:
         a = np.stack(sample_alternatives(spec, 50, seed=9))
         b = np.stack(sample_alternatives(spec, 50, seed=9))
         assert a.tobytes() == b.tobytes()
+
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(InputError, match="seed"):
+            sample_alternatives(UniformBox(lo=[0.0], hi=[1.0]), 2, seed=seed)
+
+
+def test_seeded_rng_accepts_full_philox_key_range():
+    for seed in (0, np.uint64(7), 2**128 - 1):
+        seeded_rng(seed).random()
+    for seed in (-1, 2**128, 1.5, None):
+        with pytest.raises(InputError, match="seed"):
+            seeded_rng(seed)
 
 
 class TestPopulationMeanGap:
