@@ -13,7 +13,7 @@ is reported so near-misses stay visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -179,8 +179,10 @@ def audit_consistency(
     of num_partitions random partitions; A'_a holds the pairs on which
     every successfully retrained block model's score gap exceeds
     epsilon. The full-data model (fit by the same trainer when not
-    supplied) must then agree. Non-convergent block fits skip their
-    partition, counted in metadata.
+    supplied) must then agree. A partition with an empty block or a
+    non-convergent block fit is skipped, counted in metadata. With every
+    partition skipped there is no evidence either way, so the audit
+    fails with a diagnostic instead of passing vacuously.
     """
     if len(slate) < 2:
         raise InputError("consistency audit needs a slate of >= 2 alternatives")
@@ -205,47 +207,49 @@ def audit_consistency(
 
     rng = seeded_rng(scheme.seed)
     block_models = []
-    skipped = 0
+    skip_reasons = []
     for _ in range(scheme.num_partitions):
         perm = rng.permutation(n)
         blocks = [perm[b::k] for b in range(k)]
         fits = []
-        ok = True
         for block in blocks:
             records = [r for v in block for r in by_voter[voter_ids[v]]]
             if not records:
-                ok = False
+                skip_reasons.append("a block holds no records")
                 break
             fitted = trainer(records)
             if not fitted.converged:
-                ok = False
+                skip_reasons.append(f"a block fit did not converge ({fitted.diagnostic})")
                 break
             fits.append(fitted)
-        if ok:
-            block_models.extend(fits)
         else:
-            skipped += 1
+            block_models.extend(fits)
     if model is None:
         model = trainer(data)
     score_gaps = _score_gap_matrix(model, slate)
+    metadata = {
+        "num_blocks": k,
+        "min_fraction": scheme.min_fraction,
+        "num_partitions": scheme.num_partitions,
+        "seed": scheme.seed,
+        "skipped_partitions": len(skip_reasons),
+        "voter_count": n,
+    }
     if block_models:
         block_gaps = np.stack([_score_gap_matrix(m, slate) for m in block_models])
         min_block_gap = np.min(block_gaps, axis=0)
     else:
         # no usable partition: nothing is certified dominated
         min_block_gap = np.full_like(score_gaps, -np.inf)
-    return _assemble(
+        reason = skip_reasons[0] if skip_reasons else "none was requested"
+        metadata["diagnostic"] = f"no usable voter partition of {scheme.num_partitions}: {reason}"
+    report = _assemble(
         "consistency",
         epsilon,
         slate,
         lambda i, j: min_block_gap[i, j],
         score_gaps,
-        {
-            "num_blocks": k,
-            "min_fraction": scheme.min_fraction,
-            "num_partitions": scheme.num_partitions,
-            "seed": scheme.seed,
-            "skipped_partitions": skipped,
-            "voter_count": n,
-        },
+        metadata,
     )
+    # with no usable partition the audit has no evidence to pass on
+    return report if block_models else replace(report, passed=False)

@@ -150,43 +150,68 @@ def _alternatives_from_dict(d: dict, dim: int, path: str):
     return spec
 
 
-def _pair_scheme_from_dict(d: dict, path: str):
+# Fields each kind of pair and label scheme takes, with their defaults.
+REQUIRED = object()
+PAIR_FIELDS = {"round-robin": {"repeats": 1}, "uniform-random": {"count": REQUIRED}}
+LABEL_FIELDS = {"true-reward": {}, "proxy": {"w": REQUIRED}}
+
+
+def _kind_fields(d, fields_by_kind: dict, path: str, what: str) -> dict:
+    """A kind-tagged object with its kind's defaults applied.
+
+    A key the chosen kind does not take is a typo and raises ConfigError
+    naming its path; the result holds the kind's fields only.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path}: must be a JSON object")
     kind = _require(d, "kind", path)
-    if kind == "round-robin":
-        return RoundRobin(repeats=int(d.get("repeats", 1)))
-    if kind == "uniform-random":
-        return UniformRandomPairs(count=int(_require(d, "count", path)))
-    raise ConfigError(f"{path}.kind: unknown pair scheme {kind!r}")
+    if not isinstance(kind, str) or kind not in fields_by_kind:
+        raise ConfigError(f"{path}.kind: unknown {what} {kind!r}")
+    fields = fields_by_kind[kind]
+    for key in d:
+        if key != "kind" and key not in fields:
+            raise ConfigError(f"{path}.{key}: unknown field for {what} {kind!r}")
+    out = {"kind": kind}
+    for key, default in fields.items():
+        out[key] = _require(d, key, path) if default is REQUIRED else d.get(key, default)
+    return out
 
 
-def _label_scheme_from_dict(d: dict, path: str):
-    kind = _require(d, "kind", path)
-    if kind == "true-reward":
-        return TrueRewardLabels()
-    if kind == "proxy":
-        return ProxyLabels(w=_require(d, "w", path))
-    raise ConfigError(f"{path}.kind: unknown label scheme {kind!r}")
+def _pair_scheme_from_dict(d, path: str):
+    """(scheme, checked fields) for an annotation.pairs object."""
+    d = _kind_fields(d, PAIR_FIELDS, path, "pair scheme")
+    if d["kind"] == "round-robin":
+        return RoundRobin(repeats=int(d["repeats"])), d
+    return UniformRandomPairs(count=int(d["count"])), d
 
 
-def _merged(defaults: dict, given, path: str, strict: bool) -> dict:
+def _label_scheme_from_dict(d, path: str):
+    """(scheme, checked fields) for an annotation.labels object."""
+    d = _kind_fields(d, LABEL_FIELDS, path, "label scheme")
+    if d["kind"] == "true-reward":
+        return TrueRewardLabels(), d
+    return ProxyLabels(w=d["w"]), d
+
+
+def _merged(defaults: dict, given, path: str) -> dict:
     """Fill ``given`` from ``defaults``, recursing into nested sections.
 
-    With ``strict``, a key the defaults do not define is a typo and raises
-    ConfigError naming its path; otherwise it is kept as given.
+    A key the defaults do not define is a typo and raises ConfigError
+    naming its path. A kind-tagged default (a pair or label scheme) is
+    replaced whole, since its fields depend on its kind; they are checked
+    by kind when the scheme is built.
     """
     if not isinstance(given, dict):
         raise ConfigError(f"{path}: must be a JSON object")
     out = {}
     for key, val in defaults.items():
-        if isinstance(val, dict):
-            out[key] = _merged(val, given.get(key, {}) or {}, f"{path}.{key}", strict)
+        if isinstance(val, dict) and "kind" not in val:
+            out[key] = _merged(val, given.get(key, {}) or {}, f"{path}.{key}")
         else:
             out[key] = given.get(key, val)
-    for key, val in given.items():
+    for key in given:
         if key not in out:
-            if strict:
-                raise ConfigError(f"{path}.{key}: unknown field")
-            out[key] = val
+            raise ConfigError(f"{path}.{key}: unknown field")
     return out
 
 
@@ -205,19 +230,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     full["num_voters"] = int(raw.get("num_voters", DEFAULTS["num_voters"]))
     full["num_alternatives"] = int(raw.get("num_alternatives", DEFAULTS["num_alternatives"]))
     for section in ("estimation", "audit", "distortion", "annotation"):
-        # pair and label schemes take kind-specific fields, checked by kind below
-        full[section] = _merged(DEFAULTS[section], raw.get(section, {}), f"config.{section}",
-                                strict=section != "annotation")
+        full[section] = _merged(DEFAULTS[section], raw.get(section, {}), f"config.{section}")
 
     population = _population_from_dict(_require(raw, "population", "config"), dim, "config.population")
     alternatives = _alternatives_from_dict(
         _require(raw, "alternatives", "config"), dim, "config.alternatives"
     )
-    pair_scheme = _pair_scheme_from_dict(full["annotation"]["pairs"], "config.annotation.pairs")
-    assignment = full["annotation"]["assignment"]
+    ann = full["annotation"]
+    pair_scheme, ann["pairs"] = _pair_scheme_from_dict(ann["pairs"], "config.annotation.pairs")
+    assignment = ann["assignment"]
     if assignment not in (EACH_PAIR_RANDOM_VOTER, PARTITION_BY_VOTER):
         raise ConfigError(f"config.annotation.assignment: unknown scheme {assignment!r}")
-    label_scheme = _label_scheme_from_dict(full["annotation"]["labels"], "config.annotation.labels")
+    label_scheme, ann["labels"] = _label_scheme_from_dict(ann["labels"], "config.annotation.labels")
 
     est = full["estimation"]
     if est["lambda"] < 0:

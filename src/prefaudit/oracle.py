@@ -8,23 +8,35 @@ their own configurations via the `verify` subcommand.
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
 
 from .axioms import AnchorResult, AxiomReport
 from .errors import InputError
-from .estimation import nll, score
+from .estimation import score
 from .population import empirical_unanimous_gap, population_mean_gap
 
 __all__ = ["brute_force_mle", "exhaustive_axiom_check"]
+
+
+def _record_nll(theta, winner_minus_loser, lam: float) -> float:
+    """Regularized NLL, one record at a time, written apart from estimation."""
+    total = 0.0
+    for delta in winner_minus_loser:
+        gap = sum(t * x for t, x in zip(theta, delta))
+        # -log sigma(gap), in the form that cannot overflow
+        total += max(-gap, 0.0) + math.log1p(math.exp(-abs(gap)))
+    return total + lam * sum(t * t for t in theta)
 
 
 def brute_force_mle(data, lam: float, resolution: int = 11, bound: float = 4.0) -> np.ndarray:
     """Grid point minimizing the regularized NLL (ties -> first visited).
 
     Only meant for cross-checks at d <= 3; the grid has resolution^d
-    points over [-bound, bound]^d.
+    points over [-bound, bound]^d. The NLL is its own per-record loop, so
+    a fault in the fit's vectorized kernels cannot hide here.
     """
     if not data:
         raise InputError("empty dataset")
@@ -33,16 +45,21 @@ def brute_force_mle(data, lam: float, resolution: int = 11, bound: float = 4.0) 
         raise InputError("brute-force MLE is limited to d <= 3")
     if resolution < 11:
         raise InputError("grid resolution must be >= 11 per axis")
-    axis = np.linspace(-bound, bound, resolution)
-    best_val = np.inf
+    rows = []
+    for rec in data:
+        if rec.a0.shape[0] != d:
+            raise InputError("records have inconsistent dimensions")
+        winner, loser = (rec.a1, rec.a0) if rec.label == 1 else (rec.a0, rec.a1)
+        rows.append([float(w - l) for w, l in zip(winner, loser)])
+    axis = [float(x) for x in np.linspace(-bound, bound, resolution)]
+    best_val = math.inf
     best = None
     for point in product(axis, repeat=d):
-        theta = np.array(point)
-        val = nll(theta, data, lam)
+        val = _record_nll(point, rows, lam)
         if val < best_val:
             best_val = val
-            best = theta
-    return best
+            best = point
+    return np.array(best)
 
 
 def exhaustive_axiom_check(model, slate, voters_or_pop, epsilon: float, axiom: str) -> AxiomReport:

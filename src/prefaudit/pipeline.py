@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -111,7 +112,7 @@ def stage_audit(config: ExperimentConfig, out: Path) -> dict:
     slate = _read_slate(out / SLATE_FILE)
     voters = _read_voters(out / VOTERS_FILE)
     model = model_from_dict(load_json(out / MODEL_FILE))
-    scheme = config.consistency
+    scheme = replace(config.consistency, seed=child_seed(config.seed, "consistency"))
     reports = []
     for eps in config.epsilons:
         reports.append(audit_unanimity(model, slate, voters, eps))
@@ -122,12 +123,7 @@ def stage_audit(config: ExperimentConfig, out: Path) -> dict:
                 records,
                 slate,
                 eps,
-                scheme=type(scheme)(
-                    num_blocks=scheme.num_blocks,
-                    min_fraction=scheme.min_fraction,
-                    num_partitions=scheme.num_partitions,
-                    seed=child_seed(config.seed, "consistency"),
-                ),
+                scheme=scheme,
                 model=model,
             )
         )

@@ -82,16 +82,18 @@ def emit_table(axiom_reports: list[AxiomReport], distortion: DistortionReport | 
     lines = []
     lines.append(f"{'axiom':<12} {'epsilon':>8} {'status':>8} {'violations':>11} {'min margin':>12}")
     for rep in axiom_reports:
-        if rep.vacuous:
-            status = "VACUOUS"
+        if not rep.passed:
+            status = "FAIL"
         else:
-            status = "PASS" if rep.passed else "FAIL"
+            status = "VACUOUS" if rep.vacuous else "PASS"
         n_viol = sum(len(a.violations) for a in rep.anchors)
         margin = "-" if rep.min_margin is None else f"{rep.min_margin:.6g}"
         lines.append(f"{rep.axiom:<12} {rep.epsilon:>8.3g} {status:>8} {n_viol:>11d} {margin:>12}")
         vacuous_anchors = [a.anchor for a in rep.anchors if a.vacuous]
         if vacuous_anchors and not rep.vacuous:
             lines.append(f"  vacuous anchors: {vacuous_anchors}")
+        if "diagnostic" in rep.metadata:
+            lines.append(f"  {rep.metadata['diagnostic']}")
     if distortion is not None:
         if distortion.regret is None:
             lines.append(

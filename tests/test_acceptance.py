@@ -59,12 +59,6 @@ def _recovery_setup(seed=0):
     sits arbitrarily close to an audit threshold, which no finite sample
     can sign-resolve; the lattice keeps gaps bounded away from 0 and 0.1
     while exercising the same code paths.
-
-    The gradient tolerance is 1e-5 rather than the fitter's 1e-8
-    default: at ~20000 records the objective is ~1e4, so float64 cannot
-    express descent below a gradient norm of roughly 3e-8, and the
-    worst-conditioned retraining blocks stall near 4e-6. A norm of 1e-5
-    pins theta to ~1e-8, far below the 0.25 gap quantum.
     """
     theta_star = np.array([0.5, -0.5, 1.0, 1.0])
     voters = sample_voters(PointMass(theta=theta_star), 20, seed=seed)
@@ -72,7 +66,8 @@ def _recovery_setup(seed=0):
     slate = [np.round(a * 2) / 2 for a in raw]
     data = generate_dataset(voters, slate, RoundRobin(repeats=106),
                             EACH_PAIR_RANDOM_VOTER, TrueRewardLabels(), seed=seed + 2)
-    model = fit_mle(data, lam=1e-3, grad_tol=1e-5)
+    model = fit_mle(data, lam=1e-3)
+    assert model.converged, model.diagnostic
     return theta_star, voters, slate, data, model
 
 
@@ -140,7 +135,7 @@ def test_criterion_4_axiom_audits():
     with Timer() as t:
         theta_star, voters, slate, data, model = _recovery_setup()
         pop = PointMass(theta=theta_star)
-        trainer = lambda recs: fit_mle(recs, lam=1e-3, grad_tol=1e-5)
+        trainer = lambda recs: fit_mle(recs, lam=1e-3)
         scheme = ConsistencyScheme(num_blocks=2, num_partitions=10, seed=3)
         for eps in (0.0, 0.1):
             uni = audit_unanimity(model, slate, voters, eps)
@@ -207,6 +202,7 @@ def test_criterion_6_borda_mle_agreement():
                                     seed=200 + seed)
             assert len(data) >= 10000
             model = fit_mle(data, lam=1e-3)
+            assert model.converged, f"seed {seed}: {model.diagnostic}"
             borda = borda_scores(data, slate)
             borda_vals = [borda[i] for i in range(len(slate))]
             assert all(b is not None for b in borda_vals)

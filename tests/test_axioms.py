@@ -17,6 +17,7 @@ from prefaudit.errors import InputError
 from prefaudit.estimation import fit_mle
 from prefaudit.model import RewardModel, VoterParams
 from prefaudit.population import DiagonalGaussian, Mixture, PointMass, sample_voters
+from prefaudit.reports import emit_table
 
 
 def _model(theta):
@@ -101,6 +102,7 @@ class TestConsistency:
                                    model=_model([-2.0, 1.0]))
         assert not report.passed
         assert report.violations
+        assert report.metadata["skipped_partitions"] == 0
 
     def test_degenerate_slate_vacuous(self):
         _, data = self._dataset([2.0, -1.0])
@@ -109,6 +111,7 @@ class TestConsistency:
         report = audit_consistency(trainer, data, [a, np.array(a)], epsilon=0.0,
                                    scheme=ConsistencyScheme(num_partitions=2, seed=4))
         assert report.passed and report.vacuous
+        assert report.metadata["skipped_partitions"] == 0
 
     def test_determinism(self):
         slate, data = self._dataset([1.0, 1.0])
@@ -117,6 +120,34 @@ class TestConsistency:
         a = audit_consistency(trainer, data, slate, 0.1, scheme=scheme)
         b = audit_consistency(trainer, data, slate, 0.1, scheme=scheme)
         assert a.anchors == b.anchors and a.min_margin == b.min_margin
+        assert a.metadata["skipped_partitions"] == 0
+
+    def test_no_usable_partition_fails(self):
+        slate, data = self._dataset([2.0, -1.0])
+
+        def trainer(recs):
+            return RewardModel(theta_hat=[2.0, -1.0], lam=1e-3, final_nll=1.0,
+                               converged=False, iterations=10, diagnostic="stalled")
+
+        report = audit_consistency(trainer, data, slate, epsilon=0.0,
+                                   scheme=ConsistencyScheme(num_partitions=3, seed=4),
+                                   model=_model([2.0, -1.0]))
+        assert not report.passed
+        assert report.metadata["skipped_partitions"] == 3
+        assert report.metadata["diagnostic"] == (
+            "no usable voter partition of 3: a block fit did not converge (stalled)")
+        table = emit_table([report])
+        assert "FAIL" in table and "VACUOUS" not in table
+        assert "a block fit did not converge (stalled)" in table
+
+    def test_zero_partitions_fail(self):
+        slate, data = self._dataset([2.0, -1.0])
+        trainer = lambda recs: fit_mle(recs, lam=1e-3)
+        report = audit_consistency(trainer, data, slate, epsilon=0.0,
+                                   scheme=ConsistencyScheme(num_partitions=0),
+                                   model=_model([2.0, -1.0]))
+        assert not report.passed
+        assert report.metadata["diagnostic"] == "no usable voter partition of 0: none was requested"
 
     def test_negative_seed(self):
         slate, data = self._dataset([1.0, 1.0])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import central_difference_gradient, random_records
 from prefaudit.annotation import (
@@ -10,10 +12,29 @@ from prefaudit.annotation import (
     TrueRewardLabels,
     generate_dataset,
 )
+from prefaudit.config import config_from_dict
 from prefaudit.errors import InputError
-from prefaudit.estimation import borda_scores, fit_mle, nll, nll_gradient, score
+from prefaudit.estimation import DEFAULT_GRAD_TOL, borda_scores, fit_mle, nll, nll_gradient, score
 from prefaudit.model import ComparisonRecord, RewardModel
+from prefaudit.oracle import brute_force_mle
+from prefaudit.pipeline import DATASET_FILE, run_pipeline
 from prefaudit.population import PointMass, UniformBox, sample_alternatives, sample_voters
+from prefaudit.serialize import read_records
+
+# d=3 mixture population with proxy labels, as in the grid-d3 benchmark workload
+GRID_D3 = {
+    "dimension": 3,
+    "seed": 42,
+    "num_voters": 50,
+    "num_alternatives": 20,
+    "population": {"kind": "mixture", "components": [
+        {"weight": 0.7, "mean": [1.0, -0.5, 0.5], "var": [0.1, 0.1, 0.1]},
+        {"weight": 0.3, "mean": [-0.5, 1.0, 0.0], "var": [0.1, 0.1, 0.1]},
+    ]},
+    "alternatives": {"kind": "uniform-box", "lo": 0, "hi": 1},
+    "annotation": {"pairs": {"kind": "round-robin", "repeats": 10},
+                   "labels": {"kind": "proxy", "w": [1.0, 0.5, 1.5]}},
+}
 
 
 def _record(a0, a1, label=1):
@@ -122,6 +143,77 @@ class TestFitMle:
         init = rng.normal(size=2)
         model = fit_mle(records, lam=1e-3, init=init)
         assert model.final_nll <= nll(init, records, 1e-3)
+
+
+def _bt_records(rng, theta_star, n):
+    """Records labeled by the Bradley-Terry model at theta_star."""
+    records = []
+    for _ in range(n):
+        a0, a1 = rng.uniform(-1, 1, theta_star.size), rng.uniform(-1, 1, theta_star.size)
+        p_a1 = 1.0 / (1.0 + math.exp(-float(theta_star @ (a1 - a0))))
+        records.append(_record(a0, a1, label=int(rng.random() < p_a1)))
+    return records
+
+
+def _numpy_gradient(theta, records, lam):
+    """NLL gradient from the record fields, apart from the estimation kernels."""
+    deltas = np.array([r.a1 - r.a0 if r.label == 1 else r.a0 - r.a1 for r in records])
+    p_lose = 1.0 / (1.0 + np.exp(deltas @ theta))
+    return -(p_lose[:, None] * deltas).sum(axis=0) + 2.0 * lam * theta
+
+
+class TestNewtonFit:
+    def test_agrees_with_brute_force_grid(self):
+        rng = np.random.default_rng(7)
+        resolution, bound = 11, 4.0
+        step = 2 * bound / (resolution - 1)
+        for _ in range(25):
+            d = int(rng.integers(1, 4))
+            records = _bt_records(rng, rng.uniform(-1.5, 1.5, d), int(rng.integers(30, 80)))
+            model = fit_mle(records, lam=0.1)
+            opt = brute_force_mle(records, lam=0.1, resolution=resolution, bound=bound)
+            assert model.converged
+            assert model.final_nll <= nll(opt, records, 0.1)
+            assert np.max(np.abs(model.theta_hat - opt)) <= step
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        rows=st.lists(
+            st.tuples(st.lists(st.floats(-1, 1), min_size=8, max_size=8), st.integers(0, 1)),
+            min_size=1, max_size=40),
+        lam=st.floats(1e-3, 1.0),
+    )
+    def test_numpy_gradient_within_grad_tol(self, d, rows, lam):
+        records = [_record(x[:d], x[4:4 + d], label) for x, label in rows]
+        model = fit_mle(records, lam=lam)
+        assert model.converged
+        grad = _numpy_gradient(model.theta_hat, records, lam)
+        assert np.max(np.abs(grad)) <= DEFAULT_GRAD_TOL
+
+    @pytest.mark.parametrize("block", [
+        # two voter blocks of the seed-42 consistency audit, in the audit's
+        # order, whose gradient-descent fits stopped at max_iters=10000
+        [15, 4, 5, 42, 0, 46, 12, 3, 17, 9, 6, 45, 14, 26, 31, 41, 27, 48, 23, 16,
+         19, 35, 21, 22, 33],
+        [45, 2, 39, 48, 49, 44, 35, 32, 42, 0, 25, 16, 6, 40, 47, 31, 9, 10, 1, 46,
+         4, 22, 36, 37, 19],
+    ])
+    def test_grid_d3_block_converges(self, tmp_path, block):
+        run_pipeline(config_from_dict(GRID_D3), tmp_path, stages=("simulate",))
+        data = read_records(tmp_path / DATASET_FILE)
+        records = [r for v in block for r in data if r.voter_id == v]
+        model = fit_mle(records, lam=1e-3)
+        assert model.converged, model.diagnostic
+        assert model.iterations <= 20
+
+    def test_singular_hessian_falls_back_to_gradient(self):
+        # lam=0 and every delta on the first axis: the Hessian's second row is zero
+        records = [_record([0.0, 0.0], [1.0, 0.0], label=1) for _ in range(3)]
+        records.append(_record([0.0, 0.0], [1.0, 0.0], label=0))
+        model = fit_mle(records, lam=0.0)
+        assert model.converged, model.diagnostic
+        assert model.theta_hat == pytest.approx([math.log(3.0), 0.0], abs=1e-7)
 
 
 class TestBordaScores:

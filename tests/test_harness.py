@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import cli_env
+from prefaudit.annotation import RoundRobin, UniformRandomPairs
 from prefaudit.axioms import ConsistencyScheme
 from prefaudit.config import config_from_dict, load_config
 from prefaudit.errors import ConfigError, InputError
@@ -80,6 +81,45 @@ class TestLoadConfig:
         raw = {**MINIMAL, section: given}
         with pytest.raises(ConfigError, match=f"^{re.escape(path)}: unknown field$"):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize("annotation, path, kind", [
+        ({"pairs": {"kind": "round-robin", "repeat": 60}},
+         "config.annotation.pairs.repeat", "pair scheme 'round-robin'"),
+        ({"pairs": {"kind": "uniform-random", "count": 10, "repeats": 2}},
+         "config.annotation.pairs.repeats", "pair scheme 'uniform-random'"),
+        ({"labels": {"kind": "true-reward", "w": [1.0, 1.0]}},
+         "config.annotation.labels.w", "label scheme 'true-reward'"),
+        ({"labels": {"kind": "proxy", "w": [1.0, 1.0], "weights": [1.0, 1.0]}},
+         "config.annotation.labels.weights", "label scheme 'proxy'"),
+    ])
+    def test_unknown_scheme_field_names_its_path(self, annotation, path, kind):
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: unknown field for {re.escape(kind)}$"):
+            config_from_dict({**MINIMAL, "annotation": annotation})
+
+    def test_unknown_annotation_field_names_its_path(self):
+        with pytest.raises(ConfigError, match=r"^config\.annotation\.pair: unknown field$"):
+            config_from_dict({**MINIMAL, "annotation": {"pair": {"kind": "round-robin"}}})
+
+    def test_scheme_missing_required_field(self):
+        with pytest.raises(ConfigError, match=r"^config\.annotation\.pairs\.count: missing"):
+            config_from_dict({**MINIMAL, "annotation": {"pairs": {"kind": "uniform-random"}}})
+
+    def test_echo_holds_only_the_chosen_kinds_fields(self):
+        cfg = config_from_dict({**MINIMAL, "annotation": {
+            "pairs": {"kind": "uniform-random", "count": 30},
+            "labels": {"kind": "proxy", "w": [1.0, 0.5]},
+        }})
+        assert cfg.pair_scheme == UniformRandomPairs(count=30)
+        assert cfg.echo()["annotation"]["pairs"] == {"kind": "uniform-random", "count": 30}
+        assert cfg.echo()["annotation"]["labels"] == {"kind": "proxy", "w": [1.0, 0.5]}
+        default = config_from_dict(MINIMAL)
+        assert default.pair_scheme == RoundRobin(repeats=1)
+        assert default.echo()["annotation"]["pairs"] == {"kind": "round-robin", "repeats": 1}
+        assert default.echo()["annotation"]["labels"] == {"kind": "true-reward"}
+
+    def test_round_robin_repeats_is_used(self):
+        cfg = config_from_dict(SMALL_RUN)
+        assert cfg.pair_scheme == RoundRobin(repeats=40)
 
     def test_section_must_be_an_object(self):
         with pytest.raises(ConfigError, match="config.distortion: must be a JSON object"):
