@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 from .model import (
     SCHEME_PROXY,
     SCHEME_TRUE,
@@ -22,8 +22,8 @@ from .model import (
     btl_prob,
     feature_vector,
     proxy_reward,
-    reward,
 )
+from .model import reward as true_reward
 from .population import seeded_rng
 
 __all__ = [
@@ -44,6 +44,10 @@ PARTITION_BY_VOTER = "partition-by-voter"
 @dataclass(frozen=True)
 class TrueRewardLabels:
     kind: str = SCHEME_TRUE
+    w = None  # the records of this scheme carry no weight vector
+
+    def reward(self, theta, a) -> float:
+        return true_reward(theta, a)
 
 
 @dataclass(frozen=True)
@@ -54,46 +58,40 @@ class ProxyLabels:
     def __post_init__(self):
         object.__setattr__(self, "w", feature_vector(self.w))
 
+    def reward(self, theta, a) -> float:
+        return proxy_reward(theta, self.w, a)
+
 
 @dataclass(frozen=True)
 class UniformRandomPairs:
     count: int
 
-
-@dataclass(frozen=True)
-class RoundRobin:
-    repeats: int = 1
-
-
-def sample_label(theta_voter: VoterParams, a0, a1, scheme, rng) -> int:
-    """Draw one BTL label: 1 with probability btl_prob(r(a1), r(a0))."""
-    theta = theta_voter.theta
-    if isinstance(scheme, ProxyLabels):
-        r0 = proxy_reward(theta, scheme.w, a0)
-        r1 = proxy_reward(theta, scheme.w, a1)
-    elif isinstance(scheme, TrueRewardLabels):
-        r0 = reward(theta, a0)
-        r1 = reward(theta, a1)
-    else:
-        raise InputError(f"unknown label scheme {scheme!r}")
-    p1 = btl_prob(r1, r0)
-    return int(rng.random() < p1)
-
-
-def _pair_indices(pair_scheme, n_alts: int, rng) -> list[tuple[int, int]]:
-    if isinstance(pair_scheme, RoundRobin):
-        base = list(combinations(range(n_alts), 2))
-        return base * pair_scheme.repeats
-    if isinstance(pair_scheme, UniformRandomPairs):
+    def pairs(self, n_alts: int, rng) -> list[tuple[int, int]]:
+        """count distinct-index pairs drawn uniformly, as (low, high)."""
         pairs = []
-        for _ in range(pair_scheme.count):
+        for _ in range(self.count):
             i = int(rng.integers(0, n_alts))
             j = int(rng.integers(0, n_alts - 1))
             if j >= i:
                 j += 1
             pairs.append((i, j) if i < j else (j, i))
         return pairs
-    raise ConfigError(f"unknown pair scheme {pair_scheme!r}")
+
+
+@dataclass(frozen=True)
+class RoundRobin:
+    repeats: int = 1
+
+    def pairs(self, n_alts: int, rng) -> list[tuple[int, int]]:
+        """Every pair of the slate, repeats times; draws nothing."""
+        return list(combinations(range(n_alts), 2)) * self.repeats
+
+
+def sample_label(theta_voter: VoterParams, a0, a1, scheme, rng) -> int:
+    """Draw one BTL label: 1 with probability btl_prob(r(a1), r(a0))."""
+    theta = theta_voter.theta
+    p1 = btl_prob(scheme.reward(theta, a1), scheme.reward(theta, a0))
+    return int(rng.random() < p1)
 
 
 def generate_dataset(
@@ -112,7 +110,7 @@ def generate_dataset(
     if assignment not in (EACH_PAIR_RANDOM_VOTER, PARTITION_BY_VOTER):
         raise ConfigError(f"unknown assignment scheme {assignment!r}")
     rng = seeded_rng(seed)
-    pairs = _pair_indices(pair_scheme, len(alts), rng)
+    pairs = pair_scheme.pairs(len(alts), rng)
     records = []
     for k, (i, j) in enumerate(pairs):
         if rng.random() < 0.5:
@@ -122,18 +120,12 @@ def generate_dataset(
         else:
             voter = voters[k % len(voters)]
         label = sample_label(voter, alts[i], alts[j], label_scheme, rng)
-        if isinstance(label_scheme, ProxyLabels):
-            rec = ComparisonRecord(
-                voter_id=voter.voter_id,
-                a0=alts[i],
-                a1=alts[j],
-                label=label,
-                scheme=SCHEME_PROXY,
-                w=label_scheme.w,
-            )
-        else:
-            rec = ComparisonRecord(
-                voter_id=voter.voter_id, a0=alts[i], a1=alts[j], label=label
-            )
-        records.append(rec)
+        records.append(ComparisonRecord(
+            voter_id=voter.voter_id,
+            a0=alts[i],
+            a1=alts[j],
+            label=label,
+            scheme=label_scheme.kind,
+            w=label_scheme.w,
+        ))
     return records

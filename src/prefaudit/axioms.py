@@ -20,12 +20,7 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .estimation import score
 from .model import RewardModel
-from .population import (
-    empirical_unanimous_gap,
-    population_mean_gap,
-    seeded_rng,
-    validate_population,
-)
+from .population import population_mean_gap, seeded_rng
 
 __all__ = [
     "AnchorResult",
@@ -142,7 +137,6 @@ def audit_condorcet(model: RewardModel, slate, pop, epsilon: float) -> AxiomRepo
         raise InputError("condorcet audit needs a slate of >= 2 alternatives")
     if epsilon < 0:
         raise InputError("epsilon must be >= 0")
-    validate_population(pop)
     score_gaps = _score_gap_matrix(model, slate)
     return _assemble(
         "condorcet",

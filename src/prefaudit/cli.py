@@ -12,9 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .config import load_config
+from .config import config_from_dict, load_config
 from .errors import ConfigError, InputError, PrefAuditError
 from .estimation import nll
 from .oracle import brute_force_mle, exhaustive_axiom_check
@@ -30,12 +28,14 @@ from .pipeline import (
 from .reports import emit_rows, emit_table, rows_from_reports
 from .serialize import (
     axiom_report_from_dict,
+    distortion_report_from_dict,
     load_json,
     model_from_dict,
     read_records,
+    read_slate,
+    read_voters,
 )
 from .axioms import audit_condorcet, audit_unanimity
-from .model import VoterParams
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,18 +57,7 @@ def _emit(args, out: Path) -> None:
     else:
         distortion = None
         if (out / DISTORTION_FILE).exists():
-            from .distortion import DistortionReport
-
-            d = load_json(out / DISTORTION_FILE)
-            distortion = DistortionReport(
-                slate_size=d["slate_size"],
-                learned_winner=d["learned_winner"],
-                regret=d["regret"],
-                worst_theta=None if d["worst_theta"] is None else np.array(d["worst_theta"]),
-                worst_w=None if d["worst_w"] is None else np.array(d["worst_w"]),
-                delta=d["delta"],
-                metadata=d["metadata"],
-            )
+            distortion = distortion_report_from_dict(load_json(out / DISTORTION_FILE))
         sys.stdout.write(emit_table(reports, distortion))
 
 
@@ -76,8 +65,8 @@ def _verify(config, out: Path) -> int:
     """Cross-check fit_mle and the audits against the brute-force oracles."""
     failures = 0
     records = read_records(out / DATASET_FILE)
-    slate = [np.array(a) for a in load_json(out / SLATE_FILE)]
-    voters = [VoterParams(voter_id=v["voter_id"], theta=v["theta"]) for v in load_json(out / VOTERS_FILE)]
+    slate = read_slate(out / SLATE_FILE)
+    voters = read_voters(out / VOTERS_FILE)
     model = model_from_dict(load_json(out / MODEL_FILE))
 
     if config.dimension <= 3:
@@ -112,8 +101,6 @@ def main(argv=None) -> int:
         if args.seed is not None:
             raw = dict(config.raw)
             raw["seed"] = args.seed
-            from .config import config_from_dict
-
             config = config_from_dict(raw)
         out = Path(args.out or config.raw.get("output_dir", "out"))
         if args.command == "run":

@@ -2,16 +2,17 @@
 
 The config file is JSON. Every unspecified field is filled from the
 documented defaults and echoed back into the run manifest, so a run
-carries no hidden state. Validation errors name the offending field
-path; parse errors carry the line number from the JSON decoder.
+carries no hidden state. Every object is checked against the fields it
+takes (a kind-tagged one against the fields of its kind), so an unknown
+key or a value of the wrong JSON type is an error, not a silently
+ignored setting. Validation errors name the offending field path; parse
+errors carry the line number from the JSON decoder.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .annotation import (
     EACH_PAIR_RANDOM_VOTER,
@@ -23,7 +24,7 @@ from .annotation import (
 )
 from .axioms import ConsistencyScheme
 from .distortion import SearchSpec
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .population import (
     DiagonalGaussian,
     ExplicitSlate,
@@ -31,10 +32,6 @@ from .population import (
     Mixture,
     PointMass,
     UniformBox,
-    population_dim,
-    validate_alternative_space,
-    validate_population,
-    alternative_space_dim,
 )
 
 __all__ = ["ExperimentConfig", "load_config", "config_defaults"]
@@ -91,157 +88,165 @@ class ExperimentConfig:
         return self.raw
 
 
-def _require(mapping: dict, key: str, path: str):
-    if key not in mapping:
-        raise ConfigError(f"{path}.{key}: missing required field")
-    return mapping[key]
+class NoDefault:
+    """A field without a default: its value must have the JSON type of one
+    of ``examples``. An optional one is left out of the echo when absent."""
+
+    def __init__(self, *examples, required=True):
+        self.examples = examples
+        self.required = required
 
 
-def _population_from_dict(d: dict, dim: int, path: str):
-    kind = _require(d, "kind", path)
-    try:
-        if kind == "point-mass":
-            spec = PointMass(theta=_require(d, "theta", path))
-        elif kind == "gaussian":
-            spec = DiagonalGaussian(
-                mean=_require(d, "mean", path),
-                var=_require(d, "var", path),
-            )
-        elif kind == "mixture":
-            comps = _require(d, "components", path)
-            spec = Mixture(
-                components=tuple(
-                    (c["weight"], c["mean"], c["var"]) for c in comps
-                )
-            )
-        else:
-            raise ConfigError(f"{path}.kind: unknown population kind {kind!r}")
-        validate_population(spec)
-    except ConfigError as e:
-        raise ConfigError(f"{path}: {e}") from None
-    if population_dim(spec) != dim:
-        raise ConfigError(f"{path}: dimension {population_dim(spec)} != experiment dimension {dim}")
-    return spec
+# Stands for a kind-tagged object: its fields depend on its kind, and
+# are checked when it is built.
+KIND_TAGGED = {"kind": ""}
+VECTOR = NoDefault([0.0])
+BOUND = NoDefault(0.0, [0.0])  # a vector, or one number for every coordinate
+
+# Every top-level field: the DEFAULTS sections and the fields without one.
+FIELDS = {
+    "dimension": NoDefault(1),
+    "seed": NoDefault(1),
+    "population": NoDefault(KIND_TAGGED),
+    "alternatives": NoDefault(KIND_TAGGED),
+    "output_dir": NoDefault("", required=False),
+    **DEFAULTS,
+}
 
 
-def _alternatives_from_dict(d: dict, dim: int, path: str):
-    kind = _require(d, "kind", path)
-    try:
-        if kind == "uniform-box":
-            lo, hi = _require(d, "lo", path), _require(d, "hi", path)
-            if np.isscalar(lo):
-                lo = [lo] * dim
-            if np.isscalar(hi):
-                hi = [hi] * dim
-            spec = UniformBox(lo=lo, hi=hi)
-        elif kind == "gaussian":
-            spec = GaussianSpace(mean=_require(d, "mean", path), var=_require(d, "var", path))
-        elif kind == "explicit-slate":
-            spec = ExplicitSlate(points=tuple(_require(d, "points", path)))
-        else:
-            raise ConfigError(f"{path}.kind: unknown alternative space kind {kind!r}")
-        validate_alternative_space(spec)
-    except ConfigError as e:
-        raise ConfigError(f"{path}: {e}") from None
-    if alternative_space_dim(spec) != dim:
-        raise ConfigError(
-            f"{path}: dimension {alternative_space_dim(spec)} != experiment dimension {dim}"
-        )
-    return spec
+def _mixture(components) -> Mixture:
+    return Mixture(tuple((c["weight"], c["mean"], c["var"]) for c in components))
 
 
-# Fields each kind of pair and label scheme takes, with their defaults.
-REQUIRED = object()
-PAIR_FIELDS = {"round-robin": {"repeats": 1}, "uniform-random": {"count": REQUIRED}}
-LABEL_FIELDS = {"true-reward": {}, "proxy": {"w": REQUIRED}}
+# One table per kind-tagged section: kind -> (the fields it takes, the
+# constructor they are passed to).
+POPULATION_KINDS = {
+    "point-mass": ({"theta": VECTOR}, PointMass),
+    "gaussian": ({"mean": VECTOR, "var": VECTOR}, DiagonalGaussian),
+    "mixture": (
+        {"components": NoDefault([{"weight": NoDefault(0.0), "mean": VECTOR, "var": VECTOR}])},
+        _mixture,
+    ),
+}
+ALTERNATIVE_KINDS = {
+    "uniform-box": ({"lo": BOUND, "hi": BOUND}, UniformBox),
+    "gaussian": ({"mean": VECTOR, "var": VECTOR}, GaussianSpace),
+    "explicit-slate": ({"points": NoDefault([[0.0]])}, ExplicitSlate),
+}
+PAIR_KINDS = {
+    "round-robin": ({"repeats": 1}, RoundRobin),
+    "uniform-random": ({"count": NoDefault(1)}, UniformRandomPairs),
+}
+LABEL_KINDS = {
+    "true-reward": ({}, TrueRewardLabels),
+    "proxy": ({"w": VECTOR}, ProxyLabels),
+}
+
+_TYPE_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string", dict: "object"}
 
 
-def _kind_fields(d, fields_by_kind: dict, path: str, what: str) -> dict:
-    """A kind-tagged object with its kind's defaults applied.
+def _type_name(example) -> str:
+    if isinstance(example, list):
+        return f"array of {_type_name(example[0])}"
+    return _TYPE_NAMES[type(example)]
 
-    A key the chosen kind does not take is a typo and raises ConfigError
-    naming its path; the result holds the kind's fields only.
+
+def _typed(value, example, path: str):
+    """``value``, checked to have the JSON type of ``example``.
+
+    An integer passes for a number; a list example types every item by its
+    first item; a dict example is a field table, or KIND_TAGGED.
     """
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: must be a JSON object")
-    kind = _require(d, "kind", path)
-    if not isinstance(kind, str) or kind not in fields_by_kind:
-        raise ConfigError(f"{path}.kind: unknown {what} {kind!r}")
-    fields = fields_by_kind[kind]
-    for key in d:
-        if key != "kind" and key not in fields:
-            raise ConfigError(f"{path}.{key}: unknown field for {what} {kind!r}")
-    out = {"kind": kind}
-    for key, default in fields.items():
-        out[key] = _require(d, key, path) if default is REQUIRED else d.get(key, default)
-    return out
+    examples = example.examples if isinstance(example, NoDefault) else (example,)
+    for ex in examples:
+        if isinstance(ex, dict):
+            return value if "kind" in ex else _fields(value, ex, path)
+        if isinstance(ex, list) and isinstance(value, list):
+            return [_typed(v, ex[0], f"{path}[{k}]") for k, v in enumerate(value)]
+        if type(value) is type(ex) or (type(ex) is float and type(value) is int):
+            return value
+    expected = " or ".join(_type_name(ex) for ex in examples)
+    raise ConfigError(f"{path}: expected {expected}, got {value!r}")
 
 
-def _pair_scheme_from_dict(d, path: str):
-    """(scheme, checked fields) for an annotation.pairs object."""
-    d = _kind_fields(d, PAIR_FIELDS, path, "pair scheme")
-    if d["kind"] == "round-robin":
-        return RoundRobin(repeats=int(d["repeats"])), d
-    return UniformRandomPairs(count=int(d["count"])), d
+def _fields(given, fields: dict, path: str, what: str = "") -> dict:
+    """The object ``given`` with its fields typed and its defaults filled in.
 
-
-def _label_scheme_from_dict(d, path: str):
-    """(scheme, checked fields) for an annotation.labels object."""
-    d = _kind_fields(d, LABEL_FIELDS, path, "label scheme")
-    if d["kind"] == "true-reward":
-        return TrueRewardLabels(), d
-    return ProxyLabels(w=d["w"]), d
-
-
-def _merged(defaults: dict, given, path: str) -> dict:
-    """Fill ``given`` from ``defaults``, recursing into nested sections.
-
-    A key the defaults do not define is a typo and raises ConfigError
-    naming its path. A kind-tagged default (a pair or label scheme) is
-    replaced whole, since its fields depend on its kind; they are checked
-    by kind when the scheme is built.
+    ``fields`` maps each field the object takes to its default or to a
+    NoDefault; a default that is itself a field table is filled in
+    recursively. A key the object does not take is a typo and raises
+    ConfigError naming its path.
     """
     if not isinstance(given, dict):
         raise ConfigError(f"{path}: must be a JSON object")
-    out = {}
-    for key, val in defaults.items():
-        if isinstance(val, dict) and "kind" not in val:
-            out[key] = _merged(val, given.get(key, {}) or {}, f"{path}.{key}")
-        else:
-            out[key] = given.get(key, val)
     for key in given:
-        if key not in out:
-            raise ConfigError(f"{path}.{key}: unknown field")
+        if key not in fields:
+            raise ConfigError(f"{path}.{key}: unknown field{what}")
+    out = {}
+    for key, default in fields.items():
+        if isinstance(default, NoDefault) and key not in given:
+            if default.required:
+                raise ConfigError(f"{path}.{key}: missing required field")
+        else:  # a default passes its own check, which fills in nested tables
+            out[key] = _typed(given.get(key, default), default, f"{path}.{key}")
     return out
+
+
+def _build(given, kinds: dict, path: str, what: str, dim: int | None = None):
+    """(spec, echo) for a kind-tagged object, built by the table ``kinds``.
+
+    The echo holds the kind's fields only, defaults filled in. A number
+    given for a BOUND field is repeated to the experiment dimension
+    ``dim``; when ``dim`` is given, the spec's dimension must equal it.
+    """
+    if not isinstance(given, dict):
+        raise ConfigError(f"{path}: must be a JSON object")
+    if "kind" not in given:
+        raise ConfigError(f"{path}.kind: missing required field")
+    kind = given["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{path}.kind: unknown {what} {kind!r}")
+    fields, make = kinds[kind]
+    checked = _fields(given, {"kind": kind, **fields}, path, f" for {what} {kind!r}")
+    args = {
+        k: [v] * dim if fields[k] is BOUND and not isinstance(v, list) else v
+        for k, v in checked.items()
+        if k != "kind"
+    }
+    try:
+        spec = make(**args)
+    except (ConfigError, InputError) as e:
+        raise ConfigError(f"{path}: {e}") from None
+    if dim is not None and spec.dim != dim:
+        raise ConfigError(f"{path}: dimension {spec.dim} != experiment dimension {dim}")
+    return spec, checked
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a validated config from a parsed JSON object."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    dim = int(_require(raw, "dimension", "config"))
-    if dim < 1:
-        raise ConfigError("config.dimension: must be >= 1")
     if "seed" not in raw:
         raise ConfigError("config.seed: missing required field (no implicit entropy)")
-    seed = int(raw["seed"])
+    full = _fields(raw, FIELDS, "config")
+    dim = full["dimension"]
+    if dim < 1:
+        raise ConfigError("config.dimension: must be >= 1")
 
-    full = dict(raw)
-    full["num_voters"] = int(raw.get("num_voters", DEFAULTS["num_voters"]))
-    full["num_alternatives"] = int(raw.get("num_alternatives", DEFAULTS["num_alternatives"]))
-    for section in ("estimation", "audit", "distortion", "annotation"):
-        full[section] = _merged(DEFAULTS[section], raw.get(section, {}), f"config.{section}")
-
-    population = _population_from_dict(_require(raw, "population", "config"), dim, "config.population")
-    alternatives = _alternatives_from_dict(
-        _require(raw, "alternatives", "config"), dim, "config.alternatives"
+    population, full["population"] = _build(
+        full["population"], POPULATION_KINDS, "config.population", "population kind", dim
+    )
+    alternatives, full["alternatives"] = _build(
+        full["alternatives"], ALTERNATIVE_KINDS, "config.alternatives", "alternative space kind", dim
     )
     ann = full["annotation"]
-    pair_scheme, ann["pairs"] = _pair_scheme_from_dict(ann["pairs"], "config.annotation.pairs")
+    pair_scheme, ann["pairs"] = _build(ann["pairs"], PAIR_KINDS, "config.annotation.pairs", "pair scheme")
     assignment = ann["assignment"]
     if assignment not in (EACH_PAIR_RANDOM_VOTER, PARTITION_BY_VOTER):
         raise ConfigError(f"config.annotation.assignment: unknown scheme {assignment!r}")
-    label_scheme, ann["labels"] = _label_scheme_from_dict(ann["labels"], "config.annotation.labels")
+    label_scheme, ann["labels"] = _build(
+        ann["labels"], LABEL_KINDS, "config.annotation.labels", "label scheme"
+    )
 
     est = full["estimation"]
     if est["lambda"] < 0:
@@ -256,7 +261,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         dimension=dim,
-        seed=seed,
+        seed=full["seed"],
         population=population,
         alternatives=alternatives,
         num_voters=full["num_voters"],
@@ -266,22 +271,22 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         label_scheme=label_scheme,
         lam=float(est["lambda"]),
         grad_tol=float(est["grad_tol"]),
-        max_iters=int(est["max_iters"]),
+        max_iters=est["max_iters"],
         epsilons=tuple(float(e) for e in aud["epsilons"]),
         consistency=ConsistencyScheme(
-            num_blocks=int(cons["blocks"]),
+            num_blocks=cons["blocks"],
             min_fraction=float(cons["min_fraction"]),
-            num_partitions=int(cons["partitions"]),
+            num_partitions=cons["partitions"],
         ),
-        distortion_enabled=bool(dist["enabled"]),
+        distortion_enabled=dist["enabled"],
         delta=float(dist["delta"]),
         search=SearchSpec(
-            grid_resolution=int(dist["grid_resolution"]),
+            grid_resolution=dist["grid_resolution"],
             bound=float(dist["bound"]),
-            w_mode=str(dist["w_mode"]),
+            w_mode=dist["w_mode"],
             w_lo=float(dist["w_lo"]),
             w_hi=float(dist["w_hi"]),
-            random_samples=int(dist["random_samples"]),
+            random_samples=dist["random_samples"],
         ),
         raw=full,
     )

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InputError
 from .estimation import _nll_from_deltas, _winner_deltas, fit_mle, nll, score
 from .model import RewardModel
-from .population import population_mean, seeded_rng, validate_population
+from .population import seeded_rng
 
 __all__ = [
     "SearchSpec",
@@ -64,9 +64,8 @@ class DistortionReport:
 
 def welfare(pop, a) -> float:
     """Analytic expected utility of an alternative: <E[theta], a>."""
-    validate_population(pop)
     a = np.asarray(a, dtype=np.float64)
-    mean = population_mean(pop)
+    mean = pop.expected_theta()
     if mean.shape != a.shape:
         raise InputError("alternative dimension differs from population dimension")
     return float(mean @ a)

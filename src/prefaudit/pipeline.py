@@ -26,7 +26,6 @@ from .config import ExperimentConfig
 from .distortion import worst_case_regret
 from .errors import PrefAuditError
 from .estimation import fit_mle
-from .model import VoterParams
 from .population import sample_alternatives, sample_voters
 from .serialize import (
     axiom_report_to_dict,
@@ -36,7 +35,11 @@ from .serialize import (
     model_from_dict,
     model_to_dict,
     read_records,
+    read_slate,
+    read_voters,
     write_records,
+    write_slate,
+    write_voters,
 )
 
 __all__ = ["child_seed", "run_pipeline", "STAGES"]
@@ -58,22 +61,6 @@ def child_seed(root_seed: int, stage: str, index: int = 0) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _write_slate(path, slate):
-    dump_json(path, [[float(x) for x in a] for a in slate])
-
-
-def _read_slate(path):
-    return [np.array(a, dtype=np.float64) for a in load_json(path)]
-
-
-def _write_voters(path, voters):
-    dump_json(path, [{"voter_id": v.voter_id, "theta": [float(x) for x in v.theta]} for v in voters])
-
-
-def _read_voters(path):
-    return [VoterParams(voter_id=v["voter_id"], theta=v["theta"]) for v in load_json(path)]
-
-
 def stage_simulate(config: ExperimentConfig, out: Path) -> dict:
     voters = sample_voters(config.population, config.num_voters, child_seed(config.seed, "voters"))
     slate = sample_alternatives(
@@ -87,8 +74,8 @@ def stage_simulate(config: ExperimentConfig, out: Path) -> dict:
         config.label_scheme,
         child_seed(config.seed, "annotate"),
     )
-    _write_voters(out / VOTERS_FILE, voters)
-    _write_slate(out / SLATE_FILE, slate)
+    write_voters(out / VOTERS_FILE, voters)
+    write_slate(out / SLATE_FILE, slate)
     write_records(out / DATASET_FILE, records)
     return {"voters": len(voters), "alternatives": len(slate), "records": len(records)}
 
@@ -109,8 +96,8 @@ def _trainer(config: ExperimentConfig):
 
 def stage_audit(config: ExperimentConfig, out: Path) -> dict:
     records = read_records(out / DATASET_FILE)
-    slate = _read_slate(out / SLATE_FILE)
-    voters = _read_voters(out / VOTERS_FILE)
+    slate = read_slate(out / SLATE_FILE)
+    voters = read_voters(out / VOTERS_FILE)
     model = model_from_dict(load_json(out / MODEL_FILE))
     scheme = replace(config.consistency, seed=child_seed(config.seed, "consistency"))
     reports = []
@@ -139,7 +126,7 @@ def stage_distort(config: ExperimentConfig, out: Path) -> dict:
     if not config.distortion_enabled:
         return {"skipped": True}
     records = read_records(out / DATASET_FILE)
-    slate = _read_slate(out / SLATE_FILE)
+    slate = read_slate(out / SLATE_FILE)
     model = model_from_dict(load_json(out / MODEL_FILE))
     report = worst_case_regret(model, slate, records, config.delta, config.search)
     dump_json(out / DISTORTION_FILE, distortion_report_to_dict(report))

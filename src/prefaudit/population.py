@@ -1,9 +1,13 @@
 """Voter populations and alternative spaces: validation, sampling, gaps.
 
 Population specs are point masses, diagonal Gaussians, or finite
-mixtures of diagonal Gaussians. Sampling uses numpy's counter-based
-Philox generator so identical (spec, n, seed) triples reproduce bitwise
-identical draws.
+mixtures of diagonal Gaussians; alternative spaces are uniform boxes,
+diagonal Gaussians, or explicit slates. Each spec validates itself on
+construction (raising ConfigError) and carries its dimension ``dim`` and
+its sampler ``sample(rng, n)``, an (n, dim) array; population specs also
+carry their analytic mean ``expected_theta()``. Sampling uses numpy's
+counter-based Philox generator so identical (spec, n, seed) triples
+reproduce bitwise identical draws.
 """
 
 from __future__ import annotations
@@ -23,13 +27,8 @@ __all__ = [
     "UniformBox",
     "GaussianSpace",
     "ExplicitSlate",
-    "validate_population",
-    "population_dim",
-    "population_mean",
     "sample_voters",
     "seeded_rng",
-    "validate_alternative_space",
-    "alternative_space_dim",
     "sample_alternatives",
     "population_mean_gap",
     "empirical_unanimous_gap",
@@ -40,20 +39,56 @@ WEIGHT_SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PointMass:
+    """Every voter has the preference vector theta."""
+
     theta: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "theta", feature_vector(self.theta))
 
+    @property
+    def dim(self) -> int:
+        return self.theta.shape[0]
+
+    def expected_theta(self) -> np.ndarray:
+        return np.array(self.theta)
+
+    def sample(self, rng, n: int) -> np.ndarray:
+        return np.tile(self.theta, (n, 1))
+
 
 @dataclass(frozen=True)
-class DiagonalGaussian:
+class _Gaussian:
+    """Diagonal Gaussian N(mean, diag(var)); var may hold zeros."""
+
     mean: np.ndarray
     var: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "mean", feature_vector(self.mean))
         object.__setattr__(self, "var", feature_vector(self.var))
+        if self.mean.shape != self.var.shape:
+            raise ConfigError("gaussian mean and variance dimensions differ")
+        if np.any(self.var < 0):
+            raise ConfigError("gaussian variance entries must be >= 0")
+
+    @property
+    def dim(self) -> int:
+        return self.mean.shape[0]
+
+    def sample(self, rng, n: int) -> np.ndarray:
+        return self.mean + np.sqrt(self.var) * rng.standard_normal((n, self.dim))
+
+
+class DiagonalGaussian(_Gaussian):
+    """Voter population N(mean, diag(var))."""
+
+    def expected_theta(self) -> np.ndarray:
+        return np.array(self.mean)
+
+
+class GaussianSpace(_Gaussian):
+    """Alternative space N(mean, diag(var))."""
 
 
 @dataclass(frozen=True)
@@ -68,57 +103,83 @@ class Mixture:
             for (w, mu, var) in self.components
         )
         object.__setattr__(self, "components", comps)
-
-
-def validate_population(spec) -> None:
-    if isinstance(spec, PointMass):
-        return
-    if isinstance(spec, DiagonalGaussian):
-        if spec.mean.shape != spec.var.shape:
-            raise ConfigError("gaussian mean and variance dimensions differ")
-        if np.any(spec.var < 0):
-            raise ConfigError("gaussian variance entries must be >= 0")
-        return
-    if isinstance(spec, Mixture):
-        if not spec.components:
+        if not comps:
             raise ConfigError("mixture needs at least one component")
-        d = spec.components[0][1].shape[0]
         total = 0.0
-        for w, mu, var in spec.components:
+        for w, mu, var in comps:
             if w <= 0:
                 raise ConfigError("mixture weights must be positive")
-            if mu.shape[0] != d or var.shape[0] != d:
+            if mu.shape[0] != self.dim or var.shape[0] != self.dim:
                 raise ConfigError("mixture component dimensions differ")
             if np.any(var < 0):
                 raise ConfigError("mixture variance entries must be >= 0")
             total += w
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ConfigError(f"mixture weights sum to {total}, expected 1")
-        return
-    raise ConfigError(f"unknown population spec {type(spec).__name__}")
+
+    @property
+    def dim(self) -> int:
+        return self.components[0][1].shape[0]
+
+    def expected_theta(self) -> np.ndarray:
+        mean = np.zeros(self.dim)
+        for w, mu, _ in self.components:
+            mean += w * mu
+        return mean
+
+    def sample(self, rng, n: int) -> np.ndarray:
+        weights = np.array([w for w, _, _ in self.components])
+        comp = rng.choice(len(self.components), size=n, p=weights)
+        noise = rng.standard_normal((n, self.dim))
+        means = np.stack([mu for _, mu, _ in self.components])
+        stds = np.sqrt(np.stack([var for _, _, var in self.components]))
+        return means[comp] + stds[comp] * noise
 
 
-def population_dim(spec) -> int:
-    if isinstance(spec, PointMass):
-        return spec.theta.shape[0]
-    if isinstance(spec, DiagonalGaussian):
-        return spec.mean.shape[0]
-    if isinstance(spec, Mixture):
-        return spec.components[0][1].shape[0]
-    raise ConfigError(f"unknown population spec {type(spec).__name__}")
+@dataclass(frozen=True)
+class UniformBox:
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "lo", feature_vector(self.lo))
+        object.__setattr__(self, "hi", feature_vector(self.hi))
+        if self.lo.shape != self.hi.shape:
+            raise ConfigError("box lo and hi dimensions differ")
+        if np.any(self.lo > self.hi):
+            raise ConfigError("box requires lo <= hi coordinatewise")
+
+    @property
+    def dim(self) -> int:
+        return self.lo.shape[0]
+
+    def sample(self, rng, n: int) -> np.ndarray:
+        return self.lo + (self.hi - self.lo) * rng.random((n, self.dim))
 
 
-def population_mean(spec) -> np.ndarray:
-    """Analytic E[theta] of the population (exact, not Monte-Carlo)."""
-    validate_population(spec)
-    if isinstance(spec, PointMass):
-        return np.array(spec.theta)
-    if isinstance(spec, DiagonalGaussian):
-        return np.array(spec.mean)
-    mean = np.zeros(population_dim(spec))
-    for w, mu, _ in spec.components:
-        mean += w * mu
-    return mean
+@dataclass(frozen=True)
+class ExplicitSlate:
+    """A fixed slate: returned in order when n equals its size (sampling
+    without replacement), sampled with replacement otherwise."""
+
+    points: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", tuple(feature_vector(p) for p in self.points))
+        if not self.points:
+            raise ConfigError("explicit slate must be non-empty")
+        if any(p.shape[0] != self.dim for p in self.points):
+            raise ConfigError("explicit slate has inconsistent dimensions")
+
+    @property
+    def dim(self) -> int:
+        return self.points[0].shape[0]
+
+    def sample(self, rng, n: int) -> np.ndarray:
+        points = np.stack(self.points)
+        if n == len(self.points):
+            return points
+        return points[rng.integers(0, len(self.points), size=n)]
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -134,105 +195,17 @@ def seeded_rng(seed: int) -> np.random.Generator:
 
 def sample_voters(spec, n: int, seed: int) -> list[VoterParams]:
     """Draw n i.i.d. voters from the population; voter ids are 0..n-1."""
-    validate_population(spec)
     if n < 1:
         raise ConfigError("need at least one voter")
-    rng = seeded_rng(seed)
-    d = population_dim(spec)
-    if isinstance(spec, PointMass):
-        thetas = np.tile(spec.theta, (n, 1))
-    elif isinstance(spec, DiagonalGaussian):
-        thetas = spec.mean + np.sqrt(spec.var) * rng.standard_normal((n, d))
-    else:
-        weights = np.array([w for w, _, _ in spec.components])
-        comp = rng.choice(len(spec.components), size=n, p=weights)
-        noise = rng.standard_normal((n, d))
-        means = np.stack([mu for _, mu, _ in spec.components])
-        stds = np.sqrt(np.stack([var for _, _, var in spec.components]))
-        thetas = means[comp] + stds[comp] * noise
+    thetas = spec.sample(seeded_rng(seed), n)
     return [VoterParams(voter_id=i, theta=thetas[i]) for i in range(n)]
 
 
-@dataclass(frozen=True)
-class UniformBox:
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", feature_vector(self.lo))
-        object.__setattr__(self, "hi", feature_vector(self.hi))
-
-
-@dataclass(frozen=True)
-class GaussianSpace:
-    mean: np.ndarray
-    var: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", feature_vector(self.mean))
-        object.__setattr__(self, "var", feature_vector(self.var))
-
-
-@dataclass(frozen=True)
-class ExplicitSlate:
-    points: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(feature_vector(p) for p in self.points))
-
-
-def validate_alternative_space(spec) -> None:
-    if isinstance(spec, UniformBox):
-        if spec.lo.shape != spec.hi.shape:
-            raise ConfigError("box lo and hi dimensions differ")
-        if np.any(spec.lo > spec.hi):
-            raise ConfigError("box requires lo <= hi coordinatewise")
-        return
-    if isinstance(spec, GaussianSpace):
-        if spec.mean.shape != spec.var.shape:
-            raise ConfigError("gaussian mean and variance dimensions differ")
-        if np.any(spec.var < 0):
-            raise ConfigError("gaussian variance entries must be >= 0")
-        return
-    if isinstance(spec, ExplicitSlate):
-        if not spec.points:
-            raise ConfigError("explicit slate must be non-empty")
-        d = spec.points[0].shape[0]
-        if any(p.shape[0] != d for p in spec.points):
-            raise ConfigError("explicit slate has inconsistent dimensions")
-        return
-    raise ConfigError(f"unknown alternative space spec {type(spec).__name__}")
-
-
-def alternative_space_dim(spec) -> int:
-    if isinstance(spec, (UniformBox, GaussianSpace)):
-        return spec.lo.shape[0] if isinstance(spec, UniformBox) else spec.mean.shape[0]
-    if isinstance(spec, ExplicitSlate):
-        return spec.points[0].shape[0]
-    raise ConfigError(f"unknown alternative space spec {type(spec).__name__}")
-
-
 def sample_alternatives(spec, m: int, seed: int) -> list[np.ndarray]:
-    """Draw m alternatives from the space, deterministic given seed.
-
-    Explicit slates are returned in order when m equals the slate size
-    (sampling without replacement), and sampled with replacement
-    otherwise.
-    """
-    validate_alternative_space(spec)
+    """Draw m alternatives from the space, deterministic given seed."""
     if m < 1:
         raise ConfigError("need at least one alternative")
-    rng = seeded_rng(seed)
-    if isinstance(spec, ExplicitSlate):
-        if m == len(spec.points):
-            return [np.array(p) for p in spec.points]
-        idx = rng.integers(0, len(spec.points), size=m)
-        return [np.array(spec.points[i]) for i in idx]
-    d = alternative_space_dim(spec)
-    if isinstance(spec, UniformBox):
-        pts = spec.lo + (spec.hi - spec.lo) * rng.random((m, d))
-    else:
-        pts = spec.mean + np.sqrt(spec.var) * rng.standard_normal((m, d))
+    pts = spec.sample(seeded_rng(seed), m)
     return [pts[i] for i in range(m)]
 
 
@@ -242,7 +215,7 @@ def population_mean_gap(spec, a: np.ndarray, a_prime: np.ndarray) -> float:
     a_prime = np.asarray(a_prime, dtype=np.float64)
     if a.shape != a_prime.shape:
         raise InputError("alternatives have mismatched dimensions")
-    mean = population_mean(spec)
+    mean = spec.expected_theta()
     if mean.shape != a.shape:
         raise InputError("alternative dimension differs from population dimension")
     return float(mean @ (a - a_prime))

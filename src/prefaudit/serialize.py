@@ -14,7 +14,7 @@ import numpy as np
 from .axioms import AnchorResult, AxiomReport
 from .distortion import DistortionReport
 from .errors import InputError
-from .model import SCHEME_PROXY, ComparisonRecord, RewardModel
+from .model import SCHEME_PROXY, ComparisonRecord, RewardModel, VoterParams
 
 __all__ = [
     "format_float",
@@ -22,11 +22,18 @@ __all__ = [
     "read_records",
     "record_to_line",
     "record_from_line",
+    "write_slate",
+    "read_slate",
+    "write_voters",
+    "read_voters",
     "model_to_dict",
     "model_from_dict",
     "axiom_report_to_dict",
     "axiom_report_from_dict",
     "distortion_report_to_dict",
+    "distortion_report_from_dict",
+    "dump_json",
+    "load_json",
 ]
 
 
@@ -85,6 +92,22 @@ def read_records(path) -> list[ComparisonRecord]:
             if line:
                 records.append(record_from_line(line))
     return records
+
+
+def write_slate(path, slate) -> None:
+    dump_json(path, [[float(x) for x in a] for a in slate])
+
+
+def read_slate(path) -> list[np.ndarray]:
+    return [np.array(a, dtype=np.float64) for a in load_json(path)]
+
+
+def write_voters(path, voters) -> None:
+    dump_json(path, [{"voter_id": v.voter_id, "theta": [float(x) for x in v.theta]} for v in voters])
+
+
+def read_voters(path) -> list[VoterParams]:
+    return [VoterParams(voter_id=v["voter_id"], theta=v["theta"]) for v in load_json(path)]
 
 
 def model_to_dict(model: RewardModel) -> dict:
@@ -161,6 +184,18 @@ def distortion_report_to_dict(report: DistortionReport) -> dict:
         "delta": report.delta,
         "metadata": report.metadata,
     }
+
+
+def distortion_report_from_dict(d: dict) -> DistortionReport:
+    return DistortionReport(
+        slate_size=d["slate_size"],
+        learned_winner=d["learned_winner"],
+        regret=d["regret"],
+        worst_theta=None if d["worst_theta"] is None else np.array(d["worst_theta"]),
+        worst_w=None if d["worst_w"] is None else np.array(d["worst_w"]),
+        delta=d["delta"],
+        metadata=d["metadata"],
+    )
 
 
 def dump_json(path, obj) -> None:

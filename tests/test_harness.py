@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import re
 import subprocess
@@ -6,11 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cli_env
 from prefaudit.annotation import RoundRobin, UniformRandomPairs
 from prefaudit.axioms import ConsistencyScheme
 from prefaudit.config import config_from_dict, load_config
+from prefaudit.distortion import DistortionReport
 from prefaudit.errors import ConfigError, InputError
 from prefaudit.model import ComparisonRecord
 from prefaudit.pipeline import child_seed, run_pipeline
@@ -18,6 +22,8 @@ from prefaudit.reports import emit_rows, emit_table, parse_rows, rows_from_repor
 from prefaudit.serialize import (
     axiom_report_from_dict,
     axiom_report_to_dict,
+    distortion_report_from_dict,
+    distortion_report_to_dict,
     read_records,
     record_from_line,
     record_to_line,
@@ -117,6 +123,57 @@ class TestLoadConfig:
         assert default.echo()["annotation"]["pairs"] == {"kind": "round-robin", "repeats": 1}
         assert default.echo()["annotation"]["labels"] == {"kind": "true-reward"}
 
+    @pytest.mark.parametrize("section, given, message", [
+        ("population", {"kind": "gaussian", "mean": [0, 0], "var": [1, 1], "varr": [1, 1]},
+         "config.population.varr: unknown field for population kind 'gaussian'"),
+        ("alternatives", {"kind": "uniform-box", "lo": 0, "hi": 1, "high": 2},
+         "config.alternatives.high: unknown field for alternative space kind 'uniform-box'"),
+        ("population", {"kind": "mixture", "components": [
+            {"weight": 0.5, "mean": [0, 0], "var": [1, 1]},
+            {"weight": 0.5, "wieght": 0.5, "mean": [1, 1], "var": [1, 1]}]},
+         "config.population.components[1].wieght: unknown field"),
+        ("population", {"kind": "mixture", "components": [{"mean": [0, 0], "var": [1, 1]}]},
+         "config.population.components[0].weight: missing required field"),
+    ])
+    def test_spec_fields_are_checked(self, section, given, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_dict({**MINIMAL, section: given})
+
+    def test_unknown_top_level_field_names_it(self):
+        with pytest.raises(ConfigError, match=r"^config\.num_voter: unknown field$"):
+            config_from_dict({**MINIMAL, "num_voter": 500})
+
+    @pytest.mark.parametrize("override, message", [
+        ({"num_voters": "ten"}, "config.num_voters: expected integer, got 'ten'"),
+        ({"seed": 1.7}, "config.seed: expected integer, got 1.7"),
+        ({"dimension": True}, "config.dimension: expected integer, got True"),
+        ({"population": {"kind": "point-mass", "theta": "ab"}},
+         "config.population.theta: expected array of number, got 'ab'"),
+        ({"population": {"kind": "point-mass", "theta": [1.0, "x"]}},
+         "config.population.theta[1]: expected number, got 'x'"),
+        ({"alternatives": {"kind": "uniform-box", "lo": "0", "hi": 1}},
+         "config.alternatives.lo: expected number or array of number, got '0'"),
+        ({"estimation": {"lambda": "0.1"}}, "config.estimation.lambda: expected number, got '0.1'"),
+        ({"distortion": {"enabled": "no"}}, "config.distortion.enabled: expected boolean, got 'no'"),
+        ({"annotation": {"pairs": {"kind": "uniform-random", "count": 2.5}}},
+         "config.annotation.pairs.count: expected integer, got 2.5"),
+    ])
+    def test_wrong_json_type_names_its_path(self, override, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_dict({**MINIMAL, **override})
+
+    def test_documented_configs_load(self):
+        root = Path(__file__).resolve().parent.parent
+        readme = (root / "README.md").read_text()
+        configs = [json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))]
+        workloads = json.loads((root / "perfbench" / "workloads.json").read_text())
+        configs += [w["config"] for w in workloads["workloads"].values()]
+        assert len(configs) == 3
+        for raw in configs:
+            cfg = config_from_dict(raw)
+            # the echo is itself a config that loads to the same echo
+            assert config_from_dict(cfg.echo()).echo() == cfg.echo()
+
     def test_round_robin_repeats_is_used(self):
         cfg = config_from_dict(SMALL_RUN)
         assert cfg.pair_scheme == RoundRobin(repeats=40)
@@ -156,6 +213,21 @@ class TestRecordWireFormat:
             assert rec.a0.tobytes() == rt.a0.tobytes()
             assert rec.a1.tobytes() == rt.a1.tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 4), proxy=st.booleans())
+    def test_line_round_trip_is_exact(self, data, d, proxy):
+        vec = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=d, max_size=d)
+        rec = ComparisonRecord(
+            voter_id=data.draw(st.integers(0, 2**63)),
+            a0=data.draw(vec), a1=data.draw(vec),
+            label=data.draw(st.integers(0, 1)),
+            scheme="proxy" if proxy else "true-reward",
+            w=data.draw(vec) if proxy else None)
+        back = record_from_line(record_to_line(rec))
+        assert back == rec
+        for name in ("a0", "a1", "w"):
+            assert getattr(back, name) is None or getattr(back, name).tobytes() == getattr(rec, name).tobytes()
+
     def test_malformed_line(self):
         with pytest.raises(InputError):
             record_from_line("voter=0 label=x scheme=true-reward a0=1 a1=2")
@@ -164,6 +236,25 @@ class TestRecordWireFormat:
         rec = ComparisonRecord(voter_id=3, a0=[1.0], a1=[2.0], label=0)
         line = record_to_line(rec)
         assert line.startswith("voter=3 label=0 scheme=true-reward")
+
+
+class TestDistortionReportWireFormat:
+    @pytest.mark.parametrize("report", [
+        DistortionReport(slate_size=4, learned_winner=2, regret=0.125,
+                         worst_theta=np.array([0.1, -2.0]), worst_w=np.array([1.0, 0.5]),
+                         delta=0.5, metadata={"consistent_count": 3, "best_nll": 12.5}),
+        DistortionReport(slate_size=3, learned_winner=0, regret=None,
+                         worst_theta=None, worst_w=None, delta=0.0, metadata={}),
+    ])
+    def test_round_trip(self, report, tmp_path):
+        path = tmp_path / "distortion.json"
+        path.write_text(json.dumps(distortion_report_to_dict(report)))
+        back = distortion_report_from_dict(json.loads(path.read_text()))
+        for name in ("slate_size", "learned_winner", "regret", "delta", "metadata"):
+            assert getattr(back, name) == getattr(report, name), name
+        for name in ("worst_theta", "worst_w"):
+            want, got = getattr(report, name), getattr(back, name)
+            assert (got is None) if want is None else np.array_equal(got, want), name
 
 
 class TestChildSeed:
@@ -272,3 +363,14 @@ class TestCli:
         result = self._run(["--config", str(cfg_path), "--out", b, "--seed", "99", "simulate"], tmp_path)
         assert result.returncode == 0, result.stderr
         assert Path(a, "dataset.records").read_text() != Path(b, "dataset.records").read_text()
+
+
+def test_benchmark_tracer_hooks_exist():
+    """Every (module, attribute) the benchmark's tracer wraps is a callable."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.WRAPPED
+    for module, attr, _, _ in tracer.WRAPPED:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"

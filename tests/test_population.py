@@ -9,12 +9,10 @@ from prefaudit.population import (
     PointMass,
     UniformBox,
     empirical_unanimous_gap,
-    population_mean,
     population_mean_gap,
     sample_alternatives,
     sample_voters,
     seeded_rng,
-    validate_population,
 )
 
 
@@ -48,9 +46,9 @@ class TestSampleVoters:
 
     def test_invalid_specs(self):
         with pytest.raises(ConfigError):
-            validate_population(DiagonalGaussian(mean=[0.0], var=[-1.0]))
+            DiagonalGaussian(mean=[0.0], var=[-1.0])
         with pytest.raises(ConfigError):
-            validate_population(Mixture(components=((0.5, [0.0], [1.0]), (0.4, [1.0], [1.0]))))
+            Mixture(components=((0.5, [0.0], [1.0]), (0.4, [1.0], [1.0])))
         with pytest.raises(ConfigError):
             sample_voters(PointMass(theta=[1.0]), 0, seed=0)
 
@@ -156,7 +154,7 @@ class TestEmpiricalUnanimousGap:
 
 
 def test_population_mean_formulas():
-    assert np.array_equal(population_mean(PointMass(theta=[1.0, 2.0])), [1.0, 2.0])
-    assert np.array_equal(population_mean(DiagonalGaussian(mean=[3.0], var=[1.0])), [3.0])
+    assert np.array_equal(PointMass(theta=[1.0, 2.0]).expected_theta(), [1.0, 2.0])
+    assert np.array_equal(DiagonalGaussian(mean=[3.0], var=[1.0]).expected_theta(), [3.0])
     mix = Mixture(components=((0.25, [4.0], [1.0]), (0.75, [0.0], [1.0])))
-    assert np.array_equal(population_mean(mix), [1.0])
+    assert np.array_equal(mix.expected_theta(), [1.0])
