@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .model import (
     SCHEME_PROXY,
     SCHEME_TRUE,
-    ComparisonRecord,
+    Dataset,
     VoterParams,
     btl_prob,
     feature_vector,
@@ -44,7 +44,7 @@ PARTITION_BY_VOTER = "partition-by-voter"
 @dataclass(frozen=True)
 class TrueRewardLabels:
     kind: str = SCHEME_TRUE
-    w = None  # the records of this scheme carry no weight vector
+    w = None  # datasets of this scheme carry no weight vector
 
     def reward(self, theta, a) -> float:
         return true_reward(theta, a)
@@ -66,6 +66,10 @@ class ProxyLabels:
 class UniformRandomPairs:
     count: int
 
+    def __post_init__(self):
+        if self.count < 1:
+            raise ConfigError(f"count must be >= 1, got {self.count}")
+
     def pairs(self, n_alts: int, rng) -> list[tuple[int, int]]:
         """count distinct-index pairs drawn uniformly, as (low, high)."""
         pairs = []
@@ -81,6 +85,10 @@ class UniformRandomPairs:
 @dataclass(frozen=True)
 class RoundRobin:
     repeats: int = 1
+
+    def __post_init__(self):
+        if self.repeats < 1:
+            raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
 
     def pairs(self, n_alts: int, rng) -> list[tuple[int, int]]:
         """Every pair of the slate, repeats times; draws nothing."""
@@ -101,8 +109,12 @@ def generate_dataset(
     assignment: str,
     label_scheme,
     seed: int,
-) -> list[ComparisonRecord]:
-    """Generate a pairwise-comparison dataset, deterministic given seed."""
+) -> Dataset:
+    """Generate a pairwise-comparison dataset, deterministic given seed.
+
+    Each record draws its slot order, its voter (unless assigned by
+    position) and its label, in that order, one record at a time.
+    """
     if len(alts) < 2:
         raise ConfigError("dataset generation needs at least 2 alternatives")
     if not voters:
@@ -111,7 +123,7 @@ def generate_dataset(
         raise ConfigError(f"unknown assignment scheme {assignment!r}")
     rng = seeded_rng(seed)
     pairs = pair_scheme.pairs(len(alts), rng)
-    records = []
+    rows = []
     for k, (i, j) in enumerate(pairs):
         if rng.random() < 0.5:
             i, j = j, i
@@ -119,13 +131,8 @@ def generate_dataset(
             voter = voters[int(rng.integers(0, len(voters)))]
         else:
             voter = voters[k % len(voters)]
-        label = sample_label(voter, alts[i], alts[j], label_scheme, rng)
-        records.append(ComparisonRecord(
-            voter_id=voter.voter_id,
-            a0=alts[i],
-            a1=alts[j],
-            label=label,
-            scheme=label_scheme.kind,
-            w=label_scheme.w,
-        ))
-    return records
+        rows.append((i, j, voter.voter_id, sample_label(voter, alts[i], alts[j], label_scheme, rng)))
+    first, second, voter_ids, labels = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    points = np.array(alts, dtype=np.float64)
+    return Dataset(voter=voter_ids, label=labels, a0=points[first], a1=points[second],
+                   scheme=label_scheme.kind, w=label_scheme.w)

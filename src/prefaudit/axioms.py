@@ -168,24 +168,25 @@ def audit_consistency(
 ) -> AxiomReport:
     """Check consistency by retraining on random voter partitions.
 
-    ``trainer`` maps a record list to a RewardModel. Voters are split
+    ``trainer`` maps a Dataset to a RewardModel. Voters are split
     into num_blocks blocks (each >= min_fraction of the voters) for each
     of num_partitions random partitions; A'_a holds the pairs on which
     every successfully retrained block model's score gap exceeds
     epsilon. The full-data model (fit by the same trainer when not
-    supplied) must then agree. A partition with an empty block or a
-    non-convergent block fit is skipped, counted in metadata. With every
-    partition skipped there is no evidence either way, so the audit
-    fails with a diagnostic instead of passing vacuously.
+    supplied) must then agree. A block holds its voters' records, voter
+    by voter in block order. A partition with a non-convergent block fit
+    is skipped, counted in metadata. With every partition skipped there
+    is no evidence either way, so the audit fails with a diagnostic
+    instead of passing vacuously.
     """
     if len(slate) < 2:
         raise InputError("consistency audit needs a slate of >= 2 alternatives")
     if epsilon < 0:
         raise InputError("epsilon must be >= 0")
-    by_voter: dict = {}
-    for rec in data:
-        by_voter.setdefault(rec.voter_id, []).append(rec)
-    voter_ids = sorted(by_voter)
+    # each voter's row indices in record order, voters by ascending id
+    order = np.argsort(data.voter, kind="stable")
+    voter_ids, starts = np.unique(data.voter[order], return_index=True)
+    by_voter = np.split(order, starts[1:])
     n = len(voter_ids)
     if n < 2:
         raise InputError("consistency audit needs >= 2 voters with data")
@@ -207,11 +208,7 @@ def audit_consistency(
         blocks = [perm[b::k] for b in range(k)]
         fits = []
         for block in blocks:
-            records = [r for v in block for r in by_voter[voter_ids[v]]]
-            if not records:
-                skip_reasons.append("a block holds no records")
-                break
-            fitted = trainer(records)
+            fitted = trainer(data.take(np.concatenate([by_voter[v] for v in block])))
             if not fitted.converged:
                 skip_reasons.append(f"a block fit did not converge ({fitted.diagnostic})")
                 break

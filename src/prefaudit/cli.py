@@ -16,25 +16,9 @@ from .config import config_from_dict, load_config
 from .errors import ConfigError, InputError, PrefAuditError
 from .estimation import nll
 from .oracle import brute_force_mle, exhaustive_axiom_check
-from .pipeline import (
-    AXIOMS_FILE,
-    DISTORTION_FILE,
-    MODEL_FILE,
-    SLATE_FILE,
-    VOTERS_FILE,
-    DATASET_FILE,
-    run_pipeline,
-)
+from .pipeline import AXIOMS_FILE, DISTORTION_FILE, MODEL_FILE, RunDir, run_pipeline
 from .reports import emit_rows, emit_table, rows_from_reports
-from .serialize import (
-    axiom_report_from_dict,
-    distortion_report_from_dict,
-    load_json,
-    model_from_dict,
-    read_records,
-    read_slate,
-    read_voters,
-)
+from .serialize import axiom_report_from_dict, distortion_report_from_dict, load_json
 from .axioms import audit_condorcet, audit_unanimity
 
 
@@ -61,17 +45,14 @@ def _emit(args, out: Path) -> None:
         sys.stdout.write(emit_table(reports, distortion))
 
 
-def _verify(config, out: Path) -> int:
+def _verify(config, run: RunDir) -> int:
     """Cross-check fit_mle and the audits against the brute-force oracles."""
     failures = 0
-    records = read_records(out / DATASET_FILE)
-    slate = read_slate(out / SLATE_FILE)
-    voters = read_voters(out / VOTERS_FILE)
-    model = model_from_dict(load_json(out / MODEL_FILE))
+    slate, voters, model = run.slate, run.voters, run.model
 
     if config.dimension <= 3:
-        grid_opt = brute_force_mle(records, config.lam)
-        grid_nll = nll(grid_opt, records, config.lam)
+        grid_opt = brute_force_mle(run.dataset, config.lam)
+        grid_nll = nll(grid_opt, run.dataset, config.lam)
         ok = grid_nll >= model.final_nll - 1e-9
         print(f"brute-force MLE grid NLL {grid_nll:.6f} >= fit NLL {model.final_nll:.6f} - 1e-9: "
               f"{'OK' if ok else 'FAIL'}")
@@ -109,7 +90,7 @@ def main(argv=None) -> int:
         elif args.command == "verify":
             if not (out / MODEL_FILE).exists():
                 run_pipeline(config, out, stages=("simulate", "fit"))
-            failures = _verify(config, out)
+            failures = _verify(config, RunDir(out))
             if failures:
                 print(f"{failures} oracle check(s) failed", file=sys.stderr)
                 return 2

@@ -230,8 +230,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("config.seed: missing required field (no implicit entropy)")
     full = _fields(raw, FIELDS, "config")
     dim = full["dimension"]
-    if dim < 1:
-        raise ConfigError("config.dimension: must be >= 1")
+    for key, least in (("dimension", 1), ("num_voters", 1), ("num_alternatives", 2)):
+        if full[key] < least:
+            raise ConfigError(f"config.{key}: must be >= {least}, got {full[key]}")
 
     population, full["population"] = _build(
         full["population"], POPULATION_KINDS, "config.population", "population kind", dim
@@ -247,6 +248,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     label_scheme, ann["labels"] = _build(
         ann["labels"], LABEL_KINDS, "config.annotation.labels", "label scheme"
     )
+    if label_scheme.w is not None and len(label_scheme.w) != dim:
+        raise ConfigError(
+            f"config.annotation.labels.w: length {len(label_scheme.w)} != experiment dimension {dim}"
+        )
 
     est = full["estimation"]
     if est["lambda"] < 0:

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .errors import InputError
-from .estimation import _nll_from_deltas, _winner_deltas, fit_mle, nll, score
+from .estimation import _nll_from_deltas, fit_mle, nll, score
 from .model import RewardModel
 from .population import seeded_rng
 
@@ -158,7 +158,7 @@ def worst_case_regret(
         raise InputError("model dimension differs from slate dimension")
 
     lam = model.lam
-    deltas = _winner_deltas(data)
+    deltas = data.winner_minus_loser()
     if deltas.shape[1] != d:
         raise InputError("data dimension differs from slate dimension")
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError, NumericError
-from .model import ComparisonRecord, RewardModel
+from .model import Dataset, RewardModel
 
 __all__ = ["nll", "nll_gradient", "fit_mle", "borda_scores", "score"]
 
@@ -27,22 +27,6 @@ ARMIJO_C = 1e-4
 ROUNDING_DECREASE = 1e-12
 BACKTRACK_SHRINK = 0.5
 MAX_BACKTRACKS = 60
-
-
-def _winner_deltas(data: list[ComparisonRecord]) -> np.ndarray:
-    """Stack winner-minus-loser feature differences, one row per record."""
-    if not data:
-        raise InputError("empty dataset")
-    rows = []
-    d = data[0].a0.shape[0]
-    for rec in data:
-        if rec.a0.shape[0] != d:
-            raise InputError("records have inconsistent dimensions")
-        if rec.label == 1:
-            rows.append(rec.a1 - rec.a0)
-        else:
-            rows.append(rec.a0 - rec.a1)
-    return np.stack(rows)
 
 
 def _nll_from_deltas(theta: np.ndarray, deltas: np.ndarray, lam: float) -> float:
@@ -59,30 +43,27 @@ def _lose_prob(z: np.ndarray) -> np.ndarray:
                         1.0 / (1.0 + np.exp(np.clip(z, None, 0))))
 
 
-def _grad_from_deltas(theta: np.ndarray, deltas: np.ndarray, lam: float) -> np.ndarray:
-    return -(_lose_prob(deltas @ theta) @ deltas) + 2.0 * lam * theta
-
-
-def nll(theta, data: list[ComparisonRecord], lam: float = 0.0) -> float:
-    """Regularized negative log likelihood of the dataset at theta."""
+def _checked(theta, data: Dataset, lam: float):
+    """theta as a float array and the data's winner-minus-loser matrix."""
     if lam < 0:
         raise InputError("lambda must be >= 0")
     theta = np.asarray(theta, dtype=np.float64)
-    deltas = _winner_deltas(data)
+    deltas = data.winner_minus_loser()
     if theta.shape[0] != deltas.shape[1]:
         raise InputError("theta dimension differs from data dimension")
+    return theta, deltas
+
+
+def nll(theta, data: Dataset, lam: float = 0.0) -> float:
+    """Regularized negative log likelihood of the dataset at theta."""
+    theta, deltas = _checked(theta, data, lam)
     return _nll_from_deltas(theta, deltas, lam)
 
 
-def nll_gradient(theta, data: list[ComparisonRecord], lam: float = 0.0) -> np.ndarray:
+def nll_gradient(theta, data: Dataset, lam: float = 0.0) -> np.ndarray:
     """Analytic gradient of nll; matches central finite differences."""
-    if lam < 0:
-        raise InputError("lambda must be >= 0")
-    theta = np.asarray(theta, dtype=np.float64)
-    deltas = _winner_deltas(data)
-    if theta.shape[0] != deltas.shape[1]:
-        raise InputError("theta dimension differs from data dimension")
-    return _grad_from_deltas(theta, deltas, lam)
+    theta, deltas = _checked(theta, data, lam)
+    return -(_lose_prob(deltas @ theta) @ deltas) + 2.0 * lam * theta
 
 
 def _newton_direction(deltas: np.ndarray, q: np.ndarray, grad: np.ndarray, lam: float):
@@ -102,7 +83,7 @@ def _newton_direction(deltas: np.ndarray, q: np.ndarray, grad: np.ndarray, lam: 
 
 
 def fit_mle(
-    data: list[ComparisonRecord],
+    data: Dataset,
     lam: float = DEFAULT_LAMBDA,
     max_iters: int = DEFAULT_MAX_ITERS,
     grad_tol: float = DEFAULT_GRAD_TOL,
@@ -125,7 +106,7 @@ def fit_mle(
     """
     if lam < 0:
         raise InputError("lambda must be >= 0")
-    deltas = _winner_deltas(data)
+    deltas = data.winner_minus_loser()
     d = deltas.shape[1]
     theta = np.zeros(d) if init is None else np.array(init, dtype=np.float64)
     if theta.shape[0] != d:
@@ -193,36 +174,30 @@ def fit_mle(
     )
 
 
-def _slate_key(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
-
-
-def borda_scores(data: list[ComparisonRecord], slate: list) -> dict:
+def borda_scores(data: Dataset, slate: list) -> dict:
     """Empirical win-rate Borda score per slate index.
 
     score(a) = wins / comparisons involving a; alternatives that never
-    appear in the data map to None (undefined), not zero.
+    appear in the data map to None (undefined), not zero. A record's
+    alternatives are matched to slate points by their exact bytes, a
+    point that occurs twice in the slate counting for its first index.
     """
-    if not data:
-        raise InputError("empty dataset")
-    index = {}
-    for i, a in enumerate(slate):
-        index.setdefault(_slate_key(np.asarray(a, dtype=np.float64)), i)
-    wins = np.zeros(len(slate))
-    appearances = np.zeros(len(slate))
-    for rec in data:
-        winner = rec.a1 if rec.label == 1 else rec.a0
-        loser = rec.a0 if rec.label == 1 else rec.a1
-        iw = index.get(_slate_key(winner))
-        il = index.get(_slate_key(loser))
-        if iw is not None:
-            wins[iw] += 1
-            appearances[iw] += 1
-        if il is not None:
-            appearances[il] += 1
+    alts = np.array(slate, dtype=np.float64)
+    if alts.ndim != 2 or alts.shape[1] != data.dim:
+        raise InputError("slate dimension differs from data dimension")
+    m, n = len(alts), len(data)
+    won = data.label[:, None] == 1
+    rows = np.concatenate([alts, np.where(won, data.a1, data.a0), np.where(won, data.a0, data.a1)])
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # slate index of every row: the first occurrence of its bytes, if in the slate
+    index = np.where(first < m, first, -1)[inverse]
+    winners, losers = index[m:m + n], index[m + n:]
+    wins = np.bincount(winners[winners >= 0], minlength=m)
+    appearances = wins + np.bincount(losers[losers >= 0], minlength=m)
     return {
         i: (wins[i] / appearances[i] if appearances[i] > 0 else None)
-        for i in range(len(slate))
+        for i in range(m)
     }
 
 

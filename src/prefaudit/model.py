@@ -10,7 +10,7 @@ model on reward differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .errors import InputError
 __all__ = [
     "feature_vector",
     "VoterParams",
-    "ComparisonRecord",
+    "Dataset",
     "RewardModel",
     "reward",
     "proxy_reward",
@@ -68,48 +68,81 @@ class VoterParams:
 
 
 @dataclass(frozen=True, eq=False)
-class ComparisonRecord:
-    """One pairwise annotation: label=1 means a1 was preferred.
+class Dataset:
+    """Pairwise annotations as read-only columns, one row per record.
 
-    ``scheme`` records which reward generated the label: "true-reward",
-    or "proxy" with the per-feature weight vector stored in ``w``.
+    ``voter`` (n,) holds voter ids and ``label`` (n,) holds 0 or 1, where
+    1 means ``a1`` was preferred; ``a0`` and ``a1`` (n, d) hold the two
+    alternatives. ``scheme`` records which reward generated every label:
+    "true-reward", or "proxy" with the per-feature weight vector ``w``.
+    The whole dataset is validated once, when it is built.
     """
 
-    voter_id: int
+    voter: np.ndarray
+    label: np.ndarray
     a0: np.ndarray
     a1: np.ndarray
-    label: int
     scheme: str = SCHEME_TRUE
     w: np.ndarray | None = None
 
-    def __eq__(self, other):
-        if not isinstance(other, ComparisonRecord):
-            return NotImplemented
-        return (
-            self.voter_id == other.voter_id
-            and self.label == other.label
-            and self.scheme == other.scheme
-            and np.array_equal(self.a0, other.a0)
-            and np.array_equal(self.a1, other.a1)
-            and (
-                (self.w is None and other.w is None)
-                or (self.w is not None and other.w is not None and np.array_equal(self.w, other.w))
-            )
-        )
+    _COLUMNS = ("voter", "label", "a0", "a1")
 
     def __post_init__(self):
-        object.__setattr__(self, "a0", feature_vector(self.a0))
-        object.__setattr__(self, "a1", feature_vector(self.a1))
-        _check_dims(self.a0, self.a1)
-        if self.label not in (0, 1):
-            raise InputError(f"label must be 0 or 1, got {self.label}")
+        label = np.asarray(self.label)
+        if label.size == 0:
+            raise InputError("empty dataset")
+        n = label.size
+        voter = np.array(self.voter, dtype=np.int64)
+        a0 = np.array(self.a0, dtype=np.float64)
+        a1 = np.array(self.a1, dtype=np.float64)
+        if label.shape != (n,) or voter.shape != (n,) or a0.ndim != 2 or a0.shape[0] != n or a0.shape[1] < 1:
+            raise InputError(
+                f"need labels and voter ids of shape ({n},) and a0 of shape ({n}, d), d >= 1; "
+                f"got {label.shape}, {voter.shape} and {a0.shape}"
+            )
+        bad = np.flatnonzero((label != 0) & (label != 1))
+        if bad.size:
+            raise InputError(f"record {bad[0]}: label must be 0 or 1, got {label[bad[0]]}")
+        if a1.shape != a0.shape:
+            raise InputError(f"dimension mismatch: a0 has shape {a0.shape}, a1 {a1.shape}")
+        bad = np.flatnonzero(~(np.all(np.isfinite(a0), axis=1) & np.all(np.isfinite(a1), axis=1)))
+        if bad.size:
+            raise InputError(f"record {bad[0]}: non-finite coordinates")
         if self.scheme not in (SCHEME_TRUE, SCHEME_PROXY):
             raise InputError(f"unknown annotation scheme {self.scheme!r}")
-        if self.scheme == SCHEME_PROXY:
-            if self.w is None:
-                raise InputError("proxy scheme requires a weight vector")
+        if (self.scheme == SCHEME_PROXY) != (self.w is not None):
+            raise InputError("the proxy scheme, and only it, requires a weight vector w")
+        if self.w is not None:
             object.__setattr__(self, "w", feature_vector(self.w))
-            _check_dims(self.a0, self.w)
+            _check_dims(a0[0], self.w)
+        for name, column in zip(self._COLUMNS, (voter, label.astype(np.int64), a0, a1)):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return self.label.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.a0.shape[1]
+
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        # equal schemes give both datasets a w, or neither
+        return (
+            self.scheme == other.scheme
+            and all(np.array_equal(getattr(self, k), getattr(other, k)) for k in self._COLUMNS)
+            and (self.w is None or np.array_equal(self.w, other.w))
+        )
+
+    def take(self, rows) -> "Dataset":
+        """The records at the given row indices, in that order."""
+        return replace(self, **{k: getattr(self, k)[rows] for k in self._COLUMNS})
+
+    def winner_minus_loser(self) -> np.ndarray:
+        """Winner-minus-loser feature differences, one row per record."""
+        return np.where(self.label[:, None] == 1, self.a1 - self.a0, self.a0 - self.a1)
 
 
 @dataclass(frozen=True)

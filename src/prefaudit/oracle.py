@@ -38,19 +38,15 @@ def brute_force_mle(data, lam: float, resolution: int = 11, bound: float = 4.0) 
     points over [-bound, bound]^d. The NLL is its own per-record loop, so
     a fault in the fit's vectorized kernels cannot hide here.
     """
-    if not data:
-        raise InputError("empty dataset")
-    d = data[0].a0.shape[0]
+    d = data.dim
     if d > 3:
         raise InputError("brute-force MLE is limited to d <= 3")
     if resolution < 11:
         raise InputError("grid resolution must be >= 11 per axis")
     rows = []
-    for rec in data:
-        if rec.a0.shape[0] != d:
-            raise InputError("records have inconsistent dimensions")
-        winner, loser = (rec.a1, rec.a0) if rec.label == 1 else (rec.a0, rec.a1)
-        rows.append([float(w - l) for w, l in zip(winner, loser)])
+    for label, a0, a1 in zip(data.label.tolist(), data.a0.tolist(), data.a1.tolist()):
+        winner, loser = (a1, a0) if label == 1 else (a0, a1)
+        rows.append([w - l for w, l in zip(winner, loser)])
     axis = [float(x) for x in np.linspace(-bound, bound, resolution)]
     best_val = math.inf
     best = None

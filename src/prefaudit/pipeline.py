@@ -4,9 +4,11 @@ Each stage derives its own RNG substream from the root seed by a stable
 hash of (root seed, stage name, index), so artifacts reproduce
 bit-for-bit regardless of which stages run or in what order. All stage
 outputs land under the run's output directory; the manifest echoes the
-full config with defaults applied, every derived seed, and library
-versions (its wall-clock entry is the one field that varies between
-otherwise identical runs).
+full config with defaults applied, every derived seed, library
+versions, and the time taken by the whole run and by each stage (the
+only fields that vary between otherwise identical runs). One RunDir
+carries the artifacts from stage to stage, so a run of every stage reads
+nothing back from disk, while a stage run alone reads what it needs.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import hashlib
 import sys
 import time
 from dataclasses import replace
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +45,7 @@ from .serialize import (
     write_voters,
 )
 
-__all__ = ["child_seed", "run_pipeline", "STAGES"]
+__all__ = ["child_seed", "run_pipeline", "RunDir", "STAGES"]
 
 STAGES = ("simulate", "fit", "audit", "distort")
 
@@ -61,60 +64,59 @@ def child_seed(root_seed: int, stage: str, index: int = 0) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def stage_simulate(config: ExperimentConfig, out: Path) -> dict:
-    voters = sample_voters(config.population, config.num_voters, child_seed(config.seed, "voters"))
-    slate = sample_alternatives(
+class RunDir:
+    """The artifacts of one run directory, each loaded at most once.
+
+    ``run_pipeline`` hands one RunDir from stage to stage: simulate sets
+    ``voters``, ``slate`` and ``dataset``, fit sets ``model``, and an
+    artifact no earlier stage of the same call produced is read from disk
+    on first use.
+    """
+
+    def __init__(self, out: Path):
+        self.out = out
+
+    voters = cached_property(lambda self: read_voters(self.out / VOTERS_FILE))
+    slate = cached_property(lambda self: read_slate(self.out / SLATE_FILE))
+    dataset = cached_property(lambda self: read_records(self.out / DATASET_FILE))
+    model = cached_property(lambda self: model_from_dict(load_json(self.out / MODEL_FILE)))
+
+
+def stage_simulate(config: ExperimentConfig, run: RunDir) -> dict:
+    run.voters = sample_voters(config.population, config.num_voters, child_seed(config.seed, "voters"))
+    run.slate = sample_alternatives(
         config.alternatives, config.num_alternatives, child_seed(config.seed, "alternatives")
     )
-    records = generate_dataset(
-        voters,
-        slate,
-        config.pair_scheme,
-        config.assignment,
-        config.label_scheme,
+    run.dataset = generate_dataset(
+        run.voters, run.slate, config.pair_scheme, config.assignment, config.label_scheme,
         child_seed(config.seed, "annotate"),
     )
-    write_voters(out / VOTERS_FILE, voters)
-    write_slate(out / SLATE_FILE, slate)
-    write_records(out / DATASET_FILE, records)
-    return {"voters": len(voters), "alternatives": len(slate), "records": len(records)}
+    write_voters(run.out / VOTERS_FILE, run.voters)
+    write_slate(run.out / SLATE_FILE, run.slate)
+    write_records(run.out / DATASET_FILE, run.dataset)
+    return {"voters": len(run.voters), "alternatives": len(run.slate), "records": len(run.dataset)}
 
 
-def stage_fit(config: ExperimentConfig, out: Path) -> dict:
-    records = read_records(out / DATASET_FILE)
-    model = fit_mle(records, lam=config.lam, max_iters=config.max_iters, grad_tol=config.grad_tol)
-    dump_json(out / MODEL_FILE, model_to_dict(model))
+def _fit(config: ExperimentConfig, data):
+    return fit_mle(data, lam=config.lam, max_iters=config.max_iters, grad_tol=config.grad_tol)
+
+
+def stage_fit(config: ExperimentConfig, run: RunDir) -> dict:
+    run.model = model = _fit(config, run.dataset)
+    dump_json(run.out / MODEL_FILE, model_to_dict(model))
     return {"converged": model.converged, "iterations": model.iterations, "final_nll": model.final_nll}
 
 
-def _trainer(config: ExperimentConfig):
-    def train(records):
-        return fit_mle(records, lam=config.lam, max_iters=config.max_iters, grad_tol=config.grad_tol)
-
-    return train
-
-
-def stage_audit(config: ExperimentConfig, out: Path) -> dict:
-    records = read_records(out / DATASET_FILE)
-    slate = read_slate(out / SLATE_FILE)
-    voters = read_voters(out / VOTERS_FILE)
-    model = model_from_dict(load_json(out / MODEL_FILE))
+def stage_audit(config: ExperimentConfig, run: RunDir) -> dict:
     scheme = replace(config.consistency, seed=child_seed(config.seed, "consistency"))
     reports = []
     for eps in config.epsilons:
-        reports.append(audit_unanimity(model, slate, voters, eps))
-        reports.append(audit_condorcet(model, slate, config.population, eps))
-        reports.append(
-            audit_consistency(
-                _trainer(config),
-                records,
-                slate,
-                eps,
-                scheme=scheme,
-                model=model,
-            )
-        )
-    dump_json(out / AXIOMS_FILE, [axiom_report_to_dict(r) for r in reports])
+        reports.append(audit_unanimity(run.model, run.slate, run.voters, eps))
+        reports.append(audit_condorcet(run.model, run.slate, config.population, eps))
+        reports.append(audit_consistency(
+            partial(_fit, config), run.dataset, run.slate, eps, scheme=scheme, model=run.model
+        ))
+    dump_json(run.out / AXIOMS_FILE, [axiom_report_to_dict(r) for r in reports])
     return {
         "reports": len(reports),
         "passed": sum(1 for r in reports if r.passed),
@@ -122,14 +124,11 @@ def stage_audit(config: ExperimentConfig, out: Path) -> dict:
     }
 
 
-def stage_distort(config: ExperimentConfig, out: Path) -> dict:
+def stage_distort(config: ExperimentConfig, run: RunDir) -> dict:
     if not config.distortion_enabled:
         return {"skipped": True}
-    records = read_records(out / DATASET_FILE)
-    slate = read_slate(out / SLATE_FILE)
-    model = model_from_dict(load_json(out / MODEL_FILE))
-    report = worst_case_regret(model, slate, records, config.delta, config.search)
-    dump_json(out / DISTORTION_FILE, distortion_report_to_dict(report))
+    report = worst_case_regret(run.model, run.slate, run.dataset, config.delta, config.search)
+    dump_json(run.out / DISTORTION_FILE, distortion_report_to_dict(report))
     return {"regret": report.regret, "learned_winner": report.learned_winner}
 
 
@@ -164,19 +163,26 @@ def run_pipeline(config: ExperimentConfig, out_dir, stages=STAGES) -> dict:
             "python": sys.version.split()[0],
         },
         "stages": {},
+        "stage_seconds": {},
     }
+    run = RunDir(out)
+    error = None
     start = time.monotonic()
     for stage in stages:
         if stage not in _STAGE_FNS:
             raise PrefAuditError(f"unknown stage {stage!r}")
+        stage_start = time.monotonic()
         try:
-            manifest["stages"][stage] = _STAGE_FNS[stage](config, out)
+            manifest["stages"][stage] = _STAGE_FNS[stage](config, run)
         except PrefAuditError as e:
             manifest["failed_stage"] = stage
             manifest["error"] = str(e)
-            manifest["wall_clock_s"] = time.monotonic() - start
-            dump_json(out / MANIFEST_FILE, manifest)
-            raise
+            error = e
+        manifest["stage_seconds"][stage] = time.monotonic() - stage_start
+        if error is not None:
+            break
     manifest["wall_clock_s"] = time.monotonic() - start
     dump_json(out / MANIFEST_FILE, manifest)
+    if error is not None:
+        raise error
     return manifest

@@ -14,14 +14,12 @@ import numpy as np
 from .axioms import AnchorResult, AxiomReport
 from .distortion import DistortionReport
 from .errors import InputError
-from .model import SCHEME_PROXY, ComparisonRecord, RewardModel, VoterParams
+from .model import Dataset, RewardModel, VoterParams
 
 __all__ = [
     "format_float",
     "write_records",
     "read_records",
-    "record_to_line",
-    "record_from_line",
     "write_slate",
     "read_slate",
     "write_voters",
@@ -41,57 +39,54 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _coords(a: np.ndarray) -> str:
+def _coords(a) -> str:
     return ",".join(format_float(x) for x in a)
 
 
-def record_to_line(rec: ComparisonRecord) -> str:
-    fields = [
-        f"voter={rec.voter_id}",
-        f"label={rec.label}",
-        f"scheme={rec.scheme}",
-        f"a0={_coords(rec.a0)}",
-        f"a1={_coords(rec.a1)}",
-    ]
-    if rec.scheme == SCHEME_PROXY:
-        fields.append(f"w={_coords(rec.w)}")
-    return " ".join(fields)
-
-
-def record_from_line(line: str) -> ComparisonRecord:
-    fields = {}
-    for token in line.split():
-        key, _, value = token.partition("=")
-        fields[key] = value
-    try:
-        kwargs = dict(
-            voter_id=int(fields["voter"]),
-            label=int(fields["label"]),
-            scheme=fields["scheme"],
-            a0=[float(x) for x in fields["a0"].split(",")],
-            a1=[float(x) for x in fields["a1"].split(",")],
-        )
-    except (KeyError, ValueError) as e:
-        raise InputError(f"malformed record line: {line!r} ({e})") from None
-    if "w" in fields:
-        kwargs["w"] = [float(x) for x in fields["w"].split(",")]
-    return ComparisonRecord(**kwargs)
-
-
-def write_records(path, records) -> None:
+def write_records(path, data: Dataset) -> None:
+    """One line per record: voter, label, scheme, a0, a1, and w for proxy."""
+    tail = "" if data.w is None else f" w={_coords(data.w)}"
+    columns = (data.voter.tolist(), data.label.tolist(), data.a0.tolist(), data.a1.tolist())
     with open(path, "w") as fh:
-        for rec in records:
-            fh.write(record_to_line(rec) + "\n")
+        for voter, label, a0, a1 in zip(*columns):
+            fh.write(f"voter={voter} label={label} scheme={data.scheme} "
+                     f"a0={_coords(a0)} a1={_coords(a1)}{tail}\n")
 
 
-def read_records(path) -> list[ComparisonRecord]:
-    records = []
+def read_records(path) -> Dataset:
+    """Parse a records file straight into a Dataset's columns.
+
+    A malformed line, or one whose scheme, w or dimension differs from
+    the first record's, raises InputError naming its line number.
+    """
+    voter, label, a0, a1 = [], [], [], []
+    first = None  # (scheme, w, dimension) of the first record
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                records.append(record_from_line(line))
-    return records
+            if not line:
+                continue
+            try:
+                fields = dict(token.split("=", 1) for token in line.split())
+                voter.append(int(fields["voter"]))
+                label.append(int(fields["label"]))
+                a0.append(list(map(float, fields["a0"].split(","))))
+                a1.append(list(map(float, fields["a1"].split(","))))
+                w = list(map(float, fields["w"].split(","))) if "w" in fields else None
+                header = (fields["scheme"], w, len(a0[-1]))
+            except (KeyError, ValueError) as e:
+                raise InputError(f"{path}:{lineno}: malformed record line: {line!r} ({e})") from None
+            first = first or header
+            if header != first or len(a1[-1]) != first[2]:
+                raise InputError(
+                    f"{path}:{lineno}: record disagrees with the first record on scheme, w or dimension"
+                )
+    if first is None:
+        raise InputError(f"{path}: empty dataset")
+    try:
+        return Dataset(voter=voter, label=label, a0=a0, a1=a1, scheme=first[0], w=first[1])
+    except (InputError, OverflowError) as e:
+        raise InputError(f"{path}: {e}") from None
 
 
 def write_slate(path, slate) -> None:

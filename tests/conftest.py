@@ -6,7 +6,7 @@ import pytest
 
 import prefaudit
 from prefaudit.estimation import nll
-from prefaudit.model import ComparisonRecord
+from prefaudit.model import Dataset
 
 
 def central_difference_gradient(theta, data, lam, h=1e-5):
@@ -38,17 +38,28 @@ def cli_env(**overrides):
 
 def random_records(rng, d, n, voter_ids=(0,)):
     """Small random dataset with arbitrary labels, for oracle checks."""
-    records = []
-    for _ in range(n):
-        records.append(
-            ComparisonRecord(
-                voter_id=int(rng.choice(voter_ids)),
-                a0=rng.uniform(-1, 1, d),
-                a1=rng.uniform(-1, 1, d),
-                label=int(rng.integers(0, 2)),
-            )
-        )
-    return records
+    rows = [
+        (int(rng.choice(voter_ids)), rng.uniform(-1, 1, d), rng.uniform(-1, 1, d), int(rng.integers(0, 2)))
+        for _ in range(n)
+    ]
+    voter, a0, a1, label = zip(*rows)
+    return Dataset(voter=voter, label=label, a0=a0, a1=a1)
+
+
+def make_dataset(rows, voter=0, **scheme):
+    """Dataset from (a0, a1, label) rows, every record by the same voter."""
+    a0, a1, label = zip(*rows)
+    return Dataset(voter=[voter] * len(label), label=label, a0=a0, a1=a1, **scheme)
+
+
+def mirrored(data):
+    """The records of data followed by a copy of each with the opposite label."""
+    return Dataset(
+        voter=np.concatenate([data.voter, data.voter]),
+        label=np.concatenate([data.label, 1 - data.label]),
+        a0=np.concatenate([data.a0, data.a0]),
+        a1=np.concatenate([data.a1, data.a1]),
+    )
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from prefaudit.annotation import (
 )
 from prefaudit.errors import ConfigError, InputError
 from prefaudit.estimation import nll
-from prefaudit.model import ComparisonRecord, VoterParams
+from prefaudit.model import Dataset, VoterParams
 from prefaudit.population import PointMass, sample_voters
 
 N_DRAWS = 10000
@@ -53,7 +53,7 @@ class TestGenerateDataset:
         records = generate_dataset(voters, alts, RoundRobin(repeats=1),
                                    EACH_PAIR_RANDOM_VOTER, TrueRewardLabels(), seed=0)
         assert len(records) == 3
-        pairs = {tuple(sorted((float(r.a0[0]), float(r.a1[0])))) for r in records}
+        pairs = {tuple(sorted((float(a0[0]), float(a1[0])))) for a0, a1 in zip(records.a0, records.a1)}
         assert pairs == {(0.0, 0.5), (0.0, 1.0), (0.5, 1.0)}
 
     def test_uniform_pairs_never_self(self):
@@ -62,8 +62,8 @@ class TestGenerateDataset:
         records = generate_dataset(voters, alts, UniformRandomPairs(count=1000),
                                    EACH_PAIR_RANDOM_VOTER, TrueRewardLabels(), seed=1)
         assert len(records) == 1000
-        for r in records:
-            assert not np.array_equal(r.a0, r.a1)
+        for a0, a1 in zip(records.a0, records.a1):
+            assert not np.array_equal(a0, a1)
 
     def test_winner_frequency_matches_btl(self):
         voters = sample_voters(PointMass(theta=[1.0]), 1, seed=0)
@@ -71,7 +71,7 @@ class TestGenerateDataset:
         records = generate_dataset(voters, alts, RoundRobin(repeats=2000),
                                    EACH_PAIR_RANDOM_VOTER, TrueRewardLabels(), seed=2)
         winner_is_one = np.mean([
-            (r.a1[0] == 1.0) == (r.label == 1) for r in records
+            (a1[0] == 1.0) == (label == 1) for a1, label in zip(records.a1, records.label)
         ])
         assert 0.703 <= winner_is_one <= 0.759  # sigma(1) +- 3 SE at 2000 draws
 
@@ -100,23 +100,17 @@ class TestGenerateDataset:
         alts = [np.array([0.0]), np.array([1.0])]
         records = generate_dataset(voters, alts, RoundRobin(repeats=2),
                                    EACH_PAIR_RANDOM_VOTER, ProxyLabels(w=[0.5]), seed=3)
-        for r in records:
-            assert r.scheme == "proxy"
-            assert np.array_equal(r.w, [0.5])
+        assert records.scheme == "proxy"
+        assert np.array_equal(records.w, [0.5])
 
 
 def test_swap_and_flip_preserves_nll():
     """Swapping slots and flipping the label leaves any theta's NLL unchanged."""
     rng = np.random.default_rng(0)
-    records = []
-    for _ in range(30):
-        records.append(ComparisonRecord(
-            voter_id=0, a0=rng.normal(size=3), a1=rng.normal(size=3),
-            label=int(rng.integers(0, 2))))
-    swapped = [
-        ComparisonRecord(voter_id=r.voter_id, a0=r.a1, a1=r.a0, label=1 - r.label)
-        for r in records
-    ]
+    rows = [(rng.normal(size=3), rng.normal(size=3), int(rng.integers(0, 2))) for _ in range(30)]
+    a0, a1, label = zip(*rows)
+    records = Dataset(voter=[0] * 30, label=label, a0=a0, a1=a1)
+    swapped = Dataset(voter=records.voter, label=1 - records.label, a0=records.a1, a1=records.a0)
     for _ in range(10):
         theta = rng.normal(size=3)
         assert abs(nll(theta, records, 0.0) - nll(theta, swapped, 0.0)) <= 1e-12

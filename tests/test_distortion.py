@@ -17,7 +17,7 @@ from prefaudit.distortion import (
 )
 from prefaudit.errors import InputError
 from prefaudit.estimation import fit_mle, nll
-from prefaudit.model import RewardModel
+from prefaudit.model import Dataset, RewardModel
 from prefaudit.population import DiagonalGaussian, PointMass, sample_voters
 
 THETA_STAR = np.array([1.6, -1.0])  # lies on the linspace(-2, 2, 21) grid
@@ -199,7 +199,7 @@ class TestWorstCaseRegret:
                             converged=True, iterations=0)
         slate = [np.array([0.1, 0.2, 0.3]), np.array([0.3, 0.2, 0.1])]
         with pytest.raises(InputError, match="empty"):
-            worst_case_regret(model, slate, [], 0.5)
+            worst_case_regret(model, slate, Dataset(voter=[], label=[], a0=[], a1=[]), 0.5)
         with pytest.raises(InputError, match="dimension"):
             worst_case_regret(model, slate, _dataset(), 0.5)  # records of d=2
 

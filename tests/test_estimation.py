@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_difference_gradient, random_records
+from conftest import central_difference_gradient, make_dataset, mirrored, random_records
 from prefaudit.annotation import (
     EACH_PAIR_RANDOM_VOTER,
     RoundRobin,
@@ -15,7 +15,7 @@ from prefaudit.annotation import (
 from prefaudit.config import config_from_dict
 from prefaudit.errors import InputError
 from prefaudit.estimation import DEFAULT_GRAD_TOL, borda_scores, fit_mle, nll, nll_gradient, score
-from prefaudit.model import ComparisonRecord, RewardModel
+from prefaudit.model import Dataset, RewardModel
 from prefaudit.oracle import brute_force_mle
 from prefaudit.pipeline import DATASET_FILE, run_pipeline
 from prefaudit.population import PointMass, UniformBox, sample_alternatives, sample_voters
@@ -37,10 +37,6 @@ GRID_D3 = {
 }
 
 
-def _record(a0, a1, label=1):
-    return ComparisonRecord(voter_id=0, a0=a0, a1=a1, label=label)
-
-
 class TestNll:
     def test_zero_theta_gives_n_ln2(self, rng):
         records = random_records(rng, 3, 20)
@@ -48,7 +44,7 @@ class TestNll:
 
     def test_unit_gap_log_sigmoid(self):
         # single record, winner gap <theta, delta> = 1: -ln sigma(1)
-        records = [_record([0.0], [1.0], label=1)]
+        records = make_dataset([([0.0], [1.0], 1)])
         assert nll([1.0], records, 0.0) == pytest.approx(0.3132616875182228, abs=1e-10)
 
     def test_zero_theta_zero_penalty(self, rng):
@@ -57,23 +53,19 @@ class TestNll:
 
     def test_empty_dataset(self):
         with pytest.raises(InputError):
-            nll([1.0], [], 0.0)
+            nll([1.0], Dataset(voter=[], label=[], a0=[], a1=[]), 0.0)
 
 
 class TestGradient:
     def test_zero_theta_half_delta(self):
-        records = [_record([0.0, 0.0], [2.0, -4.0], label=1)]
+        records = make_dataset([([0.0, 0.0], [2.0, -4.0], 1)])
         grad = nll_gradient(np.zeros(2), records, 0.0)
         assert np.allclose(grad, [-1.0, 2.0], atol=1e-15)  # -0.5 * delta
 
     def test_symmetric_dataset_cancels(self, rng):
         # each record plus a copy with the opposite winner: deltas cancel
         records = random_records(rng, 3, 10)
-        mirrored = records + [
-            ComparisonRecord(voter_id=0, a0=r.a0, a1=r.a1, label=1 - r.label)
-            for r in records
-        ]
-        grad = nll_gradient(np.zeros(3), mirrored, 0.0)
+        grad = nll_gradient(np.zeros(3), mirrored(records), 0.0)
         assert np.allclose(grad, 0.0, atol=1e-14)
 
     def test_matches_central_differences(self, rng):
@@ -91,17 +83,13 @@ class TestGradient:
 
 class TestFitMle:
     def test_separable_single_record_reports_divergence(self):
-        model = fit_mle([_record([0.0], [1.0])], lam=0.0)
+        model = fit_mle(make_dataset([([0.0], [1.0], 1)]), lam=0.0)
         assert not model.converged
         assert model.diagnostic
 
     def test_symmetric_data_fits_origin(self, rng):
         records = random_records(rng, 2, 15)
-        mirrored = records + [
-            ComparisonRecord(voter_id=0, a0=r.a0, a1=r.a1, label=1 - r.label)
-            for r in records
-        ]
-        model = fit_mle(mirrored, lam=1e-3)
+        model = fit_mle(mirrored(records), lam=1e-3)
         assert model.converged
         assert np.max(np.abs(model.theta_hat)) < 1e-6
 
@@ -133,9 +121,9 @@ class TestFitMle:
     def test_permutation_invariance(self, rng):
         records = random_records(rng, 3, 30)
         model_a = fit_mle(records, lam=1e-2)
-        shuffled = list(records)
-        rng.shuffle(shuffled)
-        model_b = fit_mle(shuffled, lam=1e-2)
+        order = np.arange(len(records))
+        rng.shuffle(order)
+        model_b = fit_mle(records.take(order), lam=1e-2)
         assert np.max(np.abs(model_a.theta_hat - model_b.theta_hat)) < 1e-5
 
     def test_final_nll_not_above_init(self, rng):
@@ -147,17 +135,18 @@ class TestFitMle:
 
 def _bt_records(rng, theta_star, n):
     """Records labeled by the Bradley-Terry model at theta_star."""
-    records = []
+    rows = []
     for _ in range(n):
         a0, a1 = rng.uniform(-1, 1, theta_star.size), rng.uniform(-1, 1, theta_star.size)
         p_a1 = 1.0 / (1.0 + math.exp(-float(theta_star @ (a1 - a0))))
-        records.append(_record(a0, a1, label=int(rng.random() < p_a1)))
-    return records
+        rows.append((a0, a1, int(rng.random() < p_a1)))
+    return make_dataset(rows)
 
 
 def _numpy_gradient(theta, records, lam):
     """NLL gradient from the record fields, apart from the estimation kernels."""
-    deltas = np.array([r.a1 - r.a0 if r.label == 1 else r.a0 - r.a1 for r in records])
+    deltas = np.array([a1 - a0 if label == 1 else a0 - a1
+                       for a0, a1, label in zip(records.a0, records.a1, records.label)])
     p_lose = 1.0 / (1.0 + np.exp(deltas @ theta))
     return -(p_lose[:, None] * deltas).sum(axis=0) + 2.0 * lam * theta
 
@@ -185,7 +174,7 @@ class TestNewtonFit:
         lam=st.floats(1e-3, 1.0),
     )
     def test_numpy_gradient_within_grad_tol(self, d, rows, lam):
-        records = [_record(x[:d], x[4:4 + d], label) for x, label in rows]
+        records = make_dataset([(x[:d], x[4:4 + d], label) for x, label in rows])
         model = fit_mle(records, lam=lam)
         assert model.converged
         grad = _numpy_gradient(model.theta_hat, records, lam)
@@ -202,15 +191,14 @@ class TestNewtonFit:
     def test_grid_d3_block_converges(self, tmp_path, block):
         run_pipeline(config_from_dict(GRID_D3), tmp_path, stages=("simulate",))
         data = read_records(tmp_path / DATASET_FILE)
-        records = [r for v in block for r in data if r.voter_id == v]
+        records = data.take(np.concatenate([np.flatnonzero(data.voter == v) for v in block]))
         model = fit_mle(records, lam=1e-3)
         assert model.converged, model.diagnostic
         assert model.iterations <= 20
 
     def test_singular_hessian_falls_back_to_gradient(self):
         # lam=0 and every delta on the first axis: the Hessian's second row is zero
-        records = [_record([0.0, 0.0], [1.0, 0.0], label=1) for _ in range(3)]
-        records.append(_record([0.0, 0.0], [1.0, 0.0], label=0))
+        records = make_dataset([([0.0, 0.0], [1.0, 0.0], 1)] * 3 + [([0.0, 0.0], [1.0, 0.0], 0)])
         model = fit_mle(records, lam=0.0)
         assert model.converged, model.diagnostic
         assert model.theta_hat == pytest.approx([math.log(3.0), 0.0], abs=1e-7)
@@ -219,28 +207,50 @@ class TestNewtonFit:
 class TestBordaScores:
     def test_win_rate_counting(self):
         a, b, c = [1.0], [0.0], [0.5]
-        records = [
-            _record(b, a, label=1),  # a beats b
-            _record(a, b, label=0),  # a beats b
-            _record(c, a, label=1),  # a beats c
-            _record(a, c, label=1),  # c beats a
-        ]
+        records = make_dataset([
+            (b, a, 1),  # a beats b
+            (a, b, 0),  # a beats b
+            (c, a, 1),  # a beats c
+            (a, c, 1),  # c beats a
+        ])
         scores = borda_scores(records, [a, b, c])
         assert scores[0] == 0.75
 
     def test_never_compared_is_undefined(self):
-        records = [_record([0.0], [1.0], label=1)]
+        records = make_dataset([([0.0], [1.0], 1)])
         scores = borda_scores(records, [[0.0], [1.0], [2.0]])
         assert scores[2] is None
 
     def test_deterministic_winner(self):
-        records = [_record([0.0], [1.0], label=1) for _ in range(5)]
+        records = make_dataset([([0.0], [1.0], 1)] * 5)
         scores = borda_scores(records, [[1.0], [0.0]])
         assert scores[0] == 1.0 and scores[1] == 0.0
 
     def test_empty_data(self):
         with pytest.raises(InputError):
-            borda_scores([], [[1.0]])
+            borda_scores(Dataset(voter=[], label=[], a0=[], a1=[]), [[1.0]])
+
+    def test_matches_a_per_record_count(self, rng):
+        slate = [rng.normal(size=2) for _ in range(6)]
+        slate.append(slate[2].copy())  # a point the slate holds twice
+        outside = np.array([9.0, 9.0])  # a point the slate does not hold
+        pick = rng.integers(0, len(slate) + 1, size=(200, 2))
+        a0, a1 = ([slate[i] if i < len(slate) else outside for i in col] for col in pick.T)
+        data = Dataset(voter=[0] * 200, label=rng.integers(0, 2, 200), a0=a0, a1=a1)
+        index = {}
+        for i, a in enumerate(slate):
+            index.setdefault(a.tobytes(), i)
+        wins, seen = [0] * len(slate), [0] * len(slate)
+        for x0, x1, label in zip(data.a0, data.a1, data.label):
+            winner, loser = (x1, x0) if label == 1 else (x0, x1)
+            if winner.tobytes() in index:
+                wins[index[winner.tobytes()]] += 1
+                seen[index[winner.tobytes()]] += 1
+            if loser.tobytes() in index:
+                seen[index[loser.tobytes()]] += 1
+        expected = {i: (wins[i] / seen[i] if seen[i] else None) for i in range(len(slate))}
+        assert borda_scores(data, slate) == expected
+        assert expected[6] is None and all(expected[i] is not None for i in range(6))
 
 
 class TestScore:

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,8 @@ from prefaudit.axioms import ConsistencyScheme
 from prefaudit.config import config_from_dict, load_config
 from prefaudit.distortion import DistortionReport
 from prefaudit.errors import ConfigError, InputError
-from prefaudit.model import ComparisonRecord
-from prefaudit.pipeline import child_seed, run_pipeline
+from prefaudit.model import Dataset
+from prefaudit.pipeline import STAGES, child_seed, run_pipeline
 from prefaudit.reports import emit_rows, emit_table, parse_rows, rows_from_reports
 from prefaudit.serialize import (
     axiom_report_from_dict,
@@ -25,8 +26,6 @@ from prefaudit.serialize import (
     distortion_report_from_dict,
     distortion_report_to_dict,
     read_records,
-    record_from_line,
-    record_to_line,
     write_records,
 )
 
@@ -174,6 +173,20 @@ class TestLoadConfig:
             # the echo is itself a config that loads to the same echo
             assert config_from_dict(cfg.echo()).echo() == cfg.echo()
 
+    @pytest.mark.parametrize("override, message", [
+        ({"annotation": {"labels": {"kind": "proxy", "w": [1.0, 0.5, 1.5]}}},
+         "config.annotation.labels.w: length 3 != experiment dimension 2"),
+        ({"num_voters": -3}, "config.num_voters: must be >= 1, got -3"),
+        ({"num_alternatives": 1}, "config.num_alternatives: must be >= 2, got 1"),
+        ({"annotation": {"pairs": {"kind": "round-robin", "repeats": -2}}},
+         "config.annotation.pairs: repeats must be >= 1, got -2"),
+        ({"annotation": {"pairs": {"kind": "uniform-random", "count": 0}}},
+         "config.annotation.pairs: count must be >= 1, got 0"),
+    ])
+    def test_out_of_range_value_names_its_path(self, override, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_dict({**MINIMAL, **override})
+
     def test_round_robin_repeats_is_used(self):
         cfg = config_from_dict(SMALL_RUN)
         assert cfg.pair_scheme == RoundRobin(repeats=40)
@@ -196,45 +209,62 @@ class TestLoadConfig:
 
 class TestRecordWireFormat:
     def test_round_trip_exact(self, tmp_path, rng):
-        records = []
+        rows = []
         for _ in range(20):
-            records.append(ComparisonRecord(
-                voter_id=int(rng.integers(0, 5)),
-                a0=rng.normal(size=3), a1=rng.normal(size=3),
-                label=int(rng.integers(0, 2))))
-        records.append(ComparisonRecord(
-            voter_id=0, a0=[0.1, 0.2, 0.3], a1=[1.0, 2.0, 3.0], label=1,
-            scheme="proxy", w=[0.5, 1.5, 2.5]))
+            rows.append((int(rng.integers(0, 5)), rng.normal(size=3), rng.normal(size=3),
+                         int(rng.integers(0, 2))))
+        voter, a0, a1, label = zip(*rows)
+        datasets = [
+            Dataset(voter=voter, label=label, a0=a0, a1=a1),
+            Dataset(voter=[0], a0=[[0.1, 0.2, 0.3]], a1=[[1.0, 2.0, 3.0]], label=[1],
+                    scheme="proxy", w=[0.5, 1.5, 2.5]),
+        ]
         path = tmp_path / "data.records"
-        write_records(path, records)
-        back = read_records(path)
-        assert back == records
-        for rec, rt in zip(records, back):
-            assert rec.a0.tobytes() == rt.a0.tobytes()
-            assert rec.a1.tobytes() == rt.a1.tobytes()
+        for records in datasets:
+            write_records(path, records)
+            back = read_records(path)
+            assert back == records
+            for name in ("a0", "a1"):
+                assert getattr(back, name).tobytes() == getattr(records, name).tobytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), d=st.integers(1, 4), proxy=st.booleans())
-    def test_line_round_trip_is_exact(self, data, d, proxy):
+    @given(data=st.data(), d=st.integers(1, 4), n=st.integers(1, 5), proxy=st.booleans())
+    def test_line_round_trip_is_exact(self, data, d, n, proxy):
         vec = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=d, max_size=d)
-        rec = ComparisonRecord(
-            voter_id=data.draw(st.integers(0, 2**63)),
-            a0=data.draw(vec), a1=data.draw(vec),
-            label=data.draw(st.integers(0, 1)),
+        rows = st.lists(vec, min_size=n, max_size=n)
+        records = Dataset(
+            voter=data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n)),
+            a0=data.draw(rows), a1=data.draw(rows),
+            label=data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
             scheme="proxy" if proxy else "true-reward",
             w=data.draw(vec) if proxy else None)
-        back = record_from_line(record_to_line(rec))
-        assert back == rec
-        for name in ("a0", "a1", "w"):
-            assert getattr(back, name) is None or getattr(back, name).tobytes() == getattr(rec, name).tobytes()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.records"
+            write_records(path, records)
+            back = read_records(path)
+        assert back == records
+        for name in ("voter", "label", "a0", "a1", "w"):
+            assert getattr(back, name) is None or getattr(back, name).tobytes() == getattr(records, name).tobytes()
 
-    def test_malformed_line(self):
-        with pytest.raises(InputError):
-            record_from_line("voter=0 label=x scheme=true-reward a0=1 a1=2")
+    def test_malformed_line(self, tmp_path):
+        path = tmp_path / "data.records"
+        path.write_text("voter=0 label=1 scheme=true-reward a0=1 a1=2\n"
+                        "voter=0 label=x scheme=true-reward a0=1 a1=2\n")
+        with pytest.raises(InputError, match=":2: malformed record line"):
+            read_records(path)
 
-    def test_line_shape(self):
-        rec = ComparisonRecord(voter_id=3, a0=[1.0], a1=[2.0], label=0)
-        line = record_to_line(rec)
+    def test_mixed_schemes_name_the_line(self, tmp_path):
+        path = tmp_path / "data.records"
+        path.write_text("voter=0 label=1 scheme=proxy a0=1 a1=2 w=0.5\n"
+                        "voter=1 label=0 scheme=proxy a0=1 a1=2 w=0.5\n"
+                        "voter=2 label=0 scheme=true-reward a0=1 a1=2\n")
+        with pytest.raises(InputError, match=":3: record disagrees with the first record"):
+            read_records(path)
+
+    def test_line_shape(self, tmp_path):
+        path = tmp_path / "data.records"
+        write_records(path, Dataset(voter=[3], a0=[[1.0]], a1=[[2.0]], label=[0]))
+        line = path.read_text()
         assert line.startswith("voter=3 label=0 scheme=true-reward")
 
 
@@ -285,6 +315,16 @@ class TestPipeline:
         assert manifest["config"]["estimation"]["lambda"] == 1e-3
         assert manifest["seeds"]["voters"] == child_seed(11, "voters")
         assert set(manifest["stages"]) == {"simulate", "fit", "audit", "distort"}
+
+    def test_manifest_records_stage_seconds(self, tmp_path):
+        manifest = run_pipeline(config_from_dict(SMALL_RUN), tmp_path / "run")
+        seconds = manifest["stage_seconds"]
+        assert list(seconds) == list(STAGES)
+        assert all(s >= 0 for s in seconds.values())
+        assert sum(seconds.values()) <= manifest["wall_clock_s"]
+        written = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert written["stage_seconds"] == seconds
+        assert "stage_seconds" not in written["stages"]
 
     def test_disabled_distortion_skipped(self, tmp_path):
         raw = dict(SMALL_RUN)

@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
+from conftest import random_records
 from prefaudit.errors import InputError
 from prefaudit.model import (
-    ComparisonRecord,
+    Dataset,
     btl_prob,
     feature_vector,
     proxy_reward,
@@ -102,15 +103,34 @@ class TestBtlProb:
             assert abs(btl_prob(x + c, y + c) - btl_prob(x, y)) <= 1e-12
 
 
-class TestComparisonRecord:
+class TestDataset:
     def test_rejects_bad_label(self):
         with pytest.raises(InputError):
-            ComparisonRecord(voter_id=0, a0=[1.0], a1=[2.0], label=2)
+            Dataset(voter=[0], a0=[[1.0]], a1=[[2.0]], label=[2])
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(InputError):
-            ComparisonRecord(voter_id=0, a0=[1.0], a1=[2.0, 3.0], label=1)
+            Dataset(voter=[0], a0=[[1.0]], a1=[[2.0, 3.0]], label=[1])
 
     def test_proxy_requires_weights(self):
         with pytest.raises(InputError):
-            ComparisonRecord(voter_id=0, a0=[1.0], a1=[2.0], label=1, scheme="proxy")
+            Dataset(voter=[0], a0=[[1.0]], a1=[[2.0]], label=[1], scheme="proxy")
+
+    def test_rejects_weights_of_the_wrong_length(self):
+        with pytest.raises(InputError, match="dimension mismatch"):
+            Dataset(voter=[0], a0=[[1.0]], a1=[[2.0]], label=[1], scheme="proxy", w=[1.0, 2.0])
+
+    def test_rejects_non_finite_coordinate(self):
+        with pytest.raises(InputError, match="record 1: non-finite"):
+            Dataset(voter=[0, 0], a0=[[1.0], [0.0]], a1=[[2.0], [float("inf")]], label=[1, 0])
+
+    def test_columns_are_read_only(self):
+        data = Dataset(voter=[3], a0=[[1.0]], a1=[[2.0]], label=[0])
+        for column in (data.voter, data.label, data.a0, data.a1):
+            with pytest.raises(ValueError):
+                column[0] = 1
+
+    def test_winner_minus_loser_matches_a_per_record_loop(self, rng):
+        data = random_records(rng, 3, 50)
+        rows = [a1 - a0 if label == 1 else a0 - a1 for a0, a1, label in zip(data.a0, data.a1, data.label)]
+        assert data.winner_minus_loser().tobytes() == np.array(rows).tobytes()

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_records
+from conftest import make_dataset, mirrored, random_records
 from prefaudit.axioms import audit_condorcet, audit_unanimity
 from prefaudit.errors import InputError
 from prefaudit.estimation import fit_mle, nll
-from prefaudit.model import ComparisonRecord, RewardModel
+from prefaudit.model import RewardModel
 from prefaudit.oracle import brute_force_mle, exhaustive_axiom_check
 from prefaudit.population import DiagonalGaussian, PointMass, sample_voters
 
@@ -17,26 +17,23 @@ def _model(theta):
 class TestBruteForceMle:
     def test_symmetric_dataset_optimum_at_origin(self, rng):
         records = random_records(rng, 2, 10)
-        mirrored = records + [
-            ComparisonRecord(voter_id=0, a0=r.a0, a1=r.a1, label=1 - r.label)
-            for r in records
-        ]
-        opt = brute_force_mle(mirrored, lam=1e-3, resolution=11, bound=2.0)
+        opt = brute_force_mle(mirrored(records), lam=1e-3, resolution=11, bound=2.0)
         assert np.array_equal(opt, [0.0, 0.0])
 
     def test_close_to_continuous_optimum_1d(self):
         rng = np.random.default_rng(0)
-        records = []
+        rows = []
         for _ in range(200):
             # gap-1 pairs labeled by theta* = 1
             label = int(rng.random() < 1 / (1 + np.exp(-1)))
-            records.append(ComparisonRecord(voter_id=0, a0=[0.0], a1=[1.0], label=label))
+            rows.append(([0.0], [1.0], label))
+        records = make_dataset(rows)
         opt = brute_force_mle(records, lam=1e-3, resolution=33, bound=4.0)
         model = fit_mle(records, lam=1e-3)
         assert abs(opt[0] - model.theta_hat[0]) < 0.25
 
     def test_penalty_keeps_optimum_interior(self):
-        records = [ComparisonRecord(voter_id=0, a0=[0.0], a1=[1.0], label=1)]
+        records = make_dataset([([0.0], [1.0], 1)])
         opt = brute_force_mle(records, lam=1.0, resolution=41, bound=8.0)
         assert -8.0 < opt[0] < 8.0
 

@@ -30,7 +30,7 @@ from prefaudit.population import (
     sample_alternatives,
     sample_voters,
 )
-from prefaudit.serialize import record_to_line
+from prefaudit.serialize import write_records
 
 SEED = 20240607
 
@@ -94,11 +94,12 @@ def test_slate_stream(kind):
 
 
 @pytest.mark.parametrize("pairs, labels", sorted(DATASET_DIGESTS))
-def test_dataset_stream(pairs, labels):
+def test_dataset_stream(pairs, labels, tmp_path):
     voters = sample_voters(POPULATIONS["mixture"], 6, SEED)
     slate = sample_alternatives(SLATES["uniform-box"], 5, SEED + 1)
     records = generate_dataset(
         voters, slate, PAIR_SCHEMES[pairs], EACH_PAIR_RANDOM_VOTER, LABEL_SCHEMES[labels], SEED + 2
     )
-    text = "\n".join(record_to_line(r) for r in records)
+    write_records(tmp_path / "data.records", records)
+    text = (tmp_path / "data.records").read_text()[:-1]  # the lines, without the last newline
     assert hashlib.sha256(text.encode()).hexdigest() == DATASET_DIGESTS[(pairs, labels)]
