@@ -3,16 +3,19 @@
 Three audits over a finite candidate slate: unanimity (every sampled
 voter agrees on the gap), Condorcet consistency (the analytic population
 mean agrees), and consistency (every retrained large-enough voter-block
-model agrees). Each audit builds, per anchor alternative a, the dominated
-set A'_a of alternatives the condition ranks strictly below a by more
-than epsilon, then flags a violation whenever the audited model's score
-gap fails to exceed epsilon on such a pair. Score-gap comparisons are
-strict with no floating tolerance; the minimum margin over checked pairs
-is reported so near-misses stay visible.
+model agrees). Each audit builds one epsilon-independent m x m gap
+matrix, then reports once per epsilon through one dominance kernel: the
+dominated set A'_a of anchor a holds the alternatives the condition ranks
+strictly below a by more than epsilon, and a violation is flagged
+whenever the audited model's score gap fails to exceed epsilon on such a
+pair. Score-gap comparisons are strict with no floating tolerance; the
+minimum margin over checked pairs is reported so near-misses stay
+visible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .estimation import score
 from .model import RewardModel
-from .population import population_mean_gap, seeded_rng
+from .population import seeded_rng
 
 __all__ = [
     "AnchorResult",
@@ -61,41 +64,47 @@ class AxiomReport:
         return tuple(v for a in self.anchors for v in a.violations)
 
 
-def _assemble(axiom, epsilon, slate, gap_fn, score_gaps, metadata) -> AxiomReport:
-    """Shared audit skeleton: gap_fn(i, j) gives the dominance condition value."""
-    anchors = []
-    min_margin = None
-    for i in range(len(slate)):
-        dominated = []
-        violations = []
-        for j in range(len(slate)):
-            if j == i:
-                continue
-            if gap_fn(i, j) > epsilon:
-                dominated.append(j)
-                margin = score_gaps[i, j] - epsilon
-                if min_margin is None or margin < min_margin:
-                    min_margin = margin
-                if not score_gaps[i, j] > epsilon:
-                    violations.append((i, j))
-        anchors.append(
+def _validate(axiom: str, slate, epsilons) -> list[float]:
+    if len(slate) < 2:
+        raise InputError(f"{axiom} audit needs a slate of >= 2 alternatives")
+    epsilons = [float(e) for e in epsilons]
+    for e in epsilons:
+        if not (math.isfinite(e) and e >= 0):
+            raise InputError(f"epsilon must be finite and >= 0, got {e!r}")
+    return epsilons
+
+
+def _dominance_reports(axiom, epsilons, gap, score_gaps, metadata) -> list[AxiomReport]:
+    """The dominance kernel: one report per epsilon from one gap matrix.
+
+    ``gap[i, j]`` is the condition's value for anchor i over alternative j
+    and ``score_gaps[i, j]`` the audited model's score gap.
+    """
+    off_diagonal = ~np.eye(len(gap), dtype=bool)
+    reports = []
+    for eps in epsilons:
+        dominated = (gap > eps) & off_diagonal
+        violated = dominated & ~(score_gaps > eps)
+        margins = score_gaps[dominated] - eps
+        anchors = tuple(
             AnchorResult(
                 anchor=i,
-                dominated=tuple(dominated),
-                violations=tuple(violations),
-                vacuous=not dominated,
+                dominated=tuple(np.flatnonzero(dom).tolist()),
+                violations=tuple((i, j) for j in np.flatnonzero(bad).tolist()),
+                vacuous=not dom.any(),
             )
+            for i, (dom, bad) in enumerate(zip(dominated, violated))
         )
-    passed = all(not a.violations for a in anchors)
-    return AxiomReport(
-        axiom=axiom,
-        epsilon=float(epsilon),
-        slate_size=len(slate),
-        anchors=tuple(anchors),
-        passed=passed,
-        min_margin=min_margin,
-        metadata=metadata,
-    )
+        reports.append(AxiomReport(
+            axiom=axiom,
+            epsilon=eps,
+            slate_size=len(gap),
+            anchors=anchors,
+            passed=not violated.any(),
+            min_margin=float(margins.min()) if margins.size else None,
+            metadata=dict(metadata),
+        ))
+    return reports
 
 
 def _score_gap_matrix(model: RewardModel, slate) -> np.ndarray:
@@ -103,48 +112,40 @@ def _score_gap_matrix(model: RewardModel, slate) -> np.ndarray:
     return scores[:, None] - scores[None, :]
 
 
-def audit_unanimity(model: RewardModel, slate, voters, epsilon: float) -> AxiomReport:
-    """Check empirical unanimity over the sampled voter set.
+def audit_unanimity(model: RewardModel, slate, voters, epsilons) -> list[AxiomReport]:
+    """Check empirical unanimity over the sampled voter set, once per epsilon.
 
     A'_a holds the alternatives every voter ranks below a by more than
     epsilon; the model must then also score a above them by more than
     epsilon.
     """
-    if len(slate) < 2:
-        raise InputError("unanimity audit needs a slate of >= 2 alternatives")
+    epsilons = _validate("unanimity", slate, epsilons)
     if not voters:
         raise InputError("unanimity audit needs at least one voter")
-    if epsilon < 0:
-        raise InputError("epsilon must be >= 0")
-    thetas = np.stack([v.theta for v in voters])
-    alts = np.stack([np.asarray(a, dtype=np.float64) for a in slate])
-    rewards = thetas @ alts.T  # voters x slate
-    min_gaps = np.min(rewards[:, :, None] - rewards[:, None, :], axis=0)
     score_gaps = _score_gap_matrix(model, slate)
-    return _assemble(
-        "unanimity",
-        epsilon,
-        slate,
-        lambda i, j: min_gaps[i, j],
-        score_gaps,
+    thetas = np.stack([v.theta for v in voters])
+    rewards = thetas @ np.array(slate, dtype=np.float64).T  # voters x slate
+    gap = np.full_like(score_gaps, np.inf)
+    for r in rewards:  # running minimum over voters, m x m memory
+        np.minimum(gap, r[:, None] - r[None, :], out=gap)
+    return _dominance_reports(
+        "unanimity", epsilons, gap, score_gaps,
         {"voter_count": len(voters), "gap_source": "sampled voters (empirical)"},
     )
 
 
-def audit_condorcet(model: RewardModel, slate, pop, epsilon: float) -> AxiomReport:
-    """Check Condorcet consistency against the analytic population mean."""
-    if len(slate) < 2:
-        raise InputError("condorcet audit needs a slate of >= 2 alternatives")
-    if epsilon < 0:
-        raise InputError("epsilon must be >= 0")
+def audit_condorcet(model: RewardModel, slate, pop, epsilons) -> list[AxiomReport]:
+    """Check Condorcet consistency against the analytic population mean, once per epsilon."""
+    epsilons = _validate("condorcet", slate, epsilons)
     score_gaps = _score_gap_matrix(model, slate)
-    return _assemble(
-        "condorcet",
-        epsilon,
-        slate,
-        lambda i, j: population_mean_gap(pop, slate[i], slate[j]),
-        score_gaps,
-        {"gap_source": "analytic population mean"},
+    alts = np.array(slate, dtype=np.float64)
+    mean = pop.expected_theta()
+    if mean.shape != alts.shape[1:]:
+        raise InputError("alternative dimension differs from population dimension")
+    # np.dot sums each entry E[theta] . (a - a') in the same order as a 1-D dot
+    gap = np.dot(alts[:, None] - alts[None, :], mean)
+    return _dominance_reports(
+        "condorcet", epsilons, gap, score_gaps, {"gap_source": "analytic population mean"}
     )
 
 
@@ -162,27 +163,25 @@ def audit_consistency(
     trainer,
     data,
     slate,
-    epsilon: float,
+    epsilons,
     scheme: ConsistencyScheme = ConsistencyScheme(),
     model: RewardModel | None = None,
-) -> AxiomReport:
-    """Check consistency by retraining on random voter partitions.
+) -> list[AxiomReport]:
+    """Check consistency by retraining on random voter partitions, once per epsilon.
 
     ``trainer`` maps a Dataset to a RewardModel. Voters are split
     into num_blocks blocks (each >= min_fraction of the voters) for each
-    of num_partitions random partitions; A'_a holds the pairs on which
-    every successfully retrained block model's score gap exceeds
-    epsilon. The full-data model (fit by the same trainer when not
-    supplied) must then agree. A block holds its voters' records, voter
-    by voter in block order. A partition with a non-convergent block fit
-    is skipped, counted in metadata. With every partition skipped there
-    is no evidence either way, so the audit fails with a diagnostic
-    instead of passing vacuously.
+    of num_partitions random partitions, and each block model is fitted
+    once for every epsilon; A'_a holds the pairs on which every
+    successfully retrained block model's score gap exceeds epsilon. The
+    full-data model (fit by the same trainer when not supplied) must then
+    agree. A block holds its voters' records, voter by voter in block
+    order. A partition with a non-convergent block fit is skipped,
+    counted in metadata. With every partition skipped there is no
+    evidence either way, so the audit fails with a diagnostic instead of
+    passing vacuously.
     """
-    if len(slate) < 2:
-        raise InputError("consistency audit needs a slate of >= 2 alternatives")
-    if epsilon < 0:
-        raise InputError("epsilon must be >= 0")
+    epsilons = _validate("consistency", slate, epsilons)
     # each voter's row indices in record order, voters by ascending id
     order = np.argsort(data.voter, kind="stable")
     voter_ids, starts = np.unique(data.voter[order], return_index=True)
@@ -227,20 +226,12 @@ def audit_consistency(
         "voter_count": n,
     }
     if block_models:
-        block_gaps = np.stack([_score_gap_matrix(m, slate) for m in block_models])
-        min_block_gap = np.min(block_gaps, axis=0)
+        gap = np.min(np.stack([_score_gap_matrix(m, slate) for m in block_models]), axis=0)
     else:
         # no usable partition: nothing is certified dominated
-        min_block_gap = np.full_like(score_gaps, -np.inf)
+        gap = np.full_like(score_gaps, -np.inf)
         reason = skip_reasons[0] if skip_reasons else "none was requested"
         metadata["diagnostic"] = f"no usable voter partition of {scheme.num_partitions}: {reason}"
-    report = _assemble(
-        "consistency",
-        epsilon,
-        slate,
-        lambda i, j: min_block_gap[i, j],
-        score_gaps,
-        metadata,
-    )
+    reports = _dominance_reports("consistency", epsilons, gap, score_gaps, metadata)
     # with no usable partition the audit has no evidence to pass on
-    return report if block_models else replace(report, passed=False)
+    return reports if block_models else [replace(r, passed=False) for r in reports]

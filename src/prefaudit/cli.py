@@ -61,14 +61,14 @@ def _verify(config, run: RunDir) -> int:
         print(f"brute-force MLE check skipped (d={config.dimension} > 3)")
 
     if len(slate) <= 50:
-        for eps in config.epsilons:
-            uni = audit_unanimity(model, slate, voters, eps)
-            uni_oracle = exhaustive_axiom_check(model, slate, voters, eps, "unanimity")
-            cond = audit_condorcet(model, slate, config.population, eps)
-            cond_oracle = exhaustive_axiom_check(model, slate, config.population, eps, "condorcet")
-            for name, a, b in (("unanimity", uni, uni_oracle), ("condorcet", cond, cond_oracle)):
-                ok = a.anchors == b.anchors and a.passed == b.passed
-                print(f"{name} audit vs exhaustive oracle (eps={eps:g}): {'OK' if ok else 'FAIL'}")
+        unanimity = audit_unanimity(model, slate, voters, config.epsilons)
+        condorcet = audit_condorcet(model, slate, config.population, config.epsilons)
+        for eps, uni, cond in zip(config.epsilons, unanimity, condorcet):
+            for report, population in ((uni, voters), (cond, config.population)):
+                oracle = exhaustive_axiom_check(model, slate, population, eps, report.axiom)
+                ok = (report.anchors, report.passed, report.min_margin) == (
+                    oracle.anchors, oracle.passed, oracle.min_margin)
+                print(f"{report.axiom} audit vs exhaustive oracle (eps={eps:g}): {'OK' if ok else 'FAIL'}")
                 failures += 0 if ok else 1
     else:
         print(f"axiom oracle check skipped (slate size {len(slate)} > 50)")

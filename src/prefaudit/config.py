@@ -12,6 +12,7 @@ errors carry the line number from the JSON decoder.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .annotation import (
@@ -257,8 +258,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if est["lambda"] < 0:
         raise ConfigError("config.estimation.lambda: must be >= 0")
     aud = full["audit"]
-    if any(e < 0 for e in aud["epsilons"]):
-        raise ConfigError("config.audit.epsilons: entries must be >= 0")
+    if not all(math.isfinite(e) and e >= 0 for e in aud["epsilons"]):
+        raise ConfigError("config.audit.epsilons: entries must be finite and >= 0")
     cons = aud["consistency"]
     dist = full["distortion"]
     if dist["delta"] < 0:

@@ -62,7 +62,8 @@ def exhaustive_axiom_check(model, slate, voters_or_pop, epsilon: float, axiom: s
     """Naive per-pair re-derivation of the unanimity/condorcet audits.
 
     Produces an AxiomReport whose anchors, violations, pass flag, and
-    margin must match the corresponding audit_* output field-for-field.
+    margin must match the audit_* report for the same epsilon
+    field-for-field.
     """
     if axiom not in ("unanimity", "condorcet"):
         raise InputError(f"exhaustive check supports unanimity/condorcet, not {axiom!r}")

@@ -109,13 +109,16 @@ def stage_fit(config: ExperimentConfig, run: RunDir) -> dict:
 
 def stage_audit(config: ExperimentConfig, run: RunDir) -> dict:
     scheme = replace(config.consistency, seed=child_seed(config.seed, "consistency"))
-    reports = []
-    for eps in config.epsilons:
-        reports.append(audit_unanimity(run.model, run.slate, run.voters, eps))
-        reports.append(audit_condorcet(run.model, run.slate, config.population, eps))
-        reports.append(audit_consistency(
+    eps = config.epsilons
+    per_axiom = (
+        audit_unanimity(run.model, run.slate, run.voters, eps),
+        audit_condorcet(run.model, run.slate, config.population, eps),
+        audit_consistency(
             partial(_fit, config), run.dataset, run.slate, eps, scheme=scheme, model=run.model
-        ))
+        ),
+    )
+    # one unanimity, condorcet, consistency triple per epsilon, in config order
+    reports = [r for triple in zip(*per_axiom) for r in triple]
     dump_json(run.out / AXIOMS_FILE, [axiom_report_to_dict(r) for r in reports])
     return {
         "reports": len(reports),

@@ -138,20 +138,20 @@ def test_criterion_4_axiom_audits():
         trainer = lambda recs: fit_mle(recs, lam=1e-3)
         scheme = ConsistencyScheme(num_blocks=2, num_partitions=10, seed=3)
         for eps in (0.0, 0.1):
-            uni = audit_unanimity(model, slate, voters, eps)
-            cond = audit_condorcet(model, slate, pop, eps)
+            uni = audit_unanimity(model, slate, voters, [eps])[0]
+            cond = audit_condorcet(model, slate, pop, [eps])[0]
             assert uni.passed and not uni.vacuous, f"unanimity eps={eps}"
             assert cond.passed and not cond.vacuous, f"condorcet eps={eps}"
-        cons = audit_consistency(trainer, data, slate, 0.0, scheme=scheme, model=model)
+        cons = audit_consistency(trainer, data, slate, [0.0], scheme=scheme, model=model)[0]
         assert cons.passed and not cons.vacuous
         assert cons.metadata["skipped_partitions"] == 0
 
         corrupted = RewardModel(theta_hat=-model.theta_hat, lam=model.lam,
                                 final_nll=model.final_nll, converged=True,
                                 iterations=model.iterations)
-        assert not audit_unanimity(corrupted, slate, voters, 0.0).passed
-        assert not audit_condorcet(corrupted, slate, pop, 0.0).passed
-        bad_cons = audit_consistency(trainer, data, slate, 0.0, scheme=scheme, model=corrupted)
+        assert not audit_unanimity(corrupted, slate, voters, [0.0])[0].passed
+        assert not audit_condorcet(corrupted, slate, pop, [0.0])[0].passed
+        bad_cons = audit_consistency(trainer, data, slate, [0.0], scheme=scheme, model=corrupted)[0]
         assert not bad_cons.passed and bad_cons.violations
     assert t.elapsed < 300
     _report("axiom audits", f"3 audits pass honest model, fail negated model in {t.elapsed:.1f}s")
@@ -170,11 +170,11 @@ def test_criterion_5_oracle_equivalence():
                 voters = sample_voters(
                     DiagonalGaussian(mean=rng.normal(size=d), var=rng.uniform(0.01, 1, d)),
                     int(rng.integers(1, 8)), seed=int(rng.integers(0, 10000)))
-                main = audit_unanimity(model, slate, voters, eps)
+                main = audit_unanimity(model, slate, voters, [eps])[0]
                 oracle = exhaustive_axiom_check(model, slate, voters, eps, "unanimity")
             else:
                 pop = DiagonalGaussian(mean=rng.normal(size=d), var=rng.uniform(0.01, 1, d))
-                main = audit_condorcet(model, slate, pop, eps)
+                main = audit_condorcet(model, slate, pop, [eps])[0]
                 oracle = exhaustive_axiom_check(model, slate, pop, eps, "condorcet")
             assert main.anchors == oracle.anchors
             assert main.passed == oracle.passed

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cli_env
+import prefaudit.cli
+import prefaudit.pipeline
 from prefaudit.annotation import RoundRobin, UniformRandomPairs
 from prefaudit.axioms import ConsistencyScheme
 from prefaudit.config import config_from_dict, load_config
 from prefaudit.distortion import DistortionReport
 from prefaudit.errors import ConfigError, InputError
+from prefaudit.estimation import fit_mle
 from prefaudit.model import Dataset
-from prefaudit.pipeline import STAGES, child_seed, run_pipeline
+from prefaudit.pipeline import STAGES, RunDir, child_seed, run_pipeline
 from prefaudit.reports import emit_rows, emit_table, parse_rows, rows_from_reports
 from prefaudit.serialize import (
     axiom_report_from_dict,
@@ -187,6 +191,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             config_from_dict({**MINIMAL, **override})
 
+    def test_non_finite_epsilon_names_its_path(self, tmp_path):
+        # Python's json reads NaN and Infinity, so a config file can carry them
+        for token in ("NaN", "Infinity", "-Infinity"):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(MINIMAL)[:-1] + f', "audit": {{"epsilons": [0.1, {token}]}}}}')
+            with pytest.raises(ConfigError, match=r"^config\.audit\.epsilons: "):
+                load_config(path)
+            with pytest.raises(ConfigError, match=r"^config\.audit\.epsilons: "):
+                config_from_dict({**MINIMAL, "audit": {"epsilons": [float(token.lower())]}})
+
     def test_round_robin_repeats_is_used(self):
         cfg = config_from_dict(SMALL_RUN)
         assert cfg.pair_scheme == RoundRobin(repeats=40)
@@ -326,6 +340,22 @@ class TestPipeline:
         assert written["stage_seconds"] == seconds
         assert "stage_seconds" not in written["stages"]
 
+    def test_block_models_are_fitted_once_for_every_epsilon(self, tmp_path, monkeypatch):
+        fits = []
+
+        def counting_fit(*args, **kwargs):
+            fits.append(1)
+            return fit_mle(*args, **kwargs)
+
+        monkeypatch.setattr(prefaudit.pipeline, "fit_mle", counting_fit)
+        raw = {**SMALL_RUN, "audit": {"epsilons": [0.0, 0.1, 0.5], "consistency": {"partitions": 3}}}
+        manifest = run_pipeline(config_from_dict(raw), tmp_path / "run", stages=("simulate", "fit", "audit"))
+        assert manifest["stages"]["audit"]["reports"] == 9
+        reports = json.loads((tmp_path / "run" / "axioms.json").read_text())
+        assert all(r["metadata"]["skipped_partitions"] == 0 for r in reports if r["axiom"] == "consistency")
+        # the main fit, then 3 partitions x 2 blocks, whatever the number of epsilons
+        assert len(fits) == 1 + 3 * 2
+
     def test_disabled_distortion_skipped(self, tmp_path):
         raw = dict(SMALL_RUN)
         raw["distortion"] = {"enabled": False}
@@ -374,6 +404,35 @@ class TestCli:
         result = self._run(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "verify"], tmp_path)
         assert result.returncode == 0, result.stderr
         assert "OK" in result.stdout
+
+    def test_verify_checks_the_margin_and_calls_each_audit_once(self, tmp_path, monkeypatch, capsys):
+        config = config_from_dict(SMALL_RUN)
+        run_pipeline(config, tmp_path / "run", stages=("simulate", "fit"))
+        calls = []
+
+        def counted(audit):
+            def wrapped(*args):
+                calls.append(audit.__name__)
+                return audit(*args)
+            return wrapped
+
+        for name in ("audit_unanimity", "audit_condorcet"):
+            monkeypatch.setattr(prefaudit.cli, name, counted(getattr(prefaudit.cli, name)))
+        assert prefaudit.cli._verify(config, RunDir(tmp_path / "run")) == 0
+        assert sorted(calls) == ["audit_condorcet", "audit_unanimity"]
+
+        oracle = prefaudit.cli.exhaustive_axiom_check
+
+        def shifted_margin(*args):
+            report = oracle(*args)
+            return replace(report, min_margin=report.min_margin + 1e-12)
+
+        monkeypatch.setattr(prefaudit.cli, "exhaustive_axiom_check", shifted_margin)
+        capsys.readouterr()
+        assert prefaudit.cli._verify(config, RunDir(tmp_path / "run")) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["unanimity audit vs exhaustive oracle (eps=0): FAIL",
+                              "condorcet audit vs exhaustive oracle (eps=0): FAIL"]
 
     def test_rows_format(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

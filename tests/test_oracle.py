@@ -56,7 +56,7 @@ class TestExhaustiveAxiomCheck:
         slate = [rng.normal(size=2) for _ in range(5)]
         model = _model(rng.normal(size=2))
         for eps in (0.0, 0.1, 0.5):
-            main = audit_unanimity(model, slate, voters, eps)
+            main = audit_unanimity(model, slate, voters, [eps])[0]
             oracle = exhaustive_axiom_check(model, slate, voters, eps, "unanimity")
             assert main.anchors == oracle.anchors
             assert main.passed == oracle.passed
@@ -67,7 +67,7 @@ class TestExhaustiveAxiomCheck:
         slate = [rng.normal(size=2) for _ in range(5)]
         model = _model(rng.normal(size=2))
         for eps in (0.0, 0.1):
-            main = audit_condorcet(model, slate, pop, eps)
+            main = audit_condorcet(model, slate, pop, [eps])[0]
             oracle = exhaustive_axiom_check(model, slate, pop, eps, "condorcet")
             assert main.anchors == oracle.anchors
             assert main.passed == oracle.passed
@@ -78,7 +78,7 @@ class TestExhaustiveAxiomCheck:
         voters = sample_voters(PointMass(theta=theta_star), 3, seed=0)
         slate = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.5, 0.5])]
         model = _model(-theta_star)
-        main = audit_unanimity(model, slate, voters, 0.0)
+        main = audit_unanimity(model, slate, voters, [0.0])[0]
         oracle = exhaustive_axiom_check(model, slate, voters, 0.0, "unanimity")
         assert not main.passed
         assert main.violations == oracle.violations
@@ -88,7 +88,7 @@ class TestExhaustiveAxiomCheck:
                   for v in sample_voters(PointMass(theta=[s, 0.0]), 1, seed=0)]
         slate = [np.array([1.0, 0.0]), np.array([0.0, 0.0])]
         model = _model([1.0, 0.0])
-        main = audit_unanimity(model, slate, voters, 0.0)
+        main = audit_unanimity(model, slate, voters, [0.0])[0]
         oracle = exhaustive_axiom_check(model, slate, voters, 0.0, "unanimity")
         assert main.vacuous and oracle.vacuous
 
