@@ -15,8 +15,6 @@ from .model import (
     VoterParams,
     btl_prob,
     feature_vector,
-    proxy_reward,
-    reward,
 )
 
 __all__ = [
@@ -29,7 +27,5 @@ __all__ = [
     "VoterParams",
     "Dataset",
     "RewardModel",
-    "reward",
-    "proxy_reward",
     "btl_prob",
 ]

@@ -1,9 +1,11 @@
 """Pairwise annotation generation under the Bradley-Terry noise model.
 
-Labels are drawn from btl_prob of the reward gap, where the generating
-reward is either the voter's true reward or a per-feature-weighted proxy
-reward modeling labeling bias. Pairs are unordered during generation and
-slot order is randomized, so no position artifact enters the data.
+A label scheme turns voters and a slate into one voters x slate reward
+table: the voters' true rewards, or a per-feature-weighted proxy reward
+modeling labeling bias. Each label is then drawn from btl_prob of the
+gap between two entries of that table. Pairs are unordered during
+generation and slot order is randomized, so no position artifact enters
+the data.
 """
 
 from __future__ import annotations
@@ -13,17 +15,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ConfigError
-from .model import (
-    SCHEME_PROXY,
-    SCHEME_TRUE,
-    Dataset,
-    VoterParams,
-    btl_prob,
-    feature_vector,
-    proxy_reward,
-)
-from .model import reward as true_reward
+from .errors import ConfigError, InputError
+from .model import SCHEME_PROXY, SCHEME_TRUE, Dataset, VoterParams, btl_prob, feature_vector
 from .population import seeded_rng
 
 __all__ = [
@@ -46,8 +39,9 @@ class TrueRewardLabels:
     kind: str = SCHEME_TRUE
     w = None  # datasets of this scheme carry no weight vector
 
-    def reward(self, theta, a) -> float:
-        return true_reward(theta, a)
+    def rewards(self, thetas: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """(voters, m) table of true rewards <theta, a>."""
+        return thetas @ points.T
 
 
 @dataclass(frozen=True)
@@ -58,8 +52,9 @@ class ProxyLabels:
     def __post_init__(self):
         object.__setattr__(self, "w", feature_vector(self.w))
 
-    def reward(self, theta, a) -> float:
-        return proxy_reward(theta, self.w, a)
+    def rewards(self, thetas: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """(voters, m) table of proxy rewards sum_j theta_j * w_j * a_j."""
+        return (thetas * self.w) @ points.T
 
 
 @dataclass(frozen=True)
@@ -95,11 +90,9 @@ class RoundRobin:
         return list(combinations(range(n_alts), 2)) * self.repeats
 
 
-def sample_label(theta_voter: VoterParams, a0, a1, scheme, rng) -> int:
-    """Draw one BTL label: 1 with probability btl_prob(r(a1), r(a0))."""
-    theta = theta_voter.theta
-    p1 = btl_prob(scheme.reward(theta, a1), scheme.reward(theta, a0))
-    return int(rng.random() < p1)
+def sample_label(r0: float, r1: float, rng) -> int:
+    """Draw one BTL label: 1 (the second alternative wins) with probability btl_prob(r1, r0)."""
+    return int(rng.random() < btl_prob(r1, r0))
 
 
 def generate_dataset(
@@ -112,7 +105,8 @@ def generate_dataset(
 ) -> Dataset:
     """Generate a pairwise-comparison dataset, deterministic given seed.
 
-    Each record draws its slot order, its voter (unless assigned by
+    The label scheme's voters x slate reward table is built once. Each
+    record then draws its slot order, its voter (unless assigned by
     position) and its label, in that order, one record at a time.
     """
     if len(alts) < 2:
@@ -121,6 +115,15 @@ def generate_dataset(
         raise ConfigError("dataset generation needs at least 1 voter")
     if assignment not in (EACH_PAIR_RANDOM_VOTER, PARTITION_BY_VOTER):
         raise ConfigError(f"unknown assignment scheme {assignment!r}")
+    shapes = {np.shape(a) for a in alts} | {v.theta.shape for v in voters}
+    if label_scheme.w is not None:
+        shapes.add(label_scheme.w.shape)
+    if len(shapes) != 1:
+        raise InputError(
+            f"dimension mismatch: voters, slate and label weights have shapes {sorted(shapes)}"
+        )
+    points = np.array(alts, dtype=np.float64)
+    table = label_scheme.rewards(np.stack([v.theta for v in voters]), points)
     rng = seeded_rng(seed)
     pairs = pair_scheme.pairs(len(alts), rng)
     rows = []
@@ -128,11 +131,11 @@ def generate_dataset(
         if rng.random() < 0.5:
             i, j = j, i
         if assignment == EACH_PAIR_RANDOM_VOTER:
-            voter = voters[int(rng.integers(0, len(voters)))]
+            v = int(rng.integers(0, len(voters)))
         else:
-            voter = voters[k % len(voters)]
-        rows.append((i, j, voter.voter_id, sample_label(voter, alts[i], alts[j], label_scheme, rng)))
-    first, second, voter_ids, labels = np.array(rows, dtype=np.int64).reshape(-1, 4).T
-    points = np.array(alts, dtype=np.float64)
-    return Dataset(voter=voter_ids, label=labels, a0=points[first], a1=points[second],
+            v = k % len(voters)
+        rows.append((i, j, v, sample_label(table[v, i], table[v, j], rng)))
+    first, second, voter_rows, labels = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    voter_ids = np.array([v.voter_id for v in voters], dtype=np.int64)
+    return Dataset(voter=voter_ids[voter_rows], label=labels, a0=points[first], a1=points[second],
                    scheme=label_scheme.kind, w=label_scheme.w)

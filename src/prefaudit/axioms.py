@@ -158,6 +158,18 @@ class ConsistencyScheme:
     num_partitions: int = 10
     seed: int = 0
 
+    def __post_init__(self):
+        if self.num_blocks < 2:
+            raise ConfigError(f"number of blocks must be >= 2, got {self.num_blocks}")
+        # the smallest of k blocks holds at most 1/k of the voters; NaN fails too
+        if not 0 <= self.min_fraction <= 1 / self.num_blocks:
+            raise ConfigError(
+                f"min_fraction must be in [0, 1/{self.num_blocks}] for {self.num_blocks} blocks, "
+                f"got {self.min_fraction}"
+            )
+        if self.num_partitions < 0:
+            raise ConfigError(f"number of partitions must be >= 0, got {self.num_partitions}")
+
 
 def audit_consistency(
     trainer,
@@ -190,7 +202,7 @@ def audit_consistency(
     if n < 2:
         raise InputError("consistency audit needs >= 2 voters with data")
     k = scheme.num_blocks
-    if k < 2 or k > n:
+    if k > n:
         raise ConfigError(f"num_blocks must be in [2, {n}]")
     if n // k < scheme.min_fraction * n:
         # equal-as-possible split: smallest block has n // k voters

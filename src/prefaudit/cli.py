@@ -16,7 +16,7 @@ from .config import config_from_dict, load_config
 from .errors import ConfigError, InputError, PrefAuditError
 from .estimation import nll
 from .oracle import brute_force_mle, exhaustive_axiom_check
-from .pipeline import AXIOMS_FILE, DISTORTION_FILE, MODEL_FILE, RunDir, run_pipeline
+from .pipeline import AXIOMS_FILE, DISTORTION_FILE, MODEL_FILE, STAGES, RunDir, run_pipeline
 from .reports import emit_rows, emit_table, rows_from_reports
 from .serialize import axiom_report_from_dict, distortion_report_from_dict, load_json
 from .axioms import audit_condorcet, audit_unanimity
@@ -30,7 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=["table", "rows"], default="table", help="report format for audit/run"
     )
-    parser.add_argument("command", choices=["simulate", "fit", "audit", "distort", "verify", "run"])
+    parser.add_argument("command", choices=[*STAGES, "verify", "run"])
     return parser
 
 
@@ -84,25 +84,17 @@ def main(argv=None) -> int:
             raw["seed"] = args.seed
             config = config_from_dict(raw)
         out = Path(args.out or config.raw.get("output_dir", "out"))
-        if args.command == "run":
-            run_pipeline(config, out)
-            _emit(args, out)
-        elif args.command == "verify":
+        if args.command == "verify":
             if not (out / MODEL_FILE).exists():
                 run_pipeline(config, out, stages=("simulate", "fit"))
             failures = _verify(config, RunDir(out))
             if failures:
                 print(f"{failures} oracle check(s) failed", file=sys.stderr)
                 return 2
-        elif args.command == "simulate":
-            run_pipeline(config, out, stages=("simulate",))
-        elif args.command == "fit":
-            run_pipeline(config, out, stages=("fit",))
-        elif args.command == "audit":
-            run_pipeline(config, out, stages=("audit",))
-            _emit(args, out)
-        elif args.command == "distort":
-            run_pipeline(config, out, stages=("distort",))
+        else:
+            run_pipeline(config, out, STAGES if args.command == "run" else (args.command,))
+            if args.command in ("run", "audit"):
+                _emit(args, out)
     except (ConfigError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

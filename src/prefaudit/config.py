@@ -193,6 +193,14 @@ def _fields(given, fields: dict, path: str, what: str = "") -> dict:
     return out
 
 
+def _make(path: str, make, **args):
+    """``make(**args)``, with a validation error raised as a ConfigError naming ``path``."""
+    try:
+        return make(**args)
+    except (ConfigError, InputError) as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
 def _build(given, kinds: dict, path: str, what: str, dim: int | None = None):
     """(spec, echo) for a kind-tagged object, built by the table ``kinds``.
 
@@ -214,10 +222,7 @@ def _build(given, kinds: dict, path: str, what: str, dim: int | None = None):
         for k, v in checked.items()
         if k != "kind"
     }
-    try:
-        spec = make(**args)
-    except (ConfigError, InputError) as e:
-        raise ConfigError(f"{path}: {e}") from None
+    spec = _make(path, make, **args)
     if dim is not None and spec.dim != dim:
         raise ConfigError(f"{path}: dimension {spec.dim} != experiment dimension {dim}")
     return spec, checked
@@ -255,15 +260,29 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         )
 
     est = full["estimation"]
-    if est["lambda"] < 0:
-        raise ConfigError("config.estimation.lambda: must be >= 0")
+    for key, ok, rule in (
+        ("lambda", math.isfinite(est["lambda"]) and est["lambda"] >= 0, "finite and >= 0"),
+        ("grad_tol", math.isfinite(est["grad_tol"]) and est["grad_tol"] > 0, "finite and > 0"),
+        ("max_iters", est["max_iters"] >= 1, ">= 1"),
+    ):
+        if not ok:
+            raise ConfigError(f"config.estimation.{key}: must be {rule}, got {est[key]!r}")
     aud = full["audit"]
     if not all(math.isfinite(e) and e >= 0 for e in aud["epsilons"]):
         raise ConfigError("config.audit.epsilons: entries must be finite and >= 0")
     cons = aud["consistency"]
+    consistency = _make(
+        "config.audit.consistency", ConsistencyScheme, num_blocks=cons["blocks"],
+        min_fraction=float(cons["min_fraction"]), num_partitions=cons["partitions"],
+    )
     dist = full["distortion"]
-    if dist["delta"] < 0:
-        raise ConfigError("config.distortion.delta: must be >= 0")
+    if not dist["delta"] >= 0:  # NaN too
+        raise ConfigError(f"config.distortion.delta: must be >= 0, got {dist['delta']!r}")
+    search = _make(
+        "config.distortion", SearchSpec, grid_resolution=dist["grid_resolution"],
+        bound=float(dist["bound"]), w_mode=dist["w_mode"], w_lo=float(dist["w_lo"]),
+        w_hi=float(dist["w_hi"]), random_samples=dist["random_samples"],
+    )
 
     return ExperimentConfig(
         dimension=dim,
@@ -279,21 +298,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         grad_tol=float(est["grad_tol"]),
         max_iters=est["max_iters"],
         epsilons=tuple(float(e) for e in aud["epsilons"]),
-        consistency=ConsistencyScheme(
-            num_blocks=cons["blocks"],
-            min_fraction=float(cons["min_fraction"]),
-            num_partitions=cons["partitions"],
-        ),
+        consistency=consistency,
         distortion_enabled=dist["enabled"],
         delta=float(dist["delta"]),
-        search=SearchSpec(
-            grid_resolution=dist["grid_resolution"],
-            bound=float(dist["bound"]),
-            w_mode=dist["w_mode"],
-            w_lo=float(dist["w_lo"]),
-            w_hi=float(dist["w_hi"]),
-            random_samples=dist["random_samples"],
-        ),
+        search=search,
         raw=full,
     )
 

@@ -50,6 +50,18 @@ class SearchSpec:
     seed: int = 0
     random_samples: int = 20000  # fallback sample count for d > GRID_DIM_LIMIT
 
+    def __post_init__(self):
+        if self.grid_resolution < 2:
+            raise InputError(f"grid_resolution must be >= 2, got {self.grid_resolution}")
+        if not (np.isfinite(self.bound) and self.bound > 0):
+            raise InputError(f"bound must be finite and positive, got {self.bound}")
+        if self.w_mode not in ("ones", "grid"):
+            raise InputError(f"unknown w_mode {self.w_mode!r}")
+        if not (np.isfinite(self.w_lo) and np.isfinite(self.w_hi) and self.w_lo <= self.w_hi):
+            raise InputError(f"need finite w_lo <= w_hi, got {self.w_lo} and {self.w_hi}")
+        if self.random_samples < 1:
+            raise InputError(f"random_samples must be >= 1, got {self.random_samples}")
+
 
 @dataclass(frozen=True)
 class DistortionReport:
@@ -98,25 +110,15 @@ def consistent_set_membership(theta, w, data, delta: float, lam: float,
 def _hypotheses(d: int, search: SearchSpec):
     """Yield (theta, w) candidates in a deterministic order."""
     g = search.grid_resolution
-    if g < 2:
-        raise InputError("grid resolution must be >= 2")
-    if not np.isfinite(search.bound) or search.bound <= 0:
-        raise InputError("search bound must be finite and positive")
-    if search.w_mode == "ones":
-        w_candidates = [np.ones(d)]
-    elif search.w_mode == "grid":
-        w_axis = np.linspace(search.w_lo, search.w_hi, g)
-        w_candidates = None  # built lazily below
-    else:
-        raise InputError(f"unknown w_mode {search.w_mode!r}")
-
     if d <= GRID_DIM_LIMIT:
         axis = np.linspace(-search.bound, search.bound, g)
         thetas = (np.array(p) for p in product(axis, repeat=d))
         if search.w_mode == "ones":
+            ones = np.ones(d)
             for theta in thetas:
-                yield theta, w_candidates[0]
+                yield theta, ones
         else:
+            w_axis = np.linspace(search.w_lo, search.w_hi, g)
             for theta in thetas:
                 for wp in product(w_axis, repeat=d):
                     yield theta, np.array(wp)
@@ -150,8 +152,8 @@ def worst_case_regret(
     """
     if len(slate) < 2:
         raise InputError("regret search needs a slate of >= 2 alternatives")
-    if delta < 0:
-        raise InputError("delta must be >= 0")
+    if not delta >= 0:  # NaN too
+        raise InputError(f"delta must be >= 0, got {delta}")
     alts = np.stack([np.asarray(a, dtype=np.float64) for a in slate])
     d = alts.shape[1]
     if model.theta_hat.shape[0] != d:

@@ -1,10 +1,11 @@
-"""Core domain types and the elementary reward/probability formulas.
+"""Core domain types and the Bradley-Terry choice probability.
 
 Alternatives and voter preference weights are plain 1-D float64 numpy
 arrays validated through :func:`feature_vector`. A voter's reward for an
 alternative is the inner product of the preference weights with the
-alternative's features; pairwise labels follow the Bradley-Terry noise
-model on reward differences.
+alternative's features (the label schemes in ``annotation`` compute it
+for every voter and alternative at once); pairwise labels follow the
+Bradley-Terry noise model on reward differences, :func:`btl_prob`.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ __all__ = [
     "VoterParams",
     "Dataset",
     "RewardModel",
-    "reward",
-    "proxy_reward",
     "btl_prob",
     "SCHEME_TRUE",
     "SCHEME_PROXY",
@@ -46,14 +45,6 @@ def feature_vector(coords) -> np.ndarray:
         raise InputError("feature vector has non-finite coordinates")
     arr.setflags(write=False)
     return arr
-
-
-def _check_dims(*arrays: np.ndarray) -> int:
-    d = arrays[0].shape[0]
-    for a in arrays[1:]:
-        if a.shape[0] != d:
-            raise InputError(f"dimension mismatch: {d} vs {a.shape[0]}")
-    return d
 
 
 @dataclass(frozen=True)
@@ -114,7 +105,8 @@ class Dataset:
             raise InputError("the proxy scheme, and only it, requires a weight vector w")
         if self.w is not None:
             object.__setattr__(self, "w", feature_vector(self.w))
-            _check_dims(a0[0], self.w)
+            if self.w.shape[0] != a0.shape[1]:
+                raise InputError(f"dimension mismatch: {a0.shape[1]} vs {self.w.shape[0]}")
         for name, column in zip(self._COLUMNS, (voter, label.astype(np.int64), a0, a1)):
             column.setflags(write=False)
             object.__setattr__(self, name, column)
@@ -161,23 +153,6 @@ class RewardModel:
         object.__setattr__(self, "theta_hat", feature_vector(self.theta_hat))
         if self.lam < 0:
             raise InputError("regularization strength must be >= 0")
-
-
-def reward(theta: np.ndarray, a: np.ndarray) -> float:
-    """Voter reward for an alternative: the inner product <theta, a>."""
-    theta = np.asarray(theta, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    _check_dims(theta, a)
-    return float(theta @ a)
-
-
-def proxy_reward(theta: np.ndarray, w: np.ndarray, a: np.ndarray) -> float:
-    """Bias-distorted annotation reward: sum_j theta_j * w_j * a_j."""
-    theta = np.asarray(theta, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    _check_dims(theta, w, a)
-    return float((theta * w) @ a)
 
 
 def btl_prob(r_a: float, r_b: float) -> float:

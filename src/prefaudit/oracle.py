@@ -71,8 +71,8 @@ def exhaustive_axiom_check(model, slate, voters_or_pop, epsilon: float, axiom: s
         raise InputError("slate must hold >= 2 alternatives")
     if len(slate) > 50:
         raise InputError("exhaustive check is limited to slates of <= 50")
-    if epsilon < 0:
-        raise InputError("epsilon must be >= 0")
+    if not math.isfinite(epsilon) or epsilon < 0:
+        raise InputError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     anchors = []
     min_margin = None
     for i, a in enumerate(slate):

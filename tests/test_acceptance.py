@@ -25,7 +25,7 @@ from prefaudit.axioms import (
 )
 from prefaudit.distortion import SearchSpec, worst_case_regret
 from prefaudit.estimation import borda_scores, fit_mle, nll, nll_gradient, score
-from prefaudit.model import RewardModel, VoterParams, btl_prob
+from prefaudit.model import RewardModel, btl_prob
 from prefaudit.oracle import brute_force_mle, exhaustive_axiom_check
 from prefaudit.population import (
     DiagonalGaussian,
@@ -82,11 +82,10 @@ def test_criterion_1_btl_correctness():
         for k in range(20):
             theta = rng.uniform(-1, 1, 2)
             a0, a1 = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-            voter = VoterParams(voter_id=0, theta=theta)
-            p = btl_prob(float(theta @ a1), float(theta @ a0))
+            r0, r1 = float(theta @ a0), float(theta @ a1)
+            p = btl_prob(r1, r0)
             label_rng = np.random.Generator(np.random.Philox(key=100 + k))
-            mean = np.mean([sample_label(voter, a0, a1, TrueRewardLabels(), label_rng)
-                            for _ in range(draws)])
+            mean = np.mean([sample_label(r0, r1, label_rng) for _ in range(draws)])
             se = np.sqrt(p * (1 - p) / draws)
             assert abs(mean - p) <= 3 * se
     assert t.elapsed < 5

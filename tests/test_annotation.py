@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import prefaudit.annotation
 from prefaudit.annotation import (
     EACH_PAIR_RANDOM_VOTER,
     PARTITION_BY_VOTER,
@@ -20,9 +23,9 @@ N_DRAWS = 10000
 
 
 def _label_mean(theta, a0, a1, scheme, seed=0, n=N_DRAWS):
-    voter = VoterParams(voter_id=0, theta=theta)
+    r0, r1 = scheme.rewards(np.array([theta]), np.array([a0, a1]))[0]
     rng = np.random.Generator(np.random.Philox(key=seed))
-    return np.mean([sample_label(voter, a0, a1, scheme, rng) for _ in range(n)])
+    return np.mean([sample_label(r0, r1, rng) for _ in range(n)])
 
 
 class TestSampleLabel:
@@ -95,6 +98,20 @@ class TestGenerateDataset:
         b = generate_dataset(*args, seed=11)
         assert a == b
 
+    @pytest.mark.parametrize("theta, alts, labels", [
+        ([1.0, 2.0], [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]], TrueRewardLabels()),
+        ([1.0, 2.0], [[1.0, 2.0], [0.0, 0.0, 0.0]], TrueRewardLabels()),
+        ([1.0, 2.0], [[1.0, 2.0], [0.0, 0.0]], ProxyLabels(w=[1.0, 1.0, 1.0])),
+    ], ids=["voter-vs-slate", "ragged-slate", "proxy-weights"])
+    def test_dimension_mismatch(self, theta, alts, labels, monkeypatch):
+        def no_draws(seed):
+            raise AssertionError("a draw was made before the dimension check")
+
+        monkeypatch.setattr(prefaudit.annotation, "seeded_rng", no_draws)
+        with pytest.raises(InputError, match="dimension mismatch"):
+            generate_dataset([VoterParams(voter_id=0, theta=theta)], alts, RoundRobin(),
+                             EACH_PAIR_RANDOM_VOTER, labels, seed=0)
+
     def test_proxy_scheme_tagged_in_records(self):
         voters = sample_voters(PointMass(theta=[1.0]), 1, seed=0)
         alts = [np.array([0.0]), np.array([1.0])]
@@ -104,13 +121,21 @@ class TestGenerateDataset:
         assert np.array_equal(records.w, [0.5])
 
 
-def test_swap_and_flip_preserves_nll():
-    """Swapping slots and flipping the label leaves any theta's NLL unchanged."""
-    rng = np.random.default_rng(0)
-    rows = [(rng.normal(size=3), rng.normal(size=3), int(rng.integers(0, 2))) for _ in range(30)]
-    a0, a1, label = zip(*rows)
-    records = Dataset(voter=[0] * 30, label=label, a0=a0, a1=a1)
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    rows=st.lists(
+        st.tuples(st.lists(st.floats(-10, 10), min_size=8, max_size=8), st.integers(0, 1)),
+        min_size=1, max_size=30),
+    theta=st.lists(st.floats(-10, 10), min_size=4, max_size=4),
+    lam=st.floats(0.0, 1.0),
+)
+def test_swap_and_flip_preserves_nll(d, rows, theta, lam):
+    """Swapping slots and flipping the label leaves the winner-minus-loser
+    matrix, and so any theta's NLL, exactly unchanged."""
+    records = Dataset(voter=[0] * len(rows), label=[label for _, label in rows],
+                      a0=[x[:d] for x, _ in rows], a1=[x[4:4 + d] for x, _ in rows])
     swapped = Dataset(voter=records.voter, label=1 - records.label, a0=records.a1, a1=records.a0)
-    for _ in range(10):
-        theta = rng.normal(size=3)
-        assert abs(nll(theta, records, 0.0) - nll(theta, swapped, 0.0)) <= 1e-12
+    assert np.array_equal(records.winner_minus_loser(), swapped.winner_minus_loser())
+    theta = np.array(theta[:d])
+    assert nll(theta, records, lam) == nll(theta, swapped, lam)

@@ -1,5 +1,7 @@
+import importlib
 import importlib.util
 import json
+import pkgutil
 import re
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cli_env
+import prefaudit
 import prefaudit.cli
 import prefaudit.pipeline
 from prefaudit.annotation import RoundRobin, UniformRandomPairs
@@ -186,6 +189,26 @@ class TestLoadConfig:
          "config.annotation.pairs: repeats must be >= 1, got -2"),
         ({"annotation": {"pairs": {"kind": "uniform-random", "count": 0}}},
          "config.annotation.pairs: count must be >= 1, got 0"),
+        ({"estimation": {"grad_tol": -1}}, "config.estimation.grad_tol: must be finite and > 0, got -1"),
+        ({"estimation": {"grad_tol": float("nan")}},
+         "config.estimation.grad_tol: must be finite and > 0, got nan"),
+        ({"estimation": {"max_iters": 0}}, "config.estimation.max_iters: must be >= 1, got 0"),
+        ({"estimation": {"lambda": float("nan")}}, "config.estimation.lambda: must be finite and >= 0, got nan"),
+        ({"audit": {"consistency": {"min_fraction": float("nan")}}},
+         "config.audit.consistency: min_fraction must be in [0, 1/2] for 2 blocks, got nan"),
+        ({"audit": {"consistency": {"partitions": -1}}},
+         "config.audit.consistency: number of partitions must be >= 0, got -1"),
+        ({"audit": {"consistency": {"blocks": 1}}},
+         "config.audit.consistency: number of blocks must be >= 2, got 1"),
+        ({"distortion": {"delta": float("nan")}}, "config.distortion.delta: must be >= 0, got nan"),
+        ({"distortion": {"random_samples": -5}}, "config.distortion: random_samples must be >= 1, got -5"),
+        ({"distortion": {"grid_resolution": 1}}, "config.distortion: grid_resolution must be >= 2, got 1"),
+        ({"distortion": {"bound": float("inf")}},
+         "config.distortion: bound must be finite and positive, got inf"),
+        ({"distortion": {"w_mode": "bogus"}}, "config.distortion: unknown w_mode 'bogus'"),
+        ({"distortion": {"w_lo": 3.0}}, "config.distortion: need finite w_lo <= w_hi, got 3.0 and 2.0"),
+        ({"audit": {"consistency": {"min_fraction": 0.6}}},
+         "config.audit.consistency: min_fraction must be in [0, 1/2] for 2 blocks, got 0.6"),
     ])
     def test_out_of_range_value_names_its_path(self, override, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -434,6 +457,19 @@ class TestCli:
         assert lines[-2:] == ["unanimity audit vs exhaustive oracle (eps=0): FAIL",
                               "condorcet audit vs exhaustive oracle (eps=0): FAIL"]
 
+    def test_stage_commands_write_what_run_writes(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_RUN))
+        staged, whole = tmp_path / "staged", tmp_path / "whole"
+        for stage in STAGES:
+            result = self._run(["--config", str(cfg_path), "--out", str(staged), stage], tmp_path)
+            assert result.returncode == 0, result.stderr
+        result = self._run(["--config", str(cfg_path), "--out", str(whole), "run"], tmp_path)
+        assert result.returncode == 0, result.stderr
+        for name in ("dataset.records", "slate.json", "voters.json",
+                     "model.json", "axioms.json", "distortion.json"):
+            assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
+
     def test_rows_format(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(SMALL_RUN))
@@ -473,3 +509,20 @@ def test_benchmark_tracer_hooks_exist():
     assert tracer.WRAPPED
     for module, attr, _, _ in tracer.WRAPPED:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_public_surface_resolves(capsys):
+    """The README's Python snippet runs, and every name in every module's
+    ``__all__`` exists, so a deleted export cannot linger in either."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    snippets = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert snippets
+    for snippet in snippets:
+        exec(compile(snippet, "README.md", "exec"), {})
+    assert capsys.readouterr().out
+    modules = [prefaudit] + [importlib.import_module(f"prefaudit.{m.name}")
+                             for m in pkgutil.iter_modules(prefaudit.__path__)]
+    assert len(modules) > 10
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"

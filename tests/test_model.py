@@ -3,14 +3,17 @@ import numpy as np
 import pytest
 
 from conftest import random_records
+from prefaudit.annotation import ProxyLabels, TrueRewardLabels
 from prefaudit.errors import InputError
-from prefaudit.model import (
-    Dataset,
-    btl_prob,
-    feature_vector,
-    proxy_reward,
-    reward,
-)
+from prefaudit.model import Dataset, btl_prob, feature_vector
+
+
+TRUE = TrueRewardLabels()
+
+
+def _rewards(scheme, theta, *points):
+    """One voter's row of the scheme's reward table over ``points``."""
+    return scheme.rewards(np.array([theta], dtype=float), np.array(points, dtype=float))[0]
 
 
 class TestFeatureVector:
@@ -34,43 +37,45 @@ class TestFeatureVector:
 
 class TestReward:
     def test_hand_computed_dot_product(self):
-        assert reward([1, -1], [2, 3]) == -1.0
+        assert _rewards(TRUE, [1, -1], [2, 3]).tolist() == [-1.0]
 
     def test_zero_theta(self):
-        assert reward([0, 0, 0], [4, 5, 6]) == 0.0
+        assert _rewards(TRUE, [0, 0, 0], [4, 5, 6]).tolist() == [0.0]
 
     def test_unit_vectors(self):
-        assert reward([1, 0], [1, 0]) == 1.0
+        assert _rewards(TRUE, [1, 0], [1, 0]).tolist() == [1.0]
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            reward([1, 2], [1, 2, 3])
+    def test_table_shape(self):
+        thetas = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+        points = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert TRUE.rewards(thetas, points).tolist() == [[1.0, 3.0], [4.0, 8.0], [3.0, 7.0]]
 
     def test_linearity(self, rng):
         for _ in range(50):
             theta = rng.normal(size=4)
             a, b = rng.normal(size=4), rng.normal(size=4)
             alpha, beta = rng.normal(), rng.normal()
-            lhs = reward(theta, alpha * a + beta * b)
-            rhs = alpha * reward(theta, a) + beta * reward(theta, b)
-            assert lhs == pytest.approx(rhs, abs=1e-9)
+            lhs, ra, rb = _rewards(TRUE, theta, alpha * a + beta * b, a, b)
+            assert lhs == pytest.approx(alpha * ra + beta * rb, abs=1e-9)
 
 
 class TestProxyReward:
     def test_all_ones_reduces_to_reward(self):
-        assert proxy_reward([1, 1], [1, 1], [2, 3]) == reward([1, 1], [2, 3]) == 5.0
+        proxy = _rewards(ProxyLabels(w=[1, 1]), [1, 1], [2, 3])
+        assert proxy.tolist() == _rewards(TRUE, [1, 1], [2, 3]).tolist() == [5.0]
 
     def test_hand_computed_weighted_product(self):
-        assert proxy_reward([1, 1], [2, 0], [2, 3]) == 4.0
+        assert _rewards(ProxyLabels(w=[2, 0]), [1, 1], [2, 3]).tolist() == [4.0]
 
     def test_zero_weights(self):
-        assert proxy_reward([1, -1], [0, 0], [7, 9]) == 0.0
+        assert _rewards(ProxyLabels(w=[0, 0]), [1, -1], [7, 9]).tolist() == [0.0]
 
     def test_all_ones_exact_equality(self, rng):
+        ones = ProxyLabels(w=np.ones(3))
         for _ in range(50):
             theta = rng.normal(size=3)
             a = rng.normal(size=3)
-            assert proxy_reward(theta, np.ones(3), a) == reward(theta, a)
+            assert np.array_equal(_rewards(ones, theta, a), _rewards(TRUE, theta, a))
 
 
 class TestBtlProb:

@@ -96,3 +96,15 @@ class TestExhaustiveAxiomCheck:
         with pytest.raises(InputError):
             exhaustive_axiom_check(_model([1.0]), [np.array([0.0]), np.array([1.0])],
                                    [], 0.0, "consistency")
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf"), -0.1])
+    def test_rejects_epsilon_not_finite_and_non_negative(self, epsilon):
+        # at epsilon 0 this negated model fails; a NaN or infinite epsilon
+        # would dominate nothing and report a vacuous pass
+        voters = sample_voters(PointMass(theta=[1.0, 0.0]), 1, seed=0)
+        slate = [np.array([1.0, 0.0]), np.array([0.0, 0.0])]
+        model = _model([-1.0, 0.0])
+        assert not exhaustive_axiom_check(model, slate, voters, 0.0, "unanimity").passed
+        for axiom, population in (("unanimity", voters), ("condorcet", PointMass(theta=[1.0, 0.0]))):
+            with pytest.raises(InputError, match="epsilon"):
+                exhaustive_axiom_check(model, slate, population, epsilon, axiom)

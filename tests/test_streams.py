@@ -14,6 +14,7 @@ import pytest
 
 from prefaudit.annotation import (
     EACH_PAIR_RANDOM_VOTER,
+    PARTITION_BY_VOTER,
     ProxyLabels,
     RoundRobin,
     TrueRewardLabels,
@@ -77,6 +78,14 @@ DATASET_DIGESTS = {
     ("uniform-random", "proxy"): "7da8d4ff4de49945c678f65f4422b3db92eddb0adf10517548efa5ca33bf094a",
 }
 
+# the same datasets with voters assigned by position (the large-n workload's assignment)
+PARTITION_DIGESTS = {
+    ("round-robin", "true-reward"): "e929ce05087b013aed89df30941d3dc1d2d582e6cb203248807ce0ea739323c6",
+    ("round-robin", "proxy"): "1dab256e5bc4ff719d25dcb0f055af01901cb7905e208fa5fed799d303ee9dbc",
+    ("uniform-random", "true-reward"): "7805eceb2e913bebf215ed2bba8d65a8ef152d0a83281394464e8246de116ec7",
+    ("uniform-random", "proxy"): "5e8d3d7a725b2e6d678524e60caa1a42a3d73add76658286fcb45c3fa5f73f39",
+}
+
 PAIR_SCHEMES = {"round-robin": RoundRobin(repeats=3), "uniform-random": UniformRandomPairs(count=40)}
 LABEL_SCHEMES = {"true-reward": TrueRewardLabels(), "proxy": ProxyLabels(w=[1.0, 0.5, 1.5])}
 
@@ -93,13 +102,22 @@ def test_slate_stream(kind):
     assert _digest(sample_alternatives(SLATES[kind], 7, SEED)) == SLATE_DIGESTS[kind]
 
 
-@pytest.mark.parametrize("pairs, labels", sorted(DATASET_DIGESTS))
-def test_dataset_stream(pairs, labels, tmp_path):
+def _dataset_digest(pairs, labels, assignment, tmp_path) -> str:
     voters = sample_voters(POPULATIONS["mixture"], 6, SEED)
     slate = sample_alternatives(SLATES["uniform-box"], 5, SEED + 1)
     records = generate_dataset(
-        voters, slate, PAIR_SCHEMES[pairs], EACH_PAIR_RANDOM_VOTER, LABEL_SCHEMES[labels], SEED + 2
+        voters, slate, PAIR_SCHEMES[pairs], assignment, LABEL_SCHEMES[labels], SEED + 2
     )
     write_records(tmp_path / "data.records", records)
     text = (tmp_path / "data.records").read_text()[:-1]  # the lines, without the last newline
-    assert hashlib.sha256(text.encode()).hexdigest() == DATASET_DIGESTS[(pairs, labels)]
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("pairs, labels", sorted(DATASET_DIGESTS))
+def test_dataset_stream(pairs, labels, tmp_path):
+    assert _dataset_digest(pairs, labels, EACH_PAIR_RANDOM_VOTER, tmp_path) == DATASET_DIGESTS[(pairs, labels)]
+
+
+@pytest.mark.parametrize("pairs, labels", sorted(PARTITION_DIGESTS))
+def test_partition_by_voter_dataset_stream(pairs, labels, tmp_path):
+    assert _dataset_digest(pairs, labels, PARTITION_BY_VOTER, tmp_path) == PARTITION_DIGESTS[(pairs, labels)]
