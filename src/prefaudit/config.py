@@ -35,7 +35,7 @@ from .population import (
     UniformBox,
 )
 
-__all__ = ["ExperimentConfig", "load_config", "config_defaults"]
+__all__ = ["ExperimentConfig", "load_config"]
 
 DEFAULTS = {
     "num_voters": 50,
@@ -316,7 +316,3 @@ def load_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}: {e.msg}") from None
     return config_from_dict(raw)
-
-
-def config_defaults() -> dict:
-    return json.loads(json.dumps(DEFAULTS))

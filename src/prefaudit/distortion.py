@@ -17,17 +17,14 @@ from itertools import product
 import numpy as np
 
 from .errors import InputError
-from .estimation import _nll_from_deltas, fit_mle, nll, score
+# nll is unused here but stays importable: the benchmark's tracer wraps
+# prefaudit.distortion.nll, and a test patches it to prove that the search
+# never calls it per hypothesis
+from .estimation import _nll_from_deltas, nll, score
 from .model import RewardModel
 from .population import seeded_rng
 
-__all__ = [
-    "SearchSpec",
-    "DistortionReport",
-    "welfare",
-    "consistent_set_membership",
-    "worst_case_regret",
-]
+__all__ = ["SearchSpec", "DistortionReport", "worst_case_regret"]
 
 GRID_DIM_LIMIT = 3
 
@@ -74,62 +71,29 @@ class DistortionReport:
     metadata: dict = field(default_factory=dict, compare=False)
 
 
-def welfare(pop, a) -> float:
-    """Analytic expected utility of an alternative: <E[theta], a>."""
-    a = np.asarray(a, dtype=np.float64)
-    mean = pop.expected_theta()
-    if mean.shape != a.shape:
-        raise InputError("alternative dimension differs from population dimension")
-    return float(mean @ a)
+def _hypotheses(d: int, search: SearchSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The (thetas, ws) table, one row per hypothesis in search order.
 
-
-def consistent_set_membership(theta, w, data, delta: float, lam: float,
-                              best_nll: float | None = None) -> bool:
-    """True iff the hypothesis's NLL is within delta of the best found.
-
-    The NLL depends only on the elementwise product theta * w. When
-    best_nll is not supplied it is computed once via fit_mle.
+    The grid runs in ``product`` order, theta outer and w inner; above
+    GRID_DIM_LIMIT each sample draws theta, then w, from search.seed.
+    With w_mode="ones", ws is one all-ones row broadcast to every theta.
     """
-    if delta < 0:
-        raise InputError("delta must be >= 0")
-    theta = np.asarray(theta, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if theta.shape != w.shape:
-        raise InputError("theta and w dimensions differ")
-    if best_nll is None:
-        best_nll = fit_mle(data, lam=lam).final_nll
-    try:
-        val = nll(theta * w, data, lam)
-    except (OverflowError, FloatingPointError):
-        return False
-    if not np.isfinite(val):
-        return False
-    return val <= best_nll + delta
-
-
-def _hypotheses(d: int, search: SearchSpec):
-    """Yield (theta, w) candidates in a deterministic order."""
     g = search.grid_resolution
+    grid_w = search.w_mode == "grid"
     if d <= GRID_DIM_LIMIT:
-        axis = np.linspace(-search.bound, search.bound, g)
-        thetas = (np.array(p) for p in product(axis, repeat=d))
-        if search.w_mode == "ones":
-            ones = np.ones(d)
-            for theta in thetas:
-                yield theta, ones
-        else:
-            w_axis = np.linspace(search.w_lo, search.w_hi, g)
-            for theta in thetas:
-                for wp in product(w_axis, repeat=d):
-                    yield theta, np.array(wp)
+        thetas = np.array(list(product(np.linspace(-search.bound, search.bound, g), repeat=d)))
+        if grid_w:
+            w_rows = np.array(list(product(np.linspace(search.w_lo, search.w_hi, g), repeat=d)))
+            return np.repeat(thetas, len(w_rows), axis=0), np.tile(w_rows, (len(thetas), 1))
     else:
         rng = seeded_rng(search.seed)
-        for _ in range(search.random_samples):
-            theta = rng.uniform(-search.bound, search.bound, size=d)
-            if search.w_mode == "ones":
-                yield theta, np.ones(d)
-            else:
-                yield theta, rng.uniform(search.w_lo, search.w_hi, size=d)
+        n = search.random_samples
+        if grid_w:  # bit for bit the n per-sample draws of theta, then w
+            lo, hi = [[-search.bound], [search.w_lo]], [[search.bound], [search.w_hi]]
+            draws = rng.uniform(lo, hi, size=(n, 2, d))
+            return draws[:, 0], draws[:, 1]
+        thetas = rng.uniform(-search.bound, search.bound, size=(n, d))
+    return thetas, np.broadcast_to(np.ones(d), thetas.shape)
 
 
 def worst_case_regret(
@@ -167,33 +131,29 @@ def worst_case_regret(
     scores = np.array([score(model, a) for a in slate])
     a_star = int(np.argmax(scores))  # np.argmax ties -> lowest index
 
-    # The winner-minus-loser matrix is built once and every hypothesis is
-    # scored with the kernel nll() uses, so each NLL equals nll(theta * w).
-    # Pass 1 keeps one NLL per hypothesis and finds the best NLL achieved
-    # on the grid (the continuous fit sits strictly below every grid point,
-    # so using it would empty the set at delta=0). Pass 2 regenerates the
-    # same deterministic stream (the random fallback reseeds from
-    # search.seed) and takes the max regret over the consistent
-    # hypotheses; the first maximizer in stream order wins.
-    fit_nll = model.final_nll
+    # The winner-minus-loser matrix is built once and every hypothesis row
+    # is scored once with the kernel nll() uses, so each NLL equals
+    # nll(theta * w). The threshold is the best NLL achieved on the grid
+    # (the continuous fit sits strictly below every grid point, so using
+    # it would empty the set at delta=0). Each product stays per row: a
+    # batched matrix product can round differently in the last bit.
+    thetas, ws = _hypotheses(d, search)
     vals = np.fromiter(
-        (_nll_from_deltas(theta * w, deltas, lam) for theta, w in _hypotheses(d, search)),
-        dtype=np.float64,
+        (_nll_from_deltas(theta * w, deltas, lam) for theta, w in zip(thetas, ws)),
+        dtype=np.float64, count=len(thetas),
     )
     finite = np.isfinite(vals)
     best_nll = float(np.min(vals[finite])) if finite.any() else np.inf
-    consistent = finite & (vals <= best_nll + delta)
+    consistent = np.flatnonzero(finite & (vals <= best_nll + delta))
 
-    regret = None
-    worst = None
-    for (theta, w), ok in zip(_hypotheses(d, search), consistent):
-        if not ok:
-            continue
-        utilities = alts @ theta
-        r = float(np.max(utilities) - utilities[a_star])
-        if regret is None or r > regret:
-            regret = r
-            worst = (theta, w)
+    regret = worst = None
+    if consistent.size:
+        utilities = (alts @ thetas[i] for i in consistent)
+        regrets = np.fromiter((np.max(u) - u[a_star] for u in utilities),
+                              dtype=np.float64, count=consistent.size)
+        k = int(np.argmax(regrets))  # the first maximizer in search order
+        regret = float(regrets[k])
+        worst = consistent[k]
 
     metadata = {
         "grid_resolution": search.grid_resolution,
@@ -201,9 +161,9 @@ def worst_case_regret(
         "w_mode": search.w_mode,
         "seed": search.seed,
         "hypotheses_evaluated": len(vals),
-        "consistent_count": int(np.count_nonzero(consistent)),
+        "consistent_count": int(consistent.size),
         "best_nll": best_nll,
-        "fit_nll": fit_nll,
+        "fit_nll": model.final_nll,
         "lambda": lam,
     }
     if regret is None:
@@ -215,8 +175,8 @@ def worst_case_regret(
         slate_size=len(slate),
         learned_winner=a_star,
         regret=regret,
-        worst_theta=None if worst is None else worst[0],
-        worst_w=None if worst is None else worst[1],
+        worst_theta=None if worst is None else thetas[worst].copy(),
+        worst_w=None if worst is None else ws[worst].copy(),
         delta=float(delta),
         metadata=metadata,
     )

@@ -14,7 +14,7 @@ import numpy as np
 from .axioms import AnchorResult, AxiomReport
 from .distortion import DistortionReport
 from .errors import InputError
-from .model import Dataset, RewardModel, VoterParams
+from .model import Dataset, RewardModel, VoterParams, feature_vector
 
 __all__ = [
     "format_float",
@@ -93,16 +93,41 @@ def write_slate(path, slate) -> None:
     dump_json(path, [[float(x) for x in a] for a in slate])
 
 
+def _read_points(path, build, coords) -> list:
+    """One item per entry of the non-empty JSON list at path, built by
+    ``build``, whose ``coords`` all share one dimension. Any fault raises
+    InputError prefixed with the path, as read_records does.
+    """
+    try:
+        entries = load_json(path)
+        if not isinstance(entries, list) or not entries:
+            raise InputError("expected a non-empty JSON list")
+        items = [build(entry) for entry in entries]
+    except KeyError as e:
+        raise InputError(f"{path}: missing field {e}") from None
+    except (InputError, TypeError, ValueError) as e:
+        raise InputError(f"{path}: {e}") from None
+    if len({coords(item).size for item in items}) > 1:
+        raise InputError(f"{path}: entries differ in dimension")
+    return items
+
+
 def read_slate(path) -> list[np.ndarray]:
-    return [np.array(a, dtype=np.float64) for a in load_json(path)]
+    return _read_points(path, feature_vector, lambda a: a)
 
 
 def write_voters(path, voters) -> None:
     dump_json(path, [{"voter_id": v.voter_id, "theta": [float(x) for x in v.theta]} for v in voters])
 
 
+def _voter(entry) -> VoterParams:
+    if not isinstance(entry, dict):
+        raise InputError(f"a voter must be an object with voter_id and theta, got {entry!r}")
+    return VoterParams(voter_id=entry["voter_id"], theta=entry["theta"])
+
+
 def read_voters(path) -> list[VoterParams]:
-    return [VoterParams(voter_id=v["voter_id"], theta=v["theta"]) for v in load_json(path)]
+    return _read_points(path, _voter, lambda v: v.theta)
 
 
 def model_to_dict(model: RewardModel) -> dict:

@@ -489,6 +489,31 @@ class TestCli:
         assert result.returncode == 1
         assert "config.population" in result.stderr
 
+    @pytest.mark.parametrize("stage, name, content, message", [
+        pytest.param("audit", "slate.json", [[0.1, 0.2], [float("nan"), 0.5], [0.3, 0.3]],
+                     "non-finite", id="audit-nan-slate"),
+        pytest.param("distort", "slate.json", [[0.1, 0.2], [float("nan"), 0.5], [0.3, 0.3]],
+                     "non-finite", id="distort-nan-slate"),
+        pytest.param("distort", "slate.json", {"points": [[0.1, 0.2], [0.3, 0.3]]},
+                     "non-empty JSON list", id="distort-object-slate"),
+        pytest.param("distort", "slate.json", [[0.1, 0.2], [0.3]],
+                     "differ in dimension", id="distort-ragged-slate"),
+        pytest.param("audit", "voters.json", [{"voter_id": 0, "theta": [1.0, -0.5]},
+                                              {"voter_id": 1, "theta": [1.0]}],
+                     "differ in dimension", id="audit-ragged-voters"),
+        pytest.param("audit", "voters.json", [[1.0, -0.5]], "must be an object", id="audit-list-voters"),
+    ])
+    def test_stage_alone_rejects_a_corrupted_file(self, tmp_path, stage, name, content, message):
+        out = tmp_path / "out"
+        run_pipeline(config_from_dict(SMALL_RUN), out, stages=("simulate", "fit"))
+        (out / name).write_text(json.dumps(content))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_RUN))
+        result = self._run(["--config", str(cfg_path), "--out", str(out), stage], tmp_path)
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: {out / name}: ")
+        assert message in result.stderr
+
     def test_seed_override_changes_dataset(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(SMALL_RUN))
@@ -502,13 +527,35 @@ class TestCli:
 
 def test_benchmark_tracer_hooks_exist():
     """Every (module, attribute) the benchmark's tracer wraps is a callable."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _perfbench_module("tracer")
     assert tracer.WRAPPED
     for module, attr, _, _ in tracer.WRAPPED:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def _perfbench_module(name):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("alternatives", [6, 60])  # the oracle branch, then the numpy one
+def test_benchmark_output_checks_pass(tmp_path, alternatives):
+    """Every output check the benchmark gates a run on passes on a small run."""
+    checks = _perfbench_module("checks")
+    raw = {**SMALL_RUN, "num_alternatives": alternatives,
+           "annotation": {"pairs": {"kind": "uniform-random", "count": 600}},
+           "audit": {"epsilons": [0.0, 0.1], "consistency": {"partitions": 2}}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    run_pipeline(load_config(cfg_path), out)
+    results = checks.output_checks(out, cfg_path, [checks.artifact_digests(out)])
+    branch = "exhaustive oracle" if alternatives <= checks.ORACLE_MAX_SLATE else "numpy recomputation"
+    assert sum(branch in name for name, _ in results) == 4  # unanimity and condorcet per epsilon
+    assert [name for name, ok in results if not ok] == []
 
 
 def test_public_surface_resolves(capsys):

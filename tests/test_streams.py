@@ -21,6 +21,7 @@ from prefaudit.annotation import (
     UniformRandomPairs,
     generate_dataset,
 )
+from prefaudit.distortion import SearchSpec, _hypotheses
 from prefaudit.population import (
     DiagonalGaussian,
     ExplicitSlate,
@@ -86,6 +87,21 @@ PARTITION_DIGESTS = {
     ("uniform-random", "proxy"): "5e8d3d7a725b2e6d678524e60caa1a42a3d73add76658286fcb45c3fa5f73f39",
 }
 
+# the regret search's (theta, w) rows, theta then w for each hypothesis in search order
+HYPOTHESIS_SEARCHES = {
+    ("grid", "ones"): (3, SearchSpec(grid_resolution=5)),
+    ("grid", "grid"): (2, SearchSpec(grid_resolution=4, w_mode="grid", w_lo=0.5, w_hi=1.5)),
+    ("random", "ones"): (4, SearchSpec(random_samples=50, seed=SEED)),
+    ("random", "grid"): (4, SearchSpec(random_samples=50, w_mode="grid", w_lo=0.5, w_hi=1.5, seed=SEED)),
+}
+
+HYPOTHESIS_DIGESTS = {
+    ("grid", "ones"): "2bce46cb0031258289c76e5af39808f569b2543bc0656b9910039c4f231c5272",
+    ("grid", "grid"): "78e7ad207e496807d3ca649737d123ce145db0a61d4030916e2773eca453e3c8",
+    ("random", "ones"): "ece22a8e21b3ead772fda032f71a1e51eb30a438216bff81f5f5b9fa937dc240",
+    ("random", "grid"): "ffe6541390e108b76257c66643606bf4f7e09a9c78587806921020c0895d8665",
+}
+
 PAIR_SCHEMES = {"round-robin": RoundRobin(repeats=3), "uniform-random": UniformRandomPairs(count=40)}
 LABEL_SCHEMES = {"true-reward": TrueRewardLabels(), "proxy": ProxyLabels(w=[1.0, 0.5, 1.5])}
 
@@ -100,6 +116,14 @@ def test_voter_stream(kind):
 @pytest.mark.parametrize("kind", sorted(SLATES))
 def test_slate_stream(kind):
     assert _digest(sample_alternatives(SLATES[kind], 7, SEED)) == SLATE_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("method, w_mode", sorted(HYPOTHESIS_DIGESTS))
+def test_hypothesis_stream(method, w_mode):
+    d, search = HYPOTHESIS_SEARCHES[(method, w_mode)]
+    thetas, ws = _hypotheses(d, search)
+    rows = np.hstack([thetas, np.broadcast_to(ws, thetas.shape)])
+    assert _digest([rows]) == HYPOTHESIS_DIGESTS[(method, w_mode)]
 
 
 def _dataset_digest(pairs, labels, assignment, tmp_path) -> str:
