@@ -5,13 +5,14 @@ table: the voters' true rewards, or a per-feature-weighted proxy reward
 modeling labeling bias. Each label is then drawn from btl_prob of the
 gap between two entries of that table. Pairs are unordered during
 generation and slot order is randomized, so no position artifact enters
-the data.
+the data. Pairs, slot orders and labels are drawn as arrays; only the
+each-pair-random-voter assignment draws record by record, because its
+stream interleaves an integer draw with each record's two doubles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -65,16 +66,15 @@ class UniformRandomPairs:
         if self.count < 1:
             raise ConfigError(f"count must be >= 1, got {self.count}")
 
-    def pairs(self, n_alts: int, rng) -> list[tuple[int, int]]:
-        """count distinct-index pairs drawn uniformly, as (low, high)."""
-        pairs = []
-        for _ in range(self.count):
-            i = int(rng.integers(0, n_alts))
-            j = int(rng.integers(0, n_alts - 1))
-            if j >= i:
-                j += 1
-            pairs.append((i, j) if i < j else (j, i))
-        return pairs
+    def pairs(self, n_alts: int, rng) -> tuple[np.ndarray, np.ndarray]:
+        """count distinct-index pairs drawn uniformly, as (low, high) index arrays.
+
+        One array-bounded draw makes the same draws as count scalar pairs
+        of calls, i from [0, n_alts) then j from [0, n_alts - 1).
+        """
+        i, j = rng.integers(0, np.tile([n_alts, n_alts - 1], self.count)).reshape(-1, 2).T
+        j = j + (j >= i)
+        return np.minimum(i, j), np.maximum(i, j)
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,10 @@ class RoundRobin:
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
 
-    def pairs(self, n_alts: int, rng) -> list[tuple[int, int]]:
-        """Every pair of the slate, repeats times; draws nothing."""
-        return list(combinations(range(n_alts), 2)) * self.repeats
+    def pairs(self, n_alts: int, rng) -> tuple[np.ndarray, np.ndarray]:
+        """Every pair of the slate in lexicographic order, repeats times; draws nothing."""
+        low, high = np.triu_indices(n_alts, 1)
+        return np.tile(low, self.repeats), np.tile(high, self.repeats)
 
 
 def sample_label(r0: float, r1: float, rng) -> int:
@@ -105,9 +106,15 @@ def generate_dataset(
 ) -> Dataset:
     """Generate a pairwise-comparison dataset, deterministic given seed.
 
-    The label scheme's voters x slate reward table is built once. Each
-    record then draws its slot order, its voter (unless assigned by
-    position) and its label, in that order, one record at a time.
+    The label scheme's voters x slate reward table is built once. After
+    the pairs, each record draws a double for its slot order, its voter
+    (unless assigned by position) and a double for its label, in that
+    order. Under partition-by-voter these are one array of 2n doubles.
+    Under each-pair-random-voter an integer draw sits between each
+    record's two doubles, so that scheme collects its draws one record
+    at a time. Each label compares its double with btl_prob, called per
+    record on Python floats: np.exp can differ from math.exp in the last
+    bit, which would change labels.
     """
     if len(alts) < 2:
         raise ConfigError("dataset generation needs at least 2 alternatives")
@@ -125,17 +132,17 @@ def generate_dataset(
     points = np.array(alts, dtype=np.float64)
     table = label_scheme.rewards(np.stack([v.theta for v in voters]), points)
     rng = seeded_rng(seed)
-    pairs = pair_scheme.pairs(len(alts), rng)
-    rows = []
-    for k, (i, j) in enumerate(pairs):
-        if rng.random() < 0.5:
-            i, j = j, i
-        if assignment == EACH_PAIR_RANDOM_VOTER:
-            v = int(rng.integers(0, len(voters)))
-        else:
-            v = k % len(voters)
-        rows.append((i, j, v, sample_label(table[v, i], table[v, j], rng)))
-    first, second, voter_rows, labels = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    low, high = pair_scheme.pairs(len(alts), rng)
+    n = len(low)
+    if assignment == PARTITION_BY_VOTER:
+        swap_u, label_u = rng.random((n, 2)).T
+        voter_rows = np.arange(n) % len(voters)
+    else:
+        draws = [(rng.random(), int(rng.integers(0, len(voters))), rng.random()) for _ in range(n)]
+        swap_u, voter_rows, label_u = (np.array(column) for column in zip(*draws))
+    swap = swap_u < 0.5
+    first, second = np.where(swap, high, low), np.where(swap, low, high)
+    probs = list(map(btl_prob, table[voter_rows, second].tolist(), table[voter_rows, first].tolist()))
     voter_ids = np.array([v.voter_id for v in voters], dtype=np.int64)
-    return Dataset(voter=voter_ids[voter_rows], label=labels, a0=points[first], a1=points[second],
-                   scheme=label_scheme.kind, w=label_scheme.w)
+    return Dataset(voter=voter_ids[voter_rows], label=(label_u < probs).astype(np.int64),
+                   a0=points[first], a1=points[second], scheme=label_scheme.kind, w=label_scheme.w)

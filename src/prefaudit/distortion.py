@@ -21,7 +21,7 @@ from .errors import InputError
 # prefaudit.distortion.nll, and a test patches it to prove that the search
 # never calls it per hypothesis
 from .estimation import _nll_from_deltas, nll, score
-from .model import RewardModel
+from .model import RewardModel, feature_vector
 from .population import seeded_rng
 
 __all__ = ["SearchSpec", "DistortionReport", "worst_case_regret"]
@@ -118,7 +118,7 @@ def worst_case_regret(
         raise InputError("regret search needs a slate of >= 2 alternatives")
     if not delta >= 0:  # NaN too
         raise InputError(f"delta must be >= 0, got {delta}")
-    alts = np.stack([np.asarray(a, dtype=np.float64) for a in slate])
+    alts = np.stack([feature_vector(a) for a in slate])
     d = alts.shape[1]
     if model.theta_hat.shape[0] != d:
         raise InputError("model dimension differs from slate dimension")

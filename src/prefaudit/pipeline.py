@@ -34,9 +34,8 @@ from .serialize import (
     axiom_report_to_dict,
     distortion_report_to_dict,
     dump_json,
-    load_json,
-    model_from_dict,
     model_to_dict,
+    read_model,
     read_records,
     read_slate,
     read_voters,
@@ -79,7 +78,7 @@ class RunDir:
     voters = cached_property(lambda self: read_voters(self.out / VOTERS_FILE))
     slate = cached_property(lambda self: read_slate(self.out / SLATE_FILE))
     dataset = cached_property(lambda self: read_records(self.out / DATASET_FILE))
-    model = cached_property(lambda self: model_from_dict(load_json(self.out / MODEL_FILE)))
+    model = cached_property(lambda self: read_model(self.out / MODEL_FILE))
 
 
 def stage_simulate(config: ExperimentConfig, run: RunDir) -> dict:

@@ -26,6 +26,7 @@ __all__ = [
     "read_voters",
     "model_to_dict",
     "model_from_dict",
+    "read_model",
     "axiom_report_to_dict",
     "axiom_report_from_dict",
     "distortion_report_to_dict",
@@ -44,24 +45,49 @@ def _coords(a) -> str:
 
 
 def write_records(path, data: Dataset) -> None:
-    """One line per record: voter, label, scheme, a0, a1, and w for proxy."""
+    """One line per record: voter, label, scheme, a0, a1, and w for proxy.
+
+    Each distinct point of a0 and a1 (by its bytes, so 0.0 and -0.0
+    stay apart) is formatted once. The lines are streamed: joining them
+    first would hold the whole file in memory.
+    """
     tail = "" if data.w is None else f" w={_coords(data.w)}"
-    columns = (data.voter.tolist(), data.label.tolist(), data.a0.tolist(), data.a1.tolist())
+    points = np.concatenate([data.a0, data.a1])
+    rows = points.view(np.dtype((np.void, points.itemsize * data.dim))).ravel()
+    distinct, index = np.unique(rows, return_inverse=True)
+    coords = [_coords(p) for p in distinct.view(np.float64).reshape(-1, data.dim).tolist()]
+    n = len(data)
+    columns = (data.voter.tolist(), data.label.tolist(), index[:n].tolist(), index[n:].tolist())
     with open(path, "w") as fh:
-        for voter, label, a0, a1 in zip(*columns):
-            fh.write(f"voter={voter} label={label} scheme={data.scheme} "
-                     f"a0={_coords(a0)} a1={_coords(a1)}{tail}\n")
+        fh.writelines(f"voter={voter} label={label} scheme={data.scheme} a0={coords[i]} a1={coords[j]}{tail}\n"
+                      for voter, label, i, j in zip(*columns))
+
+
+def _open(path):
+    """open(path) for reading; a missing or unreadable file raises InputError naming it."""
+    try:
+        return open(path)
+    except OSError as e:
+        raise InputError(f"{path}: {e.strerror}") from None
 
 
 def read_records(path) -> Dataset:
     """Parse a records file straight into a Dataset's columns.
 
-    A malformed line, or one whose scheme, w or dimension differs from
-    the first record's, raises InputError naming its line number.
+    Each distinct coordinate string is parsed once. A malformed line, or
+    one whose scheme, w or dimension differs from the first record's,
+    raises InputError naming its line number.
     """
     voter, label, a0, a1 = [], [], [], []
     first = None  # (scheme, w, dimension) of the first record
-    with open(path) as fh:
+    parsed = {}  # coordinate string -> tuple of floats
+
+    def point(text):
+        if text not in parsed:
+            parsed[text] = tuple(map(float, text.split(",")))
+        return parsed[text]
+
+    with _open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -70,9 +96,9 @@ def read_records(path) -> Dataset:
                 fields = dict(token.split("=", 1) for token in line.split())
                 voter.append(int(fields["voter"]))
                 label.append(int(fields["label"]))
-                a0.append(list(map(float, fields["a0"].split(","))))
-                a1.append(list(map(float, fields["a1"].split(","))))
-                w = list(map(float, fields["w"].split(","))) if "w" in fields else None
+                a0.append(point(fields["a0"]))
+                a1.append(point(fields["a1"]))
+                w = point(fields["w"]) if "w" in fields else None
                 header = (fields["scheme"], w, len(a0[-1]))
             except (KeyError, ValueError) as e:
                 raise InputError(f"{path}:{lineno}: malformed record line: {line!r} ({e})") from None
@@ -93,23 +119,33 @@ def write_slate(path, slate) -> None:
     dump_json(path, [[float(x) for x in a] for a in slate])
 
 
+def _read_json(path, build):
+    """build(the JSON value at path). Any fault, a missing file included,
+    raises InputError prefixed with the path, as read_records does.
+    """
+    with _open(path) as fh:
+        try:
+            return build(json.load(fh))
+        except KeyError as e:
+            raise InputError(f"{path}: missing field {e}") from None
+        except (InputError, TypeError, ValueError) as e:
+            raise InputError(f"{path}: {e}") from None
+
+
 def _read_points(path, build, coords) -> list:
     """One item per entry of the non-empty JSON list at path, built by
-    ``build``, whose ``coords`` all share one dimension. Any fault raises
-    InputError prefixed with the path, as read_records does.
+    ``build``, whose ``coords`` all share one dimension.
     """
-    try:
-        entries = load_json(path)
+
+    def items(entries):
         if not isinstance(entries, list) or not entries:
             raise InputError("expected a non-empty JSON list")
-        items = [build(entry) for entry in entries]
-    except KeyError as e:
-        raise InputError(f"{path}: missing field {e}") from None
-    except (InputError, TypeError, ValueError) as e:
-        raise InputError(f"{path}: {e}") from None
-    if len({coords(item).size for item in items}) > 1:
+        return [build(entry) for entry in entries]
+
+    points = _read_json(path, items)
+    if len({coords(item).size for item in points}) > 1:
         raise InputError(f"{path}: entries differ in dimension")
-    return items
+    return points
 
 
 def read_slate(path) -> list[np.ndarray]:
@@ -150,6 +186,10 @@ def model_from_dict(d: dict) -> RewardModel:
         iterations=d["iterations"],
         diagnostic=d.get("diagnostic", ""),
     )
+
+
+def read_model(path) -> RewardModel:
+    return _read_json(path, model_from_dict)
 
 
 def axiom_report_to_dict(report: AxiomReport) -> dict:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,3 +141,66 @@ def test_swap_and_flip_preserves_nll(d, rows, theta, lam):
     assert np.array_equal(records.winner_minus_loser(), swapped.winner_minus_loser())
     theta = np.array(theta[:d])
     assert nll(theta, records, lam) == nll(theta, swapped, lam)
+
+
+def _reference_dataset(voters, alts, pair_scheme, assignment, label_scheme, seed) -> Dataset:
+    """generate_dataset as a record-at-a-time loop that shares no code with it:
+    scalar pair draws, then per record the slot-order double, the voter
+    (unless assigned by position) and the label double.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    m = len(alts)
+    if isinstance(pair_scheme, RoundRobin):
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)] * pair_scheme.repeats
+    else:
+        pairs = []
+        for _ in range(pair_scheme.count):
+            i = int(rng.integers(0, m))
+            j = int(rng.integers(0, m - 1))
+            if j >= i:
+                j += 1
+            pairs.append((min(i, j), max(i, j)))
+    points = np.array(alts, dtype=np.float64)
+    thetas = np.stack([v.theta for v in voters])
+    if label_scheme.w is not None:
+        thetas = thetas * label_scheme.w
+    table = thetas @ points.T
+    voter, label, a0, a1 = [], [], [], []
+    for k, (i, j) in enumerate(pairs):
+        if rng.random() < 0.5:
+            i, j = j, i
+        if assignment == EACH_PAIR_RANDOM_VOTER:
+            v = int(rng.integers(0, len(voters)))
+        else:
+            v = k % len(voters)
+        gap = float(table[v, j]) - float(table[v, i])
+        p = 1.0 / (1.0 + math.exp(-gap)) if gap >= 0 else math.exp(gap) / (1.0 + math.exp(gap))
+        voter.append(voters[v].voter_id)
+        label.append(int(rng.random() < p))
+        a0.append(points[i])
+        a1.append(points[j])
+    return Dataset(voter=voter, label=label, a0=a0, a1=a1, scheme=label_scheme.kind, w=label_scheme.w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    d=st.integers(1, 3),
+    m=st.integers(2, 8),
+    n_voters=st.integers(1, 6),
+    uniform=st.booleans(),
+    count=st.integers(1, 59),
+    repeats=st.integers(1, 4),
+    assignment=st.sampled_from([EACH_PAIR_RANDOM_VOTER, PARTITION_BY_VOTER]),
+    proxy=st.booleans(),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_matches_the_record_at_a_time_reference(data, d, m, n_voters, uniform, count, repeats,
+                                                assignment, proxy, seed):
+    vec = st.lists(st.floats(-5, 5), min_size=d, max_size=d)
+    voters = [VoterParams(voter_id=3 * k + 1, theta=data.draw(vec)) for k in range(n_voters)]
+    alts = data.draw(st.lists(vec, min_size=m, max_size=m))
+    pair_scheme = UniformRandomPairs(count=count) if uniform else RoundRobin(repeats=repeats)
+    label_scheme = ProxyLabels(w=data.draw(vec)) if proxy else TrueRewardLabels()
+    args = (voters, alts, pair_scheme, assignment, label_scheme, seed)
+    assert generate_dataset(*args) == _reference_dataset(*args)

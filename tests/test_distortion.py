@@ -164,6 +164,13 @@ class TestWorstCaseRegret:
         with pytest.raises(InputError):
             worst_case_regret(model, SLATE, data, 0.0, SearchSpec(w_mode="bogus"))
 
+    def test_rejects_a_non_finite_slate_point(self):
+        data = _dataset()
+        model = fit_mle(data, lam=1e-3)
+        slate = [np.array([0.1, 0.2]), np.array([np.nan, 0.5]), np.array([0.3, 0.3])]
+        with pytest.raises(InputError, match="non-finite"):
+            worst_case_regret(model, slate, data, 0.5)
+
     def test_data_checks_run_before_any_hypothesis_is_scored(self, monkeypatch):
         def scored(*args):
             raise AssertionError("a hypothesis was scored")

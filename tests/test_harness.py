@@ -32,7 +32,10 @@ from prefaudit.serialize import (
     axiom_report_to_dict,
     distortion_report_from_dict,
     distortion_report_to_dict,
+    read_model,
     read_records,
+    read_slate,
+    read_voters,
     write_records,
 )
 
@@ -283,6 +286,34 @@ class TestRecordWireFormat:
         for name in ("voter", "label", "a0", "a1", "w"):
             assert getattr(back, name) is None or getattr(back, name).tobytes() == getattr(records, name).tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 3), n=st.integers(1, 30), proxy=st.booleans())
+    def test_write_equals_a_per_line_writer(self, data, d, n, proxy):
+        """Slates with repeated points, and with 0.0 beside -0.0, write the
+        bytes of a writer that formats every coordinate of every line."""
+        coordinate = st.sampled_from([0.0, -0.0, 1.0, 1 / 3]) | st.floats(allow_nan=False, allow_infinity=False)
+        vec = st.lists(coordinate, min_size=d, max_size=d)
+        slate = data.draw(st.lists(vec, min_size=1, max_size=4))
+        rows = st.lists(st.sampled_from(slate), min_size=n, max_size=n)
+        records = Dataset(
+            voter=data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n)),
+            a0=data.draw(rows), a1=data.draw(rows),
+            label=data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+            scheme="proxy" if proxy else "true-reward",
+            w=data.draw(vec) if proxy else None)
+
+        def coords(a):
+            return ",".join(f"{float(x):.17g}" for x in a)
+
+        tail = f" w={coords(records.w)}" if proxy else ""
+        expected = "".join(
+            f"voter={v} label={y} scheme={records.scheme} a0={coords(p)} a1={coords(q)}{tail}\n"
+            for v, y, p, q in zip(records.voter, records.label, records.a0, records.a1))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.records"
+            write_records(path, records)
+            assert path.read_text() == expected
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "data.records"
         path.write_text("voter=0 label=1 scheme=true-reward a0=1 a1=2\n"
@@ -297,6 +328,12 @@ class TestRecordWireFormat:
                         "voter=2 label=0 scheme=true-reward a0=1 a1=2\n")
         with pytest.raises(InputError, match=":3: record disagrees with the first record"):
             read_records(path)
+
+    @pytest.mark.parametrize("read", [read_records, read_slate, read_voters, read_model])
+    def test_missing_file_names_the_path(self, tmp_path, read):
+        path = tmp_path / "missing"
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: No such file"):
+            read(path)
 
     def test_line_shape(self, tmp_path):
         path = tmp_path / "data.records"
@@ -513,6 +550,15 @@ class TestCli:
         assert result.returncode == 1
         assert result.stderr.startswith(f"error: {out / name}: ")
         assert message in result.stderr
+
+    def test_stage_alone_on_an_empty_directory_names_the_missing_input(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_RUN))
+        out = tmp_path / "empty"
+        out.mkdir()
+        result = self._run(["--config", str(cfg_path), "--out", str(out), "distort"], tmp_path)
+        assert result.returncode == 1
+        assert result.stderr == f"error: {out / 'model.json'}: No such file or directory\n"
 
     def test_seed_override_changes_dataset(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

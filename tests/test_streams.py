@@ -22,6 +22,7 @@ from prefaudit.annotation import (
     generate_dataset,
 )
 from prefaudit.distortion import SearchSpec, _hypotheses
+from prefaudit.pipeline import child_seed
 from prefaudit.population import (
     DiagonalGaussian,
     ExplicitSlate,
@@ -32,7 +33,7 @@ from prefaudit.population import (
     sample_alternatives,
     sample_voters,
 )
-from prefaudit.serialize import write_records
+from prefaudit.serialize import read_records, write_records
 
 SEED = 20240607
 
@@ -102,6 +103,10 @@ HYPOTHESIS_DIGESTS = {
     ("random", "grid"): "ffe6541390e108b76257c66643606bf4f7e09a9c78587806921020c0895d8665",
 }
 
+# the dataset.records of the large-n benchmark workload at config seed 42:
+# 400 voters, 200 alternatives, 40,000 uniform-random pairs assigned by position
+LARGE_RECORDS_DIGEST = "fdd2de6f610b44b0943128c677d1ccdf01c910c684d9266e2aac18496c6504ed"
+
 PAIR_SCHEMES = {"round-robin": RoundRobin(repeats=3), "uniform-random": UniformRandomPairs(count=40)}
 LABEL_SCHEMES = {"true-reward": TrueRewardLabels(), "proxy": ProxyLabels(w=[1.0, 0.5, 1.5])}
 
@@ -145,3 +150,14 @@ def test_dataset_stream(pairs, labels, tmp_path):
 @pytest.mark.parametrize("pairs, labels", sorted(PARTITION_DIGESTS))
 def test_partition_by_voter_dataset_stream(pairs, labels, tmp_path):
     assert _dataset_digest(pairs, labels, PARTITION_BY_VOTER, tmp_path) == PARTITION_DIGESTS[(pairs, labels)]
+
+
+def test_large_dataset_stream(tmp_path):
+    voters = sample_voters(DiagonalGaussian(mean=[1.0, -0.5], var=[0.1, 0.1]), 400, child_seed(42, "voters"))
+    slate = sample_alternatives(UniformBox(lo=[0.0, 0.0], hi=[1.0, 1.0]), 200, child_seed(42, "alternatives"))
+    records = generate_dataset(voters, slate, UniformRandomPairs(count=40000), PARTITION_BY_VOTER,
+                               TrueRewardLabels(), child_seed(42, "annotate"))
+    write_records(tmp_path / "data.records", records)
+    digest = hashlib.sha256((tmp_path / "data.records").read_bytes()).hexdigest()
+    assert digest == LARGE_RECORDS_DIGEST
+    assert read_records(tmp_path / "data.records") == records
