@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .model import SCHEME_PROXY, SCHEME_TRUE, Dataset, VoterParams, btl_prob, feature_vector
+from .model import SCHEME_PROXY, SCHEME_TRUE, Dataset, VoterParams, btl_prob, feature_vector, slate_array
 from .population import seeded_rng
 
 __all__ = [
@@ -98,13 +98,13 @@ def sample_label(r0: float, r1: float, rng) -> int:
 
 def generate_dataset(
     voters: list[VoterParams],
-    alts: list,
+    slate: np.ndarray,
     pair_scheme,
     assignment: str,
     label_scheme,
     seed: int,
 ) -> Dataset:
-    """Generate a pairwise-comparison dataset, deterministic given seed.
+    """Generate a pairwise-comparison dataset over a slate, deterministic given seed.
 
     The label scheme's voters x slate reward table is built once. After
     the pairs, each record draws a double for its slot order, its voter
@@ -116,23 +116,19 @@ def generate_dataset(
     record on Python floats: np.exp can differ from math.exp in the last
     bit, which would change labels.
     """
-    if len(alts) < 2:
-        raise ConfigError("dataset generation needs at least 2 alternatives")
+    slate = slate_array(slate)
     if not voters:
         raise ConfigError("dataset generation needs at least 1 voter")
     if assignment not in (EACH_PAIR_RANDOM_VOTER, PARTITION_BY_VOTER):
         raise ConfigError(f"unknown assignment scheme {assignment!r}")
-    shapes = {np.shape(a) for a in alts} | {v.theta.shape for v in voters}
+    shapes = {v.theta.shape for v in voters}
     if label_scheme.w is not None:
         shapes.add(label_scheme.w.shape)
-    if len(shapes) != 1:
-        raise InputError(
-            f"dimension mismatch: voters, slate and label weights have shapes {sorted(shapes)}"
-        )
-    points = np.array(alts, dtype=np.float64)
-    table = label_scheme.rewards(np.stack([v.theta for v in voters]), points)
+    if shapes != {slate.shape[1:]}:
+        raise InputError(f"dimension mismatch: slate points {slate.shape[1:]}, voters and weights {sorted(shapes)}")
+    table = label_scheme.rewards(np.stack([v.theta for v in voters]), slate)
     rng = seeded_rng(seed)
-    low, high = pair_scheme.pairs(len(alts), rng)
+    low, high = pair_scheme.pairs(len(slate), rng)
     n = len(low)
     if assignment == PARTITION_BY_VOTER:
         swap_u, label_u = rng.random((n, 2)).T
@@ -145,4 +141,4 @@ def generate_dataset(
     probs = list(map(btl_prob, table[voter_rows, second].tolist(), table[voter_rows, first].tolist()))
     voter_ids = np.array([v.voter_id for v in voters], dtype=np.int64)
     return Dataset(voter=voter_ids[voter_rows], label=(label_u < probs).astype(np.int64),
-                   a0=points[first], a1=points[second], scheme=label_scheme.kind, w=label_scheme.w)
+                   a0=slate[first], a1=slate[second], scheme=label_scheme.kind, w=label_scheme.w)

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .estimation import score
-from .model import RewardModel
+from .estimation import scores
+from .model import RewardModel, slate_array
 from .population import seeded_rng
 
 __all__ = [
@@ -64,9 +64,7 @@ class AxiomReport:
         return tuple(v for a in self.anchors for v in a.violations)
 
 
-def _validate(axiom: str, slate, epsilons) -> list[float]:
-    if len(slate) < 2:
-        raise InputError(f"{axiom} audit needs a slate of >= 2 alternatives")
+def _epsilons(epsilons) -> list[float]:
     epsilons = [float(e) for e in epsilons]
     for e in epsilons:
         if not (math.isfinite(e) and e >= 0):
@@ -107,9 +105,9 @@ def _dominance_reports(axiom, epsilons, gap, score_gaps, metadata) -> list[Axiom
     return reports
 
 
-def _score_gap_matrix(model: RewardModel, slate) -> np.ndarray:
-    scores = np.array([score(model, a) for a in slate])
-    return scores[:, None] - scores[None, :]
+def _score_gap_matrix(model: RewardModel, slate: np.ndarray) -> np.ndarray:
+    s = scores(model, slate)
+    return s[:, None] - s[None, :]
 
 
 def audit_unanimity(model: RewardModel, slate, voters, epsilons) -> list[AxiomReport]:
@@ -119,12 +117,15 @@ def audit_unanimity(model: RewardModel, slate, voters, epsilons) -> list[AxiomRe
     epsilon; the model must then also score a above them by more than
     epsilon.
     """
-    epsilons = _validate("unanimity", slate, epsilons)
+    slate = slate_array(slate)
+    epsilons = _epsilons(epsilons)
     if not voters:
         raise InputError("unanimity audit needs at least one voter")
+    if {v.theta.shape for v in voters} != {slate.shape[1:]}:
+        raise InputError(f"dimension mismatch: every voter needs the slate's dimension {slate.shape[1]}")
     score_gaps = _score_gap_matrix(model, slate)
     thetas = np.stack([v.theta for v in voters])
-    rewards = thetas @ np.array(slate, dtype=np.float64).T  # voters x slate
+    rewards = thetas @ slate.T  # voters x slate
     gap = np.full_like(score_gaps, np.inf)
     for r in rewards:  # running minimum over voters, m x m memory
         np.minimum(gap, r[:, None] - r[None, :], out=gap)
@@ -136,14 +137,14 @@ def audit_unanimity(model: RewardModel, slate, voters, epsilons) -> list[AxiomRe
 
 def audit_condorcet(model: RewardModel, slate, pop, epsilons) -> list[AxiomReport]:
     """Check Condorcet consistency against the analytic population mean, once per epsilon."""
-    epsilons = _validate("condorcet", slate, epsilons)
+    slate = slate_array(slate)
+    epsilons = _epsilons(epsilons)
     score_gaps = _score_gap_matrix(model, slate)
-    alts = np.array(slate, dtype=np.float64)
     mean = pop.expected_theta()
-    if mean.shape != alts.shape[1:]:
+    if mean.shape != slate.shape[1:]:
         raise InputError("alternative dimension differs from population dimension")
     # np.dot sums each entry E[theta] . (a - a') in the same order as a 1-D dot
-    gap = np.dot(alts[:, None] - alts[None, :], mean)
+    gap = np.dot(slate[:, None] - slate[None, :], mean)
     return _dominance_reports(
         "condorcet", epsilons, gap, score_gaps, {"gap_source": "analytic population mean"}
     )
@@ -193,7 +194,8 @@ def audit_consistency(
     evidence either way, so the audit fails with a diagnostic instead of
     passing vacuously.
     """
-    epsilons = _validate("consistency", slate, epsilons)
+    slate = slate_array(slate)
+    epsilons = _epsilons(epsilons)
     # each voter's row indices in record order, voters by ascending id
     order = np.argsort(data.voter, kind="stable")
     voter_ids, starts = np.unique(data.voter[order], return_index=True)

@@ -20,8 +20,8 @@ from .errors import InputError
 # nll is unused here but stays importable: the benchmark's tracer wraps
 # prefaudit.distortion.nll, and a test patches it to prove that the search
 # never calls it per hypothesis
-from .estimation import _nll_from_deltas, nll, score
-from .model import RewardModel, feature_vector
+from .estimation import _nll_from_deltas, nll, scores
+from .model import RewardModel, slate_array
 from .population import seeded_rng
 
 __all__ = ["SearchSpec", "DistortionReport", "worst_case_regret"]
@@ -114,22 +114,13 @@ def worst_case_regret(
     grid plus delta, so delta=0 keeps exactly the grid's own optimum;
     the continuous fit's NLL is reported alongside for reference.
     """
-    if len(slate) < 2:
-        raise InputError("regret search needs a slate of >= 2 alternatives")
+    slate = slate_array(slate)
     if not delta >= 0:  # NaN too
         raise InputError(f"delta must be >= 0, got {delta}")
-    alts = np.stack([feature_vector(a) for a in slate])
-    d = alts.shape[1]
-    if model.theta_hat.shape[0] != d:
-        raise InputError("model dimension differs from slate dimension")
-
-    lam = model.lam
+    a_star = int(np.argmax(scores(model, slate)))  # np.argmax ties -> lowest index
     deltas = data.winner_minus_loser()
-    if deltas.shape[1] != d:
+    if deltas.shape[1:] != slate.shape[1:]:
         raise InputError("data dimension differs from slate dimension")
-
-    scores = np.array([score(model, a) for a in slate])
-    a_star = int(np.argmax(scores))  # np.argmax ties -> lowest index
 
     # The winner-minus-loser matrix is built once and every hypothesis row
     # is scored once with the kernel nll() uses, so each NLL equals
@@ -137,9 +128,9 @@ def worst_case_regret(
     # (the continuous fit sits strictly below every grid point, so using
     # it would empty the set at delta=0). Each product stays per row: a
     # batched matrix product can round differently in the last bit.
-    thetas, ws = _hypotheses(d, search)
+    thetas, ws = _hypotheses(slate.shape[1], search)
     vals = np.fromiter(
-        (_nll_from_deltas(theta * w, deltas, lam) for theta, w in zip(thetas, ws)),
+        (_nll_from_deltas(theta * w, deltas, model.lam) for theta, w in zip(thetas, ws)),
         dtype=np.float64, count=len(thetas),
     )
     finite = np.isfinite(vals)
@@ -148,7 +139,7 @@ def worst_case_regret(
 
     regret = worst = None
     if consistent.size:
-        utilities = (alts @ thetas[i] for i in consistent)
+        utilities = (slate @ thetas[i] for i in consistent)
         regrets = np.fromiter((np.max(u) - u[a_star] for u in utilities),
                               dtype=np.float64, count=consistent.size)
         k = int(np.argmax(regrets))  # the first maximizer in search order
@@ -164,7 +155,7 @@ def worst_case_regret(
         "consistent_count": int(consistent.size),
         "best_nll": best_nll,
         "fit_nll": model.final_nll,
-        "lambda": lam,
+        "lambda": model.lam,
     }
     if regret is None:
         metadata["diagnostic"] = (

@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError, NumericError
-from .model import Dataset, RewardModel
+from .model import Dataset, RewardModel, slate_array
 
-__all__ = ["nll", "nll_gradient", "fit_mle", "borda_scores", "score"]
+__all__ = ["nll", "nll_gradient", "fit_mle", "borda_scores", "score", "scores"]
 
 DEFAULT_LAMBDA = 1e-3
 DEFAULT_GRAD_TOL = 1e-8
@@ -174,20 +174,20 @@ def fit_mle(
     )
 
 
-def borda_scores(data: Dataset, slate: list) -> dict:
-    """Empirical win-rate Borda score per slate index.
+def borda_scores(data: Dataset, slate: np.ndarray) -> dict:
+    """Empirical win-rate Borda score per index of the slate (see ``slate_array``).
 
     score(a) = wins / comparisons involving a; alternatives that never
     appear in the data map to None (undefined), not zero. A record's
     alternatives are matched to slate points by their exact bytes, a
     point that occurs twice in the slate counting for its first index.
     """
-    alts = np.array(slate, dtype=np.float64)
-    if alts.ndim != 2 or alts.shape[1] != data.dim:
+    slate = slate_array(slate)
+    if slate.shape[1] != data.dim:
         raise InputError("slate dimension differs from data dimension")
-    m, n = len(alts), len(data)
+    m, n = len(slate), len(data)
     won = data.label[:, None] == 1
-    rows = np.concatenate([alts, np.where(won, data.a1, data.a0), np.where(won, data.a0, data.a1)])
+    rows = np.concatenate([slate, np.where(won, data.a1, data.a0), np.where(won, data.a0, data.a1)])
     keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     # slate index of every row: the first occurrence of its bytes, if in the slate
@@ -195,10 +195,7 @@ def borda_scores(data: Dataset, slate: list) -> dict:
     winners, losers = index[m:m + n], index[m + n:]
     wins = np.bincount(winners[winners >= 0], minlength=m)
     appearances = wins + np.bincount(losers[losers >= 0], minlength=m)
-    return {
-        i: (wins[i] / appearances[i] if appearances[i] > 0 else None)
-        for i in range(m)
-    }
+    return {i: (wins[i] / appearances[i] if appearances[i] > 0 else None) for i in range(m)}
 
 
 def score(model: RewardModel, a) -> float:
@@ -207,3 +204,11 @@ def score(model: RewardModel, a) -> float:
     if a.shape != model.theta_hat.shape:
         raise InputError("alternative dimension differs from model dimension")
     return float(model.theta_hat @ a)
+
+
+def scores(model: RewardModel, slate: np.ndarray) -> np.ndarray:
+    """f(a) for each row of an (m, d) slate, each a 1-D dot as in ``score``
+    (a matrix product can round differently in the last bit)."""
+    if slate.shape[1:] != model.theta_hat.shape:
+        raise InputError("alternative dimension differs from model dimension")
+    return np.array([float(model.theta_hat @ a) for a in slate])

@@ -1,11 +1,13 @@
 """Core domain types and the Bradley-Terry choice probability.
 
-Alternatives and voter preference weights are plain 1-D float64 numpy
-arrays validated through :func:`feature_vector`. A voter's reward for an
-alternative is the inner product of the preference weights with the
-alternative's features (the label schemes in ``annotation`` compute it
-for every voter and alternative at once); pairwise labels follow the
-Bradley-Terry noise model on reward differences, :func:`btl_prob`.
+A voter's preference weights are one read-only 1-D float64 array,
+validated through :func:`feature_vector`, and a slate of alternatives is
+one read-only (m, d) float64 array, validated through :func:`slate_array`.
+A voter's reward for an alternative is the inner product of the
+preference weights with the alternative's features (the label schemes in
+``annotation`` compute it for every voter and alternative at once);
+pairwise labels follow the Bradley-Terry noise model on reward
+differences, :func:`btl_prob`.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .errors import InputError
 
 __all__ = [
     "feature_vector",
+    "slate_array",
     "VoterParams",
     "Dataset",
     "RewardModel",
@@ -43,6 +46,21 @@ def feature_vector(coords) -> np.ndarray:
         raise InputError(f"feature vector must be 1-D with d >= 1, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InputError("feature vector has non-finite coordinates")
+    arr.setflags(write=False)
+    return arr
+
+
+def slate_array(points) -> np.ndarray:
+    """Validate and freeze a slate of m >= 2 finite points in one R^d, d >= 1,
+    as a read-only, C-contiguous (m, d) float64 copy."""
+    if len({np.shape(p) for p in points}) > 1:
+        raise InputError("dimension mismatch: slate points differ in dimension")
+    arr = np.array(points, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 1:
+        raise InputError(f"a slate must be m >= 2 points of dimension d >= 1, got shape {arr.shape}")
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise InputError(f"slate point {np.argmin(finite)} has non-finite coordinates")
     arr.setflags(write=False)
     return arr
 

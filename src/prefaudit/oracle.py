@@ -16,9 +16,8 @@ import numpy as np
 from .axioms import AnchorResult, AxiomReport
 from .errors import InputError
 from .estimation import score
-from .population import empirical_unanimous_gap, population_mean_gap
 
-__all__ = ["brute_force_mle", "exhaustive_axiom_check"]
+__all__ = ["brute_force_mle", "exhaustive_axiom_check", "population_mean_gap", "empirical_unanimous_gap"]
 
 
 def _record_nll(theta, winner_minus_loser, lam: float) -> float:
@@ -58,6 +57,31 @@ def brute_force_mle(data, lam: float, resolution: int = 11, bound: float = 4.0) 
     return np.array(best)
 
 
+def population_mean_gap(spec, a: np.ndarray, a_prime: np.ndarray) -> float:
+    """Analytic expected reward gap E_theta[<theta, a - a'>]."""
+    a = np.asarray(a, dtype=np.float64)
+    a_prime = np.asarray(a_prime, dtype=np.float64)
+    if a.shape != a_prime.shape:
+        raise InputError("alternatives have mismatched dimensions")
+    mean = spec.expected_theta()
+    if mean.shape != a.shape:
+        raise InputError("alternative dimension differs from population dimension")
+    return float(mean @ (a - a_prime))
+
+
+def empirical_unanimous_gap(voters, a: np.ndarray, a_prime: np.ndarray) -> float:
+    """Minimum reward gap min_i <theta_i, a - a'> over the given voters."""
+    if not voters:
+        raise InputError("empirical unanimous gap needs at least one voter")
+    a = np.asarray(a, dtype=np.float64)
+    a_prime = np.asarray(a_prime, dtype=np.float64)
+    if a.shape != a_prime.shape:
+        raise InputError("alternatives have mismatched dimensions")
+    delta = a - a_prime
+    gaps = [float(v.theta @ delta) for v in voters]
+    return min(gaps)
+
+
 def exhaustive_axiom_check(model, slate, voters_or_pop, epsilon: float, axiom: str) -> AxiomReport:
     """Naive per-pair re-derivation of the unanimity/condorcet audits.
 
@@ -73,6 +97,7 @@ def exhaustive_axiom_check(model, slate, voters_or_pop, epsilon: float, axiom: s
         raise InputError("exhaustive check is limited to slates of <= 50")
     if not math.isfinite(epsilon) or epsilon < 0:
         raise InputError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    pair_gap = empirical_unanimous_gap if axiom == "unanimity" else population_mean_gap
     anchors = []
     min_margin = None
     for i, a in enumerate(slate):
@@ -81,10 +106,7 @@ def exhaustive_axiom_check(model, slate, voters_or_pop, epsilon: float, axiom: s
         for j, b in enumerate(slate):
             if i == j:
                 continue
-            if axiom == "unanimity":
-                gap = empirical_unanimous_gap(voters_or_pop, a, b)
-            else:
-                gap = population_mean_gap(voters_or_pop, a, b)
+            gap = pair_gap(voters_or_pop, a, b)
             if gap > epsilon:
                 dominated.append(j)
                 score_gap = score(model, a) - score(model, b)

@@ -1,4 +1,4 @@
-"""Voter populations and alternative spaces: validation, sampling, gaps.
+"""Voter populations and alternative spaces: validation and sampling.
 
 Population specs are point masses, diagonal Gaussians, or finite
 mixtures of diagonal Gaussians; alternative spaces are uniform boxes,
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .model import VoterParams, feature_vector
+from .model import VoterParams, feature_vector, slate_array
 
 __all__ = [
     "PointMass",
@@ -30,8 +30,6 @@ __all__ = [
     "sample_voters",
     "seeded_rng",
     "sample_alternatives",
-    "population_mean_gap",
-    "empirical_unanimous_gap",
 ]
 
 WEIGHT_SUM_TOL = 1e-9
@@ -201,34 +199,6 @@ def sample_voters(spec, n: int, seed: int) -> list[VoterParams]:
     return [VoterParams(voter_id=i, theta=thetas[i]) for i in range(n)]
 
 
-def sample_alternatives(spec, m: int, seed: int) -> list[np.ndarray]:
-    """Draw m alternatives from the space, deterministic given seed."""
-    if m < 1:
-        raise ConfigError("need at least one alternative")
-    pts = spec.sample(seeded_rng(seed), m)
-    return [pts[i] for i in range(m)]
-
-
-def population_mean_gap(spec, a: np.ndarray, a_prime: np.ndarray) -> float:
-    """Analytic expected reward gap E_theta[<theta, a - a'>]."""
-    a = np.asarray(a, dtype=np.float64)
-    a_prime = np.asarray(a_prime, dtype=np.float64)
-    if a.shape != a_prime.shape:
-        raise InputError("alternatives have mismatched dimensions")
-    mean = spec.expected_theta()
-    if mean.shape != a.shape:
-        raise InputError("alternative dimension differs from population dimension")
-    return float(mean @ (a - a_prime))
-
-
-def empirical_unanimous_gap(voters, a: np.ndarray, a_prime: np.ndarray) -> float:
-    """Minimum reward gap min_i <theta_i, a - a'> over the given voters."""
-    if not voters:
-        raise InputError("empirical unanimous gap needs at least one voter")
-    a = np.asarray(a, dtype=np.float64)
-    a_prime = np.asarray(a_prime, dtype=np.float64)
-    if a.shape != a_prime.shape:
-        raise InputError("alternatives have mismatched dimensions")
-    delta = a - a_prime
-    gaps = [float(v.theta @ delta) for v in voters]
-    return min(gaps)
+def sample_alternatives(spec, m: int, seed: int) -> np.ndarray:
+    """Draw m >= 2 alternatives from the space as a ``slate_array``, deterministic given seed."""
+    return slate_array(spec.sample(seeded_rng(seed), m))

@@ -14,7 +14,7 @@ import numpy as np
 from .axioms import AnchorResult, AxiomReport
 from .distortion import DistortionReport
 from .errors import InputError
-from .model import Dataset, RewardModel, VoterParams, feature_vector
+from .model import Dataset, RewardModel, VoterParams, slate_array
 
 __all__ = [
     "format_float",
@@ -115,8 +115,8 @@ def read_records(path) -> Dataset:
         raise InputError(f"{path}: {e}") from None
 
 
-def write_slate(path, slate) -> None:
-    dump_json(path, [[float(x) for x in a] for a in slate])
+def write_slate(path, slate: np.ndarray) -> None:
+    dump_json(path, slate.tolist())
 
 
 def _read_json(path, build):
@@ -132,38 +132,33 @@ def _read_json(path, build):
             raise InputError(f"{path}: {e}") from None
 
 
-def _read_points(path, build, coords) -> list:
-    """One item per entry of the non-empty JSON list at path, built by
-    ``build``, whose ``coords`` all share one dimension.
-    """
-
-    def items(entries):
-        if not isinstance(entries, list) or not entries:
-            raise InputError("expected a non-empty JSON list")
-        return [build(entry) for entry in entries]
-
-    points = _read_json(path, items)
-    if len({coords(item).size for item in points}) > 1:
-        raise InputError(f"{path}: entries differ in dimension")
-    return points
+def _non_empty(entries) -> list:
+    if not isinstance(entries, list) or not entries:
+        raise InputError("expected a non-empty JSON list")
+    return entries
 
 
-def read_slate(path) -> list[np.ndarray]:
-    return _read_points(path, feature_vector, lambda a: a)
+def read_slate(path) -> np.ndarray:
+    return _read_json(path, lambda entries: slate_array(_non_empty(entries)))
 
 
 def write_voters(path, voters) -> None:
     dump_json(path, [{"voter_id": v.voter_id, "theta": [float(x) for x in v.theta]} for v in voters])
 
 
-def _voter(entry) -> VoterParams:
-    if not isinstance(entry, dict):
-        raise InputError(f"a voter must be an object with voter_id and theta, got {entry!r}")
-    return VoterParams(voter_id=entry["voter_id"], theta=entry["theta"])
+def _voters(entries) -> list[VoterParams]:
+    voters = []
+    for entry in _non_empty(entries):
+        if not isinstance(entry, dict):
+            raise InputError(f"a voter must be an object with voter_id and theta, got {entry!r}")
+        voters.append(VoterParams(voter_id=entry["voter_id"], theta=entry["theta"]))
+    if len({v.theta.size for v in voters}) > 1:
+        raise InputError("entries differ in dimension")
+    return voters
 
 
 def read_voters(path) -> list[VoterParams]:
-    return _read_points(path, _voter, lambda v: v.theta)
+    return _read_json(path, _voters)
 
 
 def model_to_dict(model: RewardModel) -> dict:

@@ -16,7 +16,7 @@ from prefaudit.annotation import (
     generate_dataset,
     sample_label,
 )
-from prefaudit.errors import ConfigError, InputError
+from prefaudit.errors import InputError
 from prefaudit.estimation import nll
 from prefaudit.model import Dataset, VoterParams
 from prefaudit.population import PointMass, sample_voters
@@ -82,7 +82,7 @@ class TestGenerateDataset:
 
     def test_requires_two_alternatives(self):
         voters = sample_voters(PointMass(theta=[1.0]), 1, seed=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             generate_dataset(voters, [np.array([1.0])], RoundRobin(),
                              EACH_PAIR_RANDOM_VOTER, TrueRewardLabels(), seed=0)
 

@@ -63,6 +63,13 @@ class TestUnanimity:
         assert not report.passed
         assert (0, 1) in report.violations
 
+    @pytest.mark.parametrize("thetas", [[[1.0, 0.0, 0.5]], [[1.0, 0.0], [1.0, 0.0, 0.5]]],
+                             ids=["every-voter", "one-voter"])
+    def test_voters_of_another_dimension_fail_loudly(self, thetas):
+        voters = [VoterParams(voter_id=i, theta=t) for i, t in enumerate(thetas)]
+        with pytest.raises(InputError, match="dimension mismatch"):
+            audit_unanimity(_model([1.0, 0.0]), SLATE_2D, voters, [0.0])
+
     def test_empty_inputs(self):
         with pytest.raises(InputError):
             audit_unanimity(_model([1.0, 0.0]), SLATE_2D, [], [0.0])

@@ -535,6 +535,8 @@ class TestCli:
                      "non-empty JSON list", id="distort-object-slate"),
         pytest.param("distort", "slate.json", [[0.1, 0.2], [0.3]],
                      "differ in dimension", id="distort-ragged-slate"),
+        pytest.param("audit", "slate.json", [[0.5, 0.5]], "m >= 2", id="audit-one-point-slate"),
+        pytest.param("distort", "slate.json", [[0.5, 0.5]], "m >= 2", id="distort-one-point-slate"),
         pytest.param("audit", "voters.json", [{"voter_id": 0, "theta": [1.0, -0.5]},
                                               {"voter_id": 1, "theta": [1.0]}],
                      "differ in dimension", id="audit-ragged-voters"),
@@ -550,6 +552,20 @@ class TestCli:
         assert result.returncode == 1
         assert result.stderr.startswith(f"error: {out / name}: ")
         assert message in result.stderr
+
+    def test_audit_with_voters_of_another_dimension_fails_loudly(self, tmp_path):
+        out = tmp_path / "out"
+        run_pipeline(config_from_dict(SMALL_RUN), out, stages=("simulate", "fit"))
+        (out / "voters.json").write_text(json.dumps([{"voter_id": 0, "theta": [1.0, -0.5, 0.25]}]))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_RUN))
+        result = self._run(["--config", str(cfg_path), "--out", str(out), "audit"], tmp_path)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: dimension mismatch: ")
+        assert "Traceback" not in result.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed_stage"] == "audit"
+        assert manifest["error"].startswith("dimension mismatch: ")
 
     def test_stage_alone_on_an_empty_directory_names_the_missing_input(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -3,9 +3,19 @@ import numpy as np
 import pytest
 
 from conftest import random_records
-from prefaudit.annotation import ProxyLabels, TrueRewardLabels
+from prefaudit.annotation import (
+    PARTITION_BY_VOTER,
+    ProxyLabels,
+    RoundRobin,
+    TrueRewardLabels,
+    generate_dataset,
+)
+from prefaudit.axioms import audit_condorcet, audit_consistency, audit_unanimity
+from prefaudit.distortion import worst_case_regret
 from prefaudit.errors import InputError
-from prefaudit.model import Dataset, btl_prob, feature_vector
+from prefaudit.estimation import borda_scores, fit_mle
+from prefaudit.model import Dataset, RewardModel, VoterParams, btl_prob, feature_vector, slate_array
+from prefaudit.population import PointMass
 
 
 TRUE = TrueRewardLabels()
@@ -33,6 +43,73 @@ class TestFeatureVector:
         v = feature_vector([1.0, 2.0])
         with pytest.raises(ValueError):
             v[0] = 3.0
+
+
+class TestSlateArray:
+    def test_read_only_c_contiguous_float64_copy(self):
+        points = [np.array([1, 2]), np.array([3, 4]), np.array([5, 6])]
+        slate = slate_array(points)
+        assert slate.shape == (3, 2) and slate.dtype == np.float64
+        assert slate.flags.c_contiguous and not slate.flags.writeable
+        assert slate.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        points[0][0] = 9
+        assert slate[0, 0] == 1.0
+
+    def test_a_slate_array_passes_through_unchanged(self):
+        slate = slate_array([[0.25, -0.0], [1e-300, 3.0]])
+        assert slate_array(slate).tobytes() == slate.tobytes()
+
+    @pytest.mark.parametrize("points", [
+        [[0.5, 0.5]], [], [0.5, 0.5], [[], []], [[[0.5], [0.5]], [[0.5], [0.5]]],
+    ], ids=["one-point", "empty", "one-dimensional", "zero-dimension", "three-dimensional"])
+    def test_rejects_a_shape_other_than_m_by_d(self, points):
+        with pytest.raises(InputError, match=r"m >= 2 points of dimension d >= 1"):
+            slate_array(points)
+
+    def test_ragged_points_are_a_dimension_mismatch(self):
+        with pytest.raises(InputError, match="dimension mismatch") as err:
+            slate_array([[0.1, 0.2], [0.3]])
+        assert "differ in dimension" in str(err.value)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_a_non_finite_point_and_names_it(self, bad):
+        with pytest.raises(InputError, match="slate point 2 has non-finite coordinates"):
+            slate_array([[0.1, 0.2], [0.3, 0.3], [0.5, bad]])
+
+
+BAD_SLATES = {
+    "nan-point": [[0.1, 0.2], [float("nan"), 0.5], [0.3, 0.3]],
+    "ragged": [[0.1, 0.2], [0.3]],
+    "one-point": [[0.5, 0.5]],
+}
+
+
+def _slate_entry_points():
+    """Every public function that takes a slate, as slate -> result, on d=2 inputs."""
+    voters = [VoterParams(voter_id=i, theta=[1.0, -0.5]) for i in range(2)]
+    data = Dataset(voter=[0, 1], label=[1, 0], a0=[[0.0, 0.0], [1.0, 0.0]], a1=[[1.0, 1.0], [0.0, 1.0]])
+    model = RewardModel(theta_hat=[1.0, -0.5], lam=1e-3, final_nll=1.0, converged=True, iterations=1)
+    return {
+        "generate_dataset": lambda slate: generate_dataset(
+            voters, slate, RoundRobin(), PARTITION_BY_VOTER, TrueRewardLabels(), seed=0),
+        "audit_unanimity": lambda slate: audit_unanimity(model, slate, voters, [0.0]),
+        "audit_condorcet": lambda slate: audit_condorcet(model, slate, PointMass(theta=[1.0, -0.5]), [0.0]),
+        "audit_consistency": lambda slate: audit_consistency(fit_mle, data, slate, [0.0], model=model),
+        "worst_case_regret": lambda slate: worst_case_regret(model, slate, data, 0.5),
+        "borda_scores": lambda slate: borda_scores(data, slate),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SLATES))
+@pytest.mark.parametrize("entry", sorted(_slate_entry_points()))
+def test_every_slate_entry_point_rejects_what_slate_array_rejects(entry, case):
+    """Each entry point raises slate_array's own error; without it, the
+    unanimity and Condorcet audits pass a slate with a NaN point."""
+    with pytest.raises(InputError) as want:
+        slate_array(BAD_SLATES[case])
+    with pytest.raises(InputError) as got:
+        _slate_entry_points()[entry](BAD_SLATES[case])
+    assert str(got.value) == str(want.value)
 
 
 class TestReward:

@@ -1,13 +1,22 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import prefaudit.oracle
 from conftest import make_dataset, mirrored, random_records
 from prefaudit.axioms import audit_condorcet, audit_unanimity
 from prefaudit.errors import InputError
 from prefaudit.estimation import fit_mle, nll
 from prefaudit.model import RewardModel
-from prefaudit.oracle import brute_force_mle, exhaustive_axiom_check
-from prefaudit.population import DiagonalGaussian, PointMass, sample_voters
+from prefaudit.oracle import (
+    brute_force_mle,
+    empirical_unanimous_gap,
+    exhaustive_axiom_check,
+    population_mean_gap,
+)
+from prefaudit.population import DiagonalGaussian, Mixture, PointMass, sample_voters
 
 
 def _model(theta):
@@ -108,3 +117,73 @@ class TestExhaustiveAxiomCheck:
         for axiom, population in (("unanimity", voters), ("condorcet", PointMass(theta=[1.0, 0.0]))):
             with pytest.raises(InputError, match="epsilon"):
                 exhaustive_axiom_check(model, slate, population, epsilon, axiom)
+
+
+class TestPopulationMeanGap:
+    def test_gaussian_gap(self):
+        spec = DiagonalGaussian(mean=[1.0, 0.0], var=[1.0, 1.0])
+        assert population_mean_gap(spec, [1.0, 0.0], [0.0, 0.0]) == 1.0
+
+    def test_zero_difference(self):
+        spec = PointMass(theta=[3.0, -2.0])
+        a = [0.4, 0.7]
+        assert population_mean_gap(spec, a, a) == 0.0
+
+    def test_mixture_weighted_mean(self):
+        spec = Mixture(components=((0.5, [2.0, 0.0], [0.0, 0.0]), (0.5, [0.0, 0.0], [0.0, 0.0])))
+        assert population_mean_gap(spec, [1.0, 0.0], [0.0, 0.0]) == 1.0
+
+    def test_antisymmetry(self, rng):
+        spec = DiagonalGaussian(mean=[0.3, -0.7], var=[1.0, 2.0])
+        for _ in range(20):
+            a, b = rng.normal(size=2), rng.normal(size=2)
+            assert population_mean_gap(spec, a, b) == -population_mean_gap(spec, b, a)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(InputError):
+            population_mean_gap(PointMass(theta=[1.0]), [1.0, 2.0], [0.0, 0.0])
+
+
+class TestEmpiricalUnanimousGap:
+    def test_single_voter(self):
+        voters = sample_voters(PointMass(theta=[1.0, 0.0]), 1, seed=0)
+        assert empirical_unanimous_gap(voters, [1.0, 0.0], [0.0, 0.0]) == 1.0
+
+    def test_disagreeing_voters(self):
+        voters = sample_voters(PointMass(theta=[1.0, 0.0]), 1, seed=0)
+        voters += sample_voters(PointMass(theta=[-1.0, 0.0]), 1, seed=0)
+        assert empirical_unanimous_gap(voters, [1.0, 0.0], [0.0, 0.0]) == -1.0
+
+    def test_identical_alternatives(self):
+        voters = sample_voters(DiagonalGaussian(mean=[0.0], var=[1.0]), 10, seed=1)
+        a = [0.6]
+        assert empirical_unanimous_gap(voters, a, a) == 0.0
+
+    def test_empty_voters(self):
+        with pytest.raises(InputError):
+            empirical_unanimous_gap([], [1.0], [0.0])
+
+    def test_point_mass_matches_analytic(self, rng):
+        spec = PointMass(theta=[0.5, -1.5])
+        voters = sample_voters(spec, 17, seed=2)
+        for _ in range(20):
+            a, b = rng.normal(size=2), rng.normal(size=2)
+            assert empirical_unanimous_gap(voters, a, b) == population_mean_gap(spec, a, b)
+
+
+def test_oracle_shares_no_code_with_the_fast_paths():
+    """The oracle may import the report types from axioms, the one-point
+    score from estimation and the errors, and nothing else from prefaudit:
+    not population's samplers, nor model's slate validator."""
+    tree = ast.parse(Path(prefaudit.oracle.__file__).read_text())
+    allowed = {"axioms": {"AnchorResult", "AxiomReport"}, "estimation": {"score"}, "errors": None}
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("prefaudit") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("prefaudit")):
+            module = (node.module or "").removeprefix("prefaudit").lstrip(".")
+            imported.setdefault(module, set()).update(alias.name for alias in node.names)
+    assert imported.keys() <= allowed.keys(), imported
+    for module, names in imported.items():
+        assert allowed[module] is None or names <= allowed[module], (module, names)

@@ -8,8 +8,6 @@ from prefaudit.population import (
     Mixture,
     PointMass,
     UniformBox,
-    empirical_unanimous_gap,
-    population_mean_gap,
     sample_alternatives,
     sample_voters,
     seeded_rng,
@@ -86,6 +84,14 @@ class TestSampleAlternatives:
         b = np.stack(sample_alternatives(spec, 50, seed=9))
         assert a.tobytes() == b.tobytes()
 
+    def test_returns_a_read_only_slate_array(self):
+        out = sample_alternatives(UniformBox(lo=[0.0, 0.0], hi=[1.0, 1.0]), 4, seed=0)
+        assert out.shape == (4, 2) and out.dtype == np.float64
+        assert out.flags.c_contiguous and not out.flags.writeable
+
+    def test_one_alternative_is_not_a_slate(self):
+        with pytest.raises(InputError, match="m >= 2"):
+            sample_alternatives(UniformBox(lo=[0.0], hi=[1.0]), 1, seed=0)
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_seed_out_of_range(self, seed):
@@ -99,58 +105,6 @@ def test_seeded_rng_accepts_full_philox_key_range():
     for seed in (-1, 2**128, 1.5, None):
         with pytest.raises(InputError, match="seed"):
             seeded_rng(seed)
-
-
-class TestPopulationMeanGap:
-    def test_gaussian_gap(self):
-        spec = DiagonalGaussian(mean=[1.0, 0.0], var=[1.0, 1.0])
-        assert population_mean_gap(spec, [1.0, 0.0], [0.0, 0.0]) == 1.0
-
-    def test_zero_difference(self):
-        spec = PointMass(theta=[3.0, -2.0])
-        a = [0.4, 0.7]
-        assert population_mean_gap(spec, a, a) == 0.0
-
-    def test_mixture_weighted_mean(self):
-        spec = Mixture(components=((0.5, [2.0, 0.0], [0.0, 0.0]), (0.5, [0.0, 0.0], [0.0, 0.0])))
-        assert population_mean_gap(spec, [1.0, 0.0], [0.0, 0.0]) == 1.0
-
-    def test_antisymmetry(self, rng):
-        spec = DiagonalGaussian(mean=[0.3, -0.7], var=[1.0, 2.0])
-        for _ in range(20):
-            a, b = rng.normal(size=2), rng.normal(size=2)
-            assert population_mean_gap(spec, a, b) == -population_mean_gap(spec, b, a)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            population_mean_gap(PointMass(theta=[1.0]), [1.0, 2.0], [0.0, 0.0])
-
-
-class TestEmpiricalUnanimousGap:
-    def test_single_voter(self):
-        voters = sample_voters(PointMass(theta=[1.0, 0.0]), 1, seed=0)
-        assert empirical_unanimous_gap(voters, [1.0, 0.0], [0.0, 0.0]) == 1.0
-
-    def test_disagreeing_voters(self):
-        voters = sample_voters(PointMass(theta=[1.0, 0.0]), 1, seed=0)
-        voters += sample_voters(PointMass(theta=[-1.0, 0.0]), 1, seed=0)
-        assert empirical_unanimous_gap(voters, [1.0, 0.0], [0.0, 0.0]) == -1.0
-
-    def test_identical_alternatives(self):
-        voters = sample_voters(DiagonalGaussian(mean=[0.0], var=[1.0]), 10, seed=1)
-        a = [0.6]
-        assert empirical_unanimous_gap(voters, a, a) == 0.0
-
-    def test_empty_voters(self):
-        with pytest.raises(InputError):
-            empirical_unanimous_gap([], [1.0], [0.0])
-
-    def test_point_mass_matches_analytic(self, rng):
-        spec = PointMass(theta=[0.5, -1.5])
-        voters = sample_voters(spec, 17, seed=2)
-        for _ in range(20):
-            a, b = rng.normal(size=2), rng.normal(size=2)
-            assert empirical_unanimous_gap(voters, a, b) == population_mean_gap(spec, a, b)
 
 
 def test_population_mean_formulas():
