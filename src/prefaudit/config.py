@@ -194,10 +194,14 @@ def _fields(given, fields: dict, path: str, what: str = "") -> dict:
 
 
 def _make(path: str, make, **args):
-    """``make(**args)``, with a validation error raised as a ConfigError naming ``path``."""
+    """``make(**args)``, with a validation error raised as a ConfigError naming
+    ``path``, or ``path.<field>`` when the message starts with ``<field>: ``."""
     try:
         return make(**args)
     except (ConfigError, InputError) as e:
+        field, sep, rest = str(e).partition(": ")
+        if sep and field in args:
+            raise ConfigError(f"{path}.{field}: {rest}") from None
         raise ConfigError(f"{path}: {e}") from None
 
 

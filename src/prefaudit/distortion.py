@@ -7,6 +7,12 @@ NLL of its effective parameter theta * w sits within ``delta`` of the
 best NLL found. Regret of the learned rule's winner is then maximized
 over the consistent hypotheses on an exhaustive grid (random sampling
 above d=3, where the grid explodes).
+
+The search scores the hypotheses in two passes. A screen scores every
+hypothesis approximately, in blocks, with a rigorous error margin, and
+drops only those that cannot be consistent; the few that are left are
+rescored with the exact per-row kernel the fit uses, and only those
+exact values decide the outputs.
 """
 
 from __future__ import annotations
@@ -27,6 +33,9 @@ from .population import seeded_rng
 __all__ = ["SearchSpec", "DistortionReport", "worst_case_regret"]
 
 GRID_DIM_LIMIT = 3
+# The screen scores about this many (hypothesis, record) terms per block,
+# in place in one reused buffer, so it adds little to a run's memory.
+SCREEN_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -96,6 +105,63 @@ def _hypotheses(d: int, search: SearchSpec) -> tuple[np.ndarray, np.ndarray]:
     return thetas, np.broadcast_to(np.ones(d), thetas.shape)
 
 
+def _screen(thetas: np.ndarray, ws: np.ndarray, deltas: np.ndarray, lam: float, delta: float) -> np.ndarray:
+    """Search-order indices of every hypothesis whose exact NLL may lie within delta of the best.
+
+    Each phi = theta * w gets an approximate NLL s: over blocks of the
+    table, z = phi @ D.T for the n x d matrix D, then the sum over records
+    of softplus(-z_i) = log1p(exp(-|z_i|)) + (|z_i| - z_i) / 2, plus
+    lam |phi|^2. Its margin is m = 4 (n + d + 64) eps B, where
+    B = sum_j |phi_j| sum_i |D_ij| + n + lam |phi|^2 bounds
+    sum_i (|z_i| + 1) + lam |phi|^2, since |z_i| <= sum_j |D_ij| |phi_j|.
+    A hypothesis is kept unless s - m > min_k s_k + max_k m_k + delta, a
+    cutoff no lower than min_k(s_k + m_k) + delta.
+
+    Why no consistent hypothesis is dropped. Assume exp, log1p and logaddexp
+    are each within 4 ULP (numpy's SIMD and scalar loops are) and nothing
+    overflows. Then the screen and the exact kernel
+    ``_nll_from_deltas(phi, D, lam)`` are each within (n + d + 16) eps B of
+    the real-number NLL, up to O(eps^2): d eps for rounding z and |phi|^2
+    (each on its own part of B; softplus is 1-Lipschitz), 10 eps per term
+    for the transcendentals, n eps for summing n terms in any order, and a
+    few eps for the penalty and the last adds. So |s - v| <= m / 2 for the
+    exact value v, and the other half of m absorbs the rounding of s - m
+    and of the cutoff: fl(s_h - m_h) <= v_h, and the cutoff is at least
+    fl(v* + delta), where v* is the exact minimum (v* <= v_k <= s_k + m_k
+    for every k). An exactly consistent h has v_h <= fl(v* + delta), so
+    fl(s_h - m_h) <= v_h <= fl(v* + delta) <= cutoff: h is kept, and so is
+    the exact argmin. The values that decide the outputs are then the same
+    floats as when every row is scored exactly. A NaN s or m makes every
+    comparison false, and so does an infinite cutoff: then every row is kept.
+    """
+    n, d = deltas.shape
+    rows = max(1, SCREEN_BLOCK // n)
+    buf = np.empty((rows, n))
+    score, margin = np.empty(len(thetas)), np.empty(len(thetas))
+    # sum_i |D_ij| per column, taken in the buffer rather than in a copy of D
+    col_abs = np.array([np.abs(col, out=buf[0]).sum() for col in deltas.T])
+    row_sum = np.add.reduce  # ndarray.sum's Python wrapper is a real cost on blocks this small
+    for start in range(0, len(thetas), rows):
+        block = slice(start, start + rows)
+        phi = thetas[block] * ws[block]
+        z = buf[:len(phi)]
+        np.matmul(phi, deltas.T, out=z)
+        z_sum = row_sum(z, axis=1)
+        np.abs(z, out=z)
+        hinge = (row_sum(z, axis=1) - z_sum) / 2  # sum_i max(-z_i, 0)
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        np.log1p(z, out=z)
+        penalty = lam * row_sum(phi * phi, axis=1)
+        score[block] = row_sum(z, axis=1) + hinge + penalty
+        margin[block] = np.abs(phi) @ col_abs + (n + penalty)  # B until scaled below
+    margin *= 4 * (n + d + 64) * np.finfo(np.float64).eps
+    # at least min_k(s_k + m_k) + delta, with no temporary the size of the table
+    cutoff = np.min(score) + np.max(margin) + delta
+    score -= margin
+    return np.flatnonzero(~(score > cutoff))
+
+
 def worst_case_regret(
     model: RewardModel,
     slate,
@@ -122,20 +188,20 @@ def worst_case_regret(
     if deltas.shape[1:] != slate.shape[1:]:
         raise InputError("data dimension differs from slate dimension")
 
-    # The winner-minus-loser matrix is built once and every hypothesis row
-    # is scored once with the kernel nll() uses, so each NLL equals
-    # nll(theta * w). The threshold is the best NLL achieved on the grid
-    # (the continuous fit sits strictly below every grid point, so using
-    # it would empty the set at delta=0). Each product stays per row: a
-    # batched matrix product can round differently in the last bit.
+    # Each kept hypothesis is scored with the kernel nll() uses, one row at
+    # a time, so each NLL equals nll(theta * w): a batched matrix product
+    # can round differently in the last bit. The threshold is the best NLL
+    # achieved on the grid (the continuous fit sits strictly below every
+    # grid point, so using it would empty the set at delta=0).
     thetas, ws = _hypotheses(slate.shape[1], search)
+    kept = _screen(thetas, ws, deltas, model.lam, delta)
     vals = np.fromiter(
-        (_nll_from_deltas(theta * w, deltas, model.lam) for theta, w in zip(thetas, ws)),
-        dtype=np.float64, count=len(thetas),
+        (_nll_from_deltas(thetas[i] * ws[i], deltas, model.lam) for i in kept),
+        dtype=np.float64, count=kept.size,
     )
     finite = np.isfinite(vals)
     best_nll = float(np.min(vals[finite])) if finite.any() else np.inf
-    consistent = np.flatnonzero(finite & (vals <= best_nll + delta))
+    consistent = kept[finite & (vals <= best_nll + delta)]
 
     regret = worst = None
     if consistent.size:
@@ -151,7 +217,7 @@ def worst_case_regret(
         "bound": search.bound,
         "w_mode": search.w_mode,
         "seed": search.seed,
-        "hypotheses_evaluated": len(vals),
+        "hypotheses_evaluated": len(thetas),
         "consistent_count": int(consistent.size),
         "best_nll": best_nll,
         "fit_nll": model.final_nll,

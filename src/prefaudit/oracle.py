@@ -97,6 +97,9 @@ def exhaustive_axiom_check(model, slate, voters_or_pop, epsilon: float, axiom: s
         raise InputError("exhaustive check is limited to slates of <= 50")
     if not math.isfinite(epsilon) or epsilon < 0:
         raise InputError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    for i, a in enumerate(slate):
+        if not all(math.isfinite(x) for x in a):
+            raise InputError(f"slate point {i} has non-finite coordinates")
     pair_gap = empirical_unanimous_gap if axiom == "unanimity" else population_mean_gap
     anchors = []
     min_margin = None

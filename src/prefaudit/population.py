@@ -157,8 +157,9 @@ class UniformBox:
 
 @dataclass(frozen=True)
 class ExplicitSlate:
-    """A fixed slate: returned in order when n equals its size (sampling
-    without replacement), sampled with replacement otherwise."""
+    """A fixed slate of at least 2 distinct points: returned in order when n
+    equals its size (sampling without replacement), sampled with
+    replacement otherwise."""
 
     points: tuple
 
@@ -168,6 +169,9 @@ class ExplicitSlate:
             raise ConfigError("explicit slate must be non-empty")
         if any(p.shape[0] != self.dim for p in self.points):
             raise ConfigError("explicit slate has inconsistent dimensions")
+        distinct = len(np.unique(np.stack(self.points), axis=0))
+        if distinct < 2:  # every alternative would be the same, and every audit vacuous
+            raise ConfigError(f"points: need at least 2 distinct points, got {distinct}")
 
     @property
     def dim(self) -> int:

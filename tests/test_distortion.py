@@ -1,7 +1,10 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prefaudit.distortion
 from prefaudit.annotation import (
@@ -229,3 +232,111 @@ def test_random_sampling_fallback_above_grid_limit():
     with pytest.raises(InputError, match="seed"):
         worst_case_regret(model, slate, data, delta=5.0,
                           search=SearchSpec(random_samples=500, seed=-1))
+
+
+@st.composite
+def _search_cases(draw):
+    """(model, slate, data, delta, search) small enough for the naive loop: d of
+    1-4, records drawn with repeats from a few distinct pairs whose
+    differences reach 1e3, a grid search up to d=3 and the random fallback
+    above, either w_mode."""
+    d = draw(st.integers(1, 4))
+    half = draw(st.sampled_from([0.5, 500.0]))
+    point = st.lists(st.floats(-half, half), min_size=d, max_size=d)
+    pairs = draw(st.lists(st.tuples(point, point), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pairs) - 1), min_size=1, max_size=30))
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(picks), max_size=len(picks)))
+    data = Dataset(voter=[0] * len(picks), label=labels,
+                   a0=[pairs[k][0] for k in picks], a1=[pairs[k][1] for k in picks])
+    unit = st.lists(st.floats(-1, 1), min_size=d, max_size=d)
+    slate = [np.array(a) for a in draw(st.lists(unit, min_size=2, max_size=5))]
+    model = RewardModel(theta_hat=draw(unit), lam=draw(st.sampled_from([0.0, 1e-3])),
+                        final_nll=0.0, converged=True, iterations=0)
+    w_mode = draw(st.sampled_from(["ones", "grid"]))
+    if d <= GRID_DIM_LIMIT:
+        top = {"ones": (30, 12, 6), "grid": (9, 5, 3)}[w_mode][d - 1]
+        search = SearchSpec(grid_resolution=draw(st.integers(2, top)),
+                            bound=draw(st.sampled_from([0.5, 2.0])), w_mode=w_mode, w_lo=0.5, w_hi=1.5)
+    else:
+        search = SearchSpec(random_samples=draw(st.integers(1, 150)), seed=draw(st.integers(0, 3)),
+                            w_mode=w_mode, w_lo=0.0, w_hi=2.0)
+    return model, slate, data, draw(st.sampled_from([0.0, 1e-12, 0.5, 3.0])), search
+
+
+@settings(max_examples=60, deadline=None)
+@given(_search_cases())
+def test_screened_search_equals_the_naive_loop(case):
+    model, slate, data, delta, search = case
+    report = worst_case_regret(model, slate, data, delta, search)
+    regret, (theta, w), best_nll, count = _reference_regret(model, slate, data, delta, search)
+    assert report.regret == regret
+    assert np.array_equal(report.worst_theta, theta)
+    assert np.array_equal(report.worst_w, w)
+    assert report.metadata["best_nll"] == best_nll
+    assert report.metadata["consistent_count"] == count
+
+
+@pytest.mark.parametrize("case", ["ones-d2", "grid-d2"])
+def test_a_hypothesis_exactly_delta_above_the_best_is_consistent(case):
+    # delta = v_k - v* is exact (Sterbenz), so v* + delta == v_k and hypothesis
+    # k sits on the threshold; a screen without its margin drops some of them
+    data = _dataset()
+    model = fit_mle(data, lam=1e-3)
+    search = (SearchSpec(grid_resolution=21) if case == "ones-d2"
+              else SearchSpec(grid_resolution=6, w_mode="grid", w_lo=0.5, w_hi=1.5))
+    vals = [nll(theta * w, data, model.lam) for theta, w in _reference_hypotheses(2, search)]
+    ranked = sorted(set(vals))
+    best = ranked[0]
+    for v_k in ranked[1:40:3]:
+        delta = v_k - best
+        assert best + delta == v_k
+        report = worst_case_regret(model, SLATE, data, delta, search)
+        assert report.metadata["best_nll"] == best
+        assert report.metadata["consistent_count"] == sum(v <= v_k for v in vals)
+
+
+def test_only_the_rows_the_screen_keeps_are_scored_exactly(monkeypatch):
+    screen, exact = prefaudit.distortion._screen, prefaudit.distortion._nll_from_deltas
+    kept, calls = [], []
+
+    def recorded_screen(*args):
+        kept.append(screen(*args))
+        return kept[-1]
+
+    def counted_nll(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(prefaudit.distortion, "_screen", recorded_screen)
+    monkeypatch.setattr(prefaudit.distortion, "_nll_from_deltas", counted_nll)
+    data = _dataset()  # round-robin
+    model = fit_mle(data, lam=1e-3)
+    report = worst_case_regret(model, SLATE, data, 0.5, SearchSpec(grid_resolution=41))
+    hypotheses = report.metadata["hypotheses_evaluated"]
+    assert hypotheses == 41 ** 2
+    assert len(calls) == kept[0].size < 0.01 * hypotheses
+    assert 1 <= report.metadata["consistent_count"] <= kept[0].size
+
+
+# tracemalloc peak, in MiB, of the search below when every one of its
+# 117,649 rows was scored exactly (no screen): the two 117,649 x 3 (theta, w)
+# tables are 5.4 MiB of it
+EXHAUSTIVE_W_GRID_PEAK_MIB = 7.30
+
+
+def test_a_w_grid_search_stays_within_a_mebibyte_of_the_exhaustive_one():
+    rng = np.random.default_rng(0)
+    voters = sample_voters(PointMass(theta=[1.0, -0.5, 0.5]), 1, seed=0)
+    slate = [rng.uniform(0, 1, 3) for _ in range(6)]
+    data = generate_dataset(voters, slate, RoundRobin(repeats=4), EACH_PAIR_RANDOM_VOTER,
+                            TrueRewardLabels(), seed=1)
+    model = fit_mle(data, lam=1e-3)
+    search = SearchSpec(grid_resolution=7, w_mode="grid")
+    tracemalloc.start()
+    try:
+        report = worst_case_regret(model, slate, data, 0.5, search)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.metadata["hypotheses_evaluated"] == 7 ** 6
+    assert peak <= (EXHAUSTIVE_W_GRID_PEAK_MIB + 1) * 2**20

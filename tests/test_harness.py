@@ -212,6 +212,10 @@ class TestLoadConfig:
         ({"distortion": {"w_lo": 3.0}}, "config.distortion: need finite w_lo <= w_hi, got 3.0 and 2.0"),
         ({"audit": {"consistency": {"min_fraction": 0.6}}},
          "config.audit.consistency: min_fraction must be in [0, 1/2] for 2 blocks, got 0.6"),
+        ({"alternatives": {"kind": "explicit-slate", "points": [[0.5, 0.5]]}},
+         "config.alternatives.points: need at least 2 distinct points, got 1"),
+        ({"alternatives": {"kind": "explicit-slate", "points": [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]}},
+         "config.alternatives.points: need at least 2 distinct points, got 1"),
     ])
     def test_out_of_range_value_names_its_path(self, override, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -525,6 +529,17 @@ class TestCli:
         result = self._run(["--config", str(cfg_path), "run"], tmp_path)
         assert result.returncode == 1
         assert "config.population" in result.stderr
+
+    def test_run_rejects_an_explicit_slate_of_one_distinct_point(self, tmp_path):
+        # sampled with replacement, it would be a slate of 5 copies of one
+        # alternative: every audit VACUOUS and regret 0, with exit 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**SMALL_RUN, "alternatives": {
+            "kind": "explicit-slate", "points": [[0.5, 0.5]]}}))
+        result = self._run(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "run"], tmp_path)
+        assert result.returncode == 1
+        assert result.stderr == "error: config.alternatives.points: need at least 2 distinct points, got 1\n"
+        assert not (tmp_path / "out" / "distortion.json").exists()
 
     @pytest.mark.parametrize("stage, name, content, message", [
         pytest.param("audit", "slate.json", [[0.1, 0.2], [float("nan"), 0.5], [0.3, 0.3]],

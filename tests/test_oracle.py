@@ -118,6 +118,16 @@ class TestExhaustiveAxiomCheck:
             with pytest.raises(InputError, match="epsilon"):
                 exhaustive_axiom_check(model, slate, population, epsilon, axiom)
 
+    def test_rejects_a_non_finite_slate_point(self):
+        # a NaN point dominates nothing and is dominated by nothing, so
+        # without the check this negated model would pass vacuously
+        voters = sample_voters(PointMass(theta=[1.0, 0.0]), 1, seed=0)
+        slate = [np.array([1.0, 0.0]), np.array([np.nan, 0.0])]
+        model = _model([-1.0, 0.0])
+        for axiom, population in (("unanimity", voters), ("condorcet", PointMass(theta=[1.0, 0.0]))):
+            with pytest.raises(InputError, match="slate point 1 has non-finite coordinates"):
+                exhaustive_axiom_check(model, slate, population, 0.0, axiom)
+
 
 class TestPopulationMeanGap:
     def test_gaussian_gap(self):

@@ -63,6 +63,14 @@ class TestSampleAlternatives:
         for got, want in zip(out, pts):
             assert np.array_equal(got, want)
 
+    def test_explicit_slate_needs_two_distinct_points(self):
+        for pts in (([0.5, 0.5],), ([0.5, 0.5], [0.5, 0.5]), ([0.0, 1.0], [-0.0, 1.0])):
+            with pytest.raises(ConfigError, match="^points: need at least 2 distinct points, got 1$"):
+                ExplicitSlate(points=pts)
+        # repeated points are fine while two of them differ
+        out = sample_alternatives(ExplicitSlate(points=([0.0, 1.0], [0.0, 1.0], [1.0, 0.0])), 3, seed=0)
+        assert np.array_equal(out, [[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+
     def test_uniform_box_mean(self):
         spec = UniformBox(lo=[0.0, 0.0], hi=[1.0, 1.0])
         out = np.stack(sample_alternatives(spec, 10000, seed=3))
