@@ -2,8 +2,9 @@
 
 Subcommands: simulate, fit, audit, distort, verify, run. All consume the
 same JSON config file; --seed overrides the root seed and --out picks
-the artifact directory. Exit status: 0 success, 1 validation/config
-error, 2 runtime or numeric error.
+the artifact directory; run and audit print only the reports this call
+computed, from the RunDir run_pipeline returns. Exit status: 0 success,
+1 validation/config error, 2 runtime or numeric error.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from .config import config_from_dict, load_config
 from .errors import ConfigError, InputError, PrefAuditError
 from .estimation import nll
 from .oracle import brute_force_mle, exhaustive_axiom_check
-from .pipeline import AXIOMS_FILE, DISTORTION_FILE, MODEL_FILE, STAGES, RunDir, run_pipeline
+from .pipeline import MODEL_FILE, STAGES, RunDir, run_pipeline
 from .reports import emit_rows, emit_table, rows_from_reports
-from .serialize import axiom_report_from_dict, distortion_report_from_dict, load_json
 from .axioms import audit_condorcet, audit_unanimity
 
 
@@ -32,17 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=[*STAGES, "verify", "run"])
     return parser
-
-
-def _emit(args, out: Path) -> None:
-    reports = [axiom_report_from_dict(d) for d in load_json(out / AXIOMS_FILE)]
-    if args.format == "rows":
-        sys.stdout.write(emit_rows(rows_from_reports(reports)))
-    else:
-        distortion = None
-        if (out / DISTORTION_FILE).exists():
-            distortion = distortion_report_from_dict(load_json(out / DISTORTION_FILE))
-        sys.stdout.write(emit_table(reports, distortion))
 
 
 def _verify(config, run: RunDir) -> int:
@@ -85,16 +74,19 @@ def main(argv=None) -> int:
             config = config_from_dict(raw)
         out = Path(args.out or config.raw.get("output_dir", "out"))
         if args.command == "verify":
-            if not (out / MODEL_FILE).exists():
-                run_pipeline(config, out, stages=("simulate", "fit"))
-            failures = _verify(config, RunDir(out))
+            have_model = (out / MODEL_FILE).exists()
+            run = RunDir(out) if have_model else run_pipeline(config, out, stages=("simulate", "fit"))
+            failures = _verify(config, run)
             if failures:
                 print(f"{failures} oracle check(s) failed", file=sys.stderr)
                 return 2
         else:
-            run_pipeline(config, out, STAGES if args.command == "run" else (args.command,))
+            run = run_pipeline(config, out, STAGES if args.command == "run" else (args.command,))
             if args.command in ("run", "audit"):
-                _emit(args, out)
+                if args.format == "rows":
+                    sys.stdout.write(emit_rows(rows_from_reports(run.axioms)))
+                else:
+                    sys.stdout.write(emit_table(run.axioms, run.distortion))
     except (ConfigError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -38,9 +38,8 @@ def _nll_from_deltas(theta: np.ndarray, deltas: np.ndarray, lam: float) -> float
 
 def _lose_prob(z: np.ndarray) -> np.ndarray:
     """sigma(-z) = 1 - sigma(z), the modeled chance that the recorded loser wins."""
-    with np.errstate(over="ignore"):
-        return np.where(z >= 0, np.exp(-np.clip(z, 0, None)) / (1 + np.exp(-np.clip(z, 0, None))),
-                        1.0 / (1.0 + np.exp(np.clip(z, None, 0))))
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, e / (1 + e), 1.0 / (1.0 + e))
 
 
 def _checked(theta, data: Dataset, lam: float):

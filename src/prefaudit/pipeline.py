@@ -7,7 +7,8 @@ outputs land under the run's output directory; the manifest echoes the
 full config with defaults applied, every derived seed, library
 versions, and the time taken by the whole run and by each stage (the
 only fields that vary between otherwise identical runs). One RunDir
-carries the artifacts from stage to stage, so a run of every stage reads
+carries the run from stage to stage and back to the caller: its derived
+seeds, artifacts, reports and manifest. A run of every stage reads
 nothing back from disk, while a stage run alone reads what it needs.
 """
 
@@ -47,6 +48,7 @@ from .serialize import (
 __all__ = ["child_seed", "run_pipeline", "RunDir", "STAGES"]
 
 STAGES = ("simulate", "fit", "audit", "distort")
+SEED_STREAMS = ("voters", "alternatives", "annotate", "consistency")  # child_seed stream names
 
 DATASET_FILE = "dataset.records"
 SLATE_FILE = "slate.json"
@@ -64,16 +66,18 @@ def child_seed(root_seed: int, stage: str, index: int = 0) -> int:
 
 
 class RunDir:
-    """The artifacts of one run directory, each loaded at most once.
+    """One run, handed by ``run_pipeline`` from stage to stage and back.
 
-    ``run_pipeline`` hands one RunDir from stage to stage: simulate sets
-    ``voters``, ``slate`` and ``dataset``, fit sets ``model``, and an
-    artifact no earlier stage of the same call produced is read from disk
-    on first use.
+    Simulate sets ``voters``, ``slate`` and ``dataset``, fit ``model``,
+    audit ``axioms`` and distort ``distortion``. An artifact no earlier
+    stage of the same call produced is read from disk on first use; the
+    reports, the ``manifest`` and the ``seeds`` (child seed by stream
+    name) never are, so each is None unless this call set it.
     """
 
-    def __init__(self, out: Path):
-        self.out = out
+    def __init__(self, out: Path, seeds: dict | None = None):
+        self.out, self.seeds = out, seeds
+        self.axioms = self.distortion = self.manifest = None
 
     voters = cached_property(lambda self: read_voters(self.out / VOTERS_FILE))
     slate = cached_property(lambda self: read_slate(self.out / SLATE_FILE))
@@ -82,13 +86,11 @@ class RunDir:
 
 
 def stage_simulate(config: ExperimentConfig, run: RunDir) -> dict:
-    run.voters = sample_voters(config.population, config.num_voters, child_seed(config.seed, "voters"))
-    run.slate = sample_alternatives(
-        config.alternatives, config.num_alternatives, child_seed(config.seed, "alternatives")
-    )
+    run.voters = sample_voters(config.population, config.num_voters, run.seeds["voters"])
+    run.slate = sample_alternatives(config.alternatives, config.num_alternatives, run.seeds["alternatives"])
     run.dataset = generate_dataset(
         run.voters, run.slate, config.pair_scheme, config.assignment, config.label_scheme,
-        child_seed(config.seed, "annotate"),
+        run.seeds["annotate"],
     )
     write_voters(run.out / VOTERS_FILE, run.voters)
     write_slate(run.out / SLATE_FILE, run.slate)
@@ -107,7 +109,7 @@ def stage_fit(config: ExperimentConfig, run: RunDir) -> dict:
 
 
 def stage_audit(config: ExperimentConfig, run: RunDir) -> dict:
-    scheme = replace(config.consistency, seed=child_seed(config.seed, "consistency"))
+    scheme = replace(config.consistency, seed=run.seeds["consistency"])
     eps = config.epsilons
     per_axiom = (
         audit_unanimity(run.model, run.slate, run.voters, eps),
@@ -117,7 +119,7 @@ def stage_audit(config: ExperimentConfig, run: RunDir) -> dict:
         ),
     )
     # one unanimity, condorcet, consistency triple per epsilon, in config order
-    reports = [r for triple in zip(*per_axiom) for r in triple]
+    run.axioms = reports = [r for triple in zip(*per_axiom) for r in triple]
     dump_json(run.out / AXIOMS_FILE, [axiom_report_to_dict(r) for r in reports])
     return {
         "reports": len(reports),
@@ -128,8 +130,10 @@ def stage_audit(config: ExperimentConfig, run: RunDir) -> dict:
 
 def stage_distort(config: ExperimentConfig, run: RunDir) -> dict:
     if not config.distortion_enabled:
+        # a report left by an earlier run would contradict this manifest
+        (run.out / DISTORTION_FILE).unlink(missing_ok=True)
         return {"skipped": True}
-    report = worst_case_regret(run.model, run.slate, run.dataset, config.delta, config.search)
+    run.distortion = report = worst_case_regret(run.model, run.slate, run.dataset, config.delta, config.search)
     dump_json(run.out / DISTORTION_FILE, distortion_report_to_dict(report))
     return {"regret": report.regret, "learned_winner": report.learned_winner}
 
@@ -142,23 +146,19 @@ _STAGE_FNS = {
 }
 
 
-def run_pipeline(config: ExperimentConfig, out_dir, stages=STAGES) -> dict:
-    """Run the requested stages and write the manifest; returns it.
+def run_pipeline(config: ExperimentConfig, out_dir, stages=STAGES) -> RunDir:
+    """Run the requested stages and write the manifest; returns the RunDir
+    they filled, with the manifest as ``manifest``.
 
     A stage failure writes a partial manifest naming the failed stage,
     then re-raises.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {
+    run = RunDir(out, {name: child_seed(config.seed, name) for name in SEED_STREAMS})
+    run.manifest = manifest = {
         "config": config.echo(),
-        "seeds": {
-            "root": config.seed,
-            "voters": child_seed(config.seed, "voters"),
-            "alternatives": child_seed(config.seed, "alternatives"),
-            "annotate": child_seed(config.seed, "annotate"),
-            "consistency": child_seed(config.seed, "consistency"),
-        },
+        "seeds": {"root": config.seed, **run.seeds},
         "versions": {
             "prefaudit": __version__,
             "numpy": np.__version__,
@@ -167,7 +167,6 @@ def run_pipeline(config: ExperimentConfig, out_dir, stages=STAGES) -> dict:
         "stages": {},
         "stage_seconds": {},
     }
-    run = RunDir(out)
     error = None
     start = time.monotonic()
     for stage in stages:
@@ -187,4 +186,4 @@ def run_pipeline(config: ExperimentConfig, out_dir, stages=STAGES) -> dict:
     dump_json(out / MANIFEST_FILE, manifest)
     if error is not None:
         raise error
-    return manifest
+    return run

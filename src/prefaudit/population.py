@@ -86,7 +86,12 @@ class DiagonalGaussian(_Gaussian):
 
 
 class GaussianSpace(_Gaussian):
-    """Alternative space N(mean, diag(var))."""
+    """Alternative space N(mean, diag(var)), with var > 0 on some coordinate."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not np.any(self.var > 0):  # every alternative would be the mean, and every audit vacuous
+            raise ConfigError("var: need a positive entry, got 0 on every coordinate")
 
 
 @dataclass(frozen=True)
@@ -136,6 +141,8 @@ class Mixture:
 
 @dataclass(frozen=True)
 class UniformBox:
+    """Uniform on [lo, hi], with lo < hi on some coordinate."""
+
     lo: np.ndarray
     hi: np.ndarray
 
@@ -146,6 +153,8 @@ class UniformBox:
             raise ConfigError("box lo and hi dimensions differ")
         if np.any(self.lo > self.hi):
             raise ConfigError("box requires lo <= hi coordinatewise")
+        if np.all(self.lo == self.hi):  # every alternative would be the same, and every audit vacuous
+            raise ConfigError("hi: need hi > lo on some coordinate, got hi == lo on every coordinate")
 
     @property
     def dim(self) -> int:

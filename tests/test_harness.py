@@ -1,6 +1,9 @@
+import builtins
 import importlib
 import importlib.util
+import io
 import json
+import math
 import pkgutil
 import re
 import subprocess
@@ -216,6 +219,10 @@ class TestLoadConfig:
          "config.alternatives.points: need at least 2 distinct points, got 1"),
         ({"alternatives": {"kind": "explicit-slate", "points": [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]}},
          "config.alternatives.points: need at least 2 distinct points, got 1"),
+        ({"alternatives": {"kind": "uniform-box", "lo": 0.5, "hi": 0.5}},
+         "config.alternatives.hi: need hi > lo on some coordinate, got hi == lo on every coordinate"),
+        ({"alternatives": {"kind": "gaussian", "mean": [0.5, 0.5], "var": [0, 0]}},
+         "config.alternatives.var: need a positive entry, got 0 on every coordinate"),
     ])
     def test_out_of_range_value_names_its_path(self, override, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -389,13 +396,13 @@ class TestPipeline:
 
     def test_manifest_records_defaults_and_seeds(self, tmp_path):
         cfg = config_from_dict(SMALL_RUN)
-        manifest = run_pipeline(cfg, tmp_path / "run")
+        manifest = run_pipeline(cfg, tmp_path / "run").manifest
         assert manifest["config"]["estimation"]["lambda"] == 1e-3
         assert manifest["seeds"]["voters"] == child_seed(11, "voters")
         assert set(manifest["stages"]) == {"simulate", "fit", "audit", "distort"}
 
     def test_manifest_records_stage_seconds(self, tmp_path):
-        manifest = run_pipeline(config_from_dict(SMALL_RUN), tmp_path / "run")
+        manifest = run_pipeline(config_from_dict(SMALL_RUN), tmp_path / "run").manifest
         seconds = manifest["stage_seconds"]
         assert list(seconds) == list(STAGES)
         assert all(s >= 0 for s in seconds.values())
@@ -413,8 +420,8 @@ class TestPipeline:
 
         monkeypatch.setattr(prefaudit.pipeline, "fit_mle", counting_fit)
         raw = {**SMALL_RUN, "audit": {"epsilons": [0.0, 0.1, 0.5], "consistency": {"partitions": 3}}}
-        manifest = run_pipeline(config_from_dict(raw), tmp_path / "run", stages=("simulate", "fit", "audit"))
-        assert manifest["stages"]["audit"]["reports"] == 9
+        run = run_pipeline(config_from_dict(raw), tmp_path / "run", stages=("simulate", "fit", "audit"))
+        assert run.manifest["stages"]["audit"]["reports"] == 9
         reports = json.loads((tmp_path / "run" / "axioms.json").read_text())
         assert all(r["metadata"]["skipped_partitions"] == 0 for r in reports if r["axiom"] == "consistency")
         # the main fit, then 3 partitions x 2 blocks, whatever the number of epsilons
@@ -423,8 +430,9 @@ class TestPipeline:
     def test_disabled_distortion_skipped(self, tmp_path):
         raw = dict(SMALL_RUN)
         raw["distortion"] = {"enabled": False}
-        manifest = run_pipeline(config_from_dict(raw), tmp_path / "run")
-        assert manifest["stages"]["distort"] == {"skipped": True}
+        run = run_pipeline(config_from_dict(raw), tmp_path / "run")
+        assert run.manifest["stages"]["distort"] == {"skipped": True}
+        assert run.distortion is None
         assert not (tmp_path / "run" / "distortion.json").exists()
 
 
@@ -468,6 +476,21 @@ class TestCli:
         result = self._run(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "verify"], tmp_path)
         assert result.returncode == 0, result.stderr
         assert "OK" in result.stdout
+
+    def test_verify_on_a_new_directory_reads_back_no_records(self, tmp_path, monkeypatch, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_RUN))
+        reads = []
+        read = prefaudit.pipeline.read_records
+
+        def counted(path):
+            reads.append(path)
+            return read(path)
+
+        monkeypatch.setattr(prefaudit.pipeline, "read_records", counted)
+        assert prefaudit.cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "verify"]) == 0
+        assert "brute-force MLE grid NLL" in capsys.readouterr().out
+        assert reads == []
 
     def test_verify_checks_the_margin_and_calls_each_audit_once(self, tmp_path, monkeypatch, capsys):
         config = config_from_dict(SMALL_RUN)
@@ -541,6 +564,70 @@ class TestCli:
         assert result.stderr == "error: config.alternatives.points: need at least 2 distinct points, got 1\n"
         assert not (tmp_path / "out" / "distortion.json").exists()
 
+    @pytest.mark.parametrize("alternatives, message", [
+        ({"kind": "uniform-box", "lo": 0.5, "hi": 0.5},
+         "config.alternatives.hi: need hi > lo on some coordinate, got hi == lo on every coordinate"),
+        ({"kind": "gaussian", "mean": [0.5, 0.5], "var": [0, 0]},
+         "config.alternatives.var: need a positive entry, got 0 on every coordinate"),
+    ], ids=["box", "gaussian"])
+    def test_run_rejects_an_alternative_space_of_one_point(self, tmp_path, alternatives, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**SMALL_RUN, "alternatives": alternatives}))
+        result = self._run(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "run"], tmp_path)
+        assert result.returncode == 1
+        assert result.stderr == f"error: {message}\n"
+        assert not (tmp_path / "out" / "distortion.json").exists()
+
+    def test_run_prints_its_reports_without_reading_its_directory(self, tmp_path, monkeypatch, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_RUN))
+        out = tmp_path / "out"
+        opened = []
+        real_open = builtins.open
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if "r" in mode or "+" in mode:
+                opened.append(file)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        monkeypatch.setattr(io, "open", recording_open)
+        assert prefaudit.cli.main(["--config", str(cfg_path), "--out", str(out), "run"]) == 0
+        reads = [Path(f) for f in opened if not isinstance(f, int)]
+        monkeypatch.undo()
+        assert cfg_path in reads  # the recorder sees the program's reads
+        assert [f for f in reads if out in f.parents] == []
+        axioms = [axiom_report_from_dict(d) for d in json.loads((out / "axioms.json").read_text())]
+        distortion = distortion_report_from_dict(json.loads((out / "distortion.json").read_text()))
+        assert capsys.readouterr().out == emit_table(axioms, distortion)
+
+    def test_run_without_distortion_prints_no_earlier_regret(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_RUN))
+        out = tmp_path / "out"
+        assert prefaudit.cli.main(["--config", str(cfg_path), "--out", str(out), "--seed", "5", "run"]) == 0
+        assert "distortion   delta=" in capsys.readouterr().out
+        cfg_path.write_text(json.dumps({**SMALL_RUN, "distortion": {"enabled": False}}))
+        assert prefaudit.cli.main(["--config", str(cfg_path), "--out", str(out), "run"]) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith("axiom ") and "distortion" not in printed
+        assert not (out / "distortion.json").exists()
+        assert json.loads((out / "manifest.json").read_text())["stages"]["distort"] == {"skipped": True}
+
+    @pytest.mark.parametrize("leftover", [None, "{not json"], ids=["valid", "malformed"])
+    def test_audit_prints_only_its_own_reports(self, tmp_path, leftover):
+        # audit run alone does not echo the distortion.json another run wrote
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_RUN))
+        out = tmp_path / "out"
+        run_pipeline(config_from_dict(SMALL_RUN), out)
+        if leftover is not None:
+            (out / "distortion.json").write_text(leftover)
+        result = self._run(["--config", str(cfg_path), "--out", str(out), "audit"], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout.startswith("axiom ") and "distortion" not in result.stdout
+
     @pytest.mark.parametrize("stage, name, content, message", [
         pytest.param("audit", "slate.json", [[0.1, 0.2], [float("nan"), 0.5], [0.3, 0.3]],
                      "non-finite", id="audit-nan-slate"),
@@ -608,6 +695,23 @@ def test_benchmark_tracer_hooks_exist():
     assert tracer.WRAPPED
     for module, attr, _, _ in tracer.WRAPPED:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_benchmark_traced_run_produces_every_layer_metric(tmp_path, monkeypatch):
+    """One traced run yields every per-layer metric BENCHMARK.json names,
+    each finite (``trace.overhead_s`` is computed by run.py, not here)."""
+    tracer = _perfbench_module("tracer")
+    for module, attr, _, _ in tracer.WRAPPED:
+        monkeypatch.setattr(module, attr, getattr(module, attr))  # undone after the test
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(SMALL_RUN))
+    result = tracer.traced_run(str(cfg_path), str(tmp_path / "out"), str(tmp_path / "spans.json"), "small", 0)
+    benchmark = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in benchmark["per_layer"] if m["name"] != "trace.overhead_s"]
+    assert len(names) > 20
+    assert [n for n in names if n not in result["layers"]] == []
+    assert [n for n in names if not math.isfinite(result["layers"][n])] == []
+    assert math.isfinite(result["traced_s"])
 
 
 def _perfbench_module(name):

@@ -14,8 +14,10 @@ import pytest
 
 import prefaudit.pipeline
 from prefaudit.config import config_from_dict
-from prefaudit.pipeline import DATASET_FILE, STAGES, RunDir, run_pipeline, stage_simulate
-from prefaudit.serialize import read_records
+from prefaudit.pipeline import (
+    AXIOMS_FILE, DATASET_FILE, DISTORTION_FILE, MANIFEST_FILE, STAGES, run_pipeline,
+)
+from prefaudit.serialize import axiom_report_to_dict, distortion_report_to_dict, load_json, read_records
 
 CONFIG = {
     "dimension": 2,
@@ -74,9 +76,24 @@ def test_artifacts_match_the_recorded_digests(tmp_path):
 
 
 def test_in_memory_dataset_equals_its_artifact(tmp_path):
-    run = RunDir(tmp_path)
-    stage_simulate(config_from_dict(CONFIG), run)
+    run = run_pipeline(config_from_dict(CONFIG), tmp_path, stages=("simulate",))
     assert run.dataset == read_records(tmp_path / DATASET_FILE)
+
+
+def test_returned_reports_equal_their_artifacts(tmp_path):
+    run = run_pipeline(config_from_dict(CONFIG), tmp_path)
+    assert [axiom_report_to_dict(r) for r in run.axioms] == load_json(tmp_path / AXIOMS_FILE)
+    assert distortion_report_to_dict(run.distortion) == load_json(tmp_path / DISTORTION_FILE)
+    assert run.manifest == load_json(tmp_path / MANIFEST_FILE)
+
+
+def test_a_stage_run_alone_carries_only_its_own_reports(tmp_path):
+    config = config_from_dict(CONFIG)
+    run_pipeline(config, tmp_path)
+    run = run_pipeline(config, tmp_path, stages=("audit",))
+    assert run.axioms is not None and run.distortion is None
+    run = run_pipeline(config, tmp_path, stages=("distort",))
+    assert run.axioms is None and run.distortion is not None
 
 
 def test_full_run_reads_no_records(tmp_path, record_reads):

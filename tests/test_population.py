@@ -5,6 +5,7 @@ from prefaudit.errors import ConfigError, InputError
 from prefaudit.population import (
     DiagonalGaussian,
     ExplicitSlate,
+    GaussianSpace,
     Mixture,
     PointMass,
     UniformBox,
@@ -77,9 +78,21 @@ class TestSampleAlternatives:
         assert np.all(np.abs(out.mean(axis=0) - 0.5) < 0.02)
 
     def test_degenerate_box(self):
-        spec = UniformBox(lo=[0.0, 0.0], hi=[0.0, 0.0])
-        for a in sample_alternatives(spec, 5, seed=4):
-            assert np.array_equal(a, [0.0, 0.0])
+        # a box of one point would be a slate of copies of one alternative
+        with pytest.raises(ConfigError, match="^hi: need hi > lo on some coordinate"):
+            UniformBox(lo=[0.0, 0.0], hi=[0.0, 0.0])
+        # degenerate on some coordinates only is still a box
+        out = sample_alternatives(UniformBox(lo=[0.0, 0.5], hi=[1.0, 0.5]), 5, seed=4)
+        assert np.all(out[:, 1] == 0.5) and len(np.unique(out[:, 0])) == 5
+
+    def test_gaussian_space_needs_a_positive_variance(self):
+        with pytest.raises(ConfigError, match="^var: need a positive entry"):
+            GaussianSpace(mean=[0.5, 0.5], var=[0.0, 0.0])
+        out = sample_alternatives(GaussianSpace(mean=[0.5, 0.5], var=[0.0, 1.0]), 5, seed=4)
+        assert np.all(out[:, 0] == 0.5) and len(np.unique(out[:, 1])) == 5
+        # a population keeps accepting zero variance: every voter is the mean
+        voters = sample_voters(DiagonalGaussian(mean=[0.5, 0.5], var=[0.0, 0.0]), 3, seed=4)
+        assert all(np.array_equal(v.theta, [0.5, 0.5]) for v in voters)
 
     def test_slate_oversampling_with_replacement(self):
         pts = ([0.0], [1.0])
