@@ -3,8 +3,7 @@ reward models, and audit them against social-choice style axioms and a
 worst-case distortion metric.
 
 The labelled comparisons travel between every layer as one columnar,
-read-only ``Dataset``; it replaces the list of per-record
-``ComparisonRecord`` objects that earlier versions passed around."""
+read-only ``Dataset``."""
 
 __version__ = "0.1.0"
 

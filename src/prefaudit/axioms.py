@@ -66,6 +66,8 @@ class AxiomReport:
 
 def _epsilons(epsilons) -> list[float]:
     epsilons = [float(e) for e in epsilons]
+    if not epsilons:
+        raise InputError("need at least one epsilon")
     for e in epsilons:
         if not (math.isfinite(e) and e >= 0):
             raise InputError(f"epsilon must be finite and >= 0, got {e!r}")

@@ -4,7 +4,8 @@ Subcommands: simulate, fit, audit, distort, verify, run. All consume the
 same JSON config file; --seed overrides the root seed and --out picks
 the artifact directory; run and audit print only the reports this call
 computed, from the RunDir run_pipeline returns. Exit status: 0 success,
-1 validation/config error, 2 runtime or numeric error.
+1 validation/config error, 2 runtime or numeric error. A reward model
+that did not converge adds one warning line on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 from .config import config_from_dict, load_config
 from .errors import ConfigError, InputError, PrefAuditError
 from .estimation import nll
-from .oracle import brute_force_mle, exhaustive_axiom_check
+from .oracle import AXIOM_MAX_SLATE, MLE_MAX_DIM, brute_force_mle, exhaustive_axiom_check
 from .pipeline import MODEL_FILE, STAGES, RunDir, run_pipeline
 from .reports import emit_rows, emit_table, rows_from_reports
 from .axioms import audit_condorcet, audit_unanimity
@@ -39,7 +40,7 @@ def _verify(config, run: RunDir) -> int:
     failures = 0
     slate, voters, model = run.slate, run.voters, run.model
 
-    if config.dimension <= 3:
+    if config.dimension <= MLE_MAX_DIM:
         grid_opt = brute_force_mle(run.dataset, config.lam)
         grid_nll = nll(grid_opt, run.dataset, config.lam)
         ok = grid_nll >= model.final_nll - 1e-9
@@ -47,9 +48,9 @@ def _verify(config, run: RunDir) -> int:
               f"{'OK' if ok else 'FAIL'}")
         failures += 0 if ok else 1
     else:
-        print(f"brute-force MLE check skipped (d={config.dimension} > 3)")
+        print(f"brute-force MLE check skipped (d={config.dimension} > {MLE_MAX_DIM})")
 
-    if len(slate) <= 50:
+    if len(slate) <= AXIOM_MAX_SLATE:
         unanimity = audit_unanimity(model, slate, voters, config.epsilons)
         condorcet = audit_condorcet(model, slate, config.population, config.epsilons)
         for eps, uni, cond in zip(config.epsilons, unanimity, condorcet):
@@ -60,7 +61,7 @@ def _verify(config, run: RunDir) -> int:
                 print(f"{report.axiom} audit vs exhaustive oracle (eps={eps:g}): {'OK' if ok else 'FAIL'}")
                 failures += 0 if ok else 1
     else:
-        print(f"axiom oracle check skipped (slate size {len(slate)} > 50)")
+        print(f"axiom oracle check skipped (slate size {len(slate)} > {AXIOM_MAX_SLATE})")
     return failures
 
 
@@ -77,16 +78,21 @@ def main(argv=None) -> int:
             have_model = (out / MODEL_FILE).exists()
             run = RunDir(out) if have_model else run_pipeline(config, out, stages=("simulate", "fit"))
             failures = _verify(config, run)
-            if failures:
-                print(f"{failures} oracle check(s) failed", file=sys.stderr)
-                return 2
         else:
             run = run_pipeline(config, out, STAGES if args.command == "run" else (args.command,))
+            failures = 0
             if args.command in ("run", "audit"):
                 if args.format == "rows":
                     sys.stdout.write(emit_rows(rows_from_reports(run.axioms)))
                 else:
                     sys.stdout.write(emit_table(run.axioms, run.distortion))
+        # only a model this call fitted or read: simulate and a skipped distort have none
+        model = vars(run).get("model")
+        if model is not None and not model.converged:
+            print(f"warning: the reward model did not converge: {model.diagnostic}", file=sys.stderr)
+        if failures:
+            print(f"{failures} oracle check(s) failed", file=sys.stderr)
+            return 2
     except (ConfigError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

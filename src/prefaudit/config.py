@@ -272,6 +272,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if not ok:
             raise ConfigError(f"config.estimation.{key}: must be {rule}, got {est[key]!r}")
     aud = full["audit"]
+    if not aud["epsilons"]:
+        raise ConfigError("config.audit.epsilons: need at least one entry")
     if not all(math.isfinite(e) and e >= 0 for e in aud["epsilons"]):
         raise ConfigError("config.audit.epsilons: entries must be finite and >= 0")
     cons = aud["consistency"]
@@ -313,10 +315,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     """Load and validate a JSON experiment config from disk."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}: {e.msg}") from None
+    except OSError as e:
+        raise ConfigError(f"{path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: {e}") from None
     return config_from_dict(raw)

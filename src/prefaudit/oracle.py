@@ -17,7 +17,17 @@ from .axioms import AnchorResult, AxiomReport
 from .errors import InputError
 from .estimation import score
 
-__all__ = ["brute_force_mle", "exhaustive_axiom_check", "population_mean_gap", "empirical_unanimous_gap"]
+__all__ = [
+    "MLE_MAX_DIM",
+    "AXIOM_MAX_SLATE",
+    "brute_force_mle",
+    "exhaustive_axiom_check",
+    "population_mean_gap",
+    "empirical_unanimous_gap",
+]
+
+MLE_MAX_DIM = 3  # brute_force_mle's grid has resolution^d points
+AXIOM_MAX_SLATE = 50  # exhaustive_axiom_check visits every ordered pair
 
 
 def _record_nll(theta, winner_minus_loser, lam: float) -> float:
@@ -33,13 +43,13 @@ def _record_nll(theta, winner_minus_loser, lam: float) -> float:
 def brute_force_mle(data, lam: float, resolution: int = 11, bound: float = 4.0) -> np.ndarray:
     """Grid point minimizing the regularized NLL (ties -> first visited).
 
-    Only meant for cross-checks at d <= 3; the grid has resolution^d
+    Only meant for cross-checks at d <= MLE_MAX_DIM; the grid has resolution^d
     points over [-bound, bound]^d. The NLL is its own per-record loop, so
     a fault in the fit's vectorized kernels cannot hide here.
     """
     d = data.dim
-    if d > 3:
-        raise InputError("brute-force MLE is limited to d <= 3")
+    if d > MLE_MAX_DIM:
+        raise InputError(f"brute-force MLE is limited to d <= {MLE_MAX_DIM}")
     if resolution < 11:
         raise InputError("grid resolution must be >= 11 per axis")
     rows = []
@@ -93,8 +103,8 @@ def exhaustive_axiom_check(model, slate, voters_or_pop, epsilon: float, axiom: s
         raise InputError(f"exhaustive check supports unanimity/condorcet, not {axiom!r}")
     if len(slate) < 2:
         raise InputError("slate must hold >= 2 alternatives")
-    if len(slate) > 50:
-        raise InputError("exhaustive check is limited to slates of <= 50")
+    if len(slate) > AXIOM_MAX_SLATE:
+        raise InputError(f"exhaustive check is limited to slates of <= {AXIOM_MAX_SLATE}")
     if not math.isfinite(epsilon) or epsilon < 0:
         raise InputError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     for i, a in enumerate(slate):

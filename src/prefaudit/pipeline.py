@@ -28,7 +28,7 @@ from .annotation import generate_dataset
 from .axioms import audit_condorcet, audit_consistency, audit_unanimity
 from .config import ExperimentConfig
 from .distortion import worst_case_regret
-from .errors import PrefAuditError
+from .errors import InputError, PrefAuditError
 from .estimation import fit_mle
 from .population import sample_alternatives, sample_voters
 from .serialize import (
@@ -154,7 +154,10 @@ def run_pipeline(config: ExperimentConfig, out_dir, stages=STAGES) -> RunDir:
     then re-raises.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise InputError(f"{out}: {e.strerror}") from None
     run = RunDir(out, {name: child_seed(config.seed, name) for name in SEED_STREAMS})
     run.manifest = manifest = {
         "config": config.echo(),

@@ -2,12 +2,15 @@
 
 Dataset records use a line-delimited key=value encoding with floats at
 17 significant digits, so a write/read round trip is exact. Reports and
-models serialize to JSON (Python's float repr also round-trips).
+models serialize to JSON objects keyed by their dataclass fields
+(Python's float repr also round-trips).
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
+from functools import cache
 
 import numpy as np
 
@@ -143,7 +146,7 @@ def read_slate(path) -> np.ndarray:
 
 
 def write_voters(path, voters) -> None:
-    dump_json(path, [{"voter_id": v.voter_id, "theta": [float(x) for x in v.theta]} for v in voters])
+    dump_json(path, [_plain(v) for v in voters])
 
 
 def _voters(entries) -> list[VoterParams]:
@@ -161,26 +164,39 @@ def read_voters(path) -> list[VoterParams]:
     return _read_json(path, _voters)
 
 
+_SCALARS = frozenset({bool, int, float, str, type(None)})
+
+
+@cache
+def _field_names(cls) -> tuple:  # () for a type that is not a dataclass
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else ()
+
+
+def _plain(value):
+    """The JSON form of a report or model: a dataclass becomes the object of its
+    fields, an array its .tolist() and a tuple a list, copied by one list() call
+    when it holds scalars (every tuple here holds items of one kind).
+    """
+    if type(value) in _SCALARS:
+        return value
+    if isinstance(value, tuple):
+        if not value or type(value[0]) in _SCALARS:
+            return list(value)
+        return list(map(_plain, value))
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    names = _field_names(type(value))
+    return {name: _plain(getattr(value, name)) for name in names} if names else value
+
+
 def model_to_dict(model: RewardModel) -> dict:
-    return {
-        "theta_hat": [float(x) for x in model.theta_hat],
-        "lambda": model.lam,
-        "final_nll": model.final_nll,
-        "converged": model.converged,
-        "iterations": model.iterations,
-        "diagnostic": model.diagnostic,
-    }
+    # every field but the in-memory nll_history, with lam written as lambda
+    return {"lambda" if k == "lam" else k: v for k, v in _plain(model).items() if k != "nll_history"}
 
 
 def model_from_dict(d: dict) -> RewardModel:
-    return RewardModel(
-        theta_hat=d["theta_hat"],
-        lam=d["lambda"],
-        final_nll=d["final_nll"],
-        converged=d["converged"],
-        iterations=d["iterations"],
-        diagnostic=d.get("diagnostic", ""),
-    )
+    d = {**d}
+    return RewardModel(lam=d.pop("lambda"), **d)
 
 
 def read_model(path) -> RewardModel:
@@ -188,69 +204,24 @@ def read_model(path) -> RewardModel:
 
 
 def axiom_report_to_dict(report: AxiomReport) -> dict:
-    return {
-        "axiom": report.axiom,
-        "epsilon": report.epsilon,
-        "slate_size": report.slate_size,
-        "passed": report.passed,
-        "vacuous": report.vacuous,
-        "min_margin": report.min_margin,
-        "anchors": [
-            {
-                "anchor": a.anchor,
-                "dominated": list(a.dominated),
-                "violations": [list(v) for v in a.violations],
-                "vacuous": a.vacuous,
-            }
-            for a in report.anchors
-        ],
-        "metadata": report.metadata,
-    }
+    return {**_plain(report), "vacuous": report.vacuous}
 
 
 def axiom_report_from_dict(d: dict) -> AxiomReport:
-    anchors = tuple(
-        AnchorResult(
-            anchor=a["anchor"],
-            dominated=tuple(a["dominated"]),
-            violations=tuple(tuple(v) for v in a["violations"]),
-            vacuous=a["vacuous"],
-        )
-        for a in d["anchors"]
-    )
-    return AxiomReport(
-        axiom=d["axiom"],
-        epsilon=d["epsilon"],
-        slate_size=d["slate_size"],
-        anchors=anchors,
-        passed=d["passed"],
-        min_margin=d["min_margin"],
-        metadata=d.get("metadata", {}),
-    )
+    anchors = tuple(AnchorResult(**{**a, "dominated": tuple(a["dominated"]),
+                                    "violations": tuple(map(tuple, a["violations"]))}) for a in d["anchors"])
+    d = {**d, "anchors": anchors}
+    d.pop("vacuous", None)  # derived from the anchors
+    return AxiomReport(**d)
 
 
 def distortion_report_to_dict(report: DistortionReport) -> dict:
-    return {
-        "slate_size": report.slate_size,
-        "learned_winner": report.learned_winner,
-        "regret": report.regret,
-        "worst_theta": None if report.worst_theta is None else [float(x) for x in report.worst_theta],
-        "worst_w": None if report.worst_w is None else [float(x) for x in report.worst_w],
-        "delta": report.delta,
-        "metadata": report.metadata,
-    }
+    return _plain(report)
 
 
 def distortion_report_from_dict(d: dict) -> DistortionReport:
-    return DistortionReport(
-        slate_size=d["slate_size"],
-        learned_winner=d["learned_winner"],
-        regret=d["regret"],
-        worst_theta=None if d["worst_theta"] is None else np.array(d["worst_theta"]),
-        worst_w=None if d["worst_w"] is None else np.array(d["worst_w"]),
-        delta=d["delta"],
-        metadata=d["metadata"],
-    )
+    arrays = {k: None if d[k] is None else np.array(d[k]) for k in ("worst_theta", "worst_w")}
+    return DistortionReport(**{**d, **arrays})
 
 
 def dump_json(path, obj) -> None:
@@ -260,5 +231,4 @@ def dump_json(path, obj) -> None:
 
 
 def load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    return _read_json(path, lambda value: value)

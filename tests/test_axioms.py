@@ -213,7 +213,7 @@ class TestEpsilonValidation:
         def trainer(recs):
             raise AssertionError("a block model was fitted before epsilon was checked")
 
-        for epsilons in ([float("nan")], [float("inf")], [float("-inf")], [0.1, -1.0]):
+        for epsilons in ([float("nan")], [float("inf")], [float("-inf")], [0.1, -1.0], []):
             with pytest.raises(InputError, match="epsilon"):
                 audit_unanimity(model, slate, voters, epsilons)
             with pytest.raises(InputError, match="epsilon"):

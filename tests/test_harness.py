@@ -9,7 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +22,12 @@ import prefaudit
 import prefaudit.cli
 import prefaudit.pipeline
 from prefaudit.annotation import RoundRobin, UniformRandomPairs
-from prefaudit.axioms import ConsistencyScheme
+from prefaudit.axioms import AnchorResult, AxiomReport, ConsistencyScheme
 from prefaudit.config import config_from_dict, load_config
 from prefaudit.distortion import DistortionReport
 from prefaudit.errors import ConfigError, InputError
 from prefaudit.estimation import fit_mle
-from prefaudit.model import Dataset
+from prefaudit.model import Dataset, RewardModel
 from prefaudit.pipeline import STAGES, RunDir, child_seed, run_pipeline
 from prefaudit.reports import emit_rows, emit_table, parse_rows, rows_from_reports
 from prefaudit.serialize import (
@@ -35,6 +35,9 @@ from prefaudit.serialize import (
     axiom_report_to_dict,
     distortion_report_from_dict,
     distortion_report_to_dict,
+    load_json,
+    model_from_dict,
+    model_to_dict,
     read_model,
     read_records,
     read_slate,
@@ -57,6 +60,26 @@ SMALL_RUN = {
     "audit": {"epsilons": [0.0], "consistency": {"partitions": 2}},
     "distortion": {"delta": 1.0, "grid_resolution": 11},
 }
+
+
+def _field_names(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
+def _assert_wire_round_trip(obj, to_dict, from_dict, keys, unwritten=()):
+    """to_dict(obj) has exactly the given keys, and from_dict of its JSON
+    text equals obj on every field but the unwritten ones, compare=False
+    fields included.
+    """
+    d = to_dict(obj)
+    assert set(d) == keys
+    back = from_dict(json.loads(json.dumps(d)))
+    for name in _field_names(type(obj)) - set(unwritten):
+        want, got = getattr(obj, name), getattr(back, name)
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray) and np.array_equal(got, want), name
+        else:
+            assert got == want and type(got) is type(want), name
 
 
 class TestLoadConfig:
@@ -223,6 +246,7 @@ class TestLoadConfig:
          "config.alternatives.hi: need hi > lo on some coordinate, got hi == lo on every coordinate"),
         ({"alternatives": {"kind": "gaussian", "mean": [0.5, 0.5], "var": [0, 0]}},
          "config.alternatives.var: need a positive entry, got 0 on every coordinate"),
+        ({"audit": {"epsilons": []}}, "config.audit.epsilons: need at least one entry"),
     ])
     def test_out_of_range_value_names_its_path(self, override, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -325,6 +349,12 @@ class TestRecordWireFormat:
             write_records(path, records)
             assert path.read_text() == expected
 
+    def test_malformed_json_names_the_path(self, tmp_path):
+        path = tmp_path / "axioms.json"
+        path.write_text("[{")
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: "):
+            load_json(path)
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "data.records"
         path.write_text("voter=0 label=1 scheme=true-reward a0=1 a1=2\n"
@@ -361,15 +391,9 @@ class TestDistortionReportWireFormat:
         DistortionReport(slate_size=3, learned_winner=0, regret=None,
                          worst_theta=None, worst_w=None, delta=0.0, metadata={}),
     ])
-    def test_round_trip(self, report, tmp_path):
-        path = tmp_path / "distortion.json"
-        path.write_text(json.dumps(distortion_report_to_dict(report)))
-        back = distortion_report_from_dict(json.loads(path.read_text()))
-        for name in ("slate_size", "learned_winner", "regret", "delta", "metadata"):
-            assert getattr(back, name) == getattr(report, name), name
-        for name in ("worst_theta", "worst_w"):
-            want, got = getattr(report, name), getattr(back, name)
-            assert (got is None) if want is None else np.array_equal(got, want), name
+    def test_round_trip(self, report):
+        _assert_wire_round_trip(report, distortion_report_to_dict, distortion_report_from_dict,
+                                _field_names(DistortionReport))
 
 
 class TestChildSeed:
@@ -455,8 +479,31 @@ class TestReports:
         assert any(tok in table for tok in ("PASS", "FAIL", "VACUOUS"))
 
     def test_report_dict_round_trip(self, tmp_path):
-        for report in self._reports(tmp_path):
-            assert axiom_report_from_dict(axiom_report_to_dict(report)).anchors == report.anchors
+        failed = AxiomReport(
+            axiom="consistency", epsilon=0.1, slate_size=3,
+            anchors=(AnchorResult(anchor=0, dominated=(1, 2), violations=((0, 2),), vacuous=False),
+                     AnchorResult(anchor=1, dominated=(), violations=(), vacuous=True),
+                     AnchorResult(anchor=2, dominated=(1,), violations=(), vacuous=False)),
+            passed=False, min_margin=-0.25,
+            metadata={"diagnostic": "no usable voter partition of 2", "skipped_partitions": 2},
+        )
+        for report in [*self._reports(tmp_path), failed]:
+            _assert_wire_round_trip(report, axiom_report_to_dict, axiom_report_from_dict,
+                                    _field_names(AxiomReport) | {"vacuous"})
+            for anchor in axiom_report_to_dict(report)["anchors"]:
+                assert set(anchor) == _field_names(AnchorResult)
+
+    def test_model_dict_round_trip(self):
+        model = RewardModel(theta_hat=[0.5, -1.25], lam=1e-3, final_nll=12.5, converged=False,
+                            iterations=7, diagnostic="gradient tolerance 1e-06 not reached in 7 iterations",
+                            nll_history=(14.0, 13.0, 12.5))
+        keys = _field_names(RewardModel) - {"lam", "nll_history"} | {"lambda"}
+        _assert_wire_round_trip(model, model_to_dict, model_from_dict, keys, unwritten=["nll_history"])
+        assert model_from_dict(model_to_dict(model)).nll_history == ()
+
+
+MODEL_JSON = {"theta_hat": [1.0, -0.5], "lambda": 1e-3, "final_nll": 1.0, "converged": True,
+              "iterations": 3, "diagnostic": ""}
 
 
 class TestCli:
@@ -643,6 +690,11 @@ class TestCli:
                                               {"voter_id": 1, "theta": [1.0]}],
                      "differ in dimension", id="audit-ragged-voters"),
         pytest.param("audit", "voters.json", [[1.0, -0.5]], "must be an object", id="audit-list-voters"),
+        pytest.param("audit", "model.json", {**MODEL_JSON, "theta": [1.0, -0.5]},
+                     "unexpected keyword argument 'theta'", id="audit-model-unknown-key"),
+        pytest.param("distort", "model.json", {k: v for k, v in MODEL_JSON.items() if k != "final_nll"},
+                     "'final_nll'", id="distort-model-without-final-nll"),
+        pytest.param("audit", "model.json", [1.0, -0.5], "not a mapping", id="audit-list-model"),
     ])
     def test_stage_alone_rejects_a_corrupted_file(self, tmp_path, stage, name, content, message):
         out = tmp_path / "out"
@@ -677,6 +729,43 @@ class TestCli:
         result = self._run(["--config", str(cfg_path), "--out", str(out), "distort"], tmp_path)
         assert result.returncode == 1
         assert result.stderr == f"error: {out / 'model.json'}: No such file or directory\n"
+
+    def test_a_model_that_did_not_converge_is_named_on_stderr(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_RUN))
+        out = tmp_path / "out"
+        assert prefaudit.cli.main(["--config", str(cfg_path), "--out", str(out), "run"]) == 0
+        assert capsys.readouterr().err == ""
+        cfg_path.write_text(json.dumps({**SMALL_RUN, "estimation": {"max_iters": 1}}))
+        args = ["--config", str(cfg_path), "--out", str(out)]
+        assert prefaudit.cli.main([*args, "simulate"]) == 0
+        assert capsys.readouterr().err == ""
+        skipped = tmp_path / "skipped.json"
+        skipped.write_text(json.dumps({**SMALL_RUN, "distortion": {"enabled": False}}))
+        empty = tmp_path / "empty"
+        assert prefaudit.cli.main(["--config", str(skipped), "--out", str(empty), "distort"]) == 0
+        assert capsys.readouterr().err == ""
+        for command in ["fit", "audit", "distort", "run", "verify"]:
+            prefaudit.cli.main([*args, command])
+            diagnostic = json.loads((out / "model.json").read_text())["diagnostic"]
+            assert diagnostic
+            err = capsys.readouterr().err.splitlines()
+            assert err[0] == f"warning: the reward model did not converge: {diagnostic}", command
+
+    @pytest.mark.parametrize("case", ["config-directory", "config-not-utf8", "out-is-a-file"])
+    def test_os_and_encoding_errors_name_the_path(self, tmp_path, capsys, case):
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps(SMALL_RUN))
+        if case == "config-directory":
+            cfg_path = tmp_path
+        elif case == "config-not-utf8":
+            cfg_path.write_bytes(b'{"dimension": "\xff"}')
+        else:
+            out.write_text("")
+        assert prefaudit.cli.main(["--config", str(cfg_path), "--out", str(out), "run"]) == 1
+        err = capsys.readouterr().err
+        named = out if case == "out-is-a-file" else cfg_path
+        assert err.startswith(f"error: {named}: ") and err.count("\n") == 1, err
 
     def test_seed_override_changes_dataset(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
