@@ -74,6 +74,15 @@ def _epsilons(epsilons) -> list[float]:
     return epsilons
 
 
+def _row_indices(mask: np.ndarray) -> list[tuple]:
+    """The column indices of each row of a boolean matrix, one tuple per row,
+    cut from one row-major nonzero at the cumulative row counts.
+    """
+    columns = np.nonzero(mask)[1].tolist()
+    ends = np.cumsum(mask.sum(axis=1)).tolist()
+    return [tuple(columns[start:end]) for start, end in zip([0, *ends], ends)]
+
+
 def _dominance_reports(axiom, epsilons, gap, score_gaps, metadata) -> list[AxiomReport]:
     """The dominance kernel: one report per epsilon from one gap matrix.
 
@@ -87,13 +96,8 @@ def _dominance_reports(axiom, epsilons, gap, score_gaps, metadata) -> list[Axiom
         violated = dominated & ~(score_gaps > eps)
         margins = score_gaps[dominated] - eps
         anchors = tuple(
-            AnchorResult(
-                anchor=i,
-                dominated=tuple(np.flatnonzero(dom).tolist()),
-                violations=tuple((i, j) for j in np.flatnonzero(bad).tolist()),
-                vacuous=not dom.any(),
-            )
-            for i, (dom, bad) in enumerate(zip(dominated, violated))
+            AnchorResult(anchor=i, dominated=dom, violations=tuple((i, j) for j in bad), vacuous=not dom)
+            for i, (dom, bad) in enumerate(zip(_row_indices(dominated), _row_indices(violated)))
         )
         reports.append(AxiomReport(
             axiom=axiom,

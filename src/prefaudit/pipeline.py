@@ -32,7 +32,6 @@ from .errors import InputError, PrefAuditError
 from .estimation import fit_mle
 from .population import sample_alternatives, sample_voters
 from .serialize import (
-    axiom_report_to_dict,
     distortion_report_to_dict,
     dump_json,
     model_to_dict,
@@ -40,6 +39,7 @@ from .serialize import (
     read_records,
     read_slate,
     read_voters,
+    write_axiom_reports,
     write_records,
     write_slate,
     write_voters,
@@ -120,11 +120,14 @@ def stage_audit(config: ExperimentConfig, run: RunDir) -> dict:
     )
     # one unanimity, condorcet, consistency triple per epsilon, in config order
     run.axioms = reports = [r for triple in zip(*per_axiom) for r in triple]
-    dump_json(run.out / AXIOMS_FILE, [axiom_report_to_dict(r) for r in reports])
+    write_axiom_reports(run.out / AXIOMS_FILE, reports)
     return {
         "reports": len(reports),
         "passed": sum(1 for r in reports if r.passed),
         "failed": sum(1 for r in reports if not r.passed),
+        "vacuous": sum(1 for r in reports if r.vacuous),
+        # the block fits are shared by every epsilon, so one count covers them
+        "skipped_partitions": per_axiom[2][0].metadata["skipped_partitions"],
     }
 
 

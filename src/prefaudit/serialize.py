@@ -3,7 +3,11 @@
 Dataset records use a line-delimited key=value encoding with floats at
 17 significant digits, so a write/read round trip is exact. Reports and
 models serialize to JSON objects keyed by their dataclass fields
-(Python's float repr also round-trips).
+(Python's float repr also round-trips). axioms.json holds one line per
+report and one per anchor: ``[``, then each report's fields but its
+anchors, then its anchors one per line, then ``]``. It parses to the
+same JSON value as an indented dump of the report list. The other JSON
+artifacts are written with ``indent=2``.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "read_model",
     "axiom_report_to_dict",
     "axiom_report_from_dict",
+    "write_axiom_reports",
     "distortion_report_to_dict",
     "distortion_report_from_dict",
     "dump_json",
@@ -213,6 +218,26 @@ def axiom_report_from_dict(d: dict) -> AxiomReport:
     d = {**d, "anchors": anchors}
     d.pop("vacuous", None)  # derived from the anchors
     return AxiomReport(**d)
+
+
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def write_axiom_reports(path, reports) -> None:
+    """axioms.json: ``[``, then for each report one line of its fields but the
+    anchors, then one line per anchor, then ``]``. The lines are compact,
+    sorted-key JSON from the C encoder, with ``anchors`` last on its report's
+    line; the file parses to ``[axiom_report_to_dict(r) for r in reports]``.
+    """
+    def block(report):
+        d = axiom_report_to_dict(report)
+        anchors = ",".join("\n" + _compact(a) for a in d.pop("anchors"))
+        return f'{_compact(d)[:-1]},"anchors":[{anchors}]}}'
+
+    with open(path, "w") as fh:
+        fh.write("[")
+        fh.writelines(("," if k else "") + "\n" + block(report) for k, report in enumerate(reports))
+        fh.write("\n]\n")
 
 
 def distortion_report_to_dict(report: DistortionReport) -> dict:

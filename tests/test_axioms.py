@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from prefaudit.annotation import (
 from prefaudit.axioms import (
     AnchorResult,
     ConsistencyScheme,
+    _dominance_reports,
     audit_condorcet,
     audit_consistency,
     audit_unanimity,
@@ -347,3 +349,48 @@ class TestDominanceKernelProperties:
             assert together == apart
             assert [r.metadata for r in together] == [r.metadata for r in apart]
             assert len({id(r.metadata) for r in together}) == len(together)
+
+
+# Gap and score entries: exact ties with the epsilons below, +inf (the
+# unanimity gap before any voter) and -inf (the consistency gap with no
+# usable partition)
+_entries = st.sampled_from([-math.inf, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0, math.inf])
+_finite = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0])
+
+
+def _naive_dominance(gap, score_gaps, eps):
+    """One anchor at a time, one pair at a time: (anchors, min_margin)."""
+    m = len(gap)
+    anchors, margins = [], []
+    for i in range(m):
+        dominated, violations = [], []
+        for j in range(m):
+            if i != j and gap[i][j] > eps:
+                dominated.append(j)
+                margins.append(score_gaps[i][j] - eps)
+                if not score_gaps[i][j] > eps:
+                    violations.append((i, j))
+        anchors.append(AnchorResult(anchor=i, dominated=tuple(dominated), violations=tuple(violations),
+                                    vacuous=not dominated))
+    return tuple(anchors), (min(margins) if margins else None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda m: st.tuples(
+    st.lists(st.lists(_entries, min_size=m, max_size=m), min_size=m, max_size=m),
+    st.lists(st.lists(st.one_of(_finite, _entries), min_size=m, max_size=m), min_size=m, max_size=m),
+)), st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), max_size=3))
+def test_dominance_kernel_matches_a_naive_double_loop(matrices, more_epsilons):
+    gap, score_gaps = matrices
+    epsilons = [0.0, *more_epsilons]
+    reports = _dominance_reports("unanimity", epsilons, np.array(gap), np.array(score_gaps), {"k": 1})
+    assert len(reports) == len(epsilons)
+    for eps, report in zip(epsilons, reports):
+        anchors, min_margin = _naive_dominance(gap, score_gaps, eps)
+        assert report.anchors == anchors
+        assert report.violations == tuple(v for a in anchors for v in a.violations)
+        assert report.vacuous == all(a.vacuous for a in anchors)
+        assert report.passed == all(not a.violations for a in anchors)
+        assert all(type(j) is int for a in report.anchors for j in a.dominated)
+        assert report.min_margin == min_margin
+        assert (report.epsilon, report.slate_size, report.metadata) == (eps, len(gap), {"k": 1})

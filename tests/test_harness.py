@@ -42,6 +42,7 @@ from prefaudit.serialize import (
     read_records,
     read_slate,
     read_voters,
+    write_axiom_reports,
     write_records,
 )
 
@@ -492,6 +493,34 @@ class TestReports:
                                     _field_names(AxiomReport) | {"vacuous"})
             for anchor in axiom_report_to_dict(report)["anchors"]:
                 assert set(anchor) == _field_names(AnchorResult)
+
+    def test_axiom_reports_file_round_trip(self, tmp_path):
+        vacuous = AxiomReport(
+            axiom="unanimity", epsilon=0.0, slate_size=2,
+            anchors=(AnchorResult(anchor=0, dominated=(), violations=(), vacuous=True),
+                     AnchorResult(anchor=1, dominated=(), violations=(), vacuous=True)),
+            passed=True, min_margin=None, metadata={"voter_count": 3},
+        )
+        quoted = AxiomReport(
+            axiom="consistency", epsilon=0.5, slate_size=2,
+            anchors=(AnchorResult(anchor=0, dominated=(1,), violations=((0, 1),), vacuous=False),
+                     AnchorResult(anchor=1, dominated=(), violations=(), vacuous=True)),
+            passed=False, min_margin=-0.75,
+            metadata={"diagnostic": 'a block fit did not converge ("max_iters" — θ̂ ≠ 0\\)', "skipped_partitions": 1},
+        )
+        for reports in ([*self._reports(tmp_path), vacuous, quoted], [vacuous], []):
+            first, second = tmp_path / "first.json", tmp_path / "second.json"
+            write_axiom_reports(first, reports)
+            write_axiom_reports(second, reports)
+            assert first.read_bytes() == second.read_bytes()
+            value = load_json(first)
+            assert value == [axiom_report_to_dict(r) for r in reports]
+            back = [axiom_report_from_dict(d) for d in value]
+            assert back == reports
+            assert [r.metadata for r in back] == [r.metadata for r in reports]
+            # [, a line per report and per anchor, ]
+            lines = first.read_text().splitlines()
+            assert len(lines) == 2 + len(reports) + sum(len(r.anchors) for r in reports)
 
     def test_model_dict_round_trip(self):
         model = RewardModel(theta_hat=[0.5, -1.25], lam=1e-3, final_nll=12.5, converged=False,

@@ -9,6 +9,7 @@ draws uniform-random pairs.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -33,15 +34,19 @@ CONFIG = {
 }
 
 # sha256 of each artifact of CONFIG, recorded once, when every stage
-# still read its inputs back from disk
+# still read its inputs back from disk; axioms.json re-recorded when it
+# went to one line per report and per anchor
 DIGESTS = {
     "dataset.records": "c56a7b83fcee4e77812d03ebc7e4cf147d7e67e88180beb7c1f183579c886603",
     "slate.json": "50f320aa2ee66c7306e9c169fa2f7080b87a37a8944b718b1b2af77eb23b89e0",
     "voters.json": "69157ac3a3cbf2ea29b513b78845f030925414192d2f162e8f12456791401206",
     "model.json": "f6b81661fa42fb54f10dd1dd7e35abb058b4d7d9cbf5a34fa02a665fd0dfd07d",
-    "axioms.json": "9a6bd61af4b5321f611a337b128d70b292eb17a7d860557d57883b9b2b8baa52",
+    "axioms.json": "a334e51dbcbeb160415a9deab8d0bd2e327561d4233bd411c86127525a12a8a2",
     "distortion.json": "3d24fc80885e13cfb370061a6fa6c52a3395c4415a7a287f570e59d629cda6e3",
 }
+# sha256 of axioms.json as written with indent=2 and sorted keys, before
+# the one-line-per-anchor layout
+INDENTED_AXIOMS_DIGEST = "9a6bd61af4b5321f611a337b128d70b292eb17a7d860557d57883b9b2b8baa52"
 
 
 def _digests(out) -> dict:
@@ -75,6 +80,12 @@ def test_artifacts_match_the_recorded_digests(tmp_path):
     assert _digests(tmp_path) == DIGESTS
 
 
+def test_axioms_hold_the_json_value_of_the_indented_layout(tmp_path):
+    run_pipeline(config_from_dict(CONFIG), tmp_path)
+    indented = json.dumps(load_json(tmp_path / AXIOMS_FILE), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(indented.encode()).hexdigest() == INDENTED_AXIOMS_DIGEST
+
+
 def test_in_memory_dataset_equals_its_artifact(tmp_path):
     run = run_pipeline(config_from_dict(CONFIG), tmp_path, stages=("simulate",))
     assert run.dataset == read_records(tmp_path / DATASET_FILE)
@@ -85,6 +96,21 @@ def test_returned_reports_equal_their_artifacts(tmp_path):
     assert [axiom_report_to_dict(r) for r in run.axioms] == load_json(tmp_path / AXIOMS_FILE)
     assert distortion_report_to_dict(run.distortion) == load_json(tmp_path / DISTORTION_FILE)
     assert run.manifest == load_json(tmp_path / MANIFEST_FILE)
+
+
+# a block fit of one iteration never converges, so every partition is skipped,
+# and no condition ranks one alternative above another by more than 100
+SKIPPING = {**CONFIG, "audit": {"epsilons": [0.0, 100.0], "consistency": {"partitions": 2}},
+            "estimation": {"max_iters": 1}}
+
+
+@pytest.mark.parametrize("raw, vacuous, skipped", [(CONFIG, 0, 0), (SKIPPING, 4, 2)], ids=["config", "skipping"])
+def test_audit_manifest_entry_counts_vacuous_reports_and_skipped_partitions(tmp_path, raw, vacuous, skipped):
+    run = run_pipeline(config_from_dict(raw), tmp_path)
+    entry = run.manifest["stages"]["audit"]
+    assert (entry["vacuous"], entry["skipped_partitions"]) == (vacuous, skipped)
+    assert entry["vacuous"] == sum(1 for r in run.axioms if all(a.vacuous for a in r.anchors))
+    assert {r.metadata["skipped_partitions"] for r in run.axioms if r.axiom == "consistency"} == {skipped}
 
 
 def test_a_stage_run_alone_carries_only_its_own_reports(tmp_path):
