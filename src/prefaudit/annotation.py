@@ -140,5 +140,5 @@ def generate_dataset(
     first, second = np.where(swap, high, low), np.where(swap, low, high)
     probs = list(map(btl_prob, table[voter_rows, second].tolist(), table[voter_rows, first].tolist()))
     voter_ids = np.array([v.voter_id for v in voters], dtype=np.int64)
-    return Dataset(voter=voter_ids[voter_rows], label=(label_u < probs).astype(np.int64),
-                   a0=slate[first], a1=slate[second], scheme=label_scheme.kind, w=label_scheme.w)
+    return Dataset(voter=voter_ids[voter_rows], label=(label_u < probs).astype(np.int64), slate=slate,
+                   i0=first, i1=second, scheme=label_scheme.kind, w=label_scheme.w)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError, NumericError
-from .model import Dataset, RewardModel, slate_array
+from .model import Dataset, RewardModel
 
 __all__ = ["nll", "nll_gradient", "fit_mle", "borda_scores", "score", "scores"]
 
@@ -47,10 +47,9 @@ def _checked(theta, data: Dataset, lam: float):
     if lam < 0:
         raise InputError("lambda must be >= 0")
     theta = np.asarray(theta, dtype=np.float64)
-    deltas = data.winner_minus_loser()
-    if theta.shape[0] != deltas.shape[1]:
-        raise InputError("theta dimension differs from data dimension")
-    return theta, deltas
+    if theta.shape != (data.dim,):
+        raise InputError(f"theta of shape {theta.shape} differs from data dimension {data.dim}")
+    return theta, data.winner_minus_loser()
 
 
 def nll(theta, data: Dataset, lam: float = 0.0) -> float:
@@ -105,11 +104,11 @@ def fit_mle(
     """
     if lam < 0:
         raise InputError("lambda must be >= 0")
-    deltas = data.winner_minus_loser()
-    d = deltas.shape[1]
+    d = data.dim
     theta = np.zeros(d) if init is None else np.array(init, dtype=np.float64)
-    if theta.shape[0] != d:
-        raise InputError("init dimension differs from data dimension")
+    if theta.shape != (d,):
+        raise InputError(f"init of shape {theta.shape} differs from data dimension {d}")
+    deltas = data.winner_minus_loser()
 
     loss = _nll_from_deltas(theta, deltas, lam)
     if not np.isfinite(loss):
@@ -173,27 +172,18 @@ def fit_mle(
     )
 
 
-def borda_scores(data: Dataset, slate: np.ndarray) -> dict:
-    """Empirical win-rate Borda score per index of the slate (see ``slate_array``).
+def borda_scores(data: Dataset) -> dict:
+    """Empirical win-rate Borda score per row of the data's slate.
 
     score(a) = wins / comparisons involving a; alternatives that never
-    appear in the data map to None (undefined), not zero. A record's
-    alternatives are matched to slate points by their exact bytes, a
-    point that occurs twice in the slate counting for its first index.
+    appear in the data map to None (undefined), not zero. Each record
+    counts for the two slate rows it names, also when the slate holds
+    their point twice.
     """
-    slate = slate_array(slate)
-    if slate.shape[1] != data.dim:
-        raise InputError("slate dimension differs from data dimension")
-    m, n = len(slate), len(data)
-    won = data.label[:, None] == 1
-    rows = np.concatenate([slate, np.where(won, data.a1, data.a0), np.where(won, data.a0, data.a1)])
-    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    # slate index of every row: the first occurrence of its bytes, if in the slate
-    index = np.where(first < m, first, -1)[inverse]
-    winners, losers = index[m:m + n], index[m + n:]
-    wins = np.bincount(winners[winners >= 0], minlength=m)
-    appearances = wins + np.bincount(losers[losers >= 0], minlength=m)
+    m = len(data.slate)
+    winner, loser = data.winner_loser()
+    wins = np.bincount(winner, minlength=m)
+    appearances = wins + np.bincount(loser, minlength=m)
     return {i: (wins[i] / appearances[i] if appearances[i] > 0 else None) for i in range(m)}
 
 

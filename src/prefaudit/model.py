@@ -78,54 +78,51 @@ class VoterParams:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Pairwise annotations as read-only columns, one row per record.
+    """Pairwise annotations over a slate (see ``slate_array``), one row per record.
 
-    ``voter`` (n,) holds voter ids and ``label`` (n,) holds 0 or 1, where
-    1 means ``a1`` was preferred; ``a0`` and ``a1`` (n, d) hold the two
-    alternatives. ``scheme`` records which reward generated every label:
+    ``voter`` (n,) holds voter ids, ``i0`` and ``i1`` (n,) the slate rows
+    compared and ``label`` (n,) 0 or 1, where 1 means ``slate[i1]`` was
+    preferred. ``scheme`` records which reward generated every label:
     "true-reward", or "proxy" with the per-feature weight vector ``w``.
     The whole dataset is validated once, when it is built.
     """
 
     voter: np.ndarray
     label: np.ndarray
-    a0: np.ndarray
-    a1: np.ndarray
+    slate: np.ndarray
+    i0: np.ndarray
+    i1: np.ndarray
     scheme: str = SCHEME_TRUE
     w: np.ndarray | None = None
 
-    _COLUMNS = ("voter", "label", "a0", "a1")
+    _COLUMNS = ("voter", "label", "i0", "i1")
 
     def __post_init__(self):
         label = np.asarray(self.label)
         if label.size == 0:
             raise InputError("empty dataset")
         n = label.size
-        voter = np.array(self.voter, dtype=np.int64)
-        a0 = np.array(self.a0, dtype=np.float64)
-        a1 = np.array(self.a1, dtype=np.float64)
-        if label.shape != (n,) or voter.shape != (n,) or a0.ndim != 2 or a0.shape[0] != n or a0.shape[1] < 1:
-            raise InputError(
-                f"need labels and voter ids of shape ({n},) and a0 of shape ({n}, d), d >= 1; "
-                f"got {label.shape}, {voter.shape} and {a0.shape}"
-            )
+        slate = slate_array(self.slate)
+        voter, i0, i1 = (np.array(c, dtype=np.int64) for c in (self.voter, self.i0, self.i1))
+        if not label.shape == voter.shape == i0.shape == i1.shape == (n,):
+            raise InputError(f"need labels, voter ids and slate indices of shape ({n},); "
+                             f"got {label.shape}, {voter.shape}, {i0.shape} and {i1.shape}")
         bad = np.flatnonzero((label != 0) & (label != 1))
         if bad.size:
             raise InputError(f"record {bad[0]}: label must be 0 or 1, got {label[bad[0]]}")
-        if a1.shape != a0.shape:
-            raise InputError(f"dimension mismatch: a0 has shape {a0.shape}, a1 {a1.shape}")
-        bad = np.flatnonzero(~(np.all(np.isfinite(a0), axis=1) & np.all(np.isfinite(a1), axis=1)))
+        bad = np.flatnonzero((np.minimum(i0, i1) < 0) | (np.maximum(i0, i1) >= len(slate)))
         if bad.size:
-            raise InputError(f"record {bad[0]}: non-finite coordinates")
+            raise InputError(f"record {bad[0]}: slate indices {i0[bad[0]]}, {i1[bad[0]]} not in [0, {len(slate)})")
         if self.scheme not in (SCHEME_TRUE, SCHEME_PROXY):
             raise InputError(f"unknown annotation scheme {self.scheme!r}")
         if (self.scheme == SCHEME_PROXY) != (self.w is not None):
             raise InputError("the proxy scheme, and only it, requires a weight vector w")
         if self.w is not None:
             object.__setattr__(self, "w", feature_vector(self.w))
-            if self.w.shape[0] != a0.shape[1]:
-                raise InputError(f"dimension mismatch: {a0.shape[1]} vs {self.w.shape[0]}")
-        for name, column in zip(self._COLUMNS, (voter, label.astype(np.int64), a0, a1)):
+            if self.w.shape[0] != slate.shape[1]:
+                raise InputError(f"dimension mismatch: {slate.shape[1]} vs {self.w.shape[0]}")
+        object.__setattr__(self, "slate", slate)
+        for name, column in zip(self._COLUMNS, (voter, label.astype(np.int64), i0, i1)):
             column.setflags(write=False)
             object.__setattr__(self, name, column)
 
@@ -134,25 +131,35 @@ class Dataset:
 
     @property
     def dim(self) -> int:
-        return self.a0.shape[1]
+        return self.slate.shape[1]
 
     def __eq__(self, other):
         if not isinstance(other, Dataset):
             return NotImplemented
-        # equal schemes give both datasets a w, or neither
+        # equal schemes give both datasets a w, or neither; records match on the points
+        # they compare, whichever rows hold them, as a records file cannot tell rows apart
         return (
             self.scheme == other.scheme
-            and all(np.array_equal(getattr(self, k), getattr(other, k)) for k in self._COLUMNS)
             and (self.w is None or np.array_equal(self.w, other.w))
+            and np.array_equal(self.voter, other.voter)
+            and np.array_equal(self.label, other.label)
+            and all(np.array_equal(self.slate[getattr(self, k)], other.slate[getattr(other, k)])
+                    for k in ("i0", "i1"))
         )
 
     def take(self, rows) -> "Dataset":
-        """The records at the given row indices, in that order."""
+        """The records at the given row indices, in that order, over the same slate."""
         return replace(self, **{k: getattr(self, k)[rows] for k in self._COLUMNS})
+
+    def winner_loser(self) -> tuple[np.ndarray, np.ndarray]:
+        """The slate rows of each record's winner and loser."""
+        won = self.label == 1
+        return np.where(won, self.i1, self.i0), np.where(won, self.i0, self.i1)
 
     def winner_minus_loser(self) -> np.ndarray:
         """Winner-minus-loser feature differences, one row per record."""
-        return np.where(self.label[:, None] == 1, self.a1 - self.a0, self.a0 - self.a1)
+        winner, loser = self.winner_loser()
+        return self.slate[winner] - self.slate[loser]
 
 
 @dataclass(frozen=True)

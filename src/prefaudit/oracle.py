@@ -52,9 +52,10 @@ def brute_force_mle(data, lam: float, resolution: int = 11, bound: float = 4.0) 
         raise InputError(f"brute-force MLE is limited to d <= {MLE_MAX_DIM}")
     if resolution < 11:
         raise InputError("grid resolution must be >= 11 per axis")
+    slate = data.slate.tolist()
     rows = []
-    for label, a0, a1 in zip(data.label.tolist(), data.a0.tolist(), data.a1.tolist()):
-        winner, loser = (a1, a0) if label == 1 else (a0, a1)
+    for label, i0, i1 in zip(data.label.tolist(), data.i0.tolist(), data.i1.tolist()):
+        winner, loser = (slate[i1], slate[i0]) if label == 1 else (slate[i0], slate[i1])
         rows.append([w - l for w, l in zip(winner, loser)])
     axis = [float(x) for x in np.linspace(-bound, bound, resolution)]
     best_val = math.inf

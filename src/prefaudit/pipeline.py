@@ -81,7 +81,7 @@ class RunDir:
 
     voters = cached_property(lambda self: read_voters(self.out / VOTERS_FILE))
     slate = cached_property(lambda self: read_slate(self.out / SLATE_FILE))
-    dataset = cached_property(lambda self: read_records(self.out / DATASET_FILE))
+    dataset = cached_property(lambda self: read_records(self.out / DATASET_FILE, self.slate))
     model = cached_property(lambda self: read_model(self.out / MODEL_FILE))
 
 

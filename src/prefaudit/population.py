@@ -110,14 +110,14 @@ class Mixture:
             raise ConfigError("mixture needs at least one component")
         total = 0.0
         for w, mu, var in comps:
-            if w <= 0:
+            if not w > 0:
                 raise ConfigError("mixture weights must be positive")
             if mu.shape[0] != self.dim or var.shape[0] != self.dim:
                 raise ConfigError("mixture component dimensions differ")
             if np.any(var < 0):
                 raise ConfigError("mixture variance entries must be >= 0")
             total += w
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise ConfigError(f"mixture weights sum to {total}, expected 1")
 
     @property

@@ -55,17 +55,13 @@ def _coords(a) -> str:
 def write_records(path, data: Dataset) -> None:
     """One line per record: voter, label, scheme, a0, a1, and w for proxy.
 
-    Each distinct point of a0 and a1 (by its bytes, so 0.0 and -0.0
-    stay apart) is formatted once. The lines are streamed: joining them
-    first would hold the whole file in memory.
+    Each slate row is formatted once; a0 and a1 are the rows i0 and i1.
+    The lines are streamed: joining them first would hold the whole file
+    in memory.
     """
     tail = "" if data.w is None else f" w={_coords(data.w)}"
-    points = np.concatenate([data.a0, data.a1])
-    rows = points.view(np.dtype((np.void, points.itemsize * data.dim))).ravel()
-    distinct, index = np.unique(rows, return_inverse=True)
-    coords = [_coords(p) for p in distinct.view(np.float64).reshape(-1, data.dim).tolist()]
-    n = len(data)
-    columns = (data.voter.tolist(), data.label.tolist(), index[:n].tolist(), index[n:].tolist())
+    coords = [_coords(p) for p in data.slate.tolist()]
+    columns = (data.voter.tolist(), data.label.tolist(), data.i0.tolist(), data.i1.tolist())
     with open(path, "w") as fh:
         fh.writelines(f"voter={voter} label={label} scheme={data.scheme} a0={coords[i]} a1={coords[j]}{tail}\n"
                       for voter, label, i, j in zip(*columns))
@@ -79,20 +75,24 @@ def _open(path):
         raise InputError(f"{path}: {e.strerror}") from None
 
 
-def read_records(path) -> Dataset:
-    """Parse a records file straight into a Dataset's columns.
+def read_records(path, slate) -> Dataset:
+    """Parse a records file over the given slate straight into a Dataset's columns.
 
-    Each distinct coordinate string is parsed once. A malformed line, or
-    one whose scheme, w or dimension differs from the first record's,
-    raises InputError naming its line number.
+    Each distinct coordinate string is parsed once and names the first slate
+    row that holds its point's bytes (so 0.0 and -0.0 stay apart). A malformed
+    line, a point the slate does not hold, or a line whose scheme or w differs
+    from the first record's raises InputError naming its line number.
     """
-    voter, label, a0, a1 = [], [], [], []
-    first = None  # (scheme, w, dimension) of the first record
-    parsed = {}  # coordinate string -> tuple of floats
+    slate = slate_array(slate)
+    first_row = {p.tobytes(): k for k, p in reversed(list(enumerate(slate)))}
+    voter, label, i0, i1 = [], [], [], []
+    first = None  # (scheme, w) of the first record
+    parsed = {}  # coordinate string -> (tuple of floats, first slate row holding it or None)
 
     def point(text):
         if text not in parsed:
-            parsed[text] = tuple(map(float, text.split(",")))
+            p = tuple(map(float, text.split(",")))
+            parsed[text] = p, first_row.get(np.array(p).tobytes())
         return parsed[text]
 
     with _open(path) as fh:
@@ -104,21 +104,21 @@ def read_records(path) -> Dataset:
                 fields = dict(token.split("=", 1) for token in line.split())
                 voter.append(int(fields["voter"]))
                 label.append(int(fields["label"]))
-                a0.append(point(fields["a0"]))
-                a1.append(point(fields["a1"]))
-                w = point(fields["w"]) if "w" in fields else None
-                header = (fields["scheme"], w, len(a0[-1]))
+                rows = point(fields["a0"])[1], point(fields["a1"])[1]
+                header = (fields["scheme"], point(fields["w"])[0] if "w" in fields else None)
             except (KeyError, ValueError) as e:
                 raise InputError(f"{path}:{lineno}: malformed record line: {line!r} ({e})") from None
+            if None in rows:
+                raise InputError(f"{path}:{lineno}: {('a0', 'a1')[rows.index(None)]} is not a point of the slate")
+            i0.append(rows[0])
+            i1.append(rows[1])
             first = first or header
-            if header != first or len(a1[-1]) != first[2]:
-                raise InputError(
-                    f"{path}:{lineno}: record disagrees with the first record on scheme, w or dimension"
-                )
+            if header != first:
+                raise InputError(f"{path}:{lineno}: record disagrees with the first record on scheme or w")
     if first is None:
         raise InputError(f"{path}: empty dataset")
     try:
-        return Dataset(voter=voter, label=label, a0=a0, a1=a1, scheme=first[0], w=first[1])
+        return Dataset(voter=voter, label=label, slate=slate, i0=i0, i1=i1, scheme=first[0], w=first[1])
     except (InputError, OverflowError) as e:
         raise InputError(f"{path}: {e}") from None
 

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,14 @@ def cli_env(**overrides):
     return env
 
 
+def coordinate_dataset(voter, label, a0, a1, **scheme):
+    """Dataset whose record k compares the points a0[k] and a1[k]: its
+    slate lists every a0 point, then every a1 point."""
+    a0, a1 = list(a0), list(a1)
+    n = len(a0)
+    return Dataset(voter=voter, label=label, slate=a0 + a1, i0=range(n), i1=range(n, n + len(a1)), **scheme)
+
+
 def random_records(rng, d, n, voter_ids=(0,)):
     """Small random dataset with arbitrary labels, for oracle checks."""
     rows = [
@@ -43,22 +52,23 @@ def random_records(rng, d, n, voter_ids=(0,)):
         for _ in range(n)
     ]
     voter, a0, a1, label = zip(*rows)
-    return Dataset(voter=voter, label=label, a0=a0, a1=a1)
+    return coordinate_dataset(voter, label, a0, a1)
 
 
 def make_dataset(rows, voter=0, **scheme):
     """Dataset from (a0, a1, label) rows, every record by the same voter."""
     a0, a1, label = zip(*rows)
-    return Dataset(voter=[voter] * len(label), label=label, a0=a0, a1=a1, **scheme)
+    return coordinate_dataset([voter] * len(label), label, a0, a1, **scheme)
 
 
 def mirrored(data):
     """The records of data followed by a copy of each with the opposite label."""
-    return Dataset(
+    return replace(
+        data,
         voter=np.concatenate([data.voter, data.voter]),
         label=np.concatenate([data.label, 1 - data.label]),
-        a0=np.concatenate([data.a0, data.a0]),
-        a1=np.concatenate([data.a1, data.a1]),
+        i0=np.concatenate([data.i0, data.i0]),
+        i1=np.concatenate([data.i1, data.i1]),
     )
 
 

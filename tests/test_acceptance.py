@@ -202,7 +202,7 @@ def test_criterion_6_borda_mle_agreement():
             assert len(data) >= 10000
             model = fit_mle(data, lam=1e-3)
             assert model.converged, f"seed {seed}: {model.diagnostic}"
-            borda = borda_scores(data, slate)
+            borda = borda_scores(data)
             borda_vals = [borda[i] for i in range(len(slate))]
             assert all(b is not None for b in borda_vals)
             fit_vals = [score(model, a) for a in slate]

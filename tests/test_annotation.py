@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prefaudit.annotation
+from conftest import coordinate_dataset
 from prefaudit.annotation import (
     EACH_PAIR_RANDOM_VOTER,
     PARTITION_BY_VOTER,
@@ -58,7 +60,8 @@ class TestGenerateDataset:
         records = generate_dataset(voters, alts, RoundRobin(repeats=1),
                                    EACH_PAIR_RANDOM_VOTER, TrueRewardLabels(), seed=0)
         assert len(records) == 3
-        pairs = {tuple(sorted((float(a0[0]), float(a1[0])))) for a0, a1 in zip(records.a0, records.a1)}
+        a0, a1 = records.slate[records.i0], records.slate[records.i1]
+        pairs = {tuple(sorted((float(x0[0]), float(x1[0])))) for x0, x1 in zip(a0, a1)}
         assert pairs == {(0.0, 0.5), (0.0, 1.0), (0.5, 1.0)}
 
     def test_uniform_pairs_never_self(self):
@@ -67,8 +70,8 @@ class TestGenerateDataset:
         records = generate_dataset(voters, alts, UniformRandomPairs(count=1000),
                                    EACH_PAIR_RANDOM_VOTER, TrueRewardLabels(), seed=1)
         assert len(records) == 1000
-        for a0, a1 in zip(records.a0, records.a1):
-            assert not np.array_equal(a0, a1)
+        for x0, x1 in zip(records.slate[records.i0], records.slate[records.i1]):
+            assert not np.array_equal(x0, x1)
 
     def test_winner_frequency_matches_btl(self):
         voters = sample_voters(PointMass(theta=[1.0]), 1, seed=0)
@@ -76,7 +79,7 @@ class TestGenerateDataset:
         records = generate_dataset(voters, alts, RoundRobin(repeats=2000),
                                    EACH_PAIR_RANDOM_VOTER, TrueRewardLabels(), seed=2)
         winner_is_one = np.mean([
-            (a1[0] == 1.0) == (label == 1) for a1, label in zip(records.a1, records.label)
+            (x1[0] == 1.0) == (label == 1) for x1, label in zip(records.slate[records.i1], records.label)
         ])
         assert 0.703 <= winner_is_one <= 0.759  # sigma(1) +- 3 SE at 2000 draws
 
@@ -135,9 +138,9 @@ class TestGenerateDataset:
 def test_swap_and_flip_preserves_nll(d, rows, theta, lam):
     """Swapping slots and flipping the label leaves the winner-minus-loser
     matrix, and so any theta's NLL, exactly unchanged."""
-    records = Dataset(voter=[0] * len(rows), label=[label for _, label in rows],
-                      a0=[x[:d] for x, _ in rows], a1=[x[4:4 + d] for x, _ in rows])
-    swapped = Dataset(voter=records.voter, label=1 - records.label, a0=records.a1, a1=records.a0)
+    records = coordinate_dataset([0] * len(rows), [label for _, label in rows],
+                                 [x[:d] for x, _ in rows], [x[4:4 + d] for x, _ in rows])
+    swapped = replace(records, label=1 - records.label, i0=records.i1, i1=records.i0)
     assert np.array_equal(records.winner_minus_loser(), swapped.winner_minus_loser())
     theta = np.array(theta[:d])
     assert nll(theta, records, lam) == nll(theta, swapped, lam)
@@ -165,7 +168,7 @@ def _reference_dataset(voters, alts, pair_scheme, assignment, label_scheme, seed
     if label_scheme.w is not None:
         thetas = thetas * label_scheme.w
     table = thetas @ points.T
-    voter, label, a0, a1 = [], [], [], []
+    voter, label, i0, i1 = [], [], [], []
     for k, (i, j) in enumerate(pairs):
         if rng.random() < 0.5:
             i, j = j, i
@@ -177,9 +180,9 @@ def _reference_dataset(voters, alts, pair_scheme, assignment, label_scheme, seed
         p = 1.0 / (1.0 + math.exp(-gap)) if gap >= 0 else math.exp(gap) / (1.0 + math.exp(gap))
         voter.append(voters[v].voter_id)
         label.append(int(rng.random() < p))
-        a0.append(points[i])
-        a1.append(points[j])
-    return Dataset(voter=voter, label=label, a0=a0, a1=a1, scheme=label_scheme.kind, w=label_scheme.w)
+        i0.append(i)
+        i1.append(j)
+    return Dataset(voter=voter, label=label, slate=points, i0=i0, i1=i1, scheme=label_scheme.kind, w=label_scheme.w)
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prefaudit.distortion
+from conftest import coordinate_dataset
 from prefaudit.annotation import (
     EACH_PAIR_RANDOM_VOTER,
     RoundRobin,
@@ -16,7 +17,7 @@ from prefaudit.annotation import (
 from prefaudit.distortion import GRID_DIM_LIMIT, SearchSpec, worst_case_regret
 from prefaudit.errors import InputError
 from prefaudit.estimation import fit_mle, nll
-from prefaudit.model import Dataset, RewardModel
+from prefaudit.model import RewardModel
 from prefaudit.population import PointMass, sample_voters, seeded_rng
 
 THETA_STAR = np.array([1.6, -1.0])  # lies on the linspace(-2, 2, 21) grid
@@ -183,7 +184,7 @@ class TestWorstCaseRegret:
                             converged=True, iterations=0)
         slate = [np.array([0.1, 0.2, 0.3]), np.array([0.3, 0.2, 0.1])]
         with pytest.raises(InputError, match="empty"):
-            worst_case_regret(model, slate, Dataset(voter=[], label=[], a0=[], a1=[]), 0.5)
+            worst_case_regret(model, slate, coordinate_dataset([], [], [], []), 0.5)
         with pytest.raises(InputError, match="dimension"):
             worst_case_regret(model, slate, _dataset(), 0.5)  # records of d=2
 
@@ -246,8 +247,7 @@ def _search_cases(draw):
     pairs = draw(st.lists(st.tuples(point, point), min_size=1, max_size=6))
     picks = draw(st.lists(st.integers(0, len(pairs) - 1), min_size=1, max_size=30))
     labels = draw(st.lists(st.integers(0, 1), min_size=len(picks), max_size=len(picks)))
-    data = Dataset(voter=[0] * len(picks), label=labels,
-                   a0=[pairs[k][0] for k in picks], a1=[pairs[k][1] for k in picks])
+    data = coordinate_dataset([0] * len(picks), labels, [pairs[k][0] for k in picks], [pairs[k][1] for k in picks])
     unit = st.lists(st.floats(-1, 1), min_size=d, max_size=d)
     slate = [np.array(a) for a in draw(st.lists(unit, min_size=2, max_size=5))]
     model = RewardModel(theta_hat=draw(unit), lam=draw(st.sampled_from([0.0, 1e-3])),

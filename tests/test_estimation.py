@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_difference_gradient, make_dataset, mirrored, random_records
+from conftest import central_difference_gradient, coordinate_dataset, make_dataset, mirrored, random_records
 from prefaudit.annotation import (
     EACH_PAIR_RANDOM_VOTER,
     RoundRobin,
@@ -17,9 +17,9 @@ from prefaudit.errors import InputError
 from prefaudit.estimation import DEFAULT_GRAD_TOL, borda_scores, fit_mle, nll, nll_gradient, score
 from prefaudit.model import Dataset, RewardModel
 from prefaudit.oracle import brute_force_mle
-from prefaudit.pipeline import DATASET_FILE, run_pipeline
+from prefaudit.pipeline import DATASET_FILE, SLATE_FILE, run_pipeline
 from prefaudit.population import PointMass, UniformBox, sample_alternatives, sample_voters
-from prefaudit.serialize import read_records
+from prefaudit.serialize import read_records, read_slate
 
 # d=3 mixture population with proxy labels, as in the grid-d3 benchmark workload
 GRID_D3 = {
@@ -53,7 +53,17 @@ class TestNll:
 
     def test_empty_dataset(self):
         with pytest.raises(InputError):
-            nll([1.0], Dataset(voter=[], label=[], a0=[], a1=[]), 0.0)
+            nll([1.0], coordinate_dataset([], [], [], []), 0.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda data, theta: nll(theta, data),
+        lambda data, theta: nll_gradient(theta, data),
+        lambda data, theta: fit_mle(data, init=theta),
+    ], ids=["nll", "nll_gradient", "fit_mle"])
+    @pytest.mark.parametrize("d, theta", [(2, 0.5), (2, [[1.0], [2.0]]), (1, [[1.0]]), (2, [1.0, 2.0, 3.0])])
+    def test_theta_of_the_wrong_shape(self, rng, call, d, theta):
+        with pytest.raises(InputError, match=r"of shape \(.*\) differs from data dimension"):
+            call(random_records(rng, d, 5), theta)
 
 
 class TestGradient:
@@ -145,8 +155,8 @@ def _bt_records(rng, theta_star, n):
 
 def _numpy_gradient(theta, records, lam):
     """NLL gradient from the record fields, apart from the estimation kernels."""
-    deltas = np.array([a1 - a0 if label == 1 else a0 - a1
-                       for a0, a1, label in zip(records.a0, records.a1, records.label)])
+    a0, a1 = records.slate[records.i0], records.slate[records.i1]
+    deltas = np.array([x1 - x0 if label == 1 else x0 - x1 for x0, x1, label in zip(a0, a1, records.label)])
     p_lose = 1.0 / (1.0 + np.exp(deltas @ theta))
     return -(p_lose[:, None] * deltas).sum(axis=0) + 2.0 * lam * theta
 
@@ -190,7 +200,7 @@ class TestNewtonFit:
     ])
     def test_grid_d3_block_converges(self, tmp_path, block):
         run_pipeline(config_from_dict(GRID_D3), tmp_path, stages=("simulate",))
-        data = read_records(tmp_path / DATASET_FILE)
+        data = read_records(tmp_path / DATASET_FILE, read_slate(tmp_path / SLATE_FILE))
         records = data.take(np.concatenate([np.flatnonzero(data.voter == v) for v in block]))
         model = fit_mle(records, lam=1e-3)
         assert model.converged, model.diagnostic
@@ -207,50 +217,51 @@ class TestNewtonFit:
 class TestBordaScores:
     def test_win_rate_counting(self):
         a, b, c = [1.0], [0.0], [0.5]
-        records = make_dataset([
-            (b, a, 1),  # a beats b
-            (a, b, 0),  # a beats b
-            (c, a, 1),  # a beats c
-            (a, c, 1),  # c beats a
+        records = Dataset(voter=[0] * 4, slate=[a, b, c], i0=[1, 0, 2, 0], i1=[0, 1, 0, 2], label=[
+            1,  # a beats b
+            0,  # a beats b
+            1,  # a beats c
+            1,  # c beats a
         ])
-        scores = borda_scores(records, [a, b, c])
+        scores = borda_scores(records)
         assert scores[0] == 0.75
 
     def test_never_compared_is_undefined(self):
-        records = make_dataset([([0.0], [1.0], 1)])
-        scores = borda_scores(records, [[0.0], [1.0], [2.0]])
+        records = Dataset(voter=[0], slate=[[0.0], [1.0], [2.0]], i0=[0], i1=[1], label=[1])
+        scores = borda_scores(records)
         assert scores[2] is None
 
     def test_deterministic_winner(self):
-        records = make_dataset([([0.0], [1.0], 1)] * 5)
-        scores = borda_scores(records, [[1.0], [0.0]])
+        records = Dataset(voter=[0] * 5, slate=[[1.0], [0.0]], i0=[1] * 5, i1=[0] * 5, label=[1] * 5)
+        scores = borda_scores(records)
         assert scores[0] == 1.0 and scores[1] == 0.0
 
     def test_empty_data(self):
         with pytest.raises(InputError):
-            borda_scores(Dataset(voter=[], label=[], a0=[], a1=[]), [[1.0]])
+            borda_scores(Dataset(voter=[], label=[], slate=[[1.0], [2.0]], i0=[], i1=[]))
 
     def test_matches_a_per_record_count(self, rng):
         slate = [rng.normal(size=2) for _ in range(6)]
         slate.append(slate[2].copy())  # a point the slate holds twice
-        outside = np.array([9.0, 9.0])  # a point the slate does not hold
-        pick = rng.integers(0, len(slate) + 1, size=(200, 2))
-        a0, a1 = ([slate[i] if i < len(slate) else outside for i in col] for col in pick.T)
-        data = Dataset(voter=[0] * 200, label=rng.integers(0, 2, 200), a0=a0, a1=a1)
-        index = {}
-        for i, a in enumerate(slate):
-            index.setdefault(a.tobytes(), i)
+        slate.append(np.array([9.0, 9.0]))  # a point no record names
+        pick = rng.integers(0, len(slate) - 1, size=(200, 2))
+        data = Dataset(voter=[0] * 200, label=rng.integers(0, 2, 200), slate=slate, i0=pick[:, 0], i1=pick[:, 1])
         wins, seen = [0] * len(slate), [0] * len(slate)
-        for x0, x1, label in zip(data.a0, data.a1, data.label):
-            winner, loser = (x1, x0) if label == 1 else (x0, x1)
-            if winner.tobytes() in index:
-                wins[index[winner.tobytes()]] += 1
-                seen[index[winner.tobytes()]] += 1
-            if loser.tobytes() in index:
-                seen[index[loser.tobytes()]] += 1
+        for i0, i1, label in zip(data.i0, data.i1, data.label):
+            winner, loser = (i1, i0) if label == 1 else (i0, i1)
+            wins[winner] += 1
+            seen[winner] += 1
+            seen[loser] += 1
         expected = {i: (wins[i] / seen[i] if seen[i] else None) for i in range(len(slate))}
-        assert borda_scores(data, slate) == expected
-        assert expected[6] is None and all(expected[i] is not None for i in range(6))
+        assert borda_scores(data) == expected
+        assert expected[7] is None and all(expected[i] is not None for i in range(7))
+
+    def test_a_repeated_point_credits_the_row_each_record_names(self):
+        """Rows 0 and 2 hold the same point; each gets only its own records.
+        Matching records to rows by their points gave row 0 all of them."""
+        slate = [[0.0], [1.0], [0.0]]
+        records = Dataset(voter=[0] * 3, slate=slate, i0=[0, 2, 2], i1=[1, 1, 1], label=[0, 1, 0])
+        assert borda_scores(records) == {0: 1.0, 1: 1 / 3, 2: 0.5}
 
 
 class TestScore:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cli_env
+from conftest import cli_env, coordinate_dataset
 import prefaudit
 import prefaudit.cli
 import prefaudit.pipeline
@@ -248,6 +248,10 @@ class TestLoadConfig:
         ({"alternatives": {"kind": "gaussian", "mean": [0.5, 0.5], "var": [0, 0]}},
          "config.alternatives.var: need a positive entry, got 0 on every coordinate"),
         ({"audit": {"epsilons": []}}, "config.audit.epsilons: need at least one entry"),
+        ({"population": {"kind": "mixture", "components": [
+            {"weight": 0.5, "mean": [0, 0], "var": [1, 1]},
+            {"weight": float("nan"), "mean": [1, 1], "var": [1, 1]}]}},
+         "config.population: mixture weights must be positive"),
     ])
     def test_out_of_range_value_names_its_path(self, override, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -291,36 +295,37 @@ class TestRecordWireFormat:
                          int(rng.integers(0, 2))))
         voter, a0, a1, label = zip(*rows)
         datasets = [
-            Dataset(voter=voter, label=label, a0=a0, a1=a1),
-            Dataset(voter=[0], a0=[[0.1, 0.2, 0.3]], a1=[[1.0, 2.0, 3.0]], label=[1],
-                    scheme="proxy", w=[0.5, 1.5, 2.5]),
+            coordinate_dataset(voter, label, a0, a1),
+            coordinate_dataset([0], [1], [[0.1, 0.2, 0.3]], [[1.0, 2.0, 3.0]], scheme="proxy", w=[0.5, 1.5, 2.5]),
         ]
         path = tmp_path / "data.records"
         for records in datasets:
             write_records(path, records)
-            back = read_records(path)
+            back = read_records(path, records.slate)
             assert back == records
-            for name in ("a0", "a1"):
-                assert getattr(back, name).tobytes() == getattr(records, name).tobytes()
+            for name in ("i0", "i1"):
+                assert back.slate[getattr(back, name)].tobytes() == records.slate[getattr(records, name)].tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), d=st.integers(1, 4), n=st.integers(1, 5), proxy=st.booleans())
     def test_line_round_trip_is_exact(self, data, d, n, proxy):
         vec = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=d, max_size=d)
         rows = st.lists(vec, min_size=n, max_size=n)
-        records = Dataset(
-            voter=data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n)),
-            a0=data.draw(rows), a1=data.draw(rows),
-            label=data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+        records = coordinate_dataset(
+            data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n)),
+            data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+            data.draw(rows), data.draw(rows),
             scheme="proxy" if proxy else "true-reward",
             w=data.draw(vec) if proxy else None)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "data.records"
             write_records(path, records)
-            back = read_records(path)
+            back = read_records(path, records.slate)
         assert back == records
-        for name in ("voter", "label", "a0", "a1", "w"):
+        for name in ("voter", "label", "w"):
             assert getattr(back, name) is None or getattr(back, name).tobytes() == getattr(records, name).tobytes()
+        for name in ("i0", "i1"):
+            assert back.slate[getattr(back, name)].tobytes() == records.slate[getattr(records, name)].tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), d=st.integers(1, 3), n=st.integers(1, 30), proxy=st.booleans())
@@ -329,11 +334,11 @@ class TestRecordWireFormat:
         bytes of a writer that formats every coordinate of every line."""
         coordinate = st.sampled_from([0.0, -0.0, 1.0, 1 / 3]) | st.floats(allow_nan=False, allow_infinity=False)
         vec = st.lists(coordinate, min_size=d, max_size=d)
-        slate = data.draw(st.lists(vec, min_size=1, max_size=4))
-        rows = st.lists(st.sampled_from(slate), min_size=n, max_size=n)
+        slate = data.draw(st.lists(vec, min_size=2, max_size=4))
+        rows = st.lists(st.integers(0, len(slate) - 1), min_size=n, max_size=n)
         records = Dataset(
             voter=data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n)),
-            a0=data.draw(rows), a1=data.draw(rows),
+            slate=slate, i0=data.draw(rows), i1=data.draw(rows),
             label=data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
             scheme="proxy" if proxy else "true-reward",
             w=data.draw(vec) if proxy else None)
@@ -343,12 +348,19 @@ class TestRecordWireFormat:
 
         tail = f" w={coords(records.w)}" if proxy else ""
         expected = "".join(
-            f"voter={v} label={y} scheme={records.scheme} a0={coords(p)} a1={coords(q)}{tail}\n"
-            for v, y, p, q in zip(records.voter, records.label, records.a0, records.a1))
+            f"voter={v} label={y} scheme={records.scheme} a0={coords(slate[i])} a1={coords(slate[j])}{tail}\n"
+            for v, y, i, j in zip(records.voter, records.label, records.i0, records.i1))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "data.records"
             write_records(path, records)
             assert path.read_text() == expected
+            back = read_records(path, records.slate)
+        # each point reads back as the first slate row that holds its bytes
+        first = {}
+        for k, p in enumerate(records.slate):
+            first.setdefault(p.tobytes(), k)
+        assert back.i0.tolist() == [first[records.slate[i].tobytes()] for i in records.i0]
+        assert back.i1.tolist() == [first[records.slate[i].tobytes()] for i in records.i1]
 
     def test_malformed_json_names_the_path(self, tmp_path):
         path = tmp_path / "axioms.json"
@@ -361,7 +373,7 @@ class TestRecordWireFormat:
         path.write_text("voter=0 label=1 scheme=true-reward a0=1 a1=2\n"
                         "voter=0 label=x scheme=true-reward a0=1 a1=2\n")
         with pytest.raises(InputError, match=":2: malformed record line"):
-            read_records(path)
+            read_records(path, [[1.0], [2.0]])
 
     def test_mixed_schemes_name_the_line(self, tmp_path):
         path = tmp_path / "data.records"
@@ -369,9 +381,23 @@ class TestRecordWireFormat:
                         "voter=1 label=0 scheme=proxy a0=1 a1=2 w=0.5\n"
                         "voter=2 label=0 scheme=true-reward a0=1 a1=2\n")
         with pytest.raises(InputError, match=":3: record disagrees with the first record"):
-            read_records(path)
+            read_records(path, [[1.0], [2.0]])
 
-    @pytest.mark.parametrize("read", [read_records, read_slate, read_voters, read_model])
+    @pytest.mark.parametrize("line, name", [
+        ("voter=0 label=1 scheme=true-reward a0=3 a1=2", "a0"),  # not in the slate
+        ("voter=0 label=1 scheme=true-reward a0=1 a1=-0", "a1"),  # -0.0 is not the slate's 0.0
+        ("voter=0 label=1 scheme=true-reward a0=1,2 a1=2", "a0"),  # of another dimension
+        ("voter=0 label=1 scheme=true-reward a0=1 a1=nan", "a1"),
+    ])
+    def test_a_point_the_slate_does_not_hold_names_the_line(self, tmp_path, line, name):
+        path = tmp_path / "data.records"
+        path.write_text(f"voter=0 label=1 scheme=true-reward a0=1 a1=2\n{line}\n")
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}:2: {name} is not a point of the slate$"):
+            read_records(path, [[1.0], [2.0], [0.0]])
+
+    @pytest.mark.parametrize("read", [
+        lambda path: read_records(path, [[1.0], [2.0]]), read_slate, read_voters, read_model,
+    ], ids=["read_records", "read_slate", "read_voters", "read_model"])
     def test_missing_file_names_the_path(self, tmp_path, read):
         path = tmp_path / "missing"
         with pytest.raises(InputError, match=f"^{re.escape(str(path))}: No such file"):
@@ -379,7 +405,7 @@ class TestRecordWireFormat:
 
     def test_line_shape(self, tmp_path):
         path = tmp_path / "data.records"
-        write_records(path, Dataset(voter=[3], a0=[[1.0]], a1=[[2.0]], label=[0]))
+        write_records(path, coordinate_dataset([3], [0], [[1.0]], [[2.0]]))
         line = path.read_text()
         assert line.startswith("voter=3 label=0 scheme=true-reward")
 
@@ -559,9 +585,9 @@ class TestCli:
         reads = []
         read = prefaudit.pipeline.read_records
 
-        def counted(path):
+        def counted(path, slate):
             reads.append(path)
-            return read(path)
+            return read(path, slate)
 
         monkeypatch.setattr(prefaudit.pipeline, "read_records", counted)
         assert prefaudit.cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "verify"]) == 0

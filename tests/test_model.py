@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_records
+from conftest import coordinate_dataset, random_records
 from prefaudit.annotation import (
     PARTITION_BY_VOTER,
     ProxyLabels,
@@ -13,7 +13,7 @@ from prefaudit.annotation import (
 from prefaudit.axioms import audit_condorcet, audit_consistency, audit_unanimity
 from prefaudit.distortion import worst_case_regret
 from prefaudit.errors import InputError
-from prefaudit.estimation import borda_scores, fit_mle
+from prefaudit.estimation import fit_mle
 from prefaudit.model import Dataset, RewardModel, VoterParams, btl_prob, feature_vector, slate_array
 from prefaudit.population import PointMass
 
@@ -87,7 +87,7 @@ BAD_SLATES = {
 def _slate_entry_points():
     """Every public function that takes a slate, as slate -> result, on d=2 inputs."""
     voters = [VoterParams(voter_id=i, theta=[1.0, -0.5]) for i in range(2)]
-    data = Dataset(voter=[0, 1], label=[1, 0], a0=[[0.0, 0.0], [1.0, 0.0]], a1=[[1.0, 1.0], [0.0, 1.0]])
+    data = coordinate_dataset([0, 1], [1, 0], [[0.0, 0.0], [1.0, 0.0]], [[1.0, 1.0], [0.0, 1.0]])
     model = RewardModel(theta_hat=[1.0, -0.5], lam=1e-3, final_nll=1.0, converged=True, iterations=1)
     return {
         "generate_dataset": lambda slate: generate_dataset(
@@ -96,7 +96,7 @@ def _slate_entry_points():
         "audit_condorcet": lambda slate: audit_condorcet(model, slate, PointMass(theta=[1.0, -0.5]), [0.0]),
         "audit_consistency": lambda slate: audit_consistency(fit_mle, data, slate, [0.0], model=model),
         "worst_case_regret": lambda slate: worst_case_regret(model, slate, data, 0.5),
-        "borda_scores": lambda slate: borda_scores(data, slate),
+        "Dataset": lambda slate: Dataset(voter=[0], label=[1], slate=slate, i0=[0], i1=[1]),
     }
 
 
@@ -188,31 +188,43 @@ class TestBtlProb:
 class TestDataset:
     def test_rejects_bad_label(self):
         with pytest.raises(InputError):
-            Dataset(voter=[0], a0=[[1.0]], a1=[[2.0]], label=[2])
+            coordinate_dataset([0], [2], [[1.0]], [[2.0]])
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(InputError):
-            Dataset(voter=[0], a0=[[1.0]], a1=[[2.0, 3.0]], label=[1])
+            coordinate_dataset([0], [1], [[1.0]], [[2.0, 3.0]])
 
     def test_proxy_requires_weights(self):
         with pytest.raises(InputError):
-            Dataset(voter=[0], a0=[[1.0]], a1=[[2.0]], label=[1], scheme="proxy")
+            coordinate_dataset([0], [1], [[1.0]], [[2.0]], scheme="proxy")
 
     def test_rejects_weights_of_the_wrong_length(self):
         with pytest.raises(InputError, match="dimension mismatch"):
-            Dataset(voter=[0], a0=[[1.0]], a1=[[2.0]], label=[1], scheme="proxy", w=[1.0, 2.0])
+            coordinate_dataset([0], [1], [[1.0]], [[2.0]], scheme="proxy", w=[1.0, 2.0])
 
     def test_rejects_non_finite_coordinate(self):
-        with pytest.raises(InputError, match="record 1: non-finite"):
-            Dataset(voter=[0, 0], a0=[[1.0], [0.0]], a1=[[2.0], [float("inf")]], label=[1, 0])
+        with pytest.raises(InputError, match="slate point 3 has non-finite coordinates"):
+            coordinate_dataset([0, 0], [1, 0], [[1.0], [0.0]], [[2.0], [float("inf")]])
+
+    @pytest.mark.parametrize("i0, i1, record", [([0, 2], [1, 0], 1), ([0, 1], [-1, 0], 0), ([3, 1], [0, 1], 0)])
+    def test_rejects_a_slate_index_out_of_range(self, i0, i1, record):
+        with pytest.raises(InputError, match=f"^record {record}: slate indices .* not in \\[0, 2\\)$"):
+            Dataset(voter=[0, 0], label=[1, 0], slate=[[1.0], [2.0]], i0=i0, i1=i1)
 
     def test_columns_are_read_only(self):
-        data = Dataset(voter=[3], a0=[[1.0]], a1=[[2.0]], label=[0])
-        for column in (data.voter, data.label, data.a0, data.a1):
+        data = coordinate_dataset([3], [0], [[1.0]], [[2.0]])
+        for column in (data.voter, data.label, data.slate, data.i0, data.i1):
             with pytest.raises(ValueError):
                 column[0] = 1
 
+    def test_equality_compares_points_not_slate_rows(self):
+        slate = [[0.0], [1.0], [0.0]]  # rows 0 and 2 hold the same point
+        data = Dataset(voter=[0, 1], label=[1, 0], slate=slate, i0=[0, 2], i1=[1, 1])
+        assert data == Dataset(voter=[0, 1], label=[1, 0], slate=slate, i0=[2, 0], i1=[1, 1])
+        assert data != Dataset(voter=[0, 1], label=[1, 0], slate=slate, i0=[1, 2], i1=[0, 1])
+
     def test_winner_minus_loser_matches_a_per_record_loop(self, rng):
         data = random_records(rng, 3, 50)
-        rows = [a1 - a0 if label == 1 else a0 - a1 for a0, a1, label in zip(data.a0, data.a1, data.label)]
+        rows = [data.slate[i1] - data.slate[i0] if label == 1 else data.slate[i0] - data.slate[i1]
+                for i0, i1, label in zip(data.i0, data.i1, data.label)]
         assert data.winner_minus_loser().tobytes() == np.array(rows).tobytes()

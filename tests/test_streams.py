@@ -160,4 +160,4 @@ def test_large_dataset_stream(tmp_path):
     write_records(tmp_path / "data.records", records)
     digest = hashlib.sha256((tmp_path / "data.records").read_bytes()).hexdigest()
     assert digest == LARGE_RECORDS_DIGEST
-    assert read_records(tmp_path / "data.records") == records
+    assert read_records(tmp_path / "data.records", slate) == records
