@@ -181,14 +181,14 @@ class ConsistencyScheme:
 def audit_consistency(
     trainer,
     data,
-    slate,
     epsilons,
     scheme: ConsistencyScheme = ConsistencyScheme(),
     model: RewardModel | None = None,
 ) -> list[AxiomReport]:
     """Check consistency by retraining on random voter partitions, once per epsilon.
 
-    ``trainer`` maps a Dataset to a RewardModel. Voters are split
+    ``trainer`` maps a Dataset to a RewardModel, and the audited slate
+    is the data's own, ``data.slate``. Voters are split
     into num_blocks blocks (each >= min_fraction of the voters) for each
     of num_partitions random partitions, and each block model is fitted
     once for every epsilon; A'_a holds the pairs on which every
@@ -200,7 +200,6 @@ def audit_consistency(
     evidence either way, so the audit fails with a diagnostic instead of
     passing vacuously.
     """
-    slate = slate_array(slate)
     epsilons = _epsilons(epsilons)
     # each voter's row indices in record order, voters by ascending id
     order = np.argsort(data.voter, kind="stable")
@@ -236,7 +235,7 @@ def audit_consistency(
             block_models.extend(fits)
     if model is None:
         model = trainer(data)
-    score_gaps = _score_gap_matrix(model, slate)
+    score_gaps = _score_gap_matrix(model, data.slate)
     metadata = {
         "num_blocks": k,
         "min_fraction": scheme.min_fraction,
@@ -246,7 +245,7 @@ def audit_consistency(
         "voter_count": n,
     }
     if block_models:
-        gap = np.min(np.stack([_score_gap_matrix(m, slate) for m in block_models]), axis=0)
+        gap = np.min(np.stack([_score_gap_matrix(m, data.slate) for m in block_models]), axis=0)
     else:
         # no usable partition: nothing is certified dominated
         gap = np.full_like(score_gaps, -np.inf)

@@ -27,7 +27,7 @@ from .errors import InputError
 # prefaudit.distortion.nll, and a test patches it to prove that the search
 # never calls it per hypothesis
 from .estimation import _nll_from_deltas, nll, scores
-from .model import RewardModel, slate_array
+from .model import RewardModel
 from .population import seeded_rng
 
 __all__ = ["SearchSpec", "DistortionReport", "worst_case_regret"]
@@ -164,29 +164,27 @@ def _screen(thetas: np.ndarray, ws: np.ndarray, deltas: np.ndarray, lam: float, 
 
 def worst_case_regret(
     model: RewardModel,
-    slate,
     data,
     delta: float,
     search: SearchSpec = SearchSpec(),
 ) -> DistortionReport:
     """Worst-case welfare regret of the learned winner over the grid.
 
-    The learned winner a* maximizes the fitted score (ties break to the
-    lowest index). For each consistent hypothesis (theta, w), regret is
-    max_a <theta, a> - <theta, a*>: true utility ignores w. The maximum
-    over the consistent set is reported with its attaining hypothesis;
-    an empty consistent set yields regret None with a diagnostic, never
-    a silent zero. The NLL threshold is the best NLL achieved on the
-    grid plus delta, so delta=0 keeps exactly the grid's own optimum;
-    the continuous fit's NLL is reported alongside for reference.
+    The slate is the data's own, ``data.slate``. The learned winner a*
+    maximizes the fitted score (ties break to the lowest index). For
+    each consistent hypothesis (theta, w), regret is max_a <theta, a> -
+    <theta, a*>: true utility ignores w. The maximum over the consistent
+    set is reported with its attaining hypothesis; an empty consistent
+    set yields regret None with a diagnostic, never a silent zero. The
+    NLL threshold is the best NLL achieved on the grid plus delta, so
+    delta=0 keeps exactly the grid's own optimum; the continuous fit's
+    NLL is reported alongside for reference.
     """
-    slate = slate_array(slate)
     if not delta >= 0:  # NaN too
         raise InputError(f"delta must be >= 0, got {delta}")
+    slate = data.slate
     a_star = int(np.argmax(scores(model, slate)))  # np.argmax ties -> lowest index
     deltas = data.winner_minus_loser()
-    if deltas.shape[1:] != slate.shape[1:]:
-        raise InputError("data dimension differs from slate dimension")
 
     # Each kept hypothesis is scored with the kernel nll() uses, one row at
     # a time, so each NLL equals nll(theta * w): a batched matrix product

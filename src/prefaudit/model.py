@@ -65,6 +65,14 @@ def slate_array(points) -> np.ndarray:
     return arr
 
 
+def _ids(name: str, values) -> np.ndarray:
+    """An int64 copy of ``values``, which must all be integers in the int64 range."""
+    ids = np.asarray(values)
+    if ids.size and (ids.dtype.kind not in "iu" or ids.dtype.kind == "u" and ids.max() >= 2**63):
+        raise InputError(f"{name}: need integers in the int64 range, got dtype {ids.dtype}")
+    return ids.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class VoterParams:
     """A voter's preference weights over features."""
@@ -73,6 +81,9 @@ class VoterParams:
     theta: np.ndarray
 
     def __post_init__(self):
+        if np.ndim(self.voter_id):
+            raise InputError(f"voter_id must be one integer, got {self.voter_id!r}")
+        object.__setattr__(self, "voter_id", int(_ids("voter_id", self.voter_id)))
         object.__setattr__(self, "theta", feature_vector(self.theta))
 
 
@@ -103,7 +114,7 @@ class Dataset:
             raise InputError("empty dataset")
         n = label.size
         slate = slate_array(self.slate)
-        voter, i0, i1 = (np.array(c, dtype=np.int64) for c in (self.voter, self.i0, self.i1))
+        voter, i0, i1 = map(_ids, ("voter", "i0", "i1"), (self.voter, self.i0, self.i1))
         if not label.shape == voter.shape == i0.shape == i1.shape == (n,):
             raise InputError(f"need labels, voter ids and slate indices of shape ({n},); "
                              f"got {label.shape}, {voter.shape}, {i0.shape} and {i1.shape}")

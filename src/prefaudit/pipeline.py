@@ -114,9 +114,7 @@ def stage_audit(config: ExperimentConfig, run: RunDir) -> dict:
     per_axiom = (
         audit_unanimity(run.model, run.slate, run.voters, eps),
         audit_condorcet(run.model, run.slate, config.population, eps),
-        audit_consistency(
-            partial(_fit, config), run.dataset, run.slate, eps, scheme=scheme, model=run.model
-        ),
+        audit_consistency(partial(_fit, config), run.dataset, eps, scheme=scheme, model=run.model),
     )
     # one unanimity, condorcet, consistency triple per epsilon, in config order
     run.axioms = reports = [r for triple in zip(*per_axiom) for r in triple]
@@ -136,7 +134,7 @@ def stage_distort(config: ExperimentConfig, run: RunDir) -> dict:
         # a report left by an earlier run would contradict this manifest
         (run.out / DISTORTION_FILE).unlink(missing_ok=True)
         return {"skipped": True}
-    run.distortion = report = worst_case_regret(run.model, run.slate, run.dataset, config.delta, config.search)
+    run.distortion = report = worst_case_regret(run.model, run.dataset, config.delta, config.search)
     dump_json(run.out / DISTORTION_FILE, distortion_report_to_dict(report))
     return {"regret": report.regret, "learned_winner": report.learned_winner}
 

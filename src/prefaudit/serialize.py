@@ -119,7 +119,7 @@ def read_records(path, slate) -> Dataset:
         raise InputError(f"{path}: empty dataset")
     try:
         return Dataset(voter=voter, label=label, slate=slate, i0=i0, i1=i1, scheme=first[0], w=first[1])
-    except (InputError, OverflowError) as e:
+    except InputError as e:
         raise InputError(f"{path}: {e}") from None
 
 

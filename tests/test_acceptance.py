@@ -141,7 +141,7 @@ def test_criterion_4_axiom_audits():
             cond = audit_condorcet(model, slate, pop, [eps])[0]
             assert uni.passed and not uni.vacuous, f"unanimity eps={eps}"
             assert cond.passed and not cond.vacuous, f"condorcet eps={eps}"
-        cons = audit_consistency(trainer, data, slate, [0.0], scheme=scheme, model=model)[0]
+        cons = audit_consistency(trainer, data, [0.0], scheme=scheme, model=model)[0]
         assert cons.passed and not cons.vacuous
         assert cons.metadata["skipped_partitions"] == 0
 
@@ -150,7 +150,7 @@ def test_criterion_4_axiom_audits():
                                 iterations=model.iterations)
         assert not audit_unanimity(corrupted, slate, voters, [0.0])[0].passed
         assert not audit_condorcet(corrupted, slate, pop, [0.0])[0].passed
-        bad_cons = audit_consistency(trainer, data, slate, [0.0], scheme=scheme, model=corrupted)[0]
+        bad_cons = audit_consistency(trainer, data, [0.0], scheme=scheme, model=corrupted)[0]
         assert not bad_cons.passed and bad_cons.violations
     assert t.elapsed < 300
     _report("axiom audits", f"3 audits pass honest model, fail negated model in {t.elapsed:.1f}s")
@@ -224,17 +224,17 @@ def test_criterion_7_distortion_sanity():
         model = fit_mle(data, lam=1e-3)
         search = SearchSpec(grid_resolution=21, bound=2.0, w_mode="ones")
 
-        zero = worst_case_regret(model, slate, data, 0.0, search)
+        zero = worst_case_regret(model, data, 0.0, search)
         assert zero.regret == 0.0
 
         regrets = []
         for delta in (0.0, 0.5, 2.0, 8.0):
-            rep = worst_case_regret(model, slate, data, delta, search)
+            rep = worst_case_regret(model, data, delta, search)
             assert rep.regret is not None
             regrets.append(rep.regret)
         assert all(b >= a for a, b in zip(regrets, regrets[1:]))
 
-        adversarial = worst_case_regret(model, slate, data, 1e9, search)
+        adversarial = worst_case_regret(model, data, 1e9, search)
         assert adversarial.regret > 0.0
     assert t.elapsed < 120
     _report("distortion sanity", f"regrets {['%.3g' % r for r in regrets]}, "

@@ -102,25 +102,24 @@ class TestCondorcet:
 
 class TestConsistency:
     @staticmethod
-    def _dataset(theta_star, n_voters=8, repeats=60, seed=0):
+    def _dataset(theta_star, n_voters=8, repeats=60, seed=0,
+                 slate=([1.0, 0.0], [0.6, 0.4], [0.0, 1.0])):
         voters = sample_voters(PointMass(theta=theta_star), n_voters, seed=seed)
-        slate = [np.array([1.0, 0.0]), np.array([0.6, 0.4]), np.array([0.0, 1.0])]
-        data = generate_dataset(voters, slate, RoundRobin(repeats=repeats),
+        return generate_dataset(voters, slate, RoundRobin(repeats=repeats),
                                 PARTITION_BY_VOTER, TrueRewardLabels(), seed=seed + 1)
-        return slate, data
 
     def test_identical_voters_pass(self):
-        slate, data = self._dataset([2.0, -1.0])
+        data = self._dataset([2.0, -1.0])
         trainer = lambda recs: fit_mle(recs, lam=1e-3)
-        report = audit_consistency(trainer, data, slate, epsilons=[0.0],
+        report = audit_consistency(trainer, data, epsilons=[0.0],
                                    scheme=ConsistencyScheme(num_partitions=3, seed=4))[0]
         assert report.passed and not report.vacuous
         assert report.metadata["skipped_partitions"] == 0
 
     def test_negated_full_model_fails(self):
-        slate, data = self._dataset([2.0, -1.0])
+        data = self._dataset([2.0, -1.0])
         trainer = lambda recs: fit_mle(recs, lam=1e-3)
-        report = audit_consistency(trainer, data, slate, epsilons=[0.0],
+        report = audit_consistency(trainer, data, epsilons=[0.0],
                                    scheme=ConsistencyScheme(num_partitions=3, seed=4),
                                    model=_model([-2.0, 1.0]))[0]
         assert not report.passed
@@ -128,31 +127,31 @@ class TestConsistency:
         assert report.metadata["skipped_partitions"] == 0
 
     def test_degenerate_slate_vacuous(self):
-        _, data = self._dataset([2.0, -1.0])
         a = np.array([0.5, 0.5])
+        data = self._dataset([2.0, -1.0], slate=[a, np.array(a)])
         trainer = lambda recs: fit_mle(recs, lam=1e-3)
-        report = audit_consistency(trainer, data, [a, np.array(a)], epsilons=[0.0],
+        report = audit_consistency(trainer, data, epsilons=[0.0],
                                    scheme=ConsistencyScheme(num_partitions=2, seed=4))[0]
         assert report.passed and report.vacuous
         assert report.metadata["skipped_partitions"] == 0
 
     def test_determinism(self):
-        slate, data = self._dataset([1.0, 1.0])
+        data = self._dataset([1.0, 1.0])
         trainer = lambda recs: fit_mle(recs, lam=1e-3)
         scheme = ConsistencyScheme(num_partitions=3, seed=9)
-        a = audit_consistency(trainer, data, slate, [0.1], scheme=scheme)[0]
-        b = audit_consistency(trainer, data, slate, [0.1], scheme=scheme)[0]
+        a = audit_consistency(trainer, data, [0.1], scheme=scheme)[0]
+        b = audit_consistency(trainer, data, [0.1], scheme=scheme)[0]
         assert a.anchors == b.anchors and a.min_margin == b.min_margin
         assert a.metadata["skipped_partitions"] == 0
 
     def test_no_usable_partition_fails(self):
-        slate, data = self._dataset([2.0, -1.0])
+        data = self._dataset([2.0, -1.0])
 
         def trainer(recs):
             return RewardModel(theta_hat=[2.0, -1.0], lam=1e-3, final_nll=1.0,
                                converged=False, iterations=10, diagnostic="stalled")
 
-        report = audit_consistency(trainer, data, slate, epsilons=[0.0],
+        report = audit_consistency(trainer, data, epsilons=[0.0],
                                    scheme=ConsistencyScheme(num_partitions=3, seed=4),
                                    model=_model([2.0, -1.0]))[0]
         assert not report.passed
@@ -164,19 +163,19 @@ class TestConsistency:
         assert "a block fit did not converge (stalled)" in table
 
     def test_zero_partitions_fail(self):
-        slate, data = self._dataset([2.0, -1.0])
+        data = self._dataset([2.0, -1.0])
         trainer = lambda recs: fit_mle(recs, lam=1e-3)
-        report = audit_consistency(trainer, data, slate, epsilons=[0.0],
+        report = audit_consistency(trainer, data, epsilons=[0.0],
                                    scheme=ConsistencyScheme(num_partitions=0),
                                    model=_model([2.0, -1.0]))[0]
         assert not report.passed
         assert report.metadata["diagnostic"] == "no usable voter partition of 0: none was requested"
 
     def test_negative_seed(self):
-        slate, data = self._dataset([1.0, 1.0])
+        data = self._dataset([1.0, 1.0])
         trainer = lambda recs: fit_mle(recs, lam=1e-3)
         with pytest.raises(InputError, match="seed"):
-            audit_consistency(trainer, data, slate, [0.1],
+            audit_consistency(trainer, data, [0.1],
                               scheme=ConsistencyScheme(num_partitions=1, seed=-1))
 
 
@@ -207,7 +206,8 @@ def test_scaled_model_passes_at_zero_epsilon(rng):
 
 class TestEpsilonValidation:
     def test_non_finite_or_negative_epsilon_rejected_before_any_fit(self):
-        slate, data = TestConsistency._dataset([2.0, -1.0])
+        data = TestConsistency._dataset([2.0, -1.0])
+        slate = data.slate
         voters = sample_voters(PointMass(theta=[2.0, -1.0]), 3, seed=0)
         pop = PointMass(theta=[2.0, -1.0])
         model = _model([2.0, -1.0])
@@ -221,7 +221,7 @@ class TestEpsilonValidation:
             with pytest.raises(InputError, match="epsilon"):
                 audit_condorcet(model, slate, pop, epsilons)
             with pytest.raises(InputError, match="epsilon"):
-                audit_consistency(trainer, data, slate, epsilons, model=model)
+                audit_consistency(trainer, data, epsilons, model=model)
 
 
 class TestKernelCosts:
@@ -280,10 +280,16 @@ def _audit_case(draw):
     return slate, pop, voters, data, model, epsilons
 
 
-def _consistency(data, slate, model, epsilons):
+def _consistency(data, model, epsilons):
     trainer = lambda recs: fit_mle(recs, lam=1e-2)
-    return audit_consistency(trainer, data, slate, epsilons, model=model,
+    return audit_consistency(trainer, data, epsilons, model=model,
                              scheme=ConsistencyScheme(num_partitions=2, seed=5))
+
+
+def _reindexed(data, perm):
+    """The same records over the slate [data.slate[perm[k]] for k]."""
+    new_index = np.argsort(perm)
+    return replace(data, slate=data.slate[perm], i0=new_index[data.i0], i1=new_index[data.i1])
 
 
 def _permuted(report, perm):
@@ -326,8 +332,8 @@ class TestDominanceKernelProperties:
              audit_unanimity(model, shuffled, voters, epsilons)),
             (audit_condorcet(model, slate, pop, epsilons),
              audit_condorcet(model, shuffled, pop, epsilons)),
-            (_consistency(data, slate, model, epsilons),
-             _consistency(data, shuffled, model, epsilons)),
+            (_consistency(data, model, epsilons),
+             _consistency(_reindexed(data, perm), model, epsilons)),
         ]
         for before, after in pairs:
             for b, a in zip(before, after, strict=True):
@@ -341,7 +347,7 @@ class TestDominanceKernelProperties:
         audits = [
             lambda eps: audit_unanimity(model, slate, voters, eps),
             lambda eps: audit_condorcet(model, slate, pop, eps),
-            lambda eps: _consistency(data, slate, model, eps),
+            lambda eps: _consistency(data, model, eps),
         ]
         for audit in audits:
             together = audit(epsilons)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prefaudit.distortion
-from conftest import coordinate_dataset
 from prefaudit.annotation import (
     EACH_PAIR_RANDOM_VOTER,
     RoundRobin,
@@ -17,7 +16,7 @@ from prefaudit.annotation import (
 from prefaudit.distortion import GRID_DIM_LIMIT, SearchSpec, worst_case_regret
 from prefaudit.errors import InputError
 from prefaudit.estimation import fit_mle, nll
-from prefaudit.model import RewardModel
+from prefaudit.model import Dataset, RewardModel
 from prefaudit.population import PointMass, sample_voters, seeded_rng
 
 THETA_STAR = np.array([1.6, -1.0])  # lies on the linspace(-2, 2, 21) grid
@@ -30,21 +29,20 @@ SLATE = [
 ]
 
 
-def _dataset(seed=0, repeats=60):
+def _dataset(seed=0, repeats=60, slate=SLATE):
     voters = sample_voters(PointMass(theta=THETA_STAR), 1, seed=seed)
-    return generate_dataset(voters, SLATE, RoundRobin(repeats=repeats),
+    return generate_dataset(voters, slate, RoundRobin(repeats=repeats),
                             EACH_PAIR_RANDOM_VOTER, TrueRewardLabels(), seed=seed + 1)
 
 
 def _dataset_4d():
-    """A d=4 slate and dataset, above the grid limit (random fallback)."""
+    """A dataset over a d=4 slate, above the grid limit (random fallback)."""
     rng = np.random.default_rng(0)
     theta_star = np.array([1.0, -0.5, 0.3, 0.7])
     voters = sample_voters(PointMass(theta=theta_star), 1, seed=0)
     slate = [rng.uniform(0, 1, 4) for _ in range(4)]
-    data = generate_dataset(voters, slate, RoundRobin(repeats=30),
+    return generate_dataset(voters, slate, RoundRobin(repeats=30),
                             EACH_PAIR_RANDOM_VOTER, TrueRewardLabels(), seed=1)
-    return slate, data
 
 
 def _reference_hypotheses(d, search):
@@ -70,12 +68,12 @@ def _reference_hypotheses(d, search):
                 yield theta, rng.uniform(search.w_lo, search.w_hi, size=d)
 
 
-def _reference_regret(model, slate, data, delta, search):
-    """The regret search as a naive loop: one nll() call per hypothesis,
-    every (theta, w, nll) kept, then the max regret over the consistent ones
-    (strict >, so the first maximizer in stream order wins)."""
-    alts = np.stack(slate)
-    scores = [float(model.theta_hat @ a) for a in slate]
+def _reference_regret(model, data, delta, search):
+    """The regret search as a naive loop over the data's slate: one nll()
+    call per hypothesis, every (theta, w, nll) kept, then the max regret over
+    the consistent ones (strict >, so the first maximizer in stream order wins)."""
+    alts = data.slate
+    scores = [float(model.theta_hat @ a) for a in alts]
     a_star = int(np.argmax(scores))
     cache = []
     best_nll = np.inf
@@ -100,23 +98,23 @@ class TestWorstCaseRegret:
     def test_zero_regret_with_generator_on_grid(self):
         data = _dataset(repeats=200)
         model = fit_mle(data, lam=1e-3)
-        report = worst_case_regret(model, SLATE, data, delta=0.0,
+        report = worst_case_regret(model, data, delta=0.0,
                                    search=SearchSpec(grid_resolution=21, bound=2.0))
         assert report.regret == 0.0
         assert report.metadata["consistent_count"] >= 1
 
     def test_single_effective_alternative(self):
-        data = _dataset()
-        model = fit_mle(data, lam=1e-3)
         a = np.array([0.4, 0.6])
-        report = worst_case_regret(model, [a, np.array(a)], data, delta=10.0,
+        data = _dataset(slate=[a, np.array(a)])
+        model = fit_mle(data, lam=1e-3)
+        report = worst_case_regret(model, data, delta=10.0,
                                    search=SearchSpec(grid_resolution=11))
         assert report.regret == 0.0
 
     def test_large_delta_admits_adversary(self):
         data = _dataset()
         model = fit_mle(data, lam=1e-3)
-        report = worst_case_regret(model, SLATE, data, delta=1e9,
+        report = worst_case_regret(model, data, delta=1e9,
                                    search=SearchSpec(grid_resolution=21, bound=2.0))
         # everything is consistent, so regret is at least the regret of the
         # grid point nearest to the flipped model direction
@@ -134,7 +132,7 @@ class TestWorstCaseRegret:
         search = SearchSpec(grid_resolution=21, bound=2.0)
         regrets = []
         for delta in (0.0, 0.5, 2.0, 8.0):
-            report = worst_case_regret(model, SLATE, data, delta, search)
+            report = worst_case_regret(model, data, delta, search)
             assert report.regret is not None
             regrets.append(report.regret)
         assert all(b >= a for a, b in zip(regrets, regrets[1:]))
@@ -143,14 +141,14 @@ class TestWorstCaseRegret:
         data = _dataset()
         model = fit_mle(data, lam=1e-3)
         for delta in rng.uniform(0, 5, size=5):
-            report = worst_case_regret(model, SLATE, data, float(delta),
+            report = worst_case_regret(model, data, float(delta),
                                        search=SearchSpec(grid_resolution=11))
             assert report.regret is None or report.regret >= 0.0
 
     def test_reported_hypothesis_is_consistent(self):
         data = _dataset()
         model = fit_mle(data, lam=1e-3)
-        report = worst_case_regret(model, SLATE, data, delta=2.0,
+        report = worst_case_regret(model, data, delta=2.0,
                                    search=SearchSpec(grid_resolution=11))
         assert report.worst_theta is not None
         worst_nll = nll(report.worst_theta * report.worst_w, data, model.lam)
@@ -160,20 +158,11 @@ class TestWorstCaseRegret:
         data = _dataset()
         model = fit_mle(data, lam=1e-3)
         with pytest.raises(InputError):
-            worst_case_regret(model, [SLATE[0]], data, 0.0)
+            worst_case_regret(model, data, -1.0)
         with pytest.raises(InputError):
-            worst_case_regret(model, SLATE, data, -1.0)
+            worst_case_regret(model, data, 0.0, SearchSpec(grid_resolution=1))
         with pytest.raises(InputError):
-            worst_case_regret(model, SLATE, data, 0.0, SearchSpec(grid_resolution=1))
-        with pytest.raises(InputError):
-            worst_case_regret(model, SLATE, data, 0.0, SearchSpec(w_mode="bogus"))
-
-    def test_rejects_a_non_finite_slate_point(self):
-        data = _dataset()
-        model = fit_mle(data, lam=1e-3)
-        slate = [np.array([0.1, 0.2]), np.array([np.nan, 0.5]), np.array([0.3, 0.3])]
-        with pytest.raises(InputError, match="non-finite"):
-            worst_case_regret(model, slate, data, 0.5)
+            worst_case_regret(model, data, 0.0, SearchSpec(w_mode="bogus"))
 
     def test_data_checks_run_before_any_hypothesis_is_scored(self, monkeypatch):
         def scored(*args):
@@ -182,11 +171,8 @@ class TestWorstCaseRegret:
         monkeypatch.setattr(prefaudit.distortion, "_nll_from_deltas", scored)
         model = RewardModel(theta_hat=[1.0, 0.0, 0.5], lam=1e-3, final_nll=0.0,
                             converged=True, iterations=0)
-        slate = [np.array([0.1, 0.2, 0.3]), np.array([0.3, 0.2, 0.1])]
-        with pytest.raises(InputError, match="empty"):
-            worst_case_regret(model, slate, coordinate_dataset([], [], [], []), 0.5)
-        with pytest.raises(InputError, match="dimension"):
-            worst_case_regret(model, slate, _dataset(), 0.5)  # records of d=2
+        with pytest.raises(InputError, match="differs from model dimension"):
+            worst_case_regret(model, _dataset(), 0.5)  # a d=3 model on records of d=2
 
     def test_search_scores_without_per_hypothesis_nll_calls(self, monkeypatch):
         data = _dataset()
@@ -196,7 +182,7 @@ class TestWorstCaseRegret:
             raise AssertionError("nll() called per hypothesis")
 
         monkeypatch.setattr(prefaudit.distortion, "nll", per_call_nll)
-        report = worst_case_regret(model, SLATE, data, delta=0.5,
+        report = worst_case_regret(model, data, delta=0.5,
                                    search=SearchSpec(grid_resolution=11))
         assert report.regret is not None
         assert report.metadata["hypotheses_evaluated"] == 121
@@ -206,16 +192,16 @@ class TestWorstCaseRegret:
 @pytest.mark.parametrize("case", ["ones-d2", "grid-d2", "random-d4", "random-grid-d4"])
 def test_matches_naive_reference_loop(case, delta):
     if case.startswith("random"):
-        slate, data = _dataset_4d()
+        data = _dataset_4d()
         search = SearchSpec(random_samples=300, seed=3,
                             w_mode="grid" if case == "random-grid-d4" else "ones")
     else:
-        slate, data = SLATE, _dataset()
+        data = _dataset()
         search = (SearchSpec(grid_resolution=21) if case == "ones-d2"
                   else SearchSpec(grid_resolution=5, w_mode="grid", w_lo=0.5, w_hi=1.5))
     model = fit_mle(data, lam=1e-3)
-    report = worst_case_regret(model, slate, data, delta, search)
-    regret, (theta, w), best_nll, count = _reference_regret(model, slate, data, delta, search)
+    report = worst_case_regret(model, data, delta, search)
+    regret, (theta, w), best_nll, count = _reference_regret(model, data, delta, search)
     assert report.regret == regret
     assert np.array_equal(report.worst_theta, theta)
     assert np.array_equal(report.worst_w, w)
@@ -224,32 +210,34 @@ def test_matches_naive_reference_loop(case, delta):
 
 
 def test_random_sampling_fallback_above_grid_limit():
-    slate, data = _dataset_4d()
+    data = _dataset_4d()
     model = fit_mle(data, lam=1e-3)
-    report = worst_case_regret(model, slate, data, delta=5.0,
+    report = worst_case_regret(model, data, delta=5.0,
                                search=SearchSpec(random_samples=500, seed=3))
     assert report.regret is not None and report.regret >= 0.0
     assert report.metadata["hypotheses_evaluated"] == 500
     with pytest.raises(InputError, match="seed"):
-        worst_case_regret(model, slate, data, delta=5.0,
+        worst_case_regret(model, data, delta=5.0,
                           search=SearchSpec(random_samples=500, seed=-1))
 
 
 @st.composite
 def _search_cases(draw):
-    """(model, slate, data, delta, search) small enough for the naive loop: d of
-    1-4, records drawn with repeats from a few distinct pairs whose
-    differences reach 1e3, a grid search up to d=3 and the random fallback
-    above, either w_mode."""
+    """(model, data, delta, search) small enough for the naive loop: d of
+    1-4, a slate of up to 12 points whose differences reach 1e3, records
+    drawn with repeats from a few pairs of its rows, a grid search up to
+    d=3 and the random fallback above, either w_mode."""
     d = draw(st.integers(1, 4))
     half = draw(st.sampled_from([0.5, 500.0]))
     point = st.lists(st.floats(-half, half), min_size=d, max_size=d)
-    pairs = draw(st.lists(st.tuples(point, point), min_size=1, max_size=6))
-    picks = draw(st.lists(st.integers(0, len(pairs) - 1), min_size=1, max_size=30))
+    slate = draw(st.lists(point, min_size=2, max_size=12))
+    row = st.integers(0, len(slate) - 1)
+    pairs = draw(st.lists(st.tuples(row, row), min_size=1, max_size=6))
+    picks = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=30))
     labels = draw(st.lists(st.integers(0, 1), min_size=len(picks), max_size=len(picks)))
-    data = coordinate_dataset([0] * len(picks), labels, [pairs[k][0] for k in picks], [pairs[k][1] for k in picks])
+    i0, i1 = zip(*picks)
+    data = Dataset(voter=[0] * len(picks), label=labels, slate=slate, i0=i0, i1=i1)
     unit = st.lists(st.floats(-1, 1), min_size=d, max_size=d)
-    slate = [np.array(a) for a in draw(st.lists(unit, min_size=2, max_size=5))]
     model = RewardModel(theta_hat=draw(unit), lam=draw(st.sampled_from([0.0, 1e-3])),
                         final_nll=0.0, converged=True, iterations=0)
     w_mode = draw(st.sampled_from(["ones", "grid"]))
@@ -260,15 +248,15 @@ def _search_cases(draw):
     else:
         search = SearchSpec(random_samples=draw(st.integers(1, 150)), seed=draw(st.integers(0, 3)),
                             w_mode=w_mode, w_lo=0.0, w_hi=2.0)
-    return model, slate, data, draw(st.sampled_from([0.0, 1e-12, 0.5, 3.0])), search
+    return model, data, draw(st.sampled_from([0.0, 1e-12, 0.5, 3.0])), search
 
 
 @settings(max_examples=60, deadline=None)
 @given(_search_cases())
 def test_screened_search_equals_the_naive_loop(case):
-    model, slate, data, delta, search = case
-    report = worst_case_regret(model, slate, data, delta, search)
-    regret, (theta, w), best_nll, count = _reference_regret(model, slate, data, delta, search)
+    model, data, delta, search = case
+    report = worst_case_regret(model, data, delta, search)
+    regret, (theta, w), best_nll, count = _reference_regret(model, data, delta, search)
     assert report.regret == regret
     assert np.array_equal(report.worst_theta, theta)
     assert np.array_equal(report.worst_w, w)
@@ -290,7 +278,7 @@ def test_a_hypothesis_exactly_delta_above_the_best_is_consistent(case):
     for v_k in ranked[1:40:3]:
         delta = v_k - best
         assert best + delta == v_k
-        report = worst_case_regret(model, SLATE, data, delta, search)
+        report = worst_case_regret(model, data, delta, search)
         assert report.metadata["best_nll"] == best
         assert report.metadata["consistent_count"] == sum(v <= v_k for v in vals)
 
@@ -311,7 +299,7 @@ def test_only_the_rows_the_screen_keeps_are_scored_exactly(monkeypatch):
     monkeypatch.setattr(prefaudit.distortion, "_nll_from_deltas", counted_nll)
     data = _dataset()  # round-robin
     model = fit_mle(data, lam=1e-3)
-    report = worst_case_regret(model, SLATE, data, 0.5, SearchSpec(grid_resolution=41))
+    report = worst_case_regret(model, data, 0.5, SearchSpec(grid_resolution=41))
     hypotheses = report.metadata["hypotheses_evaluated"]
     assert hypotheses == 41 ** 2
     assert len(calls) == kept[0].size < 0.01 * hypotheses
@@ -334,7 +322,7 @@ def test_a_w_grid_search_stays_within_a_mebibyte_of_the_exhaustive_one():
     search = SearchSpec(grid_resolution=7, w_mode="grid")
     tracemalloc.start()
     try:
-        report = worst_case_regret(model, slate, data, 0.5, search)
+        report = worst_case_regret(model, data, 0.5, search)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,6 +1,7 @@
 import builtins
 import importlib
 import importlib.util
+import inspect
 import io
 import json
 import math
@@ -892,9 +893,27 @@ def test_public_surface_resolves(capsys):
     for snippet in snippets:
         exec(compile(snippet, "README.md", "exec"), {})
     assert capsys.readouterr().out
-    modules = [prefaudit] + [importlib.import_module(f"prefaudit.{m.name}")
-                             for m in pkgutil.iter_modules(prefaudit.__path__)]
+    modules = _modules()
     assert len(modules) > 10
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def _modules():
+    return [prefaudit] + [importlib.import_module(f"prefaudit.{m.name}")
+                          for m in pkgutil.iter_modules(prefaudit.__path__)]
+
+
+def test_no_public_callable_takes_both_data_and_a_slate():
+    """A function given a Dataset reads the slate the data carries, so no
+    caller can hand it alternatives the data never compared."""
+    callables = [
+        (f"{module.__name__}.{name}", obj)
+        for module in _modules() for name in getattr(module, "__all__", ())
+        # an exception class has no signature to inspect
+        if callable(obj := getattr(module, name)) and not (isinstance(obj, type) and issubclass(obj, Exception))
+    ]
+    assert len(callables) > 30
+    both = [name for name, obj in callables if {"data", "slate"} <= inspect.signature(obj).parameters.keys()]
+    assert both == []

@@ -1,4 +1,7 @@
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -10,12 +13,11 @@ from prefaudit.annotation import (
     TrueRewardLabels,
     generate_dataset,
 )
-from prefaudit.axioms import audit_condorcet, audit_consistency, audit_unanimity
-from prefaudit.distortion import worst_case_regret
+from prefaudit.axioms import audit_condorcet, audit_unanimity
 from prefaudit.errors import InputError
-from prefaudit.estimation import fit_mle
 from prefaudit.model import Dataset, RewardModel, VoterParams, btl_prob, feature_vector, slate_array
 from prefaudit.population import PointMass
+from prefaudit.serialize import read_voters, write_voters
 
 
 TRUE = TrueRewardLabels()
@@ -87,15 +89,12 @@ BAD_SLATES = {
 def _slate_entry_points():
     """Every public function that takes a slate, as slate -> result, on d=2 inputs."""
     voters = [VoterParams(voter_id=i, theta=[1.0, -0.5]) for i in range(2)]
-    data = coordinate_dataset([0, 1], [1, 0], [[0.0, 0.0], [1.0, 0.0]], [[1.0, 1.0], [0.0, 1.0]])
     model = RewardModel(theta_hat=[1.0, -0.5], lam=1e-3, final_nll=1.0, converged=True, iterations=1)
     return {
         "generate_dataset": lambda slate: generate_dataset(
             voters, slate, RoundRobin(), PARTITION_BY_VOTER, TrueRewardLabels(), seed=0),
         "audit_unanimity": lambda slate: audit_unanimity(model, slate, voters, [0.0]),
         "audit_condorcet": lambda slate: audit_condorcet(model, slate, PointMass(theta=[1.0, -0.5]), [0.0]),
-        "audit_consistency": lambda slate: audit_consistency(fit_mle, data, slate, [0.0], model=model),
-        "worst_case_regret": lambda slate: worst_case_regret(model, slate, data, 0.5),
         "Dataset": lambda slate: Dataset(voter=[0], label=[1], slate=slate, i0=[0], i1=[1]),
     }
 
@@ -228,3 +227,33 @@ class TestDataset:
         rows = [data.slate[i1] - data.slate[i0] if label == 1 else data.slate[i0] - data.slate[i1]
                 for i0, i1, label in zip(data.i0, data.i1, data.label)]
         assert data.winner_minus_loser().tobytes() == np.array(rows).tobytes()
+
+
+@pytest.mark.parametrize("column, value", [
+    ("i0", 0.7), ("voter", 0.5), ("i1", "1"), ("voter", float("nan")), ("voter", 2**70), ("voter", 2**63),
+    ("voter_id", "x"), ("voter_id", 1.5), ("voter_id", None), ("voter_id", [0]), ("voter_id", True),
+    ("voter_id", 2**70),
+])
+def test_ids_must_be_integers_in_the_int64_range(column, value, tmp_path):
+    """A float, string, NaN or out-of-range id is an InputError, never a truncated
+    or wrapped id, in a Dataset column, a VoterParams and a voters.json entry."""
+    if column == "voter_id":
+        with pytest.raises(InputError, match="^voter_id"):
+            VoterParams(voter_id=value, theta=[1.0])
+        path = tmp_path / "voters.json"
+        path.write_text(json.dumps([{"voter_id": value, "theta": [1.0]}]))
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: voter_id"):
+            read_voters(path)
+    else:
+        columns = {"voter": [0], "i0": [0], "i1": [1], column: [value]}
+        with pytest.raises(InputError, match=f"^{column}: need integers in the int64 range"):
+            Dataset(label=[1], slate=[[0.0], [1.0]], **columns)
+
+
+def test_numpy_integer_ids_are_accepted(tmp_path):
+    voter = VoterParams(voter_id=np.int32(3), theta=[1.0])
+    assert type(voter.voter_id) is int
+    write_voters(tmp_path / "voters.json", [voter])
+    assert read_voters(tmp_path / "voters.json")[0].voter_id == 3
+    data = Dataset(voter=np.array([2**63 - 1], dtype=np.uint64), label=[1], slate=[[0.0], [1.0]], i0=[0], i1=[1])
+    assert data.voter.tolist() == [2**63 - 1]
