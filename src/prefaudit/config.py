@@ -84,10 +84,6 @@ class ExperimentConfig:
     search: SearchSpec
     raw: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def echo(self) -> dict:
-        """Full config with all defaults applied, for the run manifest."""
-        return self.raw
-
 
 class NoDefault:
     """A field without a default: its value must have the JSON type of one

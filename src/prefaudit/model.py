@@ -13,6 +13,7 @@ differences, :func:`btl_prob`.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,6 +35,14 @@ SCHEME_TRUE = "true-reward"
 SCHEME_PROXY = "proxy"
 
 
+def _array(what: str, values, dtype=None) -> np.ndarray:
+    """``values`` as one array, or an InputError naming ``what``."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError):
+        raise InputError(f"{what}: need numbers of one shape, got {reprlib.repr(values)}") from None
+
+
 def feature_vector(coords) -> np.ndarray:
     """Validate and freeze a point in R^d (d >= 1, all finite).
 
@@ -41,7 +50,7 @@ def feature_vector(coords) -> np.ndarray:
     preference vectors and per-feature weight vectors, which live in the
     same space.
     """
-    arr = np.array(coords, dtype=np.float64)
+    arr = _array("feature vector", coords, np.float64).copy()
     if arr.ndim != 1 or arr.size < 1:
         raise InputError(f"feature vector must be 1-D with d >= 1, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -55,7 +64,7 @@ def slate_array(points) -> np.ndarray:
     as a read-only, C-contiguous (m, d) float64 copy."""
     if len({np.shape(p) for p in points}) > 1:
         raise InputError("dimension mismatch: slate points differ in dimension")
-    arr = np.array(points, dtype=np.float64)
+    arr = _array("slate", points, np.float64).copy()
     if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 1:
         raise InputError(f"a slate must be m >= 2 points of dimension d >= 1, got shape {arr.shape}")
     finite = np.isfinite(arr).all(axis=1)
@@ -67,7 +76,7 @@ def slate_array(points) -> np.ndarray:
 
 def _ids(name: str, values) -> np.ndarray:
     """An int64 copy of ``values``, which must all be integers in the int64 range."""
-    ids = np.asarray(values)
+    ids = _array(name, values)
     if ids.size and (ids.dtype.kind not in "iu" or ids.dtype.kind == "u" and ids.max() >= 2**63):
         raise InputError(f"{name}: need integers in the int64 range, got dtype {ids.dtype}")
     return ids.astype(np.int64)
@@ -109,7 +118,7 @@ class Dataset:
     _COLUMNS = ("voter", "label", "i0", "i1")
 
     def __post_init__(self):
-        label = np.asarray(self.label)
+        label = _array("label", self.label)
         if label.size == 0:
             raise InputError("empty dataset")
         n = label.size

@@ -161,7 +161,7 @@ def run_pipeline(config: ExperimentConfig, out_dir, stages=STAGES) -> RunDir:
         raise InputError(f"{out}: {e.strerror}") from None
     run = RunDir(out, {name: child_seed(config.seed, name) for name in SEED_STREAMS})
     run.manifest = manifest = {
-        "config": config.echo(),
+        "config": config.raw,
         "seeds": {"root": config.seed, **run.seeds},
         "versions": {
             "prefaudit": __version__,

@@ -1,7 +1,8 @@
 """Voter populations and alternative spaces: validation and sampling.
 
-Population specs are point masses, diagonal Gaussians, or finite
-mixtures of diagonal Gaussians; alternative spaces are uniform boxes,
+A voter population is a diagonal Gaussian, or a finite mixture of them
+whose components are each checked as one; a point mass is the
+zero-variance diagonal Gaussian. Alternative spaces are uniform boxes,
 diagonal Gaussians, or explicit slates. Each spec validates itself on
 construction (raising ConfigError) and carries its dimension ``dim`` and
 its sampler ``sample(rng, n)``, an (n, dim) array; population specs also
@@ -36,28 +37,8 @@ WEIGHT_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class PointMass:
-    """Every voter has the preference vector theta."""
-
-    theta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", feature_vector(self.theta))
-
-    @property
-    def dim(self) -> int:
-        return self.theta.shape[0]
-
-    def expected_theta(self) -> np.ndarray:
-        return np.array(self.theta)
-
-    def sample(self, rng, n: int) -> np.ndarray:
-        return np.tile(self.theta, (n, 1))
-
-
-@dataclass(frozen=True)
-class _Gaussian:
-    """Diagonal Gaussian N(mean, diag(var)); var may hold zeros."""
+class DiagonalGaussian:
+    """Voter population N(mean, diag(var)); a zero variance fixes that coordinate."""
 
     mean: np.ndarray
     var: np.ndarray
@@ -74,18 +55,20 @@ class _Gaussian:
     def dim(self) -> int:
         return self.mean.shape[0]
 
+    def expected_theta(self) -> np.ndarray:
+        return np.array(self.mean)
+
     def sample(self, rng, n: int) -> np.ndarray:
         return self.mean + np.sqrt(self.var) * rng.standard_normal((n, self.dim))
 
 
-class DiagonalGaussian(_Gaussian):
-    """Voter population N(mean, diag(var))."""
+def PointMass(theta) -> DiagonalGaussian:
+    """Every voter has the preference vector theta: the zero-variance Gaussian at theta."""
+    theta = feature_vector(theta)
+    return DiagonalGaussian(theta, np.zeros_like(theta))
 
-    def expected_theta(self) -> np.ndarray:
-        return np.array(self.mean)
 
-
-class GaussianSpace(_Gaussian):
+class GaussianSpace(DiagonalGaussian):
     """Alternative space N(mean, diag(var)), with var > 0 on some coordinate."""
 
     def __post_init__(self):
@@ -96,27 +79,22 @@ class GaussianSpace(_Gaussian):
 
 @dataclass(frozen=True)
 class Mixture:
-    """Finite mixture of diagonal Gaussians: ((weight, mean, var), ...)."""
+    """Finite mixture of diagonal Gaussians: ((weight, mean, var), ...), each
+    component checked as a ``DiagonalGaussian``."""
 
     components: tuple
 
     def __post_init__(self):
-        comps = tuple(
-            (float(w), feature_vector(mu), feature_vector(var))
-            for (w, mu, var) in self.components
-        )
+        gaussians = [(float(w), DiagonalGaussian(mu, var)) for w, mu, var in self.components]
+        comps = tuple((w, g.mean, g.var) for w, g in gaussians)
         object.__setattr__(self, "components", comps)
         if not comps:
             raise ConfigError("mixture needs at least one component")
-        total = 0.0
-        for w, mu, var in comps:
-            if not w > 0:
-                raise ConfigError("mixture weights must be positive")
-            if mu.shape[0] != self.dim or var.shape[0] != self.dim:
-                raise ConfigError("mixture component dimensions differ")
-            if np.any(var < 0):
-                raise ConfigError("mixture variance entries must be >= 0")
-            total += w
+        if any(g.dim != self.dim for _, g in gaussians):
+            raise ConfigError("mixture component dimensions differ")
+        if not all(w > 0 for w, _ in gaussians):
+            raise ConfigError("mixture weights must be positive")
+        total = sum(w for w, _ in gaussians)
         if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise ConfigError(f"mixture weights sum to {total}, expected 1")
 
@@ -125,12 +103,10 @@ class Mixture:
         return self.components[0][1].shape[0]
 
     def expected_theta(self) -> np.ndarray:
-        mean = np.zeros(self.dim)
-        for w, mu, _ in self.components:
-            mean += w * mu
-        return mean
+        return sum(w * mu for w, mu, _ in self.components)
 
     def sample(self, rng, n: int) -> np.ndarray:
+        # drawn even for one component, so a one-component mixture keeps its stream
         weights = np.array([w for w, _, _ in self.components])
         comp = rng.choice(len(self.components), size=n, p=weights)
         noise = rng.standard_normal((n, self.dim))

@@ -93,8 +93,8 @@ class TestLoadConfig:
         assert cfg.epsilons == (0.0, 0.1, 0.5)
         assert cfg.consistency == ConsistencyScheme(num_blocks=2, min_fraction=0.4, num_partitions=10)
         # the echo carries every applied default
-        assert cfg.echo()["estimation"]["lambda"] == 1e-3
-        assert cfg.echo()["audit"]["consistency"]["partitions"] == 10
+        assert cfg.raw["estimation"]["lambda"] == 1e-3
+        assert cfg.raw["audit"]["consistency"]["partitions"] == 10
 
     def test_negative_variance_names_the_field(self):
         raw = dict(MINIMAL)
@@ -153,12 +153,12 @@ class TestLoadConfig:
             "labels": {"kind": "proxy", "w": [1.0, 0.5]},
         }})
         assert cfg.pair_scheme == UniformRandomPairs(count=30)
-        assert cfg.echo()["annotation"]["pairs"] == {"kind": "uniform-random", "count": 30}
-        assert cfg.echo()["annotation"]["labels"] == {"kind": "proxy", "w": [1.0, 0.5]}
+        assert cfg.raw["annotation"]["pairs"] == {"kind": "uniform-random", "count": 30}
+        assert cfg.raw["annotation"]["labels"] == {"kind": "proxy", "w": [1.0, 0.5]}
         default = config_from_dict(MINIMAL)
         assert default.pair_scheme == RoundRobin(repeats=1)
-        assert default.echo()["annotation"]["pairs"] == {"kind": "round-robin", "repeats": 1}
-        assert default.echo()["annotation"]["labels"] == {"kind": "true-reward"}
+        assert default.raw["annotation"]["pairs"] == {"kind": "round-robin", "repeats": 1}
+        assert default.raw["annotation"]["labels"] == {"kind": "true-reward"}
 
     @pytest.mark.parametrize("section, given, message", [
         ("population", {"kind": "gaussian", "mean": [0, 0], "var": [1, 1], "varr": [1, 1]},
@@ -209,7 +209,7 @@ class TestLoadConfig:
         for raw in configs:
             cfg = config_from_dict(raw)
             # the echo is itself a config that loads to the same echo
-            assert config_from_dict(cfg.echo()).echo() == cfg.echo()
+            assert config_from_dict(cfg.raw).raw == cfg.raw
 
     @pytest.mark.parametrize("override, message", [
         ({"annotation": {"labels": {"kind": "proxy", "w": [1.0, 0.5, 1.5]}}},
@@ -253,6 +253,13 @@ class TestLoadConfig:
             {"weight": 0.5, "mean": [0, 0], "var": [1, 1]},
             {"weight": float("nan"), "mean": [1, 1], "var": [1, 1]}]}},
          "config.population: mixture weights must be positive"),
+        ({"population": {"kind": "mixture", "components": [
+            {"weight": 0.5, "mean": [0, 0], "var": [1, 1]},
+            {"weight": 0.5, "mean": [1, 1], "var": [1, -1]}]}},
+         "config.population: gaussian variance entries must be >= 0"),
+        ({"population": {"kind": "mixture", "components": [
+            {"weight": 1.0, "mean": [0, 0], "var": [1, 1, 1]}]}},
+         "config.population: gaussian mean and variance dimensions differ"),
     ])
     def test_out_of_range_value_names_its_path(self, override, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):

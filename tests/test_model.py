@@ -56,6 +56,7 @@ class TestSlateArray:
         assert slate.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
         points[0][0] = 9
         assert slate[0, 0] == 1.0
+        assert slate_array(np.asfortranarray(slate)).flags.c_contiguous
 
     def test_a_slate_array_passes_through_unchanged(self):
         slate = slate_array([[0.25, -0.0], [1e-300, 3.0]])
@@ -257,3 +258,29 @@ def test_numpy_integer_ids_are_accepted(tmp_path):
     assert read_voters(tmp_path / "voters.json")[0].voter_id == 3
     data = Dataset(voter=np.array([2**63 - 1], dtype=np.uint64), label=[1], slate=[[0.0], [1.0]], i0=[0], i1=[1])
     assert data.voter.tolist() == [2**63 - 1]
+
+
+TWO_POINTS = [[0.0], [1.0]]
+RAGGED = [[0], [1, 2]]
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: feature_vector("ab"), "feature vector: .*'ab'"),
+    (lambda: feature_vector([1, "x"]), r"feature vector: .*\[1, 'x'\]"),
+    (lambda: feature_vector([[1.0], [2.0, 3.0]]), r"feature vector: .*\[\[1.0\], \[2.0, 3.0\]\]"),
+    (lambda: PointMass(theta="ab"), "feature vector: .*'ab'"),
+    (lambda: VoterParams(voter_id=0, theta="ab"), "feature vector: .*'ab'"),
+    (lambda: RewardModel(theta_hat="ab", lam=0.0, final_nll=0.0, converged=True, iterations=1),
+     "feature vector: .*'ab'"),
+    (lambda: ProxyLabels(w="ab"), "feature vector: .*'ab'"),
+    (lambda: slate_array([["a"], ["b"]]), r"slate: .*\[\['a'\], \['b'\]\]"),
+    (lambda: Dataset(voter=RAGGED, label=[1, 0], slate=TWO_POINTS, i0=[0, 0], i1=[1, 1]), r"voter: .*\[\[0\], \[1, 2\]\]"),
+    (lambda: Dataset(voter=[0, 1], label=RAGGED, slate=TWO_POINTS, i0=[0, 0], i1=[1, 1]), r"label: .*\[\[0\], \[1, 2\]\]"),
+    (lambda: Dataset(voter=[0, 1], label=[1, 0], slate=TWO_POINTS, i0=RAGGED, i1=[1, 1]), r"i0: .*\[\[0\], \[1, 2\]\]"),
+], ids=["string", "string-item", "ragged", "point-mass", "voter", "reward-model", "proxy-labels", "slate",
+        "voter-column", "label-column", "i0-column"])
+def test_non_numeric_or_ragged_input_is_an_input_error_naming_it(build, named):
+    """What numpy cannot make one array of numbers is an InputError naming the
+    value or the column, not numpy's bare ValueError."""
+    with pytest.raises(InputError, match=f"^{named}$"):
+        build()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefaudit.errors import ConfigError, InputError
 from prefaudit.population import (
@@ -133,3 +135,23 @@ def test_population_mean_formulas():
     assert np.array_equal(DiagonalGaussian(mean=[3.0], var=[1.0]).expected_theta(), [3.0])
     mix = Mixture(components=((0.25, [4.0], [1.0]), (0.75, [0.0], [1.0])))
     assert np.array_equal(mix.expected_theta(), [1.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    # adding 0.0 turns -0.0 into 0.0: mean + 0 * noise does not keep the sign of a -0.0 mean
+    st.lists(st.floats(allow_nan=False, allow_infinity=False).map(lambda x: x + 0.0), min_size=1, max_size=5),
+    st.integers(1, 20),
+    st.integers(0, 2**32),
+)
+def test_point_mass_is_the_zero_variance_gaussian(theta, n, seed):
+    spec = PointMass(theta=theta)
+    assert type(spec) is DiagonalGaussian
+    assert np.array_equal(spec.mean, theta) and not spec.var.any()
+    assert spec.sample(seeded_rng(seed), n).tobytes() == np.tile(np.array(theta), (n, 1)).tobytes()
+
+
+def test_a_mixture_rebuilt_from_its_components_samples_the_same_bytes():
+    mix = Mixture(components=((0.25, [4.0, -1.0], [1.0, 0.0]), (0.75, [0.0, 2.0], [0.5, 3.0])))
+    rebuilt = Mixture(mix.components)
+    assert rebuilt.sample(seeded_rng(3), 50).tobytes() == mix.sample(seeded_rng(3), 50).tobytes()

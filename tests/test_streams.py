@@ -52,6 +52,8 @@ POPULATIONS = {
         (0.7, [1.0, -0.5, 0.5], [0.1, 0.1, 0.1]),
         (0.3, [-0.5, 1.0, 0.0], [0.2, 0.05, 0.3]),
     )),
+    # draws a component index like any mixture, though there is only one to choose
+    "one-component-mixture": Mixture(components=((1.0, [0.25, -1.0, 0.5], [0.2, 0.0, 0.05]),)),
 }
 
 SLATES = {
@@ -65,6 +67,7 @@ VOTER_DIGESTS = {
     "point-mass": "58073f736bb841bab6a996edd9b64ce56d9b3c54bdb5cde22c700c39e4c6ba21",
     "gaussian": "ff9af5b8ced23e7781dc5bc016aaeff3d5c807846dbc725ed1bf1183f60df862",
     "mixture": "2628fcbba49be3a29f676ca2009ecde95b3a2b946142021965e2f0f48e561aae",
+    "one-component-mixture": "4222901e19a058b57dc44a287886ca78a4a0c55dec3d8c02ee626902ec6499ee",
 }
 
 SLATE_DIGESTS = {
