@@ -62,7 +62,11 @@ def feature_vector(coords) -> np.ndarray:
 def slate_array(points) -> np.ndarray:
     """Validate and freeze a slate of m >= 2 finite points in one R^d, d >= 1,
     as a read-only, C-contiguous (m, d) float64 copy."""
-    if len({np.shape(p) for p in points}) > 1:
+    try:
+        shapes = {np.shape(p) for p in points}
+    except ValueError:  # a ragged point: _array names the slate
+        shapes = set()
+    if len(shapes) > 1:
         raise InputError("dimension mismatch: slate points differ in dimension")
     arr = _array("slate", points, np.float64).copy()
     if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 1:
@@ -179,7 +183,20 @@ class Dataset:
     def winner_minus_loser(self) -> np.ndarray:
         """Winner-minus-loser feature differences, one row per record."""
         winner, loser = self.winner_loser()
-        return self.slate[winner] - self.slate[loser]
+        deltas = self.slate[winner]
+        deltas -= self.slate[loser]
+        return deltas
+
+    def pair_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct (winner, loser) rows in row-major order and their
+        record counts (float64), from one m x m table like the audits' gaps."""
+        m = len(self.slate)
+        cell, loser = self.winner_loser()
+        cell *= m
+        cell += loser
+        table = np.bincount(cell, np.ones(len(self)), m * m).reshape(m, m)
+        winner, loser = np.nonzero(table)
+        return winner, loser, table[winner, loser]
 
 
 @dataclass(frozen=True)

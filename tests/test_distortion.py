@@ -225,18 +225,19 @@ def test_random_sampling_fallback_above_grid_limit():
 def _search_cases(draw):
     """(model, data, delta, search) small enough for the naive loop: d of
     1-4, a slate of up to 12 points whose differences reach 1e3, records
-    drawn with repeats from a few pairs of its rows, a grid search up to
-    d=3 and the random fallback above, either w_mode."""
+    that repeat a few labelled pairs of its rows, some of them thousands
+    of times, a grid search up to d=3 and the random fallback above,
+    either w_mode."""
     d = draw(st.integers(1, 4))
     half = draw(st.sampled_from([0.5, 500.0]))
     point = st.lists(st.floats(-half, half), min_size=d, max_size=d)
     slate = draw(st.lists(point, min_size=2, max_size=12))
     row = st.integers(0, len(slate) - 1)
-    pairs = draw(st.lists(st.tuples(row, row), min_size=1, max_size=6))
-    picks = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=30))
-    labels = draw(st.lists(st.integers(0, 1), min_size=len(picks), max_size=len(picks)))
-    i0, i1 = zip(*picks)
-    data = Dataset(voter=[0] * len(picks), label=labels, slate=slate, i0=i0, i1=i1)
+    repeats = st.one_of(st.integers(1, 3), st.integers(1000, 3000))
+    picks = draw(st.lists(st.tuples(row, row, st.integers(0, 1), repeats), min_size=1, max_size=8))
+    i0, i1, labels, times = zip(*picks)
+    i0, i1, labels = (np.repeat(column, times) for column in (i0, i1, labels))
+    data = Dataset(voter=np.zeros(len(labels), dtype=np.int64), label=labels, slate=slate, i0=i0, i1=i1)
     unit = st.lists(st.floats(-1, 1), min_size=d, max_size=d)
     model = RewardModel(theta_hat=draw(unit), lam=draw(st.sampled_from([0.0, 1e-3])),
                         final_nll=0.0, converged=True, iterations=0)
@@ -264,11 +265,13 @@ def test_screened_search_equals_the_naive_loop(case):
     assert report.metadata["consistent_count"] == count
 
 
-@pytest.mark.parametrize("case", ["ones-d2", "grid-d2"])
-def test_a_hypothesis_exactly_delta_above_the_best_is_consistent(case):
+@pytest.mark.parametrize("case, repeats", [("ones-d2", 60), ("grid-d2", 60), ("ones-d2", 600), ("grid-d2", 600)],
+                         ids=["ones-d2", "grid-d2", "ones-d2-repeats-600", "grid-d2-repeats-600"])
+def test_a_hypothesis_exactly_delta_above_the_best_is_consistent(case, repeats):
     # delta = v_k - v* is exact (Sterbenz), so v* + delta == v_k and hypothesis
-    # k sits on the threshold; a screen without its margin drops some of them
-    data = _dataset()
+    # k sits on the threshold; a screen without its margin drops some of them.
+    # With 600 repeats the screen weights each of its few pairs by hundreds
+    data = _dataset(repeats=repeats)
     model = fit_mle(data, lam=1e-3)
     search = (SearchSpec(grid_resolution=21) if case == "ones-d2"
               else SearchSpec(grid_resolution=6, w_mode="grid", w_lo=0.5, w_hi=1.5))
@@ -285,9 +288,10 @@ def test_a_hypothesis_exactly_delta_above_the_best_is_consistent(case):
 
 def test_only_the_rows_the_screen_keeps_are_scored_exactly(monkeypatch):
     screen, exact = prefaudit.distortion._screen, prefaudit.distortion._nll_from_deltas
-    kept, calls = [], []
+    screened, kept, calls = [], [], []
 
     def recorded_screen(*args):
+        screened.append(args)
         kept.append(screen(*args))
         return kept[-1]
 
@@ -304,6 +308,12 @@ def test_only_the_rows_the_screen_keeps_are_scored_exactly(monkeypatch):
     assert hypotheses == 41 ** 2
     assert len(calls) == kept[0].size < 0.01 * hypotheses
     assert 1 <= report.metadata["consistent_count"] <= kept[0].size
+    # the screen saw one row per distinct (winner, loser) pair, weighted by its count
+    winner, loser, count = data.pair_counts()
+    deltas, counts = screened[0][2:4]
+    assert deltas.tobytes() == (data.slate[winner] - data.slate[loser]).tobytes()
+    assert np.array_equal(counts, count)
+    assert len(counts) <= 20 < len(data)
 
 
 # tracemalloc peak, in MiB, of the search below when every one of its

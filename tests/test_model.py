@@ -1,9 +1,12 @@
 
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import coordinate_dataset, random_records
 from prefaudit.annotation import (
@@ -230,6 +233,31 @@ class TestDataset:
         assert data.winner_minus_loser().tobytes() == np.array(rows).tobytes()
 
 
+@st.composite
+def _repeating_slate_datasets(draw):
+    """A dataset over a slate that repeats a point, so that distinct rows hold
+    equal points and some (winner, loser) pairs have a zero delta, with up to
+    80 records drawn with repeats (a row may even be compared with itself)."""
+    pool = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]][:draw(st.integers(1, 3))]
+    slate = draw(st.lists(st.sampled_from(pool), min_size=len(pool) + 1, max_size=8))
+    row = st.integers(0, len(slate) - 1)
+    records = draw(st.lists(st.tuples(row, row, st.integers(0, 1)), min_size=1, max_size=80))
+    i0, i1, label = zip(*records)
+    return Dataset(voter=[0] * len(records), label=label, slate=slate, i0=i0, i1=i1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_repeating_slate_datasets(), st.data())
+def test_pair_counts_are_the_distinct_winner_loser_pairs_in_row_major_order(data, extra):
+    winner, loser, count = data.pair_counts()
+    pairs = list(zip(winner.tolist(), loser.tolist()))
+    assert dict(zip(pairs, count.tolist())) == Counter(zip(*(a.tolist() for a in data.winner_loser())))
+    assert count.sum() == len(data)
+    assert pairs == sorted(set(pairs))  # row-major, each pair once
+    permuted = data.take(extra.draw(st.permutations(range(len(data)))))
+    assert all(np.array_equal(a, b) for a, b in zip(permuted.pair_counts(), (winner, loser, count)))
+
+
 @pytest.mark.parametrize("column, value", [
     ("i0", 0.7), ("voter", 0.5), ("i1", "1"), ("voter", float("nan")), ("voter", 2**70), ("voter", 2**63),
     ("voter_id", "x"), ("voter_id", 1.5), ("voter_id", None), ("voter_id", [0]), ("voter_id", True),
@@ -274,11 +302,12 @@ RAGGED = [[0], [1, 2]]
      "feature vector: .*'ab'"),
     (lambda: ProxyLabels(w="ab"), "feature vector: .*'ab'"),
     (lambda: slate_array([["a"], ["b"]]), r"slate: .*\[\['a'\], \['b'\]\]"),
+    (lambda: slate_array([RAGGED, RAGGED]), r"slate: .*\[\[\[0\], \[1, 2\]\], \[\[0\], \[1, 2\]\]\]"),
     (lambda: Dataset(voter=RAGGED, label=[1, 0], slate=TWO_POINTS, i0=[0, 0], i1=[1, 1]), r"voter: .*\[\[0\], \[1, 2\]\]"),
     (lambda: Dataset(voter=[0, 1], label=RAGGED, slate=TWO_POINTS, i0=[0, 0], i1=[1, 1]), r"label: .*\[\[0\], \[1, 2\]\]"),
     (lambda: Dataset(voter=[0, 1], label=[1, 0], slate=TWO_POINTS, i0=RAGGED, i1=[1, 1]), r"i0: .*\[\[0\], \[1, 2\]\]"),
 ], ids=["string", "string-item", "ragged", "point-mass", "voter", "reward-model", "proxy-labels", "slate",
-        "voter-column", "label-column", "i0-column"])
+        "ragged-slate-point", "voter-column", "label-column", "i0-column"])
 def test_non_numeric_or_ragged_input_is_an_input_error_naming_it(build, named):
     """What numpy cannot make one array of numbers is an InputError naming the
     value or the column, not numpy's bare ValueError."""
