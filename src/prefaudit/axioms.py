@@ -3,25 +3,29 @@
 Three audits over a finite candidate slate: unanimity (every sampled
 voter agrees on the gap), Condorcet consistency (the analytic population
 mean agrees), and consistency (every retrained large-enough voter-block
-model agrees). Each audit builds one epsilon-independent m x m gap
-matrix, then reports once per epsilon through one dominance kernel: the
-dominated set A'_a of anchor a holds the alternatives the condition ranks
-strictly below a by more than epsilon, and a violation is flagged
-whenever the audited model's score gap fails to exceed epsilon on such a
-pair. Score-gap comparisons are strict with no floating tolerance; the
-minimum margin over checked pairs is reported so near-misses stay
-visible.
+model agrees; the block models are fitted in batches by the estimation
+kernel, over their records' pair counts). Each audit builds one
+epsilon-independent m x m gap matrix, then reports once per epsilon
+through one dominance kernel: the dominated set A'_a of anchor a holds
+the alternatives the condition ranks strictly below a by more than
+epsilon, and a violation is flagged whenever the audited model's score
+gap fails to exceed epsilon on such a pair. Score-gap comparisons are
+strict with no floating tolerance; the minimum margin over checked pairs
+is reported so near-misses stay visible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .estimation import scores
+from .estimation import (
+    DEFAULT_GRAD_TOL, DEFAULT_LAMBDA, DEFAULT_MAX_ITERS, _fit_counts, fit_mle, scores,
+)
 from .model import RewardModel, slate_array
 from .population import seeded_rng
 
@@ -178,28 +182,54 @@ class ConsistencyScheme:
             raise ConfigError(f"number of partitions must be >= 0, got {self.num_partitions}")
 
 
+# A batch of block fits spans at most this many (block, pair-table cell)
+# terms, so it adds little to a run's memory
+FIT_BLOCK = 2048
+
+
+def _block_models(data, by_voter, blocks, lam, max_iters, grad_tol) -> list[RewardModel]:
+    """A model per block of voters (indices into by_voter, each voter's records),
+    fitted FIT_BLOCK // m^2 blocks at a time over the pairs their records hold,
+    counted by cell of the m x m pair table."""
+    m = len(data.slate)
+    size = max(1, FIT_BLOCK // m**2)
+    models = []
+    for start in range(0, len(blocks), size):
+        cells = (data._pair_cells(np.concatenate([by_voter[v] for v in block])) for block in blocks[start:start + size])
+        table = np.stack([np.bincount(c, minlength=m * m) for c in cells])
+        used = np.flatnonzero(np.add.reduce(table, axis=0))
+        deltas = data.slate[used // m] - data.slate[used % m]
+        counts = table[:, used].astype(np.float64)
+        models += _fit_counts(deltas, counts, lam, max_iters, grad_tol, np.zeros((len(table), data.dim)))
+    return models
+
+
 def audit_consistency(
-    trainer,
     data,
     epsilons,
     scheme: ConsistencyScheme = ConsistencyScheme(),
     model: RewardModel | None = None,
+    *,
+    lam: float = DEFAULT_LAMBDA,
+    max_iters: int = DEFAULT_MAX_ITERS,
+    grad_tol: float = DEFAULT_GRAD_TOL,
 ) -> list[AxiomReport]:
     """Check consistency by retraining on random voter partitions, once per epsilon.
 
-    ``trainer`` maps a Dataset to a RewardModel, and the audited slate
-    is the data's own, ``data.slate``. Voters are split
-    into num_blocks blocks (each >= min_fraction of the voters) for each
-    of num_partitions random partitions, and each block model is fitted
-    once for every epsilon; A'_a holds the pairs on which every
-    successfully retrained block model's score gap exceeds epsilon. The
-    full-data model (fit by the same trainer when not supplied) must then
-    agree. A block holds its voters' records, voter by voter in block
-    order. A partition with a non-convergent block fit is skipped,
-    counted in metadata. With every partition skipped there is no
-    evidence either way, so the audit fails with a diagnostic instead of
-    passing vacuously.
+    The audited slate is ``data.slate``. Voters are split into num_blocks
+    blocks (each >= min_fraction of the voters) for each of num_partitions
+    random partitions, and each block model is fitted once, as ``fit_mle``
+    with the given settings fits the block's records; A'_a holds the pairs
+    on which every successfully retrained block model's score gap exceeds
+    epsilon. The full-data model (so fitted when not supplied) must then
+    agree. A partition with a non-convergent block fit is skipped, counted
+    in metadata. With every partition skipped there is no evidence either
+    way, so the audit fails with a diagnostic instead of passing
+    vacuously. ``block_grad_norm`` in metadata is the largest final
+    max-abs gradient of the block fits used.
     """
+    if lam < 0:
+        raise InputError("lambda must be >= 0")
     epsilons = _epsilons(epsilons)
     # each voter's row indices in record order, voters by ascending id
     order = np.argsort(data.voter, kind="stable")
@@ -219,22 +249,22 @@ def audit_consistency(
         )
 
     rng = seeded_rng(scheme.seed)
-    block_models = []
-    skip_reasons = []
+    blocks = []
     for _ in range(scheme.num_partitions):
         perm = rng.permutation(n)
-        blocks = [perm[b::k] for b in range(k)]
-        fits = []
-        for block in blocks:
-            fitted = trainer(data.take(np.concatenate([by_voter[v] for v in block])))
-            if not fitted.converged:
-                skip_reasons.append(f"a block fit did not converge ({fitted.diagnostic})")
-                break
-            fits.append(fitted)
+        blocks += [perm[b::k] for b in range(k)]
+    fits = _block_models(data, by_voter, blocks, lam, max_iters, grad_tol) if blocks else []
+    block_models = []
+    skip_reasons = []
+    for start in range(0, len(fits), k):
+        partition = fits[start:start + k]
+        failed = [f for f in partition if not f.converged]
+        if failed:
+            skip_reasons.append(f"a block fit did not converge ({failed[0].diagnostic})")
         else:
-            block_models.extend(fits)
+            block_models += partition
     if model is None:
-        model = trainer(data)
+        model = fit_mle(data, lam, max_iters, grad_tol)
     score_gaps = _score_gap_matrix(model, data.slate)
     metadata = {
         "num_blocks": k,
@@ -243,9 +273,10 @@ def audit_consistency(
         "seed": scheme.seed,
         "skipped_partitions": len(skip_reasons),
         "voter_count": n,
+        "block_grad_norm": max((m.grad_norm for m in block_models), default=None),
     }
     if block_models:
-        gap = np.min(np.stack([_score_gap_matrix(m, data.slate) for m in block_models]), axis=0)
+        gap = reduce(np.minimum, (_score_gap_matrix(m, data.slate) for m in block_models))
     else:
         # no usable partition: nothing is certified dominated
         gap = np.full_like(score_gaps, -np.inf)

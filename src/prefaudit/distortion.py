@@ -8,12 +8,11 @@ best NLL found. Regret of the learned rule's winner is then maximized
 over the consistent hypotheses on an exhaustive grid (random sampling
 above d=3, where the grid explodes).
 
-The search scores the hypotheses in two passes. A screen scores every
-hypothesis approximately, in blocks, over the distinct (winner, loser)
-pairs weighted by their counts, with a rigorous error margin, and drops
-only those that cannot be consistent; the few that are left are
-rescored with the exact per-row kernel the fit uses, and only those
-exact values decide the outputs.
+Both passes of the search sum over the distinct (winner, loser) pairs
+weighted by their counts: a screen scores every hypothesis approximately,
+with a rigorous error margin, and drops only those that cannot be
+consistent; the rest are rescored exactly by the kernel of ``nll``, and
+only those values decide the outputs.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .errors import InputError
 # nll is unused here but stays importable: the benchmark's tracer wraps
 # prefaudit.distortion.nll, and a test patches it to prove that the search
 # never calls it per hypothesis
-from .estimation import _nll_from_deltas, nll, scores
+from .estimation import _nll_rows, _pair_rows, nll, scores
 from .model import RewardModel
 from .population import seeded_rng
 
@@ -111,40 +110,32 @@ def _hypotheses(d: int, search: SearchSpec) -> tuple[np.ndarray, np.ndarray]:
     return thetas, np.broadcast_to(np.ones(d), thetas.shape)
 
 
+# The screen's margin, and why it drops no consistent hypothesis. Row k of
+# the K x d pair rows D is held by c_k of the n = sum_k c_k records. Each
+# phi = theta * w gets an approximate NLL s: z = phi @ D.T, then
+# sum_k c_k softplus(-z_k), softplus(-z) = log1p(exp(-|z|)) + (|z| - z) / 2,
+# plus lam |phi|^2. Its margin is m = 4 (n + d + 64) eps B, where
+# B = sum_j |phi_j| sum_k c_k |D_kj| + n + lam |phi|^2 bounds
+# sum_k c_k (|z_k| + 1) + lam |phi|^2. A hypothesis is kept unless
+# s - m > min_h s_h + max_h m_h + delta, a cutoff >= min_h(s_h + m_h) + delta.
+#
+# With exp and log1p each within 4 ULP (numpy's loops are) and no overflow,
+# the screen and the exact kernel ``_nll_rows(phi, D, c, lam)``, which sum
+# the same K <= n weighted terms, are each within (n + d + 17) eps B of the
+# real NLL, up to O(eps^2): d eps for rounding z and |phi|^2 (softplus is
+# 1-Lipschitz), 10 eps per term for the transcendentals and the hinge, one
+# eps per product of an exact count c_k and a term, n eps for summing at
+# most n terms in any order, a few eps for the penalty and the last adds.
+# So |s - v| <= m / 2 for the exact value v, and the other half of m absorbs
+# the rounding of s - m and of the cutoff: fl(s_h - m_h) <= v_h, and the
+# cutoff is at least fl(v* + delta) for the exact minimum v*. An exactly
+# consistent h has v_h <= fl(v* + delta) <= cutoff, so h is kept, and so is
+# the argmin: the outputs are the floats an exact score of every row gives.
+# A NaN s or m, or an infinite cutoff, makes every row kept.
 def _screen(thetas: np.ndarray, ws: np.ndarray, deltas: np.ndarray, counts: np.ndarray,
             lam: float, delta: float) -> np.ndarray:
-    """Search-order indices of every hypothesis whose exact NLL may lie within delta of the best.
-
-    D is the K x d matrix of the distinct winner-minus-loser rows, row k
-    held by c_k of the n = sum_k c_k records. Each phi = theta * w gets an
-    approximate NLL s: over blocks of the table, z = phi @ D.T, then
-    sum_k c_k softplus(-z_k), softplus(-z) = log1p(exp(-|z|)) + (|z| - z) / 2,
-    plus lam |phi|^2. Its margin is m = 4 (n + d + 64) eps B, where
-    B = sum_j |phi_j| sum_k c_k |D_kj| + n + lam |phi|^2 bounds
-    sum_k c_k (|z_k| + 1) + lam |phi|^2, since |z_k| <= sum_j |D_kj| |phi_j|;
-    in real arithmetic these sums equal the sums over the n records. A
-    hypothesis is kept unless s - m > min_h s_h + max_h m_h + delta, a
-    cutoff no lower than min_h(s_h + m_h) + delta.
-
-    Why no consistent hypothesis is dropped. Assume exp, log1p and logaddexp
-    are each within 4 ULP (numpy's SIMD and scalar loops are) and nothing
-    overflows. Then the exact kernel ``_nll_from_deltas(phi, R, lam)`` over
-    the record rows R is within (n + d + 16) eps B of the real-number NLL,
-    and the screen within (n + d + 17) eps B, up to O(eps^2): d eps for
-    rounding z and |phi|^2 (each on its own part of B; softplus is
-    1-Lipschitz), 10 eps per term for the transcendentals, in the screen
-    one eps per product of an exact count c_k and a term, n eps for summing
-    at most n terms in any order, and a few eps for the penalty and the
-    last adds. So |s - v| <= m / 2 for the exact value v, and the other
-    half of m absorbs the rounding of s - m and of the cutoff:
-    fl(s_h - m_h) <= v_h, and the cutoff is at least fl(v* + delta), where
-    v* is the exact minimum (v* <= v_g <= s_g + m_g for every g). An
-    exactly consistent h has v_h <= fl(v* + delta), so
-    fl(s_h - m_h) <= v_h <= fl(v* + delta) <= cutoff: h is kept, and so is
-    the exact argmin. The values that decide the outputs are then the same
-    floats as when every row is scored exactly. A NaN s or m makes every
-    comparison false, and so does an infinite cutoff: then every row is kept.
-    """
+    """Search-order indices of every hypothesis whose exact NLL may lie
+    within delta of the best (the comment above gives the margin's proof)."""
     k, d = deltas.shape
     rows = max(1, SCREEN_BLOCK // k)
     buf = np.empty((rows, k))
@@ -181,12 +172,6 @@ def _first_max(values: np.ndarray) -> int:
     return int(np.flatnonzero(~(values < values.max()))[0])
 
 
-def _weighted_pairs(data) -> tuple[np.ndarray, np.ndarray]:
-    """Winner-minus-loser rows of the distinct pairs, and their counts."""
-    winner, loser, counts = data.pair_counts()
-    return data.slate[winner] - data.slate[loser], counts
-
-
 def worst_case_regret(
     model: RewardModel,
     data,
@@ -210,19 +195,16 @@ def worst_case_regret(
     slate = data.slate
     a_star = _first_max(scores(model, slate))  # ties -> lowest index
 
-    # Each kept hypothesis is scored with the kernel nll() uses, one row at
-    # a time, so each NLL equals nll(theta * w): a batched matrix product
-    # can round differently in the last bit. The threshold is the best NLL
-    # achieved on the grid (the continuous fit sits strictly below every
-    # grid point, so using it would empty the set at delta=0).
+    # Each kept hypothesis is scored by the kernel of nll(), so each NLL is
+    # nll(theta * w). The threshold is the best NLL on the grid (the fit sits
+    # strictly below every grid point, so it would empty the set at delta=0).
     thetas, ws = _hypotheses(slate.shape[1], search)
     hypotheses = len(thetas)
-    kept = _screen(thetas, ws, *_weighted_pairs(data), model.lam, delta)
-    # only the kept rows from here on: the table and pairs are freed first
-    thetas, ws = thetas[kept], ws[kept]
-    deltas = data.winner_minus_loser()
+    deltas, counts = _pair_rows(data)
+    kept = _screen(thetas, ws, deltas, counts, model.lam, delta)
+    thetas, ws = thetas[kept], ws[kept]  # only the kept rows from here on
     vals = np.fromiter(
-        (_nll_from_deltas(theta * w, deltas, model.lam) for theta, w in zip(thetas, ws)),
+        (_nll_rows((theta * w)[None], deltas, counts, model.lam)[0] for theta, w in zip(thetas, ws)),
         dtype=np.float64, count=kept.size,
     )
     finite = np.isfinite(vals)

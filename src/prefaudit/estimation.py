@@ -1,11 +1,12 @@
 """Regularized Bradley-Terry maximum likelihood and empirical Borda scores.
 
-The objective is sum over records of -log sigma(<theta, winner - loser>)
-plus lambda * ||theta||^2, minimized by damped Newton steps (IRLS) with an
-Armijo backtracking safeguard. d is small, so the Hessian
-D^T diag(p (1 - p)) D + 2 lambda I over the winner-minus-loser matrix D
-costs little, and a fit converges in a few steps. The log-sigmoid is
-evaluated in its stable form.
+The objective, sum over records of -log sigma(<theta, winner - loser>)
+plus lambda * ||theta||^2, is summed over the distinct winner-minus-loser
+rows D of ``Dataset.pair_counts`` weighted by their counts c, as
+sum_k c_k (log1p(exp(-|z_k|)) + max(-z_k, 0)), z = D theta. ``_fit_counts``
+minimizes it for B count vectors at once by damped Newton steps with an
+Armijo safeguard; ``fit_mle`` is its B = 1 case, and the consistency
+audit fits its voter blocks through it.
 """
 
 from __future__ import annotations
@@ -29,55 +30,185 @@ BACKTRACK_SHRINK = 0.5
 MAX_BACKTRACKS = 60
 
 
-def _nll_from_deltas(theta: np.ndarray, deltas: np.ndarray, lam: float) -> float:
-    z = deltas @ theta
-    # -log sigma(z) = log(1 + exp(-z)), stable for both signs of z
-    data_term = float(np.sum(np.logaddexp(0.0, -z)))
-    return data_term + lam * float(theta @ theta)
+def _pair_rows(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The K x d winner-minus-loser rows of the data's distinct pairs, and their counts."""
+    winner, loser, counts = data.pair_counts()
+    return data.slate[winner] - data.slate[loser], counts
 
 
-def _lose_prob(z: np.ndarray) -> np.ndarray:
-    """sigma(-z) = 1 - sigma(z), the modeled chance that the recorded loser wins."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, e / (1 + e), 1.0 / (1.0 + e))
+def _rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b a row at a time, as for B = 1 (a matrix product rounds
+    differently and reads in more of the BLAS library)."""
+    out = np.empty((len(a), b.shape[1]))
+    for row, x in zip(out, a):
+        np.matmul(x, b, out=row)
+    return out
+
+
+def _nll_rows(thetas, deltas, counts, lam) -> np.ndarray:
+    """The NLL of each row of thetas (B, d) over D with counts (B, K) or (K,)."""
+    z = _rowwise(thetas, deltas.T)
+    t = np.abs(z)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    np.negative(z, out=z)
+    np.maximum(z, 0.0, out=z)
+    t += z
+    t *= counts
+    return np.add.reduce(t, axis=1) + lam * np.add.reduce(thetas * thetas, axis=1)
+
+
+def _gradient(thetas, deltas, counts, lam):
+    """Each row's NLL gradient, and its Hessian weights c q (1 - q), where
+    q = sigma(-z) = e / (1 + e) for z >= 0 and 1 / (1 + e) below, e = exp(-|z|)."""
+    q = _rowwise(thetas, deltas.T)
+    won = q >= 0
+    np.abs(q, out=q)
+    np.negative(q, out=q)
+    np.exp(q, out=q)
+    ratio = q + 1.0
+    np.divide(q, ratio, out=q, where=won)
+    np.divide(1.0, ratio, out=q, where=~won)
+    del ratio, won
+    cq = q * counts
+    grad = 2.0 * lam * thetas - _rowwise(cq, deltas)
+    np.subtract(1.0, q, out=q)
+    q *= cq
+    return grad, q
 
 
 def _checked(theta, data: Dataset, lam: float):
-    """theta as a float array and the data's winner-minus-loser matrix."""
     if lam < 0:
         raise InputError("lambda must be >= 0")
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (data.dim,):
         raise InputError(f"theta of shape {theta.shape} differs from data dimension {data.dim}")
-    return theta, data.winner_minus_loser()
+    return (theta[None], *_pair_rows(data), lam)
 
 
 def nll(theta, data: Dataset, lam: float = 0.0) -> float:
     """Regularized negative log likelihood of the dataset at theta."""
-    theta, deltas = _checked(theta, data, lam)
-    return _nll_from_deltas(theta, deltas, lam)
+    return float(_nll_rows(*_checked(theta, data, lam))[0])
 
 
 def nll_gradient(theta, data: Dataset, lam: float = 0.0) -> np.ndarray:
     """Analytic gradient of nll; matches central finite differences."""
-    theta, deltas = _checked(theta, data, lam)
-    return -(_lose_prob(deltas @ theta) @ deltas) + 2.0 * lam * theta
+    return _gradient(*_checked(theta, data, lam))[0][0]
 
 
-def _newton_direction(deltas: np.ndarray, q: np.ndarray, grad: np.ndarray, lam: float):
-    """Solve H d = -grad for the Hessian H = D^T diag(q (1 - q)) D + 2 lam I.
-
-    Returns None when H is singular or d is not a descent direction; with
-    lam > 0, H is positive definite and neither happens.
-    """
-    hess = (deltas.T * (q * (1.0 - q))) @ deltas + 2.0 * lam * np.eye(deltas.shape[1])
+def _newton_directions(upper, products, weights, grad, lam):
+    """Solve H_b x = -grad_b with H_b = D^T diag(weights_b) D + 2 lam I, whose
+    ``upper`` triangle is weights_b @ products. A row whose H_b is singular
+    or whose x does not descend gets NaNs; with lam > 0 neither happens."""
+    batch, d = grad.shape
+    hess = np.empty((batch, d, d))
+    hess[:, upper[0], upper[1]] = hess[:, upper[1], upper[0]] = _rowwise(weights, products)
+    hess.reshape(batch, d * d)[:, ::d + 1] += 2.0 * lam
+    rhs = -grad[:, :, None]
     try:
-        direction = np.linalg.solve(hess, -grad)
-    except np.linalg.LinAlgError:
-        return None
-    if not (np.all(np.isfinite(direction)) and grad @ direction < 0):
-        return None
-    return direction
+        x = np.linalg.solve(hess, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:  # one singular H_b fails the whole stack
+        x = np.full_like(grad, np.nan)
+        for b in range(batch):
+            try:
+                x[b] = np.linalg.solve(hess[b], rhs[b])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+    slope = np.add.reduce(grad * x, axis=1)  # finite only when x is
+    x[~((slope < 0) & np.isfinite(slope))] = np.nan
+    return x
+
+
+# Each iteration stops a fit whose max-abs gradient is <= grad_tol, else
+# backtracks along its Newton direction (its negative gradient if the
+# Hessian is singular or the direction does not descend) from the full step
+# until the loss falls by the Armijo fraction of the predicted decrease.
+# Where that decrease is under the loss's rounding, the full Newton step is
+# taken and the loss carried over if it rises by rounding, so nll_history
+# never increases. A fit whose backtracking finds no descent in
+# MAX_BACKTRACKS halvings stops. With lam=0 on data the fit separates
+# (z > 0 on every row of positive count) the MLE diverges: that fit is
+# reported as converged=False with a diagnostic.
+def _fit_counts(deltas, counts, lam, max_iters, grad_tol, init) -> list[RewardModel]:
+    """B damped-Newton fits in lockstep, one per row of counts (B, K) over the
+    rows deltas (K, d), each from its row of init (B, d) with its own state."""
+    theta = np.array(init, dtype=np.float64)
+    loss = _nll_rows(theta, deltas, counts, lam)
+    if not np.all(np.isfinite(loss)):
+        raise NumericError("non-finite loss at the initial point")
+    batch = len(theta)
+    history = [[x] for x in loss.tolist()]
+    iterations = np.full(batch, max_iters)
+    converged = np.zeros(batch, dtype=bool)
+    grad_norm = np.zeros(batch)
+    upper = np.nonzero(np.tri(deltas.shape[1], dtype=bool).T)
+    products = deltas[:, upper[0]] * deltas[:, upper[1]]
+    # the fits still iterating: their rows, theta, loss and counts
+    active, th, cur, c = np.arange(batch), theta.copy(), loss.copy(), counts
+    for it in range(1, max_iters + 1):
+        grad, weights = _gradient(th, deltas, c, lam)
+        if not np.all(np.isfinite(grad)):
+            raise NumericError(f"non-finite gradient at iteration {it}")
+        gmax = np.max(np.abs(grad), axis=1)
+        if (done := gmax <= grad_tol).any():
+            rows = active[done]
+            converged[rows], iterations[rows], grad_norm[rows] = True, it - 1, gmax[done]
+            theta[rows], loss[rows] = th[done], cur[done]
+            active, th, cur, c, grad, weights, gmax = (a[~done] for a in (active, th, cur, c, grad, weights, gmax))
+            if not active.size:
+                break
+        step = _newton_directions(upper, products, weights, grad, lam)
+        del weights  # the loss evaluations below reuse its memory
+        newton = np.isfinite(step[:, 0])
+        step[~newton] = -grad[~newton]
+        decrease = -np.add.reduce(grad * step, axis=1)
+        # quadratic-convergence region: the loss cannot rank these steps
+        full = newton & (decrease <= ROUNDING_DECREASE * np.maximum(1.0, np.abs(cur)))
+        if full.any():
+            th[full] += step[full]
+            cur[full] = np.minimum(cur[full], _nll_rows(th[full], deltas, c[full], lam))
+        search = np.flatnonzero(~full)
+        t = np.ones(search.size)
+        for _ in range(MAX_BACKTRACKS):
+            if not search.size:
+                break
+            cand = th[search] + t[:, None] * step[search]
+            cand_loss = _nll_rows(cand, deltas, c if search.size == len(c) else c[search], lam)
+            ok = np.isfinite(cand_loss) & (cand_loss <= cur[search] - ARMIJO_C * t * decrease[search])
+            th[search[ok]], cur[search[ok]] = cand[ok], cand_loss[ok]
+            search, t = search[~ok], t[~ok] * BACKTRACK_SHRINK
+        if search.size:  # no further descent possible at float precision: these fits stop
+            rows = active[search]
+            iterations[rows], grad_norm[rows], theta[rows], loss[rows] = it, gmax[search], th[search], cur[search]
+            moved = np.ones(active.size, dtype=bool)
+            moved[search] = False
+            active, th, cur, c = active[moved], th[moved], cur[moved], c[moved]
+        for row, value in zip(active.tolist(), cur.tolist()):
+            history[row].append(value)
+        if not active.size:
+            break
+    else:  # max_iters reached: the gradient at the returned theta
+        theta[active], loss[active] = th, cur
+        grad_norm[active] = np.max(np.abs(_gradient(th, deltas, c, lam)[0]), axis=1)
+
+    models = []
+    for b in range(batch):
+        diagnostic = ""
+        if converged[b] and lam == 0.0 and np.all((deltas @ theta[b])[counts[b] > 0] > 0):
+            converged[b] = False
+            diagnostic = (
+                "data is separated by the fitted direction; with lambda=0 the "
+                "NLL infimum is not attained and the MLE diverges"
+            )
+        if not converged[b] and not diagnostic:
+            diagnostic = f"gradient tolerance {grad_tol} not reached in {max_iters} iterations"
+        models.append(RewardModel(
+            theta_hat=theta[b], lam=lam, final_nll=float(loss[b]), converged=bool(converged[b]),
+            iterations=int(iterations[b]), diagnostic=diagnostic, grad_norm=float(grad_norm[b]),
+            nll_history=tuple(history[b]),
+        ))
+    return models
 
 
 def fit_mle(
@@ -87,89 +218,16 @@ def fit_mle(
     grad_tol: float = DEFAULT_GRAD_TOL,
     init=None,
 ) -> RewardModel:
-    """Fit theta_hat by damped Newton steps with an Armijo safeguard.
-
-    Each iteration stops if the max-abs gradient is <= grad_tol, else
-    backtracks along the Newton direction from the full step until the
-    loss falls by the Armijo fraction of the predicted decrease. Near the
-    optimum the predicted decrease drops below the rounding of the loss,
-    which can then no longer rank steps; there the full Newton step is
-    taken (the quadratic-convergence region) and the loss is carried
-    over if its recomputation rises by rounding, so nll_history never
-    increases.
-
-    With lam=0 on separable data the MLE has no finite minimizer; that
-    case is reported as converged=False with a diagnostic rather than
-    silently returning a large theta.
-    """
+    """Fit theta_hat by damped Newton steps with an Armijo safeguard over the
+    data's distinct pairs (``_fit_counts`` gives the steps and stopping rules)."""
     if lam < 0:
         raise InputError("lambda must be >= 0")
     d = data.dim
     theta = np.zeros(d) if init is None else np.array(init, dtype=np.float64)
     if theta.shape != (d,):
         raise InputError(f"init of shape {theta.shape} differs from data dimension {d}")
-    deltas = data.winner_minus_loser()
-
-    loss = _nll_from_deltas(theta, deltas, lam)
-    if not np.isfinite(loss):
-        raise NumericError("non-finite loss at the initial point")
-    history = [loss]
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        q = _lose_prob(deltas @ theta)
-        grad = -(q @ deltas) + 2.0 * lam * theta
-        if not np.all(np.isfinite(grad)):
-            raise NumericError(f"non-finite gradient at iteration {iterations}")
-        if float(np.max(np.abs(grad))) <= grad_tol:
-            converged = True
-            iterations -= 1
-            break
-        direction = _newton_direction(deltas, q, grad, lam)
-        newton = direction is not None
-        if not newton:
-            direction = -grad
-        decrease = -float(grad @ direction)
-        if newton and decrease <= ROUNDING_DECREASE * max(1.0, abs(loss)):
-            # quadratic-convergence region: the loss cannot rank this step
-            theta = theta + direction
-            loss = min(loss, _nll_from_deltas(theta, deltas, lam))
-        else:
-            t = 1.0
-            accepted = False
-            for _ in range(MAX_BACKTRACKS):
-                cand = theta + t * direction
-                cand_loss = _nll_from_deltas(cand, deltas, lam)
-                if np.isfinite(cand_loss) and cand_loss <= loss - ARMIJO_C * t * decrease:
-                    accepted = True
-                    break
-                t *= BACKTRACK_SHRINK
-            if not accepted:
-                # no further descent possible at float precision
-                break
-            theta, loss = cand, cand_loss
-        history.append(loss)
-
-    diagnostic = ""
-    if converged and lam == 0.0:
-        z = deltas @ theta
-        if np.all(z > 0):
-            converged = False
-            diagnostic = (
-                "data is separated by the fitted direction; with lambda=0 the "
-                "NLL infimum is not attained and the MLE diverges"
-            )
-    if not converged and not diagnostic:
-        diagnostic = f"gradient tolerance {grad_tol} not reached in {max_iters} iterations"
-    return RewardModel(
-        theta_hat=theta,
-        lam=lam,
-        final_nll=loss,
-        converged=converged,
-        iterations=iterations,
-        diagnostic=diagnostic,
-        nll_history=tuple(history),
-    )
+    deltas, counts = _pair_rows(data)
+    return _fit_counts(deltas, counts[None], lam, max_iters, grad_tol, theta[None])[0]
 
 
 def borda_scores(data: Dataset) -> dict:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -188,15 +189,31 @@ class Dataset:
         return deltas
 
     def pair_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The distinct (winner, loser) rows in row-major order and their
-        record counts (float64), from one m x m table like the audits' gaps."""
+        """The distinct (winner, loser) pairs of points in row-major order, each
+        named by the first slate rows holding them, and their record counts
+        (float64), from one m x m table."""
         m = len(self.slate)
-        cell, loser = self.winner_loser()
-        cell *= m
-        cell += loser
-        table = np.bincount(cell, np.ones(len(self)), m * m).reshape(m, m)
+        table = np.bincount(self._pair_cells(), np.ones(len(self)), m * m).reshape(m, m)
         winner, loser = np.nonzero(table)
         return winner, loser, table[winner, loser]
+
+    @cached_property
+    def _first_rows(self) -> np.ndarray:
+        """The first slate row holding each row's point bytes, the row a records
+        file names (see serialize.read_records)."""
+        first = {}
+        return np.array([first.setdefault(p.tobytes(), k) for k, p in enumerate(self.slate)])
+
+    def _pair_cells(self, rows=slice(None)) -> np.ndarray:
+        """The cell winner * m + loser of the m x m pair table of each record (of
+        ``rows``), each slate row taken as its first row."""
+        canon = self._first_rows
+        won = self.label[rows] == 1
+        i0, i1 = canon[self.i0[rows]], canon[self.i1[rows]]
+        cell = np.where(won, i1, i0)
+        cell *= len(canon)
+        cell += np.where(won, i0, i1)
+        return cell
 
 
 @dataclass(frozen=True)
@@ -209,6 +226,7 @@ class RewardModel:
     converged: bool
     iterations: int
     diagnostic: str = ""
+    grad_norm: float | None = None  # max-abs NLL gradient at theta_hat
     nll_history: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):

@@ -18,7 +18,7 @@ import hashlib
 import sys
 import time
 from dataclasses import replace
-from functools import cached_property, partial
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -98,14 +98,11 @@ def stage_simulate(config: ExperimentConfig, run: RunDir) -> dict:
     return {"voters": len(run.voters), "alternatives": len(run.slate), "records": len(run.dataset)}
 
 
-def _fit(config: ExperimentConfig, data):
-    return fit_mle(data, lam=config.lam, max_iters=config.max_iters, grad_tol=config.grad_tol)
-
-
 def stage_fit(config: ExperimentConfig, run: RunDir) -> dict:
-    run.model = model = _fit(config, run.dataset)
+    run.model = model = fit_mle(run.dataset, lam=config.lam, max_iters=config.max_iters, grad_tol=config.grad_tol)
     dump_json(run.out / MODEL_FILE, model_to_dict(model))
-    return {"converged": model.converged, "iterations": model.iterations, "final_nll": model.final_nll}
+    return {"converged": model.converged, "iterations": model.iterations, "final_nll": model.final_nll,
+            "grad_norm": model.grad_norm}
 
 
 def stage_audit(config: ExperimentConfig, run: RunDir) -> dict:
@@ -114,7 +111,8 @@ def stage_audit(config: ExperimentConfig, run: RunDir) -> dict:
     per_axiom = (
         audit_unanimity(run.model, run.slate, run.voters, eps),
         audit_condorcet(run.model, run.slate, config.population, eps),
-        audit_consistency(partial(_fit, config), run.dataset, eps, scheme=scheme, model=run.model),
+        audit_consistency(run.dataset, eps, scheme=scheme, model=run.model,
+                          lam=config.lam, max_iters=config.max_iters, grad_tol=config.grad_tol),
     )
     # one unanimity, condorcet, consistency triple per epsilon, in config order
     run.axioms = reports = [r for triple in zip(*per_axiom) for r in triple]
@@ -126,6 +124,7 @@ def stage_audit(config: ExperimentConfig, run: RunDir) -> dict:
         "vacuous": sum(1 for r in reports if r.vacuous),
         # the block fits are shared by every epsilon, so one count covers them
         "skipped_partitions": per_axiom[2][0].metadata["skipped_partitions"],
+        "block_grad_norm": per_axiom[2][0].metadata["block_grad_norm"],
     }
 
 

@@ -134,14 +134,13 @@ def test_criterion_4_axiom_audits():
     with Timer() as t:
         theta_star, voters, slate, data, model = _recovery_setup()
         pop = PointMass(theta=theta_star)
-        trainer = lambda recs: fit_mle(recs, lam=1e-3)
         scheme = ConsistencyScheme(num_blocks=2, num_partitions=10, seed=3)
         for eps in (0.0, 0.1):
             uni = audit_unanimity(model, slate, voters, [eps])[0]
             cond = audit_condorcet(model, slate, pop, [eps])[0]
             assert uni.passed and not uni.vacuous, f"unanimity eps={eps}"
             assert cond.passed and not cond.vacuous, f"condorcet eps={eps}"
-        cons = audit_consistency(trainer, data, [0.0], scheme=scheme, model=model)[0]
+        cons = audit_consistency(data, [0.0], scheme=scheme, model=model, lam=1e-3)[0]
         assert cons.passed and not cons.vacuous
         assert cons.metadata["skipped_partitions"] == 0
 
@@ -150,7 +149,7 @@ def test_criterion_4_axiom_audits():
                                 iterations=model.iterations)
         assert not audit_unanimity(corrupted, slate, voters, [0.0])[0].passed
         assert not audit_condorcet(corrupted, slate, pop, [0.0])[0].passed
-        bad_cons = audit_consistency(trainer, data, [0.0], scheme=scheme, model=corrupted)[0]
+        bad_cons = audit_consistency(data, [0.0], scheme=scheme, model=corrupted, lam=1e-3)[0]
         assert not bad_cons.passed and bad_cons.violations
     assert t.elapsed < 300
     _report("axiom audits", f"3 audits pass honest model, fail negated model in {t.elapsed:.1f}s")

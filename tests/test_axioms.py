@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prefaudit.axioms
 from prefaudit.annotation import (
     PARTITION_BY_VOTER,
     RoundRobin,
@@ -22,7 +23,7 @@ from prefaudit.axioms import (
     audit_unanimity,
 )
 from prefaudit.errors import InputError
-from prefaudit.estimation import fit_mle
+from prefaudit.estimation import DEFAULT_GRAD_TOL
 from prefaudit.model import RewardModel, VoterParams
 from prefaudit.oracle import exhaustive_axiom_check
 from prefaudit.population import (
@@ -110,16 +111,14 @@ class TestConsistency:
 
     def test_identical_voters_pass(self):
         data = self._dataset([2.0, -1.0])
-        trainer = lambda recs: fit_mle(recs, lam=1e-3)
-        report = audit_consistency(trainer, data, epsilons=[0.0],
+        report = audit_consistency(data, epsilons=[0.0], lam=1e-3,
                                    scheme=ConsistencyScheme(num_partitions=3, seed=4))[0]
         assert report.passed and not report.vacuous
         assert report.metadata["skipped_partitions"] == 0
 
     def test_negated_full_model_fails(self):
         data = self._dataset([2.0, -1.0])
-        trainer = lambda recs: fit_mle(recs, lam=1e-3)
-        report = audit_consistency(trainer, data, epsilons=[0.0],
+        report = audit_consistency(data, epsilons=[0.0], lam=1e-3,
                                    scheme=ConsistencyScheme(num_partitions=3, seed=4),
                                    model=_model([-2.0, 1.0]))[0]
         assert not report.passed
@@ -129,53 +128,54 @@ class TestConsistency:
     def test_degenerate_slate_vacuous(self):
         a = np.array([0.5, 0.5])
         data = self._dataset([2.0, -1.0], slate=[a, np.array(a)])
-        trainer = lambda recs: fit_mle(recs, lam=1e-3)
-        report = audit_consistency(trainer, data, epsilons=[0.0],
+        report = audit_consistency(data, epsilons=[0.0], lam=1e-3,
                                    scheme=ConsistencyScheme(num_partitions=2, seed=4))[0]
         assert report.passed and report.vacuous
         assert report.metadata["skipped_partitions"] == 0
 
     def test_determinism(self):
         data = self._dataset([1.0, 1.0])
-        trainer = lambda recs: fit_mle(recs, lam=1e-3)
         scheme = ConsistencyScheme(num_partitions=3, seed=9)
-        a = audit_consistency(trainer, data, [0.1], scheme=scheme)[0]
-        b = audit_consistency(trainer, data, [0.1], scheme=scheme)[0]
+        a = audit_consistency(data, [0.1], scheme=scheme, lam=1e-3)[0]
+        b = audit_consistency(data, [0.1], scheme=scheme, lam=1e-3)[0]
         assert a.anchors == b.anchors and a.min_margin == b.min_margin
         assert a.metadata["skipped_partitions"] == 0
 
     def test_no_usable_partition_fails(self):
+        # a block fit of one iteration never converges, so every partition is skipped
         data = self._dataset([2.0, -1.0])
-
-        def trainer(recs):
-            return RewardModel(theta_hat=[2.0, -1.0], lam=1e-3, final_nll=1.0,
-                               converged=False, iterations=10, diagnostic="stalled")
-
-        report = audit_consistency(trainer, data, epsilons=[0.0],
+        report = audit_consistency(data, epsilons=[0.0], lam=1e-3, max_iters=1,
                                    scheme=ConsistencyScheme(num_partitions=3, seed=4),
                                    model=_model([2.0, -1.0]))[0]
         assert not report.passed
         assert report.metadata["skipped_partitions"] == 3
-        assert report.metadata["diagnostic"] == (
-            "no usable voter partition of 3: a block fit did not converge (stalled)")
+        reason = "a block fit did not converge (gradient tolerance 1e-08 not reached in 1 iterations)"
+        assert report.metadata["diagnostic"] == f"no usable voter partition of 3: {reason}"
+        assert report.metadata["block_grad_norm"] is None
         table = emit_table([report])
         assert "FAIL" in table and "VACUOUS" not in table
-        assert "a block fit did not converge (stalled)" in table
+        assert reason in table
 
     def test_zero_partitions_fail(self):
         data = self._dataset([2.0, -1.0])
-        trainer = lambda recs: fit_mle(recs, lam=1e-3)
-        report = audit_consistency(trainer, data, epsilons=[0.0],
+        report = audit_consistency(data, epsilons=[0.0], lam=1e-3,
                                    scheme=ConsistencyScheme(num_partitions=0),
                                    model=_model([2.0, -1.0]))[0]
         assert not report.passed
         assert report.metadata["diagnostic"] == "no usable voter partition of 0: none was requested"
 
+    def test_negative_lambda_rejected_before_any_fit(self, monkeypatch):
+        def fit(*args):
+            raise AssertionError("a block model was fitted")
+
+        monkeypatch.setattr(prefaudit.axioms, "_fit_counts", fit)
+        with pytest.raises(InputError, match="lambda must be >= 0"):
+            audit_consistency(self._dataset([1.0, 1.0]), [0.1], lam=-1e-3)
+
     def test_negative_seed(self):
         data = self._dataset([1.0, 1.0])
-        trainer = lambda recs: fit_mle(recs, lam=1e-3)
         with pytest.raises(InputError, match="seed"):
-            audit_consistency(trainer, data, [0.1],
+            audit_consistency(data, [0.1], lam=1e-3,
                               scheme=ConsistencyScheme(num_partitions=1, seed=-1))
 
 
@@ -205,23 +205,24 @@ def test_scaled_model_passes_at_zero_epsilon(rng):
 
 
 class TestEpsilonValidation:
-    def test_non_finite_or_negative_epsilon_rejected_before_any_fit(self):
+    def test_non_finite_or_negative_epsilon_rejected_before_any_fit(self, monkeypatch):
         data = TestConsistency._dataset([2.0, -1.0])
         slate = data.slate
         voters = sample_voters(PointMass(theta=[2.0, -1.0]), 3, seed=0)
         pop = PointMass(theta=[2.0, -1.0])
         model = _model([2.0, -1.0])
 
-        def trainer(recs):
+        def fit(*args):
             raise AssertionError("a block model was fitted before epsilon was checked")
 
+        monkeypatch.setattr(prefaudit.axioms, "_fit_counts", fit)
         for epsilons in ([float("nan")], [float("inf")], [float("-inf")], [0.1, -1.0], []):
             with pytest.raises(InputError, match="epsilon"):
                 audit_unanimity(model, slate, voters, epsilons)
             with pytest.raises(InputError, match="epsilon"):
                 audit_condorcet(model, slate, pop, epsilons)
             with pytest.raises(InputError, match="epsilon"):
-                audit_consistency(trainer, data, epsilons, model=model)
+                audit_consistency(data, epsilons, model=model)
 
 
 class TestKernelCosts:
@@ -281,8 +282,7 @@ def _audit_case(draw):
 
 
 def _consistency(data, model, epsilons):
-    trainer = lambda recs: fit_mle(recs, lam=1e-2)
-    return audit_consistency(trainer, data, epsilons, model=model,
+    return audit_consistency(data, epsilons, model=model, lam=1e-2,
                              scheme=ConsistencyScheme(num_partitions=2, seed=5))
 
 
@@ -338,6 +338,10 @@ class TestDominanceKernelProperties:
         for before, after in pairs:
             for b, a in zip(before, after, strict=True):
                 assert a == _permuted(b, perm)
+                # the block fits sum their pairs in the slate's row order, so only
+                # their final gradients' rounding may differ: each under grad_tol
+                grads = [r.metadata.pop("block_grad_norm", 0.0) for r in (a, b)]
+                assert all(g <= DEFAULT_GRAD_TOL for g in grads)
                 assert a.metadata == b.metadata
 
     @settings(max_examples=40, deadline=None)

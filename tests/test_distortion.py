@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from itertools import product
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prefaudit.distortion
+import prefaudit.estimation
 from prefaudit.annotation import (
     EACH_PAIR_RANDOM_VOTER,
     RoundRobin,
@@ -168,7 +170,7 @@ class TestWorstCaseRegret:
         def scored(*args):
             raise AssertionError("a hypothesis was scored")
 
-        monkeypatch.setattr(prefaudit.distortion, "_nll_from_deltas", scored)
+        monkeypatch.setattr(prefaudit.distortion, "_nll_rows", scored)
         model = RewardModel(theta_hat=[1.0, 0.0, 0.5], lam=1e-3, final_nll=0.0,
                             converged=True, iterations=0)
         with pytest.raises(InputError, match="differs from model dimension"):
@@ -287,7 +289,7 @@ def test_a_hypothesis_exactly_delta_above_the_best_is_consistent(case, repeats):
 
 
 def test_only_the_rows_the_screen_keeps_are_scored_exactly(monkeypatch):
-    screen, exact = prefaudit.distortion._screen, prefaudit.distortion._nll_from_deltas
+    screen, exact = prefaudit.distortion._screen, prefaudit.distortion._nll_rows
     screened, kept, calls = [], [], []
 
     def recorded_screen(*args):
@@ -300,7 +302,7 @@ def test_only_the_rows_the_screen_keeps_are_scored_exactly(monkeypatch):
         return exact(*args)
 
     monkeypatch.setattr(prefaudit.distortion, "_screen", recorded_screen)
-    monkeypatch.setattr(prefaudit.distortion, "_nll_from_deltas", counted_nll)
+    monkeypatch.setattr(prefaudit.distortion, "_nll_rows", counted_nll)
     data = _dataset()  # round-robin
     model = fit_mle(data, lam=1e-3)
     report = worst_case_regret(model, data, 0.5, SearchSpec(grid_resolution=41))
@@ -338,3 +340,42 @@ def test_a_w_grid_search_stays_within_a_mebibyte_of_the_exhaustive_one():
         tracemalloc.stop()
     assert report.metadata["hypotheses_evaluated"] == 7 ** 6
     assert peak <= (EXHAUSTIVE_W_GRID_PEAK_MIB + 1) * 2**20
+
+
+def _naive_screen(phi, rows, lam):
+    """The screen's score of one phi and the B of its margin, from
+    (winner - loser, count) rows, a term at a time with the math module."""
+    score = lam * sum(p * p for p in phi)
+    bound = score + sum(count for _, count in rows)
+    for delta, count in rows:
+        z = sum(p * x for p, x in zip(phi, delta))
+        score += count * (math.log1p(math.exp(-abs(z))) + max(-z, 0.0))
+        bound += count * sum(abs(p * x) for p, x in zip(phi, delta))
+    return score, bound
+
+
+def test_the_screen_margin_counts_records_not_distinct_pairs():
+    """On 3 distinct pairs held by 150,000 records, one hypothesis sits between
+    the cutoff the margin 4 (n + d + 64) eps B gives with n = 150,000 records
+    (kept) and the one it would give with n = 3 pairs (dropped)."""
+    slate = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    pairs = [(1, 0, 90_000), (0, 1, 40_000), (2, 0, 20_000)]  # (winner, loser, records)
+    winner, loser, times = zip(*pairs)
+    data = Dataset(voter=np.zeros(sum(times), dtype=np.int64), label=np.zeros(sum(times), dtype=np.int64),
+                   slate=slate, i0=np.repeat(winner, times), i1=np.repeat(loser, times))
+    rows = [([w - lo for w, lo in zip(slate[w_], slate[l_])], float(c)) for w_, l_, c in pairs]
+    thetas = np.array([[0.8, 0.7], [0.9, 0.7]])  # the best, then the named hypothesis
+    lam, d, eps = 1e-3, 2, np.finfo(np.float64).eps
+    scores, bounds = zip(*(_naive_screen(phi, rows, lam) for phi in thetas.tolist()))
+    n, k = sum(times), len(pairs)
+
+    def lowest_delta_keeping_the_second(count):  # margin with ``count`` as n, in B and the factor
+        margins = [4 * (count + d + 64) * eps * (b - n + count) for b in bounds]
+        return scores[1] - margins[1] - (min(scores) + max(margins))
+
+    with_records, with_pairs = lowest_delta_keeping_the_second(n), lowest_delta_keeping_the_second(k)
+    assert 0 < with_records < with_pairs and with_pairs - with_records > 1e-5  # rounding is ~1e-10
+    deltas, counts = prefaudit.estimation._pair_rows(data)
+    assert counts.tolist() == [40_000.0, 90_000.0, 20_000.0]  # row-major: (0, 1), (1, 0), (2, 0)
+    delta = (with_records + with_pairs) / 2
+    assert prefaudit.distortion._screen(thetas, np.ones_like(thetas), deltas, counts, lam, delta).tolist() == [0, 1]

@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,14 +14,15 @@ from prefaudit.annotation import (
     TrueRewardLabels,
     generate_dataset,
 )
+from prefaudit.axioms import FIT_BLOCK, _block_models
 from prefaudit.config import config_from_dict
 from prefaudit.errors import InputError
-from prefaudit.estimation import DEFAULT_GRAD_TOL, borda_scores, fit_mle, nll, nll_gradient, score
+from prefaudit.estimation import DEFAULT_GRAD_TOL, _fit_counts, borda_scores, fit_mle, nll, nll_gradient, score
 from prefaudit.model import Dataset, RewardModel
 from prefaudit.oracle import brute_force_mle
 from prefaudit.pipeline import DATASET_FILE, SLATE_FILE, run_pipeline
 from prefaudit.population import PointMass, UniformBox, sample_alternatives, sample_voters
-from prefaudit.serialize import read_records, read_slate
+from prefaudit.serialize import read_records, read_slate, write_records
 
 # d=3 mixture population with proxy labels, as in the grid-d3 benchmark workload
 GRID_D3 = {
@@ -212,6 +215,72 @@ class TestNewtonFit:
         model = fit_mle(records, lam=0.0)
         assert model.converged, model.diagnostic
         assert model.theta_hat == pytest.approx([math.log(3.0), 0.0], abs=1e-7)
+
+
+@st.composite
+def _repeating_slate_records(draw):
+    """Up to 60 labelled records by up to 4 voters over a d=2 slate that holds
+    some of its points twice, so that a records file names other rows."""
+    pool = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, -0.5]]
+    slate = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=8).filter(lambda s: len(set(map(tuple, s))) > 1))
+    row = st.integers(0, len(slate) - 1)
+    records = draw(st.lists(st.tuples(st.integers(0, 3), row, row, st.integers(0, 1)), min_size=1, max_size=60))
+    voter, i0, i1, label = zip(*records)
+    return Dataset(voter=voter, label=label, slate=slate, i0=i0, i1=i1)
+
+
+def _fit_bits(model):
+    return (model.theta_hat.tobytes(), model.final_nll, model.converged, model.iterations,
+            model.grad_norm, model.nll_history, model.diagnostic)
+
+
+class TestCountKernelInvariance:
+    @settings(max_examples=60, deadline=None)
+    @given(_repeating_slate_records(), st.data())
+    def test_the_fit_depends_only_on_the_pair_counts(self, data, draws):
+        """Bit for bit the same fit after shuffling the records, and after a
+        write/read round trip, which names each point by its first slate row."""
+        fitted = _fit_bits(fit_mle(data, lam=1e-2))
+        permuted = data.take(draws.draw(st.permutations(range(len(data)))))
+        assert _fit_bits(fit_mle(permuted, lam=1e-2)) == fitted
+        with tempfile.TemporaryDirectory() as out:
+            write_records(Path(out) / "records", data)
+            back = read_records(Path(out) / "records", data.slate)
+        assert _fit_bits(fit_mle(back, lam=1e-2)) == fitted
+
+
+class TestBatchedFits:
+    def test_each_block_of_a_batch_matches_its_own_fit(self, tmp_path):
+        """The grid-d3 voters in 4 random partitions of 2 blocks, fitted
+        FIT_BLOCK // 20^2 = 5 blocks at a time over the union of their pairs."""
+        run_pipeline(config_from_dict(GRID_D3), tmp_path, stages=("simulate",))
+        data = read_records(tmp_path / DATASET_FILE, read_slate(tmp_path / SLATE_FILE))
+        by_voter = [np.flatnonzero(data.voter == v) for v in range(50)]
+        blocks = [perm[b::2] for perm in (np.random.default_rng(k).permutation(50) for k in range(4)) for b in (0, 1)]
+        models = _block_models(data, by_voter, blocks, 1e-3, 100, DEFAULT_GRAD_TOL)
+        assert len(models) == 8 and FIT_BLOCK // len(data.slate) ** 2 == 5
+        for block, model in zip(blocks, models):
+            alone = fit_mle(data.take(np.concatenate([by_voter[v] for v in block])), lam=1e-3, max_iters=100)
+            assert np.max(np.abs(model.theta_hat - alone.theta_hat)) <= 1e-12
+            assert (model.converged, model.iterations) == (alone.converged, alone.iterations)
+            assert model.converged and model.grad_norm <= DEFAULT_GRAD_TOL
+
+    def test_a_rank_deficient_or_separable_block_leaves_its_batch_mates_alone(self):
+        """At lam=0: block 0 has no data on the second axis (a singular Hessian,
+        so gradient steps), block 1 is separated by its fit, block 2 is neither."""
+        deltas = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        counts = np.array([[3.0, 1.0, 0.0, 0.0], [2.0, 0.0, 1.0, 0.0], [3.0, 1.0, 2.0, 1.0]])
+        batch = _fit_counts(deltas, counts, 0.0, 10000, DEFAULT_GRAD_TOL, np.zeros((3, 2)))
+        alone = [_fit_counts(deltas, c[None], 0.0, 10000, DEFAULT_GRAD_TOL, np.zeros((1, 2)))[0] for c in counts]
+        for model, own in zip(batch, alone):
+            assert np.max(np.abs(model.theta_hat - own.theta_hat)) <= 1e-12
+            assert (model.converged, model.iterations, model.diagnostic) == (own.converged, own.iterations,
+                                                                              own.diagnostic)
+        singular, separated, regular = batch
+        assert singular.converged and singular.theta_hat == pytest.approx([math.log(3.0), 0.0], abs=1e-7)
+        assert singular.iterations > regular.iterations  # gradient steps converge linearly
+        assert not separated.converged and "separated by the fitted direction" in separated.diagnostic
+        assert regular.converged and regular.theta_hat == pytest.approx([math.log(3.0), math.log(2.0)], abs=1e-7)
 
 
 class TestBordaScores:

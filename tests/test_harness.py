@@ -1,3 +1,4 @@
+import ast
 import builtins
 import importlib
 import importlib.util
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 from conftest import cli_env, coordinate_dataset
 import prefaudit
 import prefaudit.cli
+import prefaudit.axioms
+import prefaudit.estimation
 import prefaudit.pipeline
 from prefaudit.annotation import RoundRobin, UniformRandomPairs
 from prefaudit.axioms import AnchorResult, AxiomReport, ConsistencyScheme
@@ -471,20 +474,30 @@ class TestPipeline:
         assert "stage_seconds" not in written["stages"]
 
     def test_block_models_are_fitted_once_for_every_epsilon(self, tmp_path, monkeypatch):
-        fits = []
+        fits = []  # the number of fits in each call of the kernel
 
-        def counting_fit(*args, **kwargs):
-            fits.append(1)
-            return fit_mle(*args, **kwargs)
+        def counting_fit(deltas, counts, *args):
+            fits.append(len(counts))
+            return fit_counts(deltas, counts, *args)
 
-        monkeypatch.setattr(prefaudit.pipeline, "fit_mle", counting_fit)
+        fit_counts = prefaudit.estimation._fit_counts
+        monkeypatch.setattr(prefaudit.estimation, "_fit_counts", counting_fit)
+        monkeypatch.setattr(prefaudit.axioms, "_fit_counts", counting_fit)
         raw = {**SMALL_RUN, "audit": {"epsilons": [0.0, 0.1, 0.5], "consistency": {"partitions": 3}}}
         run = run_pipeline(config_from_dict(raw), tmp_path / "run", stages=("simulate", "fit", "audit"))
         assert run.manifest["stages"]["audit"]["reports"] == 9
         reports = json.loads((tmp_path / "run" / "axioms.json").read_text())
         assert all(r["metadata"]["skipped_partitions"] == 0 for r in reports if r["axiom"] == "consistency")
-        # the main fit, then 3 partitions x 2 blocks, whatever the number of epsilons
-        assert len(fits) == 1 + 3 * 2
+        # the main fit, then 3 partitions x 2 blocks in one batch, whatever the number of epsilons
+        assert fits == [1, 3 * 2]
+
+    def test_manifest_reports_the_final_gradients(self, tmp_path):
+        run = run_pipeline(config_from_dict(SMALL_RUN), tmp_path / "run", stages=("simulate", "fit", "audit"))
+        stages = run.manifest["stages"]
+        assert 0 < stages["fit"]["grad_norm"] == run.model.grad_norm <= 1e-8
+        consistency = [r for r in run.axioms if r.axiom == "consistency"]
+        assert 0 < stages["audit"]["block_grad_norm"] == consistency[0].metadata["block_grad_norm"] <= 1e-8
+        assert json.loads((tmp_path / "run" / "model.json").read_text())["grad_norm"] == run.model.grad_norm
 
     def test_disabled_distortion_skipped(self, tmp_path):
         raw = dict(SMALL_RUN)
@@ -559,10 +572,12 @@ class TestReports:
     def test_model_dict_round_trip(self):
         model = RewardModel(theta_hat=[0.5, -1.25], lam=1e-3, final_nll=12.5, converged=False,
                             iterations=7, diagnostic="gradient tolerance 1e-06 not reached in 7 iterations",
-                            nll_history=(14.0, 13.0, 12.5))
+                            grad_norm=3.5e-3, nll_history=(14.0, 13.0, 12.5))
         keys = _field_names(RewardModel) - {"lam", "nll_history"} | {"lambda"}
         _assert_wire_round_trip(model, model_to_dict, model_from_dict, keys, unwritten=["nll_history"])
         assert model_from_dict(model_to_dict(model)).nll_history == ()
+        # a model.json written before the fit reported its final gradient still reads
+        assert "grad_norm" not in MODEL_JSON and model_from_dict(MODEL_JSON).grad_norm is None
 
 
 MODEL_JSON = {"theta_hat": [1.0, -0.5], "lambda": 1e-3, "final_nll": 1.0, "converged": True,
@@ -924,3 +939,14 @@ def test_no_public_callable_takes_both_data_and_a_slate():
     assert len(callables) > 30
     both = [name for name, obj in callables if {"data", "slate"} <= inspect.signature(obj).parameters.keys()]
     assert both == []
+
+
+def test_the_oracles_import_no_private_name_of_the_package():
+    """oracle.py shares no code with the fast kernels: it imports no
+    underscore-prefixed name from any prefaudit module."""
+    source = Path(prefaudit.__file__).with_name("oracle.py").read_text()
+    imports = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)]
+    package = [node for node in imports if node.level > 0 or (node.module or "").startswith("prefaudit")]
+    assert package  # the oracles do use the public types
+    private = [f"{node.module}.{alias.name}" for node in package for alias in node.names if alias.name.startswith("_")]
+    assert private == []

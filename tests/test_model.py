@@ -249,9 +249,14 @@ def _repeating_slate_datasets(draw):
 @settings(max_examples=80, deadline=None)
 @given(_repeating_slate_datasets(), st.data())
 def test_pair_counts_are_the_distinct_winner_loser_pairs_in_row_major_order(data, extra):
+    """Pairs of points, each named by the first slate row holding it, as a
+    records file read back names them."""
     winner, loser, count = data.pair_counts()
     pairs = list(zip(winner.tolist(), loser.tolist()))
-    assert dict(zip(pairs, count.tolist())) == Counter(zip(*(a.tolist() for a in data.winner_loser())))
+    points = data.slate.tolist()
+    first = [points.index(p) for p in points]
+    expected = Counter((first[w], first[lo]) for w, lo in zip(*(a.tolist() for a in data.winner_loser())))
+    assert dict(zip(pairs, count.tolist())) == expected
     assert count.sum() == len(data)
     assert pairs == sorted(set(pairs))  # row-major, each pair once
     permuted = data.take(extra.draw(st.permutations(range(len(data)))))

@@ -36,18 +36,22 @@ CONFIG = {
 
 # sha256 of each artifact of CONFIG, recorded once, when every stage
 # still read its inputs back from disk; axioms.json re-recorded when it
-# went to one line per report and per anchor
+# went to one line per report and per anchor; model.json, axioms.json and
+# distortion.json re-recorded when every likelihood went to a sum over the
+# distinct pairs (the last bits of theta_hat, the NLLs and the margins moved,
+# and model.json and the consistency metadata gained the final gradient)
 DIGESTS = {
     "dataset.records": "c56a7b83fcee4e77812d03ebc7e4cf147d7e67e88180beb7c1f183579c886603",
     "slate.json": "50f320aa2ee66c7306e9c169fa2f7080b87a37a8944b718b1b2af77eb23b89e0",
     "voters.json": "69157ac3a3cbf2ea29b513b78845f030925414192d2f162e8f12456791401206",
-    "model.json": "f6b81661fa42fb54f10dd1dd7e35abb058b4d7d9cbf5a34fa02a665fd0dfd07d",
-    "axioms.json": "a334e51dbcbeb160415a9deab8d0bd2e327561d4233bd411c86127525a12a8a2",
-    "distortion.json": "3d24fc80885e13cfb370061a6fa6c52a3395c4415a7a287f570e59d629cda6e3",
+    "model.json": "7a2c279be438e81f44c6b3a6f1531b0f2f8f6464d973db9b4499ee9c8fffacc9",
+    "axioms.json": "79977b741291cb37bf69836b0bc5590fee99f0465e726068df5b3aac82a27455",
+    "distortion.json": "cc7f3dac61a3a5a840ace527e3d43644a28d3a318c8bbca2a29e3d431a4501ee",
 }
 # sha256 of axioms.json as written with indent=2 and sorted keys, before
-# the one-line-per-anchor layout
-INDENTED_AXIOMS_DIGEST = "9a6bd61af4b5321f611a337b128d70b292eb17a7d860557d57883b9b2b8baa52"
+# the one-line-per-anchor layout; re-recorded with the DIGESTS above for the
+# sum over distinct pairs
+INDENTED_AXIOMS_DIGEST = "71b2a9d69f2fad167c4843a87cb0674f636fbb2bacce3cc94f42761099bf571a"
 
 
 def _digests(out) -> dict:
