@@ -181,13 +181,6 @@ class Dataset:
         won = self.label == 1
         return np.where(won, self.i1, self.i0), np.where(won, self.i0, self.i1)
 
-    def winner_minus_loser(self) -> np.ndarray:
-        """Winner-minus-loser feature differences, one row per record."""
-        winner, loser = self.winner_loser()
-        deltas = self.slate[winner]
-        deltas -= self.slate[loser]
-        return deltas
-
     def pair_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The distinct (winner, loser) pairs of points in row-major order, each
         named by the first slate rows holding them, and their record counts

@@ -135,7 +135,9 @@ def stage_distort(config: ExperimentConfig, run: RunDir) -> dict:
         return {"skipped": True}
     run.distortion = report = worst_case_regret(run.model, run.dataset, config.delta, config.search)
     dump_json(run.out / DISTORTION_FILE, distortion_report_to_dict(report))
-    return {"regret": report.regret, "learned_winner": report.learned_winner}
+    return {"regret": report.regret, "learned_winner": report.learned_winner,
+            "hypotheses_evaluated": report.metadata["hypotheses_evaluated"],
+            "consistent_count": report.metadata["consistent_count"]}
 
 
 _STAGE_FNS = {

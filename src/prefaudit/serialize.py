@@ -55,16 +55,18 @@ def _coords(a) -> str:
 def write_records(path, data: Dataset) -> None:
     """One line per record: voter, label, scheme, a0, a1, and w for proxy.
 
-    Each slate row is formatted once; a0 and a1 are the rows i0 and i1.
-    The lines are streamed: joining them first would hold the whole file
-    in memory.
+    Each slate row is formatted once, as the text from `` scheme=`` to
+    ``a1=`` that a record with a0 at that row carries, and as the text
+    from its coordinates to the line end for a1. The lines are streamed:
+    joining them first would hold the whole file in memory.
     """
     tail = "" if data.w is None else f" w={_coords(data.w)}"
     coords = [_coords(p) for p in data.slate.tolist()]
+    a0 = [f" scheme={data.scheme} a0={c} a1=" for c in coords]
+    a1 = [f"{c}{tail}\n" for c in coords]
     columns = (data.voter.tolist(), data.label.tolist(), data.i0.tolist(), data.i1.tolist())
     with open(path, "w") as fh:
-        fh.writelines(f"voter={voter} label={label} scheme={data.scheme} a0={coords[i]} a1={coords[j]}{tail}\n"
-                      for voter, label, i, j in zip(*columns))
+        fh.writelines(f"voter={voter} label={label}{a0[i]}{a1[j]}" for voter, label, i, j in zip(*columns))
 
 
 def _open(path):

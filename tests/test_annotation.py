@@ -15,12 +15,14 @@ from prefaudit.annotation import (
     RoundRobin,
     TrueRewardLabels,
     UniformRandomPairs,
+    _labels,
+    _random_voter_draws,
     generate_dataset,
     sample_label,
 )
 from prefaudit.errors import InputError
 from prefaudit.estimation import nll
-from prefaudit.model import Dataset, VoterParams
+from prefaudit.model import Dataset, VoterParams, btl_prob
 from prefaudit.population import PointMass, sample_voters
 
 N_DRAWS = 10000
@@ -136,12 +138,15 @@ class TestGenerateDataset:
     lam=st.floats(0.0, 1.0),
 )
 def test_swap_and_flip_preserves_nll(d, rows, theta, lam):
-    """Swapping slots and flipping the label leaves the winner-minus-loser
-    matrix, and so any theta's NLL, exactly unchanged."""
+    """Swapping slots and flipping the label leaves each record's winner and
+    loser, the distinct pairs and their counts, and so any theta's NLL,
+    exactly unchanged."""
     records = coordinate_dataset([0] * len(rows), [label for _, label in rows],
                                  [x[:d] for x, _ in rows], [x[4:4 + d] for x, _ in rows])
     swapped = replace(records, label=1 - records.label, i0=records.i1, i1=records.i0)
-    assert np.array_equal(records.winner_minus_loser(), swapped.winner_minus_loser())
+    for before, after in [(records.winner_loser(), swapped.winner_loser()),
+                          (records.pair_counts(), swapped.pair_counts())]:
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
     theta = np.array(theta[:d])
     assert nll(theta, records, lam) == nll(theta, swapped, lam)
 
@@ -207,3 +212,93 @@ def test_matches_the_record_at_a_time_reference(data, d, m, n_voters, uniform, c
     label_scheme = ProxyLabels(w=data.draw(vec)) if proxy else TrueRewardLabels()
     args = (voters, alts, pair_scheme, assignment, label_scheme, seed)
     assert generate_dataset(*args) == _reference_dataset(*args)
+
+
+def _state(rng) -> str:
+    return str(rng.bit_generator.state)  # every field: counter, buffer and the uint32 buffer
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 300)),
+    voters=st.sampled_from([1, 2, 50, 400, 3 * 10**9]),
+    held=st.booleans(),
+)
+def test_random_voter_draws_match_the_loop(seed, n, voters, held):
+    """The decoded draws, and the generator state left behind, equal n rounds
+    of random(), integers(0, voters), random() bit for bit; a decline (one
+    voter, or a word that 32-bit Lemire rejects, likely at 3e9 voters)
+    leaves the generator untouched."""
+    fast, loop = (np.random.Generator(np.random.Philox(key=seed)) for _ in range(2))
+    if held:  # one earlier integer draw leaves the high half of a word buffered
+        fast.integers(0, 7), loop.integers(0, 7)
+        assert fast.bit_generator.state["has_uint32"] == 1
+    before = _state(fast)
+    draws = _random_voter_draws(fast, n, voters)
+    if draws is None:
+        assert voters in (1, 3 * 10**9) and _state(fast) == before
+        return
+    rounds = [(loop.random(), int(loop.integers(0, voters)), loop.random()) for _ in range(n)]
+    for got, want in zip(draws, zip(*rounds) if n else ((), (), ())):
+        assert got.tolist() == list(want)
+    assert _state(fast) == _state(loop)
+
+
+def test_random_voter_draws_decline_out_of_range_and_rejected_words(monkeypatch):
+    rng = np.random.Generator(np.random.Philox(key=0))
+    before = _state(rng)
+    for voters in (0, 1, 2**32, 2**40):
+        assert _random_voter_draws(rng, 10, voters) is None
+    # at 3e9 voters Lemire rejects a word with probability 0.3, so 50 rounds hold one
+    assert _random_voter_draws(rng, 50, 3 * 10**9) is None
+    assert _state(rng) == before
+
+    declined = []
+
+    def rejecting(rng, n, voters):
+        declined.append(_random_voter_draws(rng, n, 3 * 10**9))
+        return declined[-1]
+
+    monkeypatch.setattr(prefaudit.annotation, "_random_voter_draws", rejecting)
+    voters = [VoterParams(voter_id=k, theta=[1.0, -k]) for k in range(3)]
+    args = (voters, [[0.0, 0.0], [1.0, 0.5], [0.5, 1.0], [0.2, 0.9], [1.0, 1.0]], RoundRobin(repeats=5),
+            EACH_PAIR_RANDOM_VOTER, TrueRewardLabels(), 5)
+    assert generate_dataset(*args) == _reference_dataset(*args)
+    assert declined == [None]
+
+
+def test_labels_compare_with_btl_prob_at_ties_and_one_ulp_either_side():
+    """u set exactly to btl_prob(r1, r0), and one ulp below and above it, gets
+    the label u < btl_prob(r1, r0), also where np.exp and math.exp disagree."""
+    rng = np.random.default_rng(0)
+    r0 = rng.normal(size=5000)
+    r1 = r0 + rng.uniform(-40, 40, 5000)
+    p = np.array(list(map(btl_prob, r1.tolist(), r0.tolist())))
+    for u in (p, np.nextafter(p, 0), np.nextafter(p, 1)):
+        assert _labels(r0, r1, u).tolist() == (u < p).astype(int).tolist()
+    # a gap that overflows to +-inf gives p of 1 or 0, with no warning
+    big = np.array([-1e308, 1e308])
+    assert _labels(big, big[::-1], np.array([0.5, 0.0])).tolist() == [1, 0]
+
+
+class _FixedPairs:
+    """A pair scheme of the one pair (i, j)."""
+
+    def __init__(self, i, j):
+        self.i, self.j = i, j
+
+    def pairs(self, n_alts, rng):
+        return np.array([self.i]), np.array([self.j])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("assignment", [EACH_PAIR_RANDOM_VOTER, PARTITION_BY_VOTER])
+def test_non_finite_reward_raises_only_on_a_compared_pair(assignment):
+    # theta * 1e200 overflows: slate row 2's reward is inf, rows 0 and 1 are finite
+    voters = [VoterParams(voter_id=k, theta=[1e200]) for k in range(2)]
+    slate = [[0.0], [1.0], [1e200]]
+    data = generate_dataset(voters, slate, _FixedPairs(0, 1), assignment, TrueRewardLabels(), seed=0)
+    assert len(data) == 1
+    with pytest.raises(InputError, match="finite rewards"):
+        generate_dataset(voters, slate, _FixedPairs(0, 2), assignment, TrueRewardLabels(), seed=0)

@@ -458,10 +458,17 @@ class TestPipeline:
 
     def test_manifest_records_defaults_and_seeds(self, tmp_path):
         cfg = config_from_dict(SMALL_RUN)
-        manifest = run_pipeline(cfg, tmp_path / "run").manifest
+        run = run_pipeline(cfg, tmp_path / "run")
+        manifest = run.manifest
         assert manifest["config"]["estimation"]["lambda"] == 1e-3
         assert manifest["seeds"]["voters"] == child_seed(11, "voters")
         assert set(manifest["stages"]) == {"simulate", "fit", "audit", "distort"}
+        # the search's counts, as its report's metadata holds them
+        distort, metadata = manifest["stages"]["distort"], run.distortion.metadata
+        assert distort == {"regret": run.distortion.regret, "learned_winner": run.distortion.learned_winner,
+                           "hypotheses_evaluated": metadata["hypotheses_evaluated"],
+                           "consistent_count": metadata["consistent_count"]}
+        assert 1 <= distort["consistent_count"] <= distort["hypotheses_evaluated"] == 11 ** cfg.dimension
 
     def test_manifest_records_stage_seconds(self, tmp_path):
         manifest = run_pipeline(config_from_dict(SMALL_RUN), tmp_path / "run").manifest

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coordinate_dataset, random_records
+from conftest import coordinate_dataset
 from prefaudit.annotation import (
     PARTITION_BY_VOTER,
     ProxyLabels,
@@ -225,12 +225,6 @@ class TestDataset:
         data = Dataset(voter=[0, 1], label=[1, 0], slate=slate, i0=[0, 2], i1=[1, 1])
         assert data == Dataset(voter=[0, 1], label=[1, 0], slate=slate, i0=[2, 0], i1=[1, 1])
         assert data != Dataset(voter=[0, 1], label=[1, 0], slate=slate, i0=[1, 2], i1=[0, 1])
-
-    def test_winner_minus_loser_matches_a_per_record_loop(self, rng):
-        data = random_records(rng, 3, 50)
-        rows = [data.slate[i1] - data.slate[i0] if label == 1 else data.slate[i0] - data.slate[i1]
-                for i0, i1, label in zip(data.i0, data.i1, data.label)]
-        assert data.winner_minus_loser().tobytes() == np.array(rows).tobytes()
 
 
 @st.composite
