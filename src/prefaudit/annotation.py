@@ -185,7 +185,8 @@ def generate_dataset(
         shapes.add(label_scheme.w.shape)
     if shapes != {slate.shape[1:]}:
         raise InputError(f"dimension mismatch: slate points {slate.shape[1:]}, voters and weights {sorted(shapes)}")
-    table = label_scheme.rewards(np.stack([v.theta for v in voters]), slate)
+    with np.errstate(over="ignore", invalid="ignore"):  # _labels checks the compared rewards
+        table = label_scheme.rewards(np.stack([v.theta for v in voters]), slate)
     rng = seeded_rng(seed)
     low, high = pair_scheme.pairs(len(slate), rng)
     n = len(low)

@@ -120,16 +120,18 @@ def _newton_directions(upper, products, weights, grad, lam):
     return x
 
 
-# Each iteration stops a fit whose max-abs gradient is <= grad_tol, else
-# backtracks along its Newton direction (its negative gradient if the
-# Hessian is singular or the direction does not descend) from the full step
-# until the loss falls by the Armijo fraction of the predicted decrease.
-# Where that decrease is under the loss's rounding, the full Newton step is
-# taken and the loss carried over if it rises by rounding, so nll_history
-# never increases. A fit whose backtracking finds no descent in
-# MAX_BACKTRACKS halvings stops. With lam=0 on data the fit separates
-# (z > 0 on every row of positive count) the MLE diverges: that fit is
-# reported as converged=False with a diagnostic.
+# Each pass first stops, at this one site, every fit whose max-abs gradient
+# is <= grad_tol (converged), whose last line search found no descent
+# (stalled), or that has had max_iters passes (out of iterations, also if the
+# last one stalled), so grad_norm and iterations tell how it stopped. Each
+# other fit backtracks along its Newton direction (its negative gradient if
+# the Hessian is singular or the direction does not descend) from the full
+# step until the loss falls by the Armijo fraction of the predicted decrease,
+# in at most MAX_BACKTRACKS halvings. Where that decrease is under the loss's
+# rounding, a full Newton step with a finite loss is taken and the loss
+# carried over if it rises by rounding, so nll_history never increases. With
+# lam=0 on data the fit separates (z > 0 on every row of positive count) the
+# MLE diverges: that fit is reported as converged=False with a diagnostic.
 def _fit_counts(deltas, counts, lam, max_iters, grad_tol, init) -> list[RewardModel]:
     """B damped-Newton fits in lockstep, one per row of counts (B, K) over the
     rows deltas (K, d), each from its row of init (B, d) with its own state."""
@@ -139,23 +141,24 @@ def _fit_counts(deltas, counts, lam, max_iters, grad_tol, init) -> list[RewardMo
         raise NumericError("non-finite loss at the initial point")
     batch = len(theta)
     history = [[x] for x in loss.tolist()]
-    iterations = np.full(batch, max_iters)
-    converged = np.zeros(batch, dtype=bool)
+    iterations = np.zeros(batch, dtype=np.int64)
     grad_norm = np.zeros(batch)
     upper = np.nonzero(np.tri(deltas.shape[1], dtype=bool).T)
     products = deltas[:, upper[0]] * deltas[:, upper[1]]
-    # the fits still iterating: their rows, theta, loss and counts
-    active, th, cur, c = np.arange(batch), theta.copy(), loss.copy(), counts
-    for it in range(1, max_iters + 1):
+    # the fits still iterating: their rows, theta, loss and counts, and (search)
+    # those whose last line search found no descent
+    active, th, cur, c, search = np.arange(batch), theta.copy(), loss.copy(), counts, np.arange(0)
+    for it in range(max_iters + 1):
         grad, weights = _gradient(th, deltas, c, lam)
         if not np.all(np.isfinite(grad)):
-            raise NumericError(f"non-finite gradient at iteration {it}")
+            raise NumericError(f"non-finite gradient after {it} iterations")
         gmax = np.max(np.abs(grad), axis=1)
-        if (done := gmax <= grad_tol).any():
+        done = (gmax <= grad_tol) | (it == max_iters)
+        done[search] = True
+        if done.any():
             rows = active[done]
-            converged[rows], iterations[rows], grad_norm[rows] = True, it - 1, gmax[done]
-            theta[rows], loss[rows] = th[done], cur[done]
-            active, th, cur, c, grad, weights, gmax = (a[~done] for a in (active, th, cur, c, grad, weights, gmax))
+            theta[rows], loss[rows], grad_norm[rows], iterations[rows] = th[done], cur[done], gmax[done], it
+            active, th, cur, c, grad, weights = (a[~done] for a in (active, th, cur, c, grad, weights))
             if not active.size:
                 break
         step = _newton_directions(upper, products, weights, grad, lam)
@@ -165,46 +168,40 @@ def _fit_counts(deltas, counts, lam, max_iters, grad_tol, init) -> list[RewardMo
         decrease = -np.add.reduce(grad * step, axis=1)
         # quadratic-convergence region: the loss cannot rank these steps
         full = newton & (decrease <= ROUNDING_DECREASE * np.maximum(1.0, np.abs(cur)))
-        if full.any():
-            th[full] += step[full]
-            cur[full] = np.minimum(cur[full], _nll_rows(th[full], deltas, c[full], lam))
-        search = np.flatnonzero(~full)
-        t = np.ones(search.size)
-        for _ in range(MAX_BACKTRACKS):
-            if not search.size:
-                break
-            cand = th[search] + t[:, None] * step[search]
-            cand_loss = _nll_rows(cand, deltas, c if search.size == len(c) else c[search], lam)
-            ok = np.isfinite(cand_loss) & (cand_loss <= cur[search] - ARMIJO_C * t * decrease[search])
-            th[search[ok]], cur[search[ok]] = cand[ok], cand_loss[ok]
-            search, t = search[~ok], t[~ok] * BACKTRACK_SHRINK
-        if search.size:  # no further descent possible at float precision: these fits stop
-            rows = active[search]
-            iterations[rows], grad_norm[rows], theta[rows], loss[rows] = it, gmax[search], th[search], cur[search]
-            moved = np.ones(active.size, dtype=bool)
-            moved[search] = False
-            active, th, cur, c = active[moved], th[moved], cur[moved], c[moved]
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite trial loss is refused
+            if full.any():
+                stepped = _nll_rows(th[full] + step[full], deltas, c[full], lam)
+                full[full] = finite = np.isfinite(stepped)
+                th[full] += step[full]
+                cur[full] = np.minimum(cur[full], stepped[finite])
+            search = np.flatnonzero(~full)
+            t = np.ones(search.size)
+            for _ in range(MAX_BACKTRACKS):
+                if not search.size:
+                    break
+                cand = th[search] + t[:, None] * step[search]
+                cand_loss = _nll_rows(cand, deltas, c if search.size == len(c) else c[search], lam)
+                ok = np.isfinite(cand_loss) & (cand_loss <= cur[search] - ARMIJO_C * t * decrease[search])
+                th[search[ok]], cur[search[ok]] = cand[ok], cand_loss[ok]
+                search, t = search[~ok], t[~ok] * BACKTRACK_SHRINK
         for row, value in zip(active.tolist(), cur.tolist()):
             history[row].append(value)
-        if not active.size:
-            break
-    else:  # max_iters reached: the gradient at the returned theta
-        theta[active], loss[active] = th, cur
-        grad_norm[active] = np.max(np.abs(_gradient(th, deltas, c, lam)[0]), axis=1)
 
     models = []
     for b in range(batch):
-        diagnostic = ""
-        if converged[b] and lam == 0.0 and np.all((deltas @ theta[b])[counts[b] > 0] > 0):
-            converged[b] = False
-            diagnostic = (
+        converged, diagnostic = bool(grad_norm[b] <= grad_tol), ""
+        if converged and lam == 0.0 and np.all((deltas @ theta[b])[counts[b] > 0] > 0):
+            converged, diagnostic = False, (
                 "data is separated by the fitted direction; with lambda=0 the "
                 "NLL infimum is not attained and the MLE diverges"
             )
-        if not converged[b] and not diagnostic:
+        elif not converged and iterations[b] < max_iters:
+            diagnostic = (f"gradient tolerance {grad_tol} not reached: the line search found no "
+                          f"descent in iteration {iterations[b]}")
+        elif not converged:
             diagnostic = f"gradient tolerance {grad_tol} not reached in {max_iters} iterations"
         models.append(RewardModel(
-            theta_hat=theta[b], lam=lam, final_nll=float(loss[b]), converged=bool(converged[b]),
+            theta_hat=theta[b], lam=lam, final_nll=float(loss[b]), converged=converged,
             iterations=int(iterations[b]), diagnostic=diagnostic, grad_norm=float(grad_norm[b]),
             nll_history=tuple(history[b]),
         ))
@@ -220,14 +217,8 @@ def fit_mle(
 ) -> RewardModel:
     """Fit theta_hat by damped Newton steps with an Armijo safeguard over the
     data's distinct pairs (``_fit_counts`` gives the steps and stopping rules)."""
-    if lam < 0:
-        raise InputError("lambda must be >= 0")
-    d = data.dim
-    theta = np.zeros(d) if init is None else np.array(init, dtype=np.float64)
-    if theta.shape != (d,):
-        raise InputError(f"init of shape {theta.shape} differs from data dimension {d}")
-    deltas, counts = _pair_rows(data)
-    return _fit_counts(deltas, counts[None], lam, max_iters, grad_tol, theta[None])[0]
+    theta, deltas, counts, lam = _checked(np.zeros(data.dim) if init is None else init, data, lam)
+    return _fit_counts(deltas, counts[None], lam, max_iters, grad_tol, theta)[0]
 
 
 def borda_scores(data: Dataset) -> dict:

@@ -292,13 +292,17 @@ class _FixedPairs:
         return np.array([self.i]), np.array([self.j])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
 @pytest.mark.parametrize("assignment", [EACH_PAIR_RANDOM_VOTER, PARTITION_BY_VOTER])
 def test_non_finite_reward_raises_only_on_a_compared_pair(assignment):
-    # theta * 1e200 overflows: slate row 2's reward is inf, rows 0 and 1 are finite
-    voters = [VoterParams(voter_id=k, theta=[1e200]) for k in range(2)]
-    slate = [[0.0], [1.0], [1e200]]
-    data = generate_dataset(voters, slate, _FixedPairs(0, 1), assignment, TrueRewardLabels(), seed=0)
-    assert len(data) == 1
-    with pytest.raises(InputError, match="finite rewards"):
-        generate_dataset(voters, slate, _FixedPairs(0, 2), assignment, TrueRewardLabels(), seed=0)
+    """No warning escapes either: pytest turns one into an error."""
+    for theta, slate in [
+        # theta * 1e200 overflows: slate row 2's reward is inf, rows 0 and 1 are finite
+        ([1e200], [[0.0], [1.0], [1e200]]),
+        # the two overflowing terms of slate row 2's reward cancel to nan
+        ([1e200, 1e200], [[0.0, 0.0], [1.0, 0.0], [1e200, -1e200]]),
+    ]:
+        voters = [VoterParams(voter_id=k, theta=theta) for k in range(2)]
+        data = generate_dataset(voters, slate, _FixedPairs(0, 1), assignment, TrueRewardLabels(), seed=0)
+        assert len(data) == 1
+        with pytest.raises(InputError, match="finite rewards"):
+            generate_dataset(voters, slate, _FixedPairs(0, 2), assignment, TrueRewardLabels(), seed=0)

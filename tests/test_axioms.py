@@ -23,7 +23,7 @@ from prefaudit.axioms import (
     audit_unanimity,
 )
 from prefaudit.errors import InputError
-from prefaudit.estimation import DEFAULT_GRAD_TOL
+from prefaudit.estimation import DEFAULT_GRAD_TOL, _fit_counts
 from prefaudit.model import RewardModel, VoterParams
 from prefaudit.oracle import exhaustive_axiom_check
 from prefaudit.population import (
@@ -155,6 +155,23 @@ class TestConsistency:
         table = emit_table([report])
         assert "FAIL" in table and "VACUOUS" not in table
         assert reason in table
+
+    def test_block_fits_that_converge_on_their_last_allowed_step_are_used(self, monkeypatch):
+        fits = []
+
+        def spy(*args):
+            fits.extend(models := _fit_counts(*args))
+            return models
+
+        monkeypatch.setattr(prefaudit.axioms, "_fit_counts", spy)
+        data = self._dataset([2.0, -1.0])
+        scheme = ConsistencyScheme(num_partitions=3, seed=4)
+        audit_consistency(data, [0.0], scheme=scheme, lam=1e-3, model=_model([2.0, -1.0]))
+        last = max(f.iterations for f in fits)
+        skipped = [audit_consistency(data, [0.0], scheme=scheme, lam=1e-3, max_iters=k,
+                                     model=_model([2.0, -1.0]))[0].metadata["skipped_partitions"]
+                   for k in (last - 1, last)]
+        assert skipped[0] > 0 and skipped[1] == 0
 
     def test_zero_partitions_fail(self):
         data = self._dataset([2.0, -1.0])

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import central_difference_gradient, coordinate_dataset, make_dataset, mirrored, random_records
@@ -247,6 +247,78 @@ class TestCountKernelInvariance:
             write_records(Path(out) / "records", data)
             back = read_records(Path(out) / "records", data.slate)
         assert _fit_bits(fit_mle(back, lam=1e-2)) == fitted
+
+
+def _repeated(slate, records, repeats):
+    """A one-voter dataset holding each (i0, i1, label) record ``repeats`` times."""
+    i0, i1, label = (np.tile(x, repeats) for x in zip(*records))
+    return Dataset(voter=np.zeros(len(label), dtype=np.int64), label=label, slate=slate, i0=i0, i1=i1)
+
+
+@st.composite
+def _repeated_records(draw):
+    """Up to 4 records over 2-4 slate points in d <= 3, with coordinates up to
+    1 or up to 1e3, each record repeated up to 100,000 times: at lam=0 the
+    large, heavily repeated ones stall or take near-singular Newton steps."""
+    d = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1e-3, 1.0]))
+    point = st.lists(st.integers(-1000, 1000).map(lambda x: x * scale), min_size=d, max_size=d)
+    slate = draw(st.lists(point, min_size=2, max_size=4))
+    row = st.integers(0, len(slate) - 1)
+    records = draw(st.lists(st.tuples(row, row, st.integers(0, 1)), min_size=1, max_size=4))
+    return _repeated(slate, records, draw(st.sampled_from([1, 1000, 100_000])))
+
+
+# at lam=0 and grad_tol=1e-12 this fit stalls in iteration 7
+_STALLS_EARLY = _repeated([[58.0, 12.0, -38.0], [-20.0, -84.0, 26.0]], [(1, 0, 0), (1, 0, 0), (0, 1, 0)], 10_000)
+
+
+class TestStoppingRules:
+    """A fit stops converged (max-abs gradient <= grad_tol), stalled (its line
+    search found no descent) or out of iterations, and reports which."""
+
+    def test_a_fit_that_meets_the_tolerance_on_its_last_step_converged(self, rng):
+        data = random_records(rng, 3, 40)
+        full = fit_mle(data, lam=1e-3)
+        assert full.converged and full.iterations > 1
+        assert _fit_bits(fit_mle(data, lam=1e-3, max_iters=full.iterations)) == _fit_bits(full)
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.0])
+    def test_a_bounded_fit_stops_on_the_unbounded_fit_path(self, rng, lam):
+        data = random_records(rng, 3, 40)
+        full = fit_mle(data, lam=lam)
+        for k in range(1, full.iterations + 1):
+            assert fit_mle(data, lam=lam, max_iters=k).final_nll == full.nll_history[k]
+
+    def test_a_stalled_fit_reports_its_stall(self):
+        # lam=0, coordinates of about 1e3 and 100,000 repeats: the loss's rounding
+        # hides the last descent long before the gradient reaches 1e-12
+        data = _repeated([[-487.0, 149.0], [-65.0, 39.0], [585.0, -988.0]], [(1, 0, 0), (0, 2, 0), (1, 0, 1)], 100_000)
+        model = fit_mle(data, lam=0.0, max_iters=200, grad_tol=1e-12)
+        assert not model.converged and model.iterations < 200
+        assert model.diagnostic == ("gradient tolerance 1e-12 not reached: the line search found no descent "
+                                    f"in iteration {model.iterations}")
+        assert model.grad_norm == np.max(np.abs(nll_gradient(model.theta_hat, data, 0.0)))
+
+    def test_a_newton_step_whose_loss_overflows_is_refused(self):
+        # lam=0 and 2 pair directions in d=3: a near-null Newton step of about
+        # 1e217 predicts a decrease under the loss's rounding
+        data = _repeated([[-402.0, -9.0, -692.0], [-343.0, -824.0, -443.0], [-343.0, -561.0, -193.0]],
+                         [(0, 1, 1), (1, 2, 1), (1, 2, 0)], 10_000)
+        model = fit_mle(data, lam=0.0, max_iters=200, grad_tol=1e-12)
+        assert np.all(np.isfinite(model.theta_hat)) and np.all(np.isfinite(model.nll_history))
+        assert np.all(np.diff(model.nll_history) <= 0)
+        assert "line search found no descent" in model.diagnostic
+
+    @settings(max_examples=100, deadline=None)
+    @given(_repeated_records(), st.sampled_from([0.0, 1e-3]), st.integers(1, 8), st.sampled_from([1e-8, 1e-12]))
+    @example(_STALLS_EARLY, 0.0, 8, 1e-12)
+    def test_every_fit_reports_how_it_stopped(self, data, lam, max_iters, grad_tol):
+        model = fit_mle(data, lam=lam, max_iters=max_iters, grad_tol=grad_tol)
+        separated = "separated by the fitted direction" in model.diagnostic
+        assert model.converged == (model.grad_norm <= grad_tol and not separated)
+        assert model.iterations <= max_iters and len(model.nll_history) == model.iterations + 1
+        assert model.final_nll == model.nll_history[-1]
 
 
 class TestBatchedFits:
