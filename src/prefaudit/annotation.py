@@ -5,11 +5,8 @@ table: the voters' true rewards, or a per-feature-weighted proxy reward
 modeling labeling bias. Each label is then drawn from btl_prob of the
 gap between two entries of that table. Pairs are unordered during
 generation and slot order is randomized, so no position artifact enters
-the data. Every column is built as an array from the same stream a
-record-at-a-time loop would draw: the each-pair-random-voter assignment,
-whose stream puts an integer draw between each record's two doubles,
-decodes all of them from one block of raw Philox words, and labels take
-the sigmoid with np.exp, rechecking near-ties with btl_prob.
+the data. Every column is built as an array, and labels take the sigmoid
+with np.exp, rechecking near-ties with btl_prob.
 """
 
 from __future__ import annotations
@@ -98,44 +95,6 @@ def sample_label(r0: float, r1: float, rng) -> int:
     return int(rng.random() < btl_prob(r1, r0))
 
 
-def _random_voter_draws(rng, n: int, voters: int):
-    """What n rounds of ``rng.random(), rng.integers(0, voters), rng.random()``
-    return, as (swap doubles, voter rows, label doubles) arrays decoded from
-    one ``random_raw`` block, leaving rng as those rounds would; or None, with
-    rng untouched, when voters is outside [2, 2**32) or a draw would reject
-    a word.
-
-    This relies on numpy internals (numpy/random/src/distributions): a
-    double is ``(word >> 11) * 2**-53`` of one 64-bit word, and an integer
-    below 2**32 is 32-bit Lemire over the bit generator's next 32 bits,
-    which are the high half it buffered (``has_uint32``/``uinteger`` in its
-    state) if it holds one, else the low half of a fresh word, whose high
-    half it then buffers. test_annotation checks the result against the
-    loop bit for bit; a numpy that changes these internals fails there.
-    """
-    if not 2 <= voters < 2**32:
-        return None
-    state = rng.bit_generator.state
-    held = state["has_uint32"]
-    k = np.arange(n)
-    start = 2 * k + (k + 1 - held) // 2  # round k's first word
-    fresh = (k + held) % 2 == 0  # round k's integer reads a fresh word, else the buffered half
-    words = rng.bit_generator.random_raw(2 * n + (n + 1 - held) // 2)
-    ints = words[start[fresh] + 1]
-    if held:
-        ints = np.concatenate(([np.uint64(state["uinteger"]) << np.uint64(32)], ints))
-    halves = np.stack((ints & 0xFFFFFFFF, ints >> 32), axis=1).ravel()
-    scaled = halves[held:held + n] * np.uint64(voters)
-    if np.any((scaled & 0xFFFFFFFF) < (2**32 - voters) % voters):  # Lemire would draw again
-        rng.bit_generator.state = state
-        return None
-    if halves.size:
-        after = rng.bit_generator.state
-        after["has_uint32"], after["uinteger"] = halves.size - held - n, int(halves[-1])
-        rng.bit_generator.state = after
-    return (words[start] >> 11) * 2.0**-53, scaled >> 32, (words[start + 1 + fresh] >> 11) * 2.0**-53
-
-
 def _labels(r0: np.ndarray, r1: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Each record's label ``u < btl_prob(r1, r0)``.
 
@@ -164,16 +123,12 @@ def generate_dataset(
 ) -> Dataset:
     """Generate a pairwise-comparison dataset over a slate, deterministic given seed.
 
-    The label scheme's voters x slate reward table is built once. After
-    the pairs, each record draws a double for its slot order, its voter
-    (unless assigned by position) and a double for its label, in that
-    order. Under partition-by-voter, or with one voter (whose integer draw
-    takes no bits), these are one array of 2n doubles. Under
-    each-pair-random-voter an integer draw sits between each record's two
-    doubles, and _random_voter_draws decodes them all from one block of
-    raw words; a record-at-a-time loop runs only if it declines. Each
-    label compares its double with the sigmoid of the reward gap as
-    btl_prob computes it (see _labels).
+    The label scheme's voters x slate reward table is built once. The
+    draws are the pairs, then one (n, 2) array of each record's slot-order
+    and label doubles, then, under each-pair-random-voter, one array of n
+    voter rows (with one voter it takes no bits, so both assignments give
+    the same dataset). Each label compares its double with the sigmoid of
+    the reward gap as btl_prob computes it (see _labels).
     """
     slate = slate_array(slate)
     if not voters:
@@ -190,15 +145,11 @@ def generate_dataset(
     rng = seeded_rng(seed)
     low, high = pair_scheme.pairs(len(slate), rng)
     n = len(low)
-    if assignment == PARTITION_BY_VOTER or len(voters) == 1:
-        swap_u, label_u = rng.random((n, 2)).T
+    swap_u, label_u = rng.random((n, 2)).T
+    if assignment == PARTITION_BY_VOTER:
         voter_rows = np.arange(n) % len(voters)
     else:
-        draws = _random_voter_draws(rng, n, len(voters))
-        if draws is None:  # Lemire rejected a word: draw record by record
-            draws = map(np.array, zip(*[(rng.random(), int(rng.integers(0, len(voters))), rng.random())
-                                        for _ in range(n)]))
-        swap_u, voter_rows, label_u = draws
+        voter_rows = rng.integers(0, len(voters), size=n)
     swap = swap_u < 0.5
     first, second = np.where(swap, high, low), np.where(swap, low, high)
     label = _labels(table[voter_rows, first], table[voter_rows, second], label_u)

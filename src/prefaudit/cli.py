@@ -11,13 +11,13 @@ that did not converge adds one warning line on stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from .config import config_from_dict, load_config
 from .errors import ConfigError, InputError, PrefAuditError
-from .estimation import nll
-from .oracle import AXIOM_MAX_SLATE, MLE_MAX_DIM, brute_force_mle, exhaustive_axiom_check
+from .oracle import AXIOM_MAX_SLATE, MLE_MAX_DIM, brute_force_mle, exhaustive_axiom_check, record_nll
 from .pipeline import MODEL_FILE, STAGES, RunDir, run_pipeline
 from .reports import emit_rows, emit_table, rows_from_reports
 from .axioms import audit_condorcet, audit_unanimity
@@ -36,13 +36,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _verify(config, run: RunDir) -> int:
-    """Cross-check fit_mle and the audits against the brute-force oracles."""
+    """Cross-check fit_mle and the audits against the brute-force oracles,
+    which share no code with them."""
     failures = 0
     slate, voters, model = run.slate, run.voters, run.model
 
+    fit_nll = record_nll(model.theta_hat, run.dataset, config.lam)
+    ok = math.isclose(model.final_nll, fit_nll, rel_tol=1e-9)
+    print(f"fit NLL {model.final_nll:.6f} equals the oracle's NLL at theta_hat {fit_nll:.6f} "
+          f"(rtol 1e-9): {'OK' if ok else 'FAIL'}")
+    failures += 0 if ok else 1
+
     if config.dimension <= MLE_MAX_DIM:
-        grid_opt = brute_force_mle(run.dataset, config.lam)
-        grid_nll = nll(grid_opt, run.dataset, config.lam)
+        grid_nll = record_nll(brute_force_mle(run.dataset, config.lam), run.dataset, config.lam)
         ok = grid_nll >= model.final_nll - 1e-9
         print(f"brute-force MLE grid NLL {grid_nll:.6f} >= fit NLL {model.final_nll:.6f} - 1e-9: "
               f"{'OK' if ok else 'FAIL'}")

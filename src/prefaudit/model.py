@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -171,10 +171,6 @@ class Dataset:
             and all(np.array_equal(self.slate[getattr(self, k)], other.slate[getattr(other, k)])
                     for k in ("i0", "i1"))
         )
-
-    def take(self, rows) -> "Dataset":
-        """The records at the given row indices, in that order, over the same slate."""
-        return replace(self, **{k: getattr(self, k)[rows] for k in self._COLUMNS})
 
     def winner_loser(self) -> tuple[np.ndarray, np.ndarray]:
         """The slate rows of each record's winner and loser."""

@@ -15,11 +15,11 @@ import numpy as np
 
 from .axioms import AnchorResult, AxiomReport
 from .errors import InputError
-from .estimation import score
 
 __all__ = [
     "MLE_MAX_DIM",
     "AXIOM_MAX_SLATE",
+    "record_nll",
     "brute_force_mle",
     "exhaustive_axiom_check",
     "population_mean_gap",
@@ -40,6 +40,21 @@ def _record_nll(theta, winner_minus_loser, lam: float) -> float:
     return total + lam * sum(t * t for t in theta)
 
 
+def _winner_minus_loser(data) -> list:
+    """Each record's winner point minus its loser point, as lists of floats."""
+    slate = data.slate.tolist()
+    rows = []
+    for label, i0, i1 in zip(data.label.tolist(), data.i0.tolist(), data.i1.tolist()):
+        winner, loser = (slate[i1], slate[i0]) if label == 1 else (slate[i0], slate[i1])
+        rows.append([w - l for w, l in zip(winner, loser)])
+    return rows
+
+
+def record_nll(theta, data, lam: float) -> float:
+    """The regularized NLL of data at theta, summed one record at a time."""
+    return _record_nll([float(t) for t in theta], _winner_minus_loser(data), lam)
+
+
 def brute_force_mle(data, lam: float, resolution: int = 11, bound: float = 4.0) -> np.ndarray:
     """Grid point minimizing the regularized NLL (ties -> first visited).
 
@@ -52,11 +67,7 @@ def brute_force_mle(data, lam: float, resolution: int = 11, bound: float = 4.0) 
         raise InputError(f"brute-force MLE is limited to d <= {MLE_MAX_DIM}")
     if resolution < 11:
         raise InputError("grid resolution must be >= 11 per axis")
-    slate = data.slate.tolist()
-    rows = []
-    for label, i0, i1 in zip(data.label.tolist(), data.i0.tolist(), data.i1.tolist()):
-        winner, loser = (slate[i1], slate[i0]) if label == 1 else (slate[i0], slate[i1])
-        rows.append([w - l for w, l in zip(winner, loser)])
+    rows = _winner_minus_loser(data)
     axis = [float(x) for x in np.linspace(-bound, bound, resolution)]
     best_val = math.inf
     best = None
@@ -93,6 +104,14 @@ def empirical_unanimous_gap(voters, a: np.ndarray, a_prime: np.ndarray) -> float
     return min(gaps)
 
 
+def _score(model, a) -> float:
+    """The model's reward for one alternative, <theta_hat, a>."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.shape != model.theta_hat.shape:
+        raise InputError("alternative dimension differs from model dimension")
+    return float(model.theta_hat @ a)
+
+
 def exhaustive_axiom_check(model, slate, voters_or_pop, epsilon: float, axiom: str) -> AxiomReport:
     """Naive per-pair re-derivation of the unanimity/condorcet audits.
 
@@ -123,7 +142,7 @@ def exhaustive_axiom_check(model, slate, voters_or_pop, epsilon: float, axiom: s
             gap = pair_gap(voters_or_pop, a, b)
             if gap > epsilon:
                 dominated.append(j)
-                score_gap = score(model, a) - score(model, b)
+                score_gap = _score(model, a) - _score(model, b)
                 margin = score_gap - epsilon
                 if min_margin is None or margin < min_margin:
                     min_margin = margin

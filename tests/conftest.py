@@ -61,6 +61,11 @@ def make_dataset(rows, voter=0, **scheme):
     return coordinate_dataset([voter] * len(label), label, a0, a1, **scheme)
 
 
+def take(data, rows):
+    """The records of data at the given row indices, in that order, over the same slate."""
+    return replace(data, voter=data.voter[rows], label=data.label[rows], i0=data.i0[rows], i1=data.i1[rows])
+
+
 def mirrored(data):
     """The records of data followed by a copy of each with the opposite label."""
     return replace(

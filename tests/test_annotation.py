@@ -16,7 +16,6 @@ from prefaudit.annotation import (
     TrueRewardLabels,
     UniformRandomPairs,
     _labels,
-    _random_voter_draws,
     generate_dataset,
     sample_label,
 )
@@ -153,8 +152,8 @@ def test_swap_and_flip_preserves_nll(d, rows, theta, lam):
 
 def _reference_dataset(voters, alts, pair_scheme, assignment, label_scheme, seed) -> Dataset:
     """generate_dataset as a record-at-a-time loop that shares no code with it:
-    scalar pair draws, then per record the slot-order double, the voter
-    (unless assigned by position) and the label double.
+    scalar pair draws, then per record the slot-order and label doubles, then
+    (unless assigned by position) per record the voter.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     m = len(alts)
@@ -168,23 +167,24 @@ def _reference_dataset(voters, alts, pair_scheme, assignment, label_scheme, seed
             if j >= i:
                 j += 1
             pairs.append((min(i, j), max(i, j)))
+    doubles = [(rng.random(), rng.random()) for _ in pairs]
+    if assignment == EACH_PAIR_RANDOM_VOTER:
+        rows = [int(rng.integers(0, len(voters))) for _ in pairs]
+    else:
+        rows = [k % len(voters) for k in range(len(pairs))]
     points = np.array(alts, dtype=np.float64)
     thetas = np.stack([v.theta for v in voters])
     if label_scheme.w is not None:
         thetas = thetas * label_scheme.w
     table = thetas @ points.T
     voter, label, i0, i1 = [], [], [], []
-    for k, (i, j) in enumerate(pairs):
-        if rng.random() < 0.5:
+    for (i, j), (swap_u, label_u), v in zip(pairs, doubles, rows):
+        if swap_u < 0.5:
             i, j = j, i
-        if assignment == EACH_PAIR_RANDOM_VOTER:
-            v = int(rng.integers(0, len(voters)))
-        else:
-            v = k % len(voters)
         gap = float(table[v, j]) - float(table[v, i])
         p = 1.0 / (1.0 + math.exp(-gap)) if gap >= 0 else math.exp(gap) / (1.0 + math.exp(gap))
         voter.append(voters[v].voter_id)
-        label.append(int(rng.random() < p))
+        label.append(int(label_u < p))
         i0.append(i)
         i1.append(j)
     return Dataset(voter=voter, label=label, slate=points, i0=i0, i1=i1, scheme=label_scheme.kind, w=label_scheme.w)
@@ -214,58 +214,18 @@ def test_matches_the_record_at_a_time_reference(data, d, m, n_voters, uniform, c
     assert generate_dataset(*args) == _reference_dataset(*args)
 
 
-def _state(rng) -> str:
-    return str(rng.bit_generator.state)  # every field: counter, buffer and the uint32 buffer
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    seed=st.integers(0, 2**64 - 1),
-    n=st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 300)),
-    voters=st.sampled_from([1, 2, 50, 400, 3 * 10**9]),
-    held=st.booleans(),
-)
-def test_random_voter_draws_match_the_loop(seed, n, voters, held):
-    """The decoded draws, and the generator state left behind, equal n rounds
-    of random(), integers(0, voters), random() bit for bit; a decline (one
-    voter, or a word that 32-bit Lemire rejects, likely at 3e9 voters)
-    leaves the generator untouched."""
-    fast, loop = (np.random.Generator(np.random.Philox(key=seed)) for _ in range(2))
-    if held:  # one earlier integer draw leaves the high half of a word buffered
-        fast.integers(0, 7), loop.integers(0, 7)
-        assert fast.bit_generator.state["has_uint32"] == 1
-    before = _state(fast)
-    draws = _random_voter_draws(fast, n, voters)
-    if draws is None:
-        assert voters in (1, 3 * 10**9) and _state(fast) == before
-        return
-    rounds = [(loop.random(), int(loop.integers(0, voters)), loop.random()) for _ in range(n)]
-    for got, want in zip(draws, zip(*rounds) if n else ((), (), ())):
-        assert got.tolist() == list(want)
-    assert _state(fast) == _state(loop)
-
-
-def test_random_voter_draws_decline_out_of_range_and_rejected_words(monkeypatch):
-    rng = np.random.Generator(np.random.Philox(key=0))
-    before = _state(rng)
-    for voters in (0, 1, 2**32, 2**40):
-        assert _random_voter_draws(rng, 10, voters) is None
-    # at 3e9 voters Lemire rejects a word with probability 0.3, so 50 rounds hold one
-    assert _random_voter_draws(rng, 50, 3 * 10**9) is None
-    assert _state(rng) == before
-
-    declined = []
-
-    def rejecting(rng, n, voters):
-        declined.append(_random_voter_draws(rng, n, 3 * 10**9))
-        return declined[-1]
-
-    monkeypatch.setattr(prefaudit.annotation, "_random_voter_draws", rejecting)
-    voters = [VoterParams(voter_id=k, theta=[1.0, -k]) for k in range(3)]
-    args = (voters, [[0.0, 0.0], [1.0, 0.5], [0.5, 1.0], [0.2, 0.9], [1.0, 1.0]], RoundRobin(repeats=5),
-            EACH_PAIR_RANDOM_VOTER, TrueRewardLabels(), 5)
-    assert generate_dataset(*args) == _reference_dataset(*args)
-    assert declined == [None]
+@pytest.mark.parametrize("pair_scheme", [RoundRobin(repeats=4), UniformRandomPairs(count=50)], ids=["round-robin", "uniform"])
+@pytest.mark.parametrize("label_scheme", [TrueRewardLabels(), ProxyLabels(w=[1.0, 0.5])], ids=["true", "proxy"])
+def test_one_voter_gives_the_same_dataset_under_both_assignments(pair_scheme, label_scheme):
+    """One voter's integer draws take no bits, so under each-pair-random-voter
+    a one-voter dataset is the partition-by-voter one, record for record."""
+    voters = [VoterParams(voter_id=7, theta=[1.0, -0.5])]
+    slate = [[0.0, 0.0], [1.0, 0.5], [0.5, 1.0], [0.2, 0.9], [1.0, 1.0]]
+    for seed in range(5):
+        each, by_position = (generate_dataset(voters, slate, pair_scheme, assignment, label_scheme, seed)
+                             for assignment in (EACH_PAIR_RANDOM_VOTER, PARTITION_BY_VOTER))
+        assert each == by_position
+        assert np.array_equal(each.i0, by_position.i0) and np.array_equal(each.i1, by_position.i1)
 
 
 def test_labels_compare_with_btl_prob_at_ties_and_one_ulp_either_side():

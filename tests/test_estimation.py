@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import central_difference_gradient, coordinate_dataset, make_dataset, mirrored, random_records
+from conftest import central_difference_gradient, coordinate_dataset, make_dataset, mirrored, random_records, take
 from prefaudit.annotation import (
     EACH_PAIR_RANDOM_VOTER,
     RoundRobin,
@@ -136,7 +136,7 @@ class TestFitMle:
         model_a = fit_mle(records, lam=1e-2)
         order = np.arange(len(records))
         rng.shuffle(order)
-        model_b = fit_mle(records.take(order), lam=1e-2)
+        model_b = fit_mle(take(records, order), lam=1e-2)
         assert np.max(np.abs(model_a.theta_hat - model_b.theta_hat)) < 1e-5
 
     def test_final_nll_not_above_init(self, rng):
@@ -204,7 +204,7 @@ class TestNewtonFit:
     def test_grid_d3_block_converges(self, tmp_path, block):
         run_pipeline(config_from_dict(GRID_D3), tmp_path, stages=("simulate",))
         data = read_records(tmp_path / DATASET_FILE, read_slate(tmp_path / SLATE_FILE))
-        records = data.take(np.concatenate([np.flatnonzero(data.voter == v) for v in block]))
+        records = take(data, np.concatenate([np.flatnonzero(data.voter == v) for v in block]))
         model = fit_mle(records, lam=1e-3)
         assert model.converged, model.diagnostic
         assert model.iterations <= 20
@@ -241,7 +241,7 @@ class TestCountKernelInvariance:
         """Bit for bit the same fit after shuffling the records, and after a
         write/read round trip, which names each point by its first slate row."""
         fitted = _fit_bits(fit_mle(data, lam=1e-2))
-        permuted = data.take(draws.draw(st.permutations(range(len(data)))))
+        permuted = take(data, draws.draw(st.permutations(range(len(data)))))
         assert _fit_bits(fit_mle(permuted, lam=1e-2)) == fitted
         with tempfile.TemporaryDirectory() as out:
             write_records(Path(out) / "records", data)
@@ -332,7 +332,7 @@ class TestBatchedFits:
         models = _block_models(data, by_voter, blocks, 1e-3, 100, DEFAULT_GRAD_TOL)
         assert len(models) == 8 and FIT_BLOCK // len(data.slate) ** 2 == 5
         for block, model in zip(blocks, models):
-            alone = fit_mle(data.take(np.concatenate([by_voter[v] for v in block])), lam=1e-3, max_iters=100)
+            alone = fit_mle(take(data, np.concatenate([by_voter[v] for v in block])), lam=1e-3, max_iters=100)
             assert np.max(np.abs(model.theta_hat - alone.theta_hat)) <= 1e-12
             assert (model.converged, model.iterations) == (alone.converged, alone.iterations)
             assert model.converged and model.grad_norm <= DEFAULT_GRAD_TOL

@@ -653,6 +653,23 @@ class TestCli:
         assert lines[-2:] == ["unanimity audit vs exhaustive oracle (eps=0): FAIL",
                               "condorcet audit vs exhaustive oracle (eps=0): FAIL"]
 
+    def test_verify_fails_a_final_nll_off_by_one_part_in_a_million(self, tmp_path, capsys):
+        """The fit's final_nll is checked against the oracle's own NLL at
+        theta_hat, so a model.json whose final_nll is 1e-6 too high fails
+        though the grid optimum still lies above it."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_RUN))
+        args = ["--config", str(cfg_path), "--out", str(tmp_path / "out"), "verify"]
+        assert prefaudit.cli.main(args) == 0
+        model = load_json(tmp_path / "out" / "model.json")
+        model["final_nll"] *= 1 + 1e-6
+        (tmp_path / "out" / "model.json").write_text(json.dumps(model))
+        capsys.readouterr()
+        assert prefaudit.cli.main(args) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("fit NLL ") and lines[0].endswith("(rtol 1e-9): FAIL")
+        assert [line for line in lines if line.endswith("FAIL")] == lines[:1]
+
     def test_stage_commands_write_what_run_writes(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(SMALL_RUN))

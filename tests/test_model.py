@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coordinate_dataset
+from conftest import coordinate_dataset, take
 from prefaudit.annotation import (
     PARTITION_BY_VOTER,
     ProxyLabels,
@@ -253,7 +253,7 @@ def test_pair_counts_are_the_distinct_winner_loser_pairs_in_row_major_order(data
     assert dict(zip(pairs, count.tolist())) == expected
     assert count.sum() == len(data)
     assert pairs == sorted(set(pairs))  # row-major, each pair once
-    permuted = data.take(extra.draw(st.permutations(range(len(data)))))
+    permuted = take(data, extra.draw(st.permutations(range(len(data)))))
     assert all(np.array_equal(a, b) for a, b in zip(permuted.pair_counts(), (winner, loser, count)))
 
 

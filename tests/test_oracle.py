@@ -1,9 +1,11 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prefaudit.cli
 import prefaudit.oracle
 from conftest import make_dataset, mirrored, random_records
 from prefaudit.axioms import audit_condorcet, audit_unanimity
@@ -15,6 +17,7 @@ from prefaudit.oracle import (
     empirical_unanimous_gap,
     exhaustive_axiom_check,
     population_mean_gap,
+    record_nll,
 )
 from prefaudit.population import DiagonalGaussian, Mixture, PointMass, sample_voters
 
@@ -181,19 +184,36 @@ class TestEmpiricalUnanimousGap:
             assert empirical_unanimous_gap(voters, a, b) == population_mean_gap(spec, a, b)
 
 
-def test_oracle_shares_no_code_with_the_fast_paths():
-    """The oracle may import the report types from axioms, the one-point
-    score from estimation and the errors, and nothing else from prefaudit:
-    not population's samplers, nor model's slate validator."""
-    tree = ast.parse(Path(prefaudit.oracle.__file__).read_text())
-    allowed = {"axioms": {"AnchorResult", "AxiomReport"}, "estimation": {"score"}, "errors": None}
+def _prefaudit_imports(module) -> dict:
+    """The names a module imports from each prefaudit module, by module name."""
     imported = {}
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
         if isinstance(node, ast.Import):
             assert not any(alias.name.startswith("prefaudit") for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("prefaudit")):
-            module = (node.module or "").removeprefix("prefaudit").lstrip(".")
-            imported.setdefault(module, set()).update(alias.name for alias in node.names)
+            name = (node.module or "").removeprefix("prefaudit").lstrip(".")
+            imported.setdefault(name, set()).update(alias.name for alias in node.names)
+    return imported
+
+
+def test_oracle_shares_no_code_with_the_fast_paths():
+    """The oracle may import the report types from axioms and the errors, and
+    nothing else from prefaudit: not estimation's score or NLL, nor
+    population's samplers, nor model's slate validator."""
+    allowed = {"axioms": {"AnchorResult", "AxiomReport"}, "errors": None}
+    imported = _prefaudit_imports(prefaudit.oracle)
     assert imported.keys() <= allowed.keys(), imported
     for module, names in imported.items():
         assert allowed[module] is None or names <= allowed[module], (module, names)
+
+
+def test_verify_takes_no_likelihood_from_the_kernel_it_checks():
+    assert "estimation" not in _prefaudit_imports(prefaudit.cli)
+
+
+def test_record_nll_matches_the_fit_kernels_nll(rng):
+    for _ in range(10):
+        d = int(rng.integers(1, 4))
+        records = random_records(rng, d, int(rng.integers(1, 40)))
+        theta = rng.normal(size=d)
+        assert math.isclose(record_nll(theta, records, 1e-2), nll(theta, records, 1e-2), rel_tol=1e-12)

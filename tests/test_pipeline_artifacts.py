@@ -39,19 +39,22 @@ CONFIG = {
 # went to one line per report and per anchor; model.json, axioms.json and
 # distortion.json re-recorded when every likelihood went to a sum over the
 # distinct pairs (the last bits of theta_hat, the NLLs and the margins moved,
-# and model.json and the consistency metadata gained the final gradient)
+# and model.json and the consistency metadata gained the final gradient);
+# dataset.records, model.json, axioms.json and distortion.json re-recorded
+# when each-pair-random-voter went to one array of voter rows drawn after
+# the doubles (same distribution, new stream)
 DIGESTS = {
-    "dataset.records": "c56a7b83fcee4e77812d03ebc7e4cf147d7e67e88180beb7c1f183579c886603",
+    "dataset.records": "944fdd88ec39048241753409706ef39ccf5a0faa651f5509e60cfeb965e75d77",
     "slate.json": "50f320aa2ee66c7306e9c169fa2f7080b87a37a8944b718b1b2af77eb23b89e0",
     "voters.json": "69157ac3a3cbf2ea29b513b78845f030925414192d2f162e8f12456791401206",
-    "model.json": "7a2c279be438e81f44c6b3a6f1531b0f2f8f6464d973db9b4499ee9c8fffacc9",
-    "axioms.json": "79977b741291cb37bf69836b0bc5590fee99f0465e726068df5b3aac82a27455",
-    "distortion.json": "cc7f3dac61a3a5a840ace527e3d43644a28d3a318c8bbca2a29e3d431a4501ee",
+    "model.json": "f32425c5032e630a67034389309e5ee780beefd909eb7f20233e1cc05d36fe1c",
+    "axioms.json": "97d9ef7e3f6394fa1871fefc8c3d9c2aba3559459bfbc07433114b12372690be",
+    "distortion.json": "fdfb05c4c1e4d2f901d76fa3fa66d80214b60c34710f5a89108451ac65f46ce3",
 }
 # sha256 of axioms.json as written with indent=2 and sorted keys, before
 # the one-line-per-anchor layout; re-recorded with the DIGESTS above for the
-# sum over distinct pairs
-INDENTED_AXIOMS_DIGEST = "71b2a9d69f2fad167c4843a87cb0674f636fbb2bacce3cc94f42761099bf571a"
+# sum over distinct pairs and for the voter-row array
+INDENTED_AXIOMS_DIGEST = "0de1eac1a6fbcaa72310c2de8765298350239c37e41cbea5035bdf94f56759a1"
 
 
 def _digests(out) -> dict:
