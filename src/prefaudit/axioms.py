@@ -134,8 +134,8 @@ def audit_unanimity(model: RewardModel, slate, voters, epsilons) -> list[AxiomRe
     if {v.theta.shape for v in voters} != {slate.shape[1:]}:
         raise InputError(f"dimension mismatch: every voter needs the slate's dimension {slate.shape[1]}")
     score_gaps = _score_gap_matrix(model, slate)
-    thetas = np.stack([v.theta for v in voters])
-    rewards = thetas @ slate.T  # voters x slate
+    # voters x slate, each entry a 1-D dot (a matrix product rounds differently)
+    rewards = np.dot(np.stack([v.theta for v in voters])[:, None], slate.T)[:, 0]
     gap = np.full_like(score_gaps, np.inf)
     for r in rewards:  # running minimum over voters, m x m memory
         np.minimum(gap, r[:, None] - r[None, :], out=gap)
@@ -197,10 +197,11 @@ def _block_models(data, by_voter, blocks, lam, max_iters, grad_tol) -> list[Rewa
     for start in range(0, len(blocks), size):
         cells = (data._pair_cells(np.concatenate([by_voter[v] for v in block])) for block in blocks[start:start + size])
         table = np.stack([np.bincount(c, minlength=m * m) for c in cells])
-        used = np.flatnonzero(np.add.reduce(table, axis=0))
-        deltas = data.slate[used // m] - data.slate[used % m]
+        used = np.flatnonzero(table.any(axis=0))
         counts = table[:, used].astype(np.float64)
-        models += _fit_counts(deltas, counts, lam, max_iters, grad_tol, np.zeros((len(table), data.dim)))
+        del table
+        deltas = data.slate[used // m] - data.slate[used % m]
+        models += _fit_counts(deltas, counts, lam, max_iters, grad_tol, np.zeros((len(counts), data.dim)))
     return models
 
 

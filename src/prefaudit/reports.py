@@ -28,21 +28,12 @@ def _anchor_status(anchor) -> str:
 
 
 def rows_from_reports(reports: list[AxiomReport]) -> list[dict]:
-    rows = []
-    for rep in reports:
-        for anchor in rep.anchors:
-            rows.append(
-                {
-                    "axiom": rep.axiom,
-                    "epsilon": rep.epsilon,
-                    "anchor": anchor.anchor,
-                    "status": _anchor_status(anchor),
-                    "dominated": ";".join(str(i) for i in anchor.dominated),
-                    "violations": ";".join(f"{i}>{j}" for i, j in anchor.violations),
-                    "margin": rep.min_margin,
-                }
-            )
-    return rows
+    return [
+        {"axiom": rep.axiom, "epsilon": rep.epsilon, "anchor": anchor.anchor, "status": _anchor_status(anchor),
+         "dominated": ";".join(map(str, anchor.dominated)),
+         "violations": ";".join(f"{i}>{j}" for i, j in anchor.violations), "margin": rep.min_margin}
+        for rep in reports for anchor in rep.anchors
+    ]
 
 
 def emit_rows(rows: list[dict]) -> str:
@@ -50,10 +41,8 @@ def emit_rows(rows: list[dict]) -> str:
     writer = csv.DictWriter(buf, fieldnames=ROW_FIELDS)
     writer.writeheader()
     for row in rows:
-        out = dict(row)
-        out["epsilon"] = format_float(row["epsilon"])
-        out["margin"] = "" if row["margin"] is None else format_float(row["margin"])
-        writer.writerow(out)
+        margin = "" if row["margin"] is None else format_float(row["margin"])
+        writer.writerow({**row, "epsilon": format_float(row["epsilon"]), "margin": margin})
     return buf.getvalue()
 
 
@@ -79,16 +68,11 @@ def parse_rows(text: str) -> list[dict]:
 
 def emit_table(axiom_reports: list[AxiomReport], distortion: DistortionReport | None = None) -> str:
     """Per-audit pass/fail lines with margins and vacuity flags."""
-    lines = []
-    lines.append(f"{'axiom':<12} {'epsilon':>8} {'status':>8} {'violations':>11} {'min margin':>12}")
+    lines = [f"{'axiom':<12} {'epsilon':>8} {'status':>8} {'violations':>11} {'min margin':>12}"]
     for rep in axiom_reports:
-        if not rep.passed:
-            status = "FAIL"
-        else:
-            status = "VACUOUS" if rep.vacuous else "PASS"
-        n_viol = sum(len(a.violations) for a in rep.anchors)
+        status = "FAIL" if not rep.passed else "VACUOUS" if rep.vacuous else "PASS"
         margin = "-" if rep.min_margin is None else f"{rep.min_margin:.6g}"
-        lines.append(f"{rep.axiom:<12} {rep.epsilon:>8.3g} {status:>8} {n_viol:>11d} {margin:>12}")
+        lines.append(f"{rep.axiom:<12} {rep.epsilon:>8.3g} {status:>8} {len(rep.violations):>11d} {margin:>12}")
         vacuous_anchors = [a.anchor for a in rep.anchors if a.vacuous]
         if vacuous_anchors and not rep.vacuous:
             lines.append(f"  vacuous anchors: {vacuous_anchors}")

@@ -1,19 +1,17 @@
 """Wire formats for datasets, models, and reports.
 
-Dataset records use a line-delimited key=value encoding with floats at
-17 significant digits, so a write/read round trip is exact. Reports and
-models serialize to JSON objects keyed by their dataclass fields
-(Python's float repr also round-trips). axioms.json holds one line per
-report and one per anchor: ``[``, then each report's fields but its
-anchors, then its anchors one per line, then ``]``. It parses to the
-same JSON value as an indented dump of the report list. The other JSON
-artifacts are written with ``indent=2``.
+Dataset records are key=value lines with floats at 17 significant
+digits, so a write/read round trip is exact; reports and models are JSON
+objects keyed by their dataclass fields. axioms.json has one line per
+report and per anchor, and parses to the value of an indented dump of
+the report list; the other JSON files use ``indent=2``. The line writers
+make each index's, point's and voter's text once and stream the lines.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from functools import cache
 
 import numpy as np
@@ -53,20 +51,18 @@ def _coords(a) -> str:
 
 
 def write_records(path, data: Dataset) -> None:
-    """One line per record: voter, label, scheme, a0, a1, and w for proxy.
-
-    Each slate row is formatted once, as the text from `` scheme=`` to
-    ``a1=`` that a record with a0 at that row carries, and as the text
-    from its coordinates to the line end for a1. The lines are streamed:
-    joining them first would hold the whole file in memory.
-    """
+    """One line per record: voter, label, scheme, a0, a1, and w for proxy. Each
+    line joins texts made once per voter and label and per slate row, and is
+    streamed: joining the lines would hold the whole file in memory."""
     tail = "" if data.w is None else f" w={_coords(data.w)}"
     coords = [_coords(p) for p in data.slate.tolist()]
     a0 = [f" scheme={data.scheme} a0={c} a1=" for c in coords]
     a1 = [f"{c}{tail}\n" for c in coords]
-    columns = (data.voter.tolist(), data.label.tolist(), data.i0.tolist(), data.i1.tolist())
+    voter = data.voter.tolist()
+    heads = {v: (f"voter={v} label=0", f"voter={v} label=1") for v in set(voter)}
+    columns = (voter, data.label.tolist(), data.i0.tolist(), data.i1.tolist())
     with open(path, "w") as fh:
-        fh.writelines(f"voter={voter} label={label}{a0[i]}{a1[j]}" for voter, label, i, j in zip(*columns))
+        fh.writelines(f"{heads[v][y]}{a0[i]}{a1[j]}" for v, y, i, j in zip(*columns))
 
 
 def _open(path):
@@ -226,15 +222,21 @@ _compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def write_axiom_reports(path, reports) -> None:
-    """axioms.json: ``[``, then for each report one line of its fields but the
-    anchors, then one line per anchor, then ``]``. The lines are compact,
-    sorted-key JSON from the C encoder, with ``anchors`` last on its report's
-    line; the file parses to ``[axiom_report_to_dict(r) for r in reports]``.
-    """
+    """axioms.json: ``[``, a line per report (its other fields by the C encoder,
+    then ``"anchors":[``) and per anchor, then ``]``; it parses to
+    ``[axiom_report_to_dict(r) for r in reports]``. An anchor line joins the
+    texts of its slate indices, each made once per call."""
+    t = [str(k) for k in range(max((r.slate_size for r in reports), default=0))]
+
     def block(report):
-        d = axiom_report_to_dict(report)
-        anchors = ",".join("\n" + _compact(a) for a in d.pop("anchors"))
-        return f'{_compact(d)[:-1]},"anchors":[{anchors}]}}'
+        head = {**_plain(replace(report, anchors=())), "vacuous": report.vacuous}
+        del head["anchors"]
+        anchors = ",".join(
+            f'\n{{"anchor":{t[a.anchor]},"dominated":[{",".join(map(t.__getitem__, a.dominated))}],'
+            f'"vacuous":{"true" if a.vacuous else "false"},'
+            f'"violations":[{",".join(f"[{t[i]},{t[j]}]" for i, j in a.violations)}]}}'
+            for a in report.anchors)
+        return f'{_compact(head)[:-1]},"anchors":[{anchors}]}}'
 
     with open(path, "w") as fh:
         fh.write("[")

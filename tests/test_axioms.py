@@ -44,6 +44,24 @@ def _model(theta):
 SLATE_2D = [np.array([1.0, 0.0]), np.array([0.0, 0.0])]
 
 
+@st.composite
+def _tie_case(draw):
+    """A float theta and a slate of the origin and points theta ties with it in
+    exact arithmetic (multiples of theta_j e_i - theta_i e_j), some shifted by a
+    random point: their float rewards are tiny and of either sign."""
+    d = draw(st.integers(2, 6))
+    coordinate = st.floats(-2, 2, allow_nan=False, allow_subnormal=False)
+    vector = st.lists(coordinate, min_size=d, max_size=d).map(np.array)
+    theta = draw(vector)
+    slate = [np.zeros(d)]
+    for _ in range(draw(st.integers(1, 6))):
+        i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+        point = np.zeros(d)
+        point[i], point[j] = theta[j], -theta[i]
+        slate.append(point * draw(coordinate) + draw(st.sampled_from([0.0, 1.0])) * draw(vector))
+    return theta, slate, _model(draw(vector))
+
+
 class TestUnanimity:
     def test_point_mass_pass(self):
         voters = sample_voters(PointMass(theta=[1.0, 0.0]), 5, seed=0)
@@ -79,6 +97,23 @@ class TestUnanimity:
         with pytest.raises(InputError):
             audit_unanimity(_model([1.0, 0.0]), [SLATE_2D[0]],
                             sample_voters(PointMass(theta=[1.0, 0.0]), 1, 0), [0.0])
+
+    def test_one_voter_at_an_exact_tie_agrees_with_the_oracle(self):
+        # theta . (0.1, 0.2) is 0 in exact arithmetic; a one-row matrix product
+        # rounds it to -1.67e-18, the oracle's 1-D dot to +1.67e-18
+        slate = [(0.0, 0.0), (1 / 3, 0.7), (0.1, 0.2)]
+        voters = [VoterParams(voter_id=0, theta=[0.2, -0.1])]
+        model = _model([0.2, -0.1])
+        report = audit_unanimity(model, slate, voters, [0.0])[0]
+        assert report == exhaustive_axiom_check(model, slate, voters, 0.0, "unanimity")
+
+    @settings(max_examples=200, deadline=None)
+    @given(_tie_case())
+    def test_one_voter_equals_that_voter_listed_twice(self, case):
+        theta, slate, model = case
+        voter = VoterParams(voter_id=0, theta=theta)
+        epsilons = [0.0, 0.5]
+        assert audit_unanimity(model, slate, [voter], epsilons) == audit_unanimity(model, slate, [voter, voter], epsilons)
 
 
 class TestCondorcet:

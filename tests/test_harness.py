@@ -341,14 +341,17 @@ class TestRecordWireFormat:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), d=st.integers(1, 3), n=st.integers(1, 30), proxy=st.booleans())
     def test_write_equals_a_per_line_writer(self, data, d, n, proxy):
-        """Slates with repeated points, and with 0.0 beside -0.0, write the
-        bytes of a writer that formats every coordinate of every line."""
+        """Slates with repeated points, and with 0.0 beside -0.0, and repeated
+        and negative voter ids, write the bytes of a writer that formats every
+        field of every line."""
         coordinate = st.sampled_from([0.0, -0.0, 1.0, 1 / 3]) | st.floats(allow_nan=False, allow_infinity=False)
         vec = st.lists(coordinate, min_size=d, max_size=d)
         slate = data.draw(st.lists(vec, min_size=2, max_size=4))
         rows = st.lists(st.integers(0, len(slate) - 1), min_size=n, max_size=n)
+        # a small pool of ids, so voters repeat, with both ends of the int64 range
+        pool = [-2**63, -1, 2**63 - 1, *data.draw(st.lists(st.integers(-2**63, 2**63 - 1), max_size=2))]
         records = Dataset(
-            voter=data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n)),
+            voter=data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
             slate=slate, i0=data.draw(rows), i1=data.draw(rows),
             label=data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
             scheme="proxy" if proxy else "true-reward",
@@ -515,6 +518,29 @@ class TestPipeline:
         assert not (tmp_path / "run" / "distortion.json").exists()
 
 
+_TEXT = st.sampled_from(['"quoted"', "back\\slash", "θ̂ ≠ 0 — é", ""]) | st.text(max_size=8)
+
+
+@st.composite
+def _axiom_report(draw):
+    """A report over a slate of up to 60: no dominated pair, some, or every
+    one, each violated with some chance, and metadata with escaped text."""
+    m = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dominated = (rng.random((m, m)) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))) & ~np.eye(m, dtype=bool)
+    violated = dominated & (rng.random((m, m)) < draw(st.sampled_from([0.0, 0.2, 1.0])))
+    anchors = tuple(
+        AnchorResult(anchor=i, dominated=tuple(np.flatnonzero(dom).tolist()),
+                     violations=tuple((i, j) for j in np.flatnonzero(bad).tolist()), vacuous=not dom.any())
+        for i, (dom, bad) in enumerate(zip(dominated, violated)))
+    value = _TEXT | st.integers() | st.floats(allow_nan=False) | st.booleans() | st.none()
+    return AxiomReport(
+        axiom=draw(_TEXT), epsilon=draw(st.floats(0, 1e300)), slate_size=m, anchors=anchors,
+        passed=not violated.any(),
+        min_margin=draw(st.sampled_from([None, -0.0, 1e300]) | st.floats(allow_nan=False, allow_infinity=False)),
+        metadata=draw(st.dictionaries(_TEXT, value | st.lists(value, max_size=2), max_size=3)))
+
+
 class TestReports:
     @staticmethod
     def _reports(tmp_path):
@@ -575,6 +601,27 @@ class TestReports:
             # [, a line per report and per anchor, ]
             lines = first.read_text().splitlines()
             assert len(lines) == 2 + len(reports) + sum(len(r.anchors) for r in reports)
+
+    @settings(max_examples=100, deadline=None)
+    @given(reports=st.lists(_axiom_report(), max_size=3))
+    def test_axiom_reports_file_equals_a_json_module_writer(self, reports):
+        """The file holds the bytes of a writer built from json.dumps alone, one
+        call per report head and per anchor, in the same layout."""
+        def dumps(value):
+            return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+        blocks = []
+        for r in reports:
+            head = {"axiom": r.axiom, "epsilon": r.epsilon, "metadata": r.metadata, "min_margin": r.min_margin,
+                    "passed": r.passed, "slate_size": r.slate_size, "vacuous": r.vacuous}
+            anchors = [dumps({"anchor": a.anchor, "dominated": list(a.dominated), "vacuous": a.vacuous,
+                              "violations": [list(v) for v in a.violations]}) for a in r.anchors]
+            blocks.append(f'\n{dumps(head)[:-1]},"anchors":[' + ",".join("\n" + a for a in anchors) + "]}")
+        expected = "[" + ",".join(blocks) + "\n]\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "axioms.json"
+            write_axiom_reports(path, reports)
+            assert path.read_bytes() == expected.encode()
 
     def test_model_dict_round_trip(self):
         model = RewardModel(theta_hat=[0.5, -1.25], lam=1e-3, final_nll=12.5, converged=False,
