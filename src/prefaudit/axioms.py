@@ -26,7 +26,7 @@ from .errors import ConfigError, InputError
 from .estimation import (
     DEFAULT_GRAD_TOL, DEFAULT_LAMBDA, DEFAULT_MAX_ITERS, _fit_counts, fit_mle, scores,
 )
-from .model import RewardModel, slate_array
+from .model import RewardModel, _check_lambda, slate_array
 from .population import seeded_rng
 
 __all__ = [
@@ -229,8 +229,7 @@ def audit_consistency(
     vacuously. ``block_grad_norm`` in metadata is the largest final
     max-abs gradient of the block fits used.
     """
-    if lam < 0:
-        raise InputError("lambda must be >= 0")
+    _check_lambda(lam)
     epsilons = _epsilons(epsilons)
     # each voter's row indices in record order, voters by ascending id
     order = np.argsort(data.voter, kind="stable")

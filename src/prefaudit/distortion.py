@@ -8,11 +8,9 @@ best NLL found. Regret of the learned rule's winner is then maximized
 over the consistent hypotheses on an exhaustive grid (random sampling
 above d=3, where the grid explodes).
 
-Both passes of the search sum over the distinct (winner, loser) pairs
-weighted by their counts: a screen scores every hypothesis approximately,
-with a rigorous error margin, and drops only those that cannot be
-consistent; the rest are rescored exactly by the kernel of ``nll``, and
-only those values decide the outputs.
+The search scores every hypothesis exactly, in blocks, by the kernel of
+``nll``: each score sums over the distinct (winner, loser) pairs weighted
+by their counts, and equals ``nll(theta * w)`` bit for bit.
 """
 
 from __future__ import annotations
@@ -33,9 +31,9 @@ from .population import seeded_rng
 __all__ = ["SearchSpec", "DistortionReport", "worst_case_regret"]
 
 GRID_DIM_LIMIT = 3
-# The screen scores about this many (hypothesis, pair) terms per block,
-# in place in one reused buffer, so it adds little to a run's memory.
-SCREEN_BLOCK = 4096
+# The search scores about this many (hypothesis, pair) terms per block (at
+# least one hypothesis), so its temporaries stay small beside the table.
+SEARCH_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -110,62 +108,6 @@ def _hypotheses(d: int, search: SearchSpec) -> tuple[np.ndarray, np.ndarray]:
     return thetas, np.broadcast_to(np.ones(d), thetas.shape)
 
 
-# The screen's margin, and why it drops no consistent hypothesis. Row k of
-# the K x d pair rows D is held by c_k of the n = sum_k c_k records. Each
-# phi = theta * w gets an approximate NLL s: z = phi @ D.T, then
-# sum_k c_k softplus(-z_k), softplus(-z) = log1p(exp(-|z|)) + (|z| - z) / 2,
-# plus lam |phi|^2. Its margin is m = 4 (n + d + 64) eps B, where
-# B = sum_j |phi_j| sum_k c_k |D_kj| + n + lam |phi|^2 bounds
-# sum_k c_k (|z_k| + 1) + lam |phi|^2. A hypothesis is kept unless
-# s - m > min_h s_h + max_h m_h + delta, a cutoff >= min_h(s_h + m_h) + delta.
-#
-# With exp and log1p each within 4 ULP (numpy's loops are) and no overflow,
-# the screen and the exact kernel ``_nll_rows(phi, D, c, lam)``, which sum
-# the same K <= n weighted terms, are each within (n + d + 17) eps B of the
-# real NLL, up to O(eps^2): d eps for rounding z and |phi|^2 (softplus is
-# 1-Lipschitz), 10 eps per term for the transcendentals and the hinge, one
-# eps per product of an exact count c_k and a term, n eps for summing at
-# most n terms in any order, a few eps for the penalty and the last adds.
-# So |s - v| <= m / 2 for the exact value v, and the other half of m absorbs
-# the rounding of s - m and of the cutoff: fl(s_h - m_h) <= v_h, and the
-# cutoff is at least fl(v* + delta) for the exact minimum v*. An exactly
-# consistent h has v_h <= fl(v* + delta) <= cutoff, so h is kept, and so is
-# the argmin: the outputs are the floats an exact score of every row gives.
-# A NaN s or m, or an infinite cutoff, makes every row kept.
-def _screen(thetas: np.ndarray, ws: np.ndarray, deltas: np.ndarray, counts: np.ndarray,
-            lam: float, delta: float) -> np.ndarray:
-    """Search-order indices of every hypothesis whose exact NLL may lie
-    within delta of the best (the comment above gives the margin's proof)."""
-    k, d = deltas.shape
-    rows = max(1, SCREEN_BLOCK // k)
-    buf = np.empty((rows, k))
-    c = counts[:, None]  # a column: z @ c is a matrix product like phi @ D.T
-    n = float(c.sum())
-    score, margin = np.empty(len(thetas)), np.empty(len(thetas))
-    # sum_k c_k |D_kj| per column, taken in the buffer rather than in a copy of D
-    col_abs = np.array([np.abs(col, out=buf[0]) @ counts for col in deltas.T])
-    row_sum = np.add.reduce  # ndarray.sum's Python wrapper is a real cost on blocks this small
-    for start in range(0, len(thetas), rows):
-        block = slice(start, start + rows)
-        phi = thetas[block] * ws[block]
-        z = buf[:len(phi)]
-        np.matmul(phi, deltas.T, out=z)
-        z_sum = z @ c
-        np.abs(z, out=z)
-        hinge = (z @ c - z_sum) / 2  # sum_k c_k max(-z_k, 0)
-        np.negative(z, out=z)
-        np.exp(z, out=z)
-        np.log1p(z, out=z)
-        penalty = lam * row_sum(phi * phi, axis=1)
-        score[block] = (z @ c + hinge)[:, 0] + penalty
-        margin[block] = np.abs(phi) @ col_abs + (n + penalty)  # B until scaled below
-    margin *= 4 * (n + d + 64) * np.finfo(np.float64).eps
-    # at least min_h(s_h + m_h) + delta, with no temporary the size of the table
-    cutoff = np.min(score) + np.max(margin) + delta
-    score -= margin
-    return np.flatnonzero(~(score > cutoff))
-
-
 def _first_max(values: np.ndarray) -> int:
     """np.argmax of values without NaN, whose own loops no earlier stage
     touches: reading them in added 64 KiB to a d=3 run's peak RSS (numpy 2.4)."""
@@ -195,18 +137,16 @@ def worst_case_regret(
     slate = data.slate
     a_star = _first_max(scores(model, slate))  # ties -> lowest index
 
-    # Each kept hypothesis is scored by the kernel of nll(), so each NLL is
+    # Each hypothesis is scored by the kernel of nll(), so each NLL is
     # nll(theta * w). The threshold is the best NLL on the grid (the fit sits
     # strictly below every grid point, so it would empty the set at delta=0).
     thetas, ws = _hypotheses(slate.shape[1], search)
-    hypotheses = len(thetas)
     deltas, counts = _pair_rows(data)
-    kept = _screen(thetas, ws, deltas, counts, model.lam, delta)
-    thetas, ws = thetas[kept], ws[kept]  # only the kept rows from here on
-    vals = np.fromiter(
-        (_nll_rows((theta * w)[None], deltas, counts, model.lam)[0] for theta, w in zip(thetas, ws)),
-        dtype=np.float64, count=kept.size,
-    )
+    rows = max(1, SEARCH_BLOCK // len(deltas))
+    vals = np.empty(len(thetas))
+    for start in range(0, len(thetas), rows):
+        block = slice(start, start + rows)
+        vals[block] = _nll_rows(thetas[block] * ws[block], deltas, counts, model.lam)
     finite = np.isfinite(vals)
     best_nll = float(np.min(vals[finite])) if finite.any() else np.inf
     consistent = np.flatnonzero(finite & (vals <= best_nll + delta))
@@ -225,7 +165,7 @@ def worst_case_regret(
         "bound": search.bound,
         "w_mode": search.w_mode,
         "seed": search.seed,
-        "hypotheses_evaluated": hypotheses,
+        "hypotheses_evaluated": len(thetas),
         "consistent_count": int(consistent.size),
         "best_nll": best_nll,
         "fit_nll": model.final_nll,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError, NumericError
-from .model import Dataset, RewardModel
+from .model import Dataset, RewardModel, _check_lambda
 
 __all__ = ["nll", "nll_gradient", "fit_mle", "borda_scores", "score", "scores"]
 
@@ -37,12 +37,10 @@ def _pair_rows(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b a row at a time, as for B = 1 (a matrix product rounds
-    differently and reads in more of the BLAS library)."""
-    out = np.empty((len(a), b.shape[1]))
-    for row, x in zip(out, a):
-        np.matmul(x, b, out=row)
-    return out
+    """Each row of a times b as one (1, d) item of a stacked product, so it
+    rounds as for B = 1 (a 2-D product rounds differently and reads in more
+    of the BLAS library)."""
+    return np.matmul(a[:, None], b)[:, 0]
 
 
 def _nll_rows(thetas, deltas, counts, lam) -> np.ndarray:
@@ -79,8 +77,7 @@ def _gradient(thetas, deltas, counts, lam):
 
 
 def _checked(theta, data: Dataset, lam: float):
-    if lam < 0:
-        raise InputError("lambda must be >= 0")
+    _check_lambda(lam)
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (data.dim,):
         raise InputError(f"theta of shape {theta.shape} differs from data dimension {data.dim}")

@@ -205,6 +205,12 @@ class Dataset:
         return cell
 
 
+def _check_lambda(lam) -> None:
+    """Raise InputError unless the regularization strength is finite and >= 0."""
+    if not (math.isfinite(lam) and lam >= 0):
+        raise InputError(f"lambda must be >= 0 and finite, got {lam!r}")
+
+
 @dataclass(frozen=True)
 class RewardModel:
     """Fitted preference-modeling voting rule f(a) = <theta_hat, a>."""
@@ -220,8 +226,7 @@ class RewardModel:
 
     def __post_init__(self):
         object.__setattr__(self, "theta_hat", feature_vector(self.theta_hat))
-        if self.lam < 0:
-            raise InputError("regularization strength must be >= 0")
+        _check_lambda(self.lam)
 
 
 def btl_prob(r_a: float, r_b: float) -> float:

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 from itertools import product
 
@@ -271,8 +270,8 @@ def test_screened_search_equals_the_naive_loop(case):
                          ids=["ones-d2", "grid-d2", "ones-d2-repeats-600", "grid-d2-repeats-600"])
 def test_a_hypothesis_exactly_delta_above_the_best_is_consistent(case, repeats):
     # delta = v_k - v* is exact (Sterbenz), so v* + delta == v_k and hypothesis
-    # k sits on the threshold; a screen without its margin drops some of them.
-    # With 600 repeats the screen weights each of its few pairs by hundreds
+    # k sits on the threshold: it is consistent only if its score is exactly
+    # nll(theta * w). With 600 repeats each of the few pairs weighs hundreds
     data = _dataset(repeats=repeats)
     model = fit_mle(data, lam=1e-3)
     search = (SearchSpec(grid_resolution=21) if case == "ones-d2"
@@ -288,39 +287,39 @@ def test_a_hypothesis_exactly_delta_above_the_best_is_consistent(case, repeats):
         assert report.metadata["consistent_count"] == sum(v <= v_k for v in vals)
 
 
-def test_only_the_rows_the_screen_keeps_are_scored_exactly(monkeypatch):
-    screen, exact = prefaudit.distortion._screen, prefaudit.distortion._nll_rows
-    screened, kept, calls = [], [], []
-
-    def recorded_screen(*args):
-        screened.append(args)
-        kept.append(screen(*args))
-        return kept[-1]
+@pytest.mark.parametrize("block", [None, 5], ids=["default-block", "one-row-blocks"])
+def test_every_hypothesis_is_scored_once_in_search_order(monkeypatch, block):
+    exact, calls = prefaudit.distortion._nll_rows, []
 
     def counted_nll(*args):
         calls.append(args)
         return exact(*args)
 
-    monkeypatch.setattr(prefaudit.distortion, "_screen", recorded_screen)
     monkeypatch.setattr(prefaudit.distortion, "_nll_rows", counted_nll)
+    if block is not None:  # fewer terms than the data has pairs: one row per block
+        monkeypatch.setattr(prefaudit.distortion, "SEARCH_BLOCK", block)
+    limit = prefaudit.distortion.SEARCH_BLOCK
     data = _dataset()  # round-robin
     model = fit_mle(data, lam=1e-3)
-    report = worst_case_regret(model, data, 0.5, SearchSpec(grid_resolution=41))
-    hypotheses = report.metadata["hypotheses_evaluated"]
-    assert hypotheses == 41 ** 2
-    assert len(calls) == kept[0].size < 0.01 * hypotheses
-    assert 1 <= report.metadata["consistent_count"] <= kept[0].size
-    # the screen saw one row per distinct (winner, loser) pair, weighted by its count
+    search = SearchSpec(grid_resolution=41)
+    report = worst_case_regret(model, data, 0.5, search)
+    assert report.metadata["hypotheses_evaluated"] == 41 ** 2
+    scored = np.concatenate([phi for phi, *_ in calls])
+    expected = np.array([theta * w for theta, w in _reference_hypotheses(2, search)])
+    assert scored.tobytes() == expected.tobytes()  # each once, in search order
+    # every call sees one row per distinct (winner, loser) pair, weighted by its count
     winner, loser, count = data.pair_counts()
-    deltas, counts = screened[0][2:4]
-    assert deltas.tobytes() == (data.slate[winner] - data.slate[loser]).tobytes()
-    assert np.array_equal(counts, count)
-    assert len(counts) <= 20 < len(data)
+    assert len(count) <= 20 < len(data)
+    for phi, deltas, counts, lam in calls:
+        assert deltas.tobytes() == (data.slate[winner] - data.slate[loser]).tobytes()
+        assert np.array_equal(counts, count) and lam == model.lam
+        assert len(phi) * len(deltas) <= limit or len(phi) == 1
+    rows = max(1, limit // len(count))  # each block as full as the limit allows
+    assert len(calls) == -(-41 ** 2 // rows) > 1
 
 
-# tracemalloc peak, in MiB, of the search below when every one of its
-# 117,649 rows was scored exactly (no screen): the two 117,649 x 3 (theta, w)
-# tables are 5.4 MiB of it
+# tracemalloc peak, in MiB, of the search below, which scores each of its
+# 117,649 rows exactly: the two 117,649 x 3 (theta, w) tables are 5.4 MiB of it
 EXHAUSTIVE_W_GRID_PEAK_MIB = 7.30
 
 
@@ -340,42 +339,3 @@ def test_a_w_grid_search_stays_within_a_mebibyte_of_the_exhaustive_one():
         tracemalloc.stop()
     assert report.metadata["hypotheses_evaluated"] == 7 ** 6
     assert peak <= (EXHAUSTIVE_W_GRID_PEAK_MIB + 1) * 2**20
-
-
-def _naive_screen(phi, rows, lam):
-    """The screen's score of one phi and the B of its margin, from
-    (winner - loser, count) rows, a term at a time with the math module."""
-    score = lam * sum(p * p for p in phi)
-    bound = score + sum(count for _, count in rows)
-    for delta, count in rows:
-        z = sum(p * x for p, x in zip(phi, delta))
-        score += count * (math.log1p(math.exp(-abs(z))) + max(-z, 0.0))
-        bound += count * sum(abs(p * x) for p, x in zip(phi, delta))
-    return score, bound
-
-
-def test_the_screen_margin_counts_records_not_distinct_pairs():
-    """On 3 distinct pairs held by 150,000 records, one hypothesis sits between
-    the cutoff the margin 4 (n + d + 64) eps B gives with n = 150,000 records
-    (kept) and the one it would give with n = 3 pairs (dropped)."""
-    slate = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
-    pairs = [(1, 0, 90_000), (0, 1, 40_000), (2, 0, 20_000)]  # (winner, loser, records)
-    winner, loser, times = zip(*pairs)
-    data = Dataset(voter=np.zeros(sum(times), dtype=np.int64), label=np.zeros(sum(times), dtype=np.int64),
-                   slate=slate, i0=np.repeat(winner, times), i1=np.repeat(loser, times))
-    rows = [([w - lo for w, lo in zip(slate[w_], slate[l_])], float(c)) for w_, l_, c in pairs]
-    thetas = np.array([[0.8, 0.7], [0.9, 0.7]])  # the best, then the named hypothesis
-    lam, d, eps = 1e-3, 2, np.finfo(np.float64).eps
-    scores, bounds = zip(*(_naive_screen(phi, rows, lam) for phi in thetas.tolist()))
-    n, k = sum(times), len(pairs)
-
-    def lowest_delta_keeping_the_second(count):  # margin with ``count`` as n, in B and the factor
-        margins = [4 * (count + d + 64) * eps * (b - n + count) for b in bounds]
-        return scores[1] - margins[1] - (min(scores) + max(margins))
-
-    with_records, with_pairs = lowest_delta_keeping_the_second(n), lowest_delta_keeping_the_second(k)
-    assert 0 < with_records < with_pairs and with_pairs - with_records > 1e-5  # rounding is ~1e-10
-    deltas, counts = prefaudit.estimation._pair_rows(data)
-    assert counts.tolist() == [40_000.0, 90_000.0, 20_000.0]  # row-major: (0, 1), (1, 0), (2, 0)
-    delta = (with_records + with_pairs) / 2
-    assert prefaudit.distortion._screen(thetas, np.ones_like(thetas), deltas, counts, lam, delta).tolist() == [0, 1]

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -14,15 +16,15 @@ from prefaudit.annotation import (
     TrueRewardLabels,
     generate_dataset,
 )
-from prefaudit.axioms import FIT_BLOCK, _block_models
+from prefaudit.axioms import FIT_BLOCK, _block_models, audit_consistency
 from prefaudit.config import config_from_dict
 from prefaudit.errors import InputError
-from prefaudit.estimation import DEFAULT_GRAD_TOL, _fit_counts, borda_scores, fit_mle, nll, nll_gradient, score
+from prefaudit.estimation import DEFAULT_GRAD_TOL, _fit_counts, _rowwise, borda_scores, fit_mle, nll, nll_gradient, score
 from prefaudit.model import Dataset, RewardModel
 from prefaudit.oracle import brute_force_mle
 from prefaudit.pipeline import DATASET_FILE, SLATE_FILE, run_pipeline
 from prefaudit.population import PointMass, UniformBox, sample_alternatives, sample_voters
-from prefaudit.serialize import read_records, read_slate, write_records
+from prefaudit.serialize import model_to_dict, read_model, read_records, read_slate, write_records
 
 # d=3 mixture population with proxy labels, as in the grid-d3 benchmark workload
 GRID_D3 = {
@@ -353,6 +355,62 @@ class TestBatchedFits:
         assert singular.iterations > regular.iterations  # gradient steps converge linearly
         assert not separated.converged and "separated by the fitted direction" in separated.diagnostic
         assert regular.converged and regular.theta_hat == pytest.approx([math.log(3.0), math.log(2.0)], abs=1e-7)
+
+
+@st.composite
+def _rowwise_cases(draw):
+    """(a, b) as the kernels pass them: B of 1-64 rows against K of 1-600 pair
+    rows in d of 1-7, entries of either sign with magnitudes 1e-3 to 1e3, and
+    b as deltas.T (F-ordered) or as the C-ordered deltas or products."""
+    batch, k, d = draw(st.integers(1, 64)), draw(st.integers(1, 600)), draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(*shape):
+        return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3, 3, shape)
+
+    deltas = values(k, d)
+    layout = draw(st.sampled_from(["deltas.T", "deltas", "products"]))
+    if layout == "deltas.T":
+        return values(batch, d), deltas.T
+    if layout == "deltas":
+        return values(batch, k), deltas
+    upper = np.nonzero(np.tri(d, dtype=bool).T)
+    return values(batch, k), deltas[:, upper[0]] * deltas[:, upper[1]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rowwise_cases())
+def test_rowwise_equals_a_product_per_row(case):
+    """Bit for bit, so a batch of B rows equals B separate B = 1 calls."""
+    a, b = case
+    got = _rowwise(a, b)
+    assert got.shape == (len(a), b.shape[1])
+    assert got.tobytes() == np.array([np.matmul(x, b) for x in a]).tobytes()
+
+
+_NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+@pytest.mark.parametrize("lam", _NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", [
+    lambda data, lam: RewardModel(theta_hat=[1.0], lam=lam, final_nll=0.0, converged=True, iterations=0),
+    lambda data, lam: nll([1.0], data, lam),
+    lambda data, lam: nll_gradient([1.0], data, lam),
+    lambda data, lam: fit_mle(data, lam),
+    lambda data, lam: audit_consistency(data, [0.0], lam=lam),
+], ids=["RewardModel", "nll", "nll_gradient", "fit_mle", "audit_consistency"])
+def test_a_non_finite_lambda_is_rejected(rng, call, lam):
+    with pytest.raises(InputError, match="lambda must be >= 0 and finite"):
+        call(random_records(rng, 1, 5, voter_ids=(0, 1)), lam)
+
+
+@pytest.mark.parametrize("lam", _NON_FINITE, ids=["nan", "inf", "-inf"])
+def test_a_model_file_with_a_non_finite_lambda_names_its_path(tmp_path, lam):
+    path = tmp_path / "model.json"
+    model = RewardModel(theta_hat=[1.0], lam=0.0, final_nll=0.0, converged=True, iterations=0)
+    path.write_text(json.dumps({**model_to_dict(model), "lambda": lam}))  # NaN and Infinity as json writes them
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: lambda must be >= 0 and finite"):
+        read_model(path)
 
 
 class TestBordaScores:
