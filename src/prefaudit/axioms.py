@@ -4,7 +4,14 @@ Three audits over a finite candidate slate: unanimity (every sampled
 voter agrees on the gap), Condorcet consistency (the analytic population
 mean agrees), and consistency (every retrained large-enough voter-block
 model agrees; the block models are fitted in batches by the estimation
-kernel, over their records' pair counts). Each audit builds one
+kernel, over their records' pair counts). The unanimity gap, each pair's
+minimum reward gap over voters, takes two passes over a slate x voters
+table: over the voters S first to hold some alternative's lowest or
+highest reward, then over all V voters on the pairs still above the
+smallest epsilon, m^2 // V pairs at a time. A minimum over S is never
+below that over all voters, so a pair pass 1 closes is dominated at no
+epsilon: it is exact, in O(|S| m^2 + V open pairs) time and one m x m
+buffer (a point mass leaves every untied pair open). Each audit builds one
 epsilon-independent m x m gap matrix, then reports once per epsilon
 through one dominance kernel: the dominated set A'_a of anchor a holds
 the alternatives the condition ranks strictly below a by more than
@@ -134,15 +141,42 @@ def audit_unanimity(model: RewardModel, slate, voters, epsilons) -> list[AxiomRe
     if {v.theta.shape for v in voters} != {slate.shape[1:]}:
         raise InputError(f"dimension mismatch: every voter needs the slate's dimension {slate.shape[1]}")
     score_gaps = _score_gap_matrix(model, slate)
-    # voters x slate, each entry a 1-D dot (a matrix product rounds differently)
-    rewards = np.dot(np.stack([v.theta for v in voters])[:, None], slate.T)[:, 0]
-    gap = np.full_like(score_gaps, np.inf)
-    for r in rewards:  # running minimum over voters, m x m memory
-        np.minimum(gap, r[:, None] - r[None, :], out=gap)
+    # slate x voters, each entry a 1-D dot (a matrix product rounds differently)
+    rewards = np.dot(slate[:, None], np.stack([v.theta for v in voters]).T)[:, 0]
     return _dominance_reports(
-        "unanimity", epsilons, gap, score_gaps,
+        "unanimity", epsilons, _unanimity_gap(rewards, min(epsilons)), score_gaps,
         {"voter_count": len(voters), "gap_source": "sampled voters (empirical)"},
     )
+
+
+def _unanimity_gap(rewards, floor) -> np.ndarray:
+    """min over voters v of rewards[i, v] - rewards[j, v] where it exceeds
+    floor; elsewhere a bound <= floor (see the module docstring)."""
+    m, n = rewards.shape
+    size = max(1, m * m // n)  # pass-2 pairs per chunk: both passes share one buffer
+    buffer = np.empty(max(m * m, size * n))
+    square, block = buffer[:m * m].reshape(m, m), buffer[:size * n].reshape(size, n)
+    # the first voter with each alternative's lowest and highest reward (argmin
+    # would map 64 KiB more of numpy's code into every run)
+    extreme = np.zeros(n, dtype=bool)
+    for best in (rewards.min(axis=1), rewards.max(axis=1)):
+        alternatives, holders = np.nonzero(rewards == best[:, None])
+        first = np.ones(len(holders), dtype=bool)
+        first[1:] = alternatives[1:] != alternatives[:-1]
+        extreme[holders[first]] = True
+    gap = np.full((m, m), np.inf)
+    for r in rewards.T[extreme]:
+        np.subtract(r[:, None], r, out=square)
+        np.minimum(gap, square, out=gap)
+    for i, row in enumerate(gap > floor):
+        columns = np.flatnonzero(row)
+        for start in range(0, len(columns), size):
+            part = columns[start:start + size]
+            chunk = block[:len(part)]
+            np.take(rewards, part, axis=0, out=chunk, mode="clip")  # "raise" would buffer out
+            np.subtract(rewards[i], chunk, out=chunk)
+            gap[i, part] = chunk.min(axis=1)
+    return gap
 
 
 def audit_condorcet(model: RewardModel, slate, pop, epsilons) -> list[AxiomReport]:

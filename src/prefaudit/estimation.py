@@ -59,16 +59,17 @@ def _nll_rows(thetas, deltas, counts, lam) -> np.ndarray:
 
 def _gradient(thetas, deltas, counts, lam):
     """Each row's NLL gradient, and its Hessian weights c q (1 - q), where
-    q = sigma(-z) = e / (1 + e) for z >= 0 and 1 / (1 + e) below, e = exp(-|z|)."""
-    q = _rowwise(thetas, deltas.T)
-    won = q >= 0
-    np.abs(q, out=q)
-    np.negative(q, out=q)
-    np.exp(q, out=q)
-    ratio = q + 1.0
-    np.divide(q, ratio, out=q, where=won)
-    np.divide(1.0, ratio, out=q, where=~won)
-    del ratio, won
+    q = sigma(-z) = max(lost, e) / (1 + e), lost = 1.0 where z < 0, else 0.0,
+    e = exp(-|z|) <= 1: e / (1 + e) for z >= 0 and 1 / (1 + e) below."""
+    z = _rowwise(thetas, deltas.T)
+    q = np.less(z, 0.0, out=np.empty_like(z))
+    np.abs(z, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    np.maximum(q, z, out=q)
+    z += 1.0
+    q /= z
+    del z
     cq = q * counts
     grad = 2.0 * lam * thetas - _rowwise(cq, deltas)
     np.subtract(1.0, q, out=q)
@@ -141,7 +142,10 @@ def _fit_counts(deltas, counts, lam, max_iters, grad_tol, init) -> list[RewardMo
     iterations = np.zeros(batch, dtype=np.int64)
     grad_norm = np.zeros(batch)
     upper = np.nonzero(np.tri(deltas.shape[1], dtype=bool).T)
-    products = deltas[:, upper[0]] * deltas[:, upper[1]]
+    # F order, as deltas[:, upper[0]] * deltas[:, upper[1]]: the Hessian rounds by layout
+    products = np.empty((len(deltas), len(upper[0])), order="F")
+    for k, (a, b) in enumerate(zip(*upper)):
+        np.multiply(deltas[:, a], deltas[:, b], out=products[:, k])
     # the fits still iterating: their rows, theta, loss and counts, and (search)
     # those whose last line search found no descent
     active, th, cur, c, search = np.arange(batch), theta.copy(), loss.copy(), counts, np.arange(0)

@@ -154,9 +154,10 @@ class ExplicitSlate:
             raise ConfigError("explicit slate must be non-empty")
         if any(p.shape[0] != self.dim for p in self.points):
             raise ConfigError("explicit slate has inconsistent dimensions")
-        distinct = len(np.unique(np.stack(self.points), axis=0))
-        if distinct < 2:  # every alternative would be the same, and every audit vacuous
-            raise ConfigError(f"points: need at least 2 distinct points, got {distinct}")
+        points = np.stack(self.points)
+        # by value, so 0.0 equals -0.0; np.unique would import numpy.ma
+        if (points == points[0]).all():  # every alternative would be the same, and every audit vacuous
+            raise ConfigError("points: need at least 2 distinct points, got 1")
 
     @property
     def dim(self) -> int:

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -114,6 +115,85 @@ class TestUnanimity:
         voter = VoterParams(voter_id=0, theta=theta)
         epsilons = [0.0, 0.5]
         assert audit_unanimity(model, slate, [voter], epsilons) == audit_unanimity(model, slate, [voter, voter], epsilons)
+
+
+# Coordinates of slate points and voter thetas, with magnitudes whose
+# products overflow, so voter rewards can be +-inf and their gaps NaN
+_big = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.25, 1.0, 3.0, 1e200, -1e200, 1e308, -1e308])
+
+
+@st.composite
+def _unanimity_case(draw):
+    """A slate and voters of one of two kinds, a model whose scores stay
+    finite, and epsilons with repeats. Clustered: 1-60 voters around a common
+    mean over 2-12 points of a box, where pass 1 often leaves open a pair
+    some other voter disagrees on. Extreme: 2-5 points, 1-30 voters (so often
+    more than m^2) drawn with repeats from 1-8 thetas or all one theta (a
+    point mass), with coordinates whose rewards can overflow."""
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        d, m, n = draw(st.integers(2, 3)), draw(st.integers(2, 12)), draw(st.integers(1, 60))
+        slate = list(rng.uniform(0, 1, (m, d)))
+        thetas = list(rng.normal(0, 1, d) + rng.normal(0, 0.4, (n, d)))
+        picks = range(n)
+    else:
+        d, m = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+        vector = st.lists(st.one_of(_big, st.floats(-4, 4, allow_nan=False)), min_size=d, max_size=d).map(np.array)
+        slate = draw(st.lists(vector, min_size=m, max_size=m))
+        thetas = draw(st.lists(vector, min_size=1, max_size=8))
+        n = draw(st.integers(1, 30))
+        picks = [0] * n if draw(st.booleans()) else draw(st.lists(st.integers(0, len(thetas) - 1), min_size=n, max_size=n))
+    voters = [VoterParams(voter_id=v, theta=thetas[k]) for v, k in enumerate(picks)]
+    model = _model(draw(st.lists(st.sampled_from([-0.25, 0.0, 0.25]), min_size=d, max_size=d)))
+    epsilons = draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 1.0, 3.0]), min_size=1, max_size=4))
+    return slate, voters, model, epsilons
+
+
+class TestTwoPassUnanimity:
+    @staticmethod
+    def _check(slate, voters, model, epsilons):
+        m = len(slate)
+        gap = np.full((m, m), np.inf)
+        with np.errstate(invalid="ignore", over="ignore"):  # rewards of +-inf, and inf - inf
+            for v in voters:
+                r = np.array([float(v.theta @ a) for a in slate])
+                gap = np.minimum(gap, r[:, None] - r[None, :])
+            reports = audit_unanimity(model, slate, voters, epsilons)
+        s = np.array([float(model.theta_hat @ a) for a in slate])
+        for eps, report in zip(epsilons, reports, strict=True):
+            anchors, min_margin = _naive_dominance(gap, s[:, None] - s[None, :], eps)
+            assert (report.epsilon, report.anchors, report.min_margin) == (eps, anchors, min_margin)
+            assert report.passed == all(not a.violations for a in anchors)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_unanimity_case())
+    def test_matches_a_running_minimum_over_every_voter(self, case):
+        self._check(*case)
+
+    def test_a_large_slate_matches_a_running_minimum_over_every_voter(self):
+        """The large-n benchmark's shape: 400 voters, 200 alternatives, most
+        pairs closed by the 7 extreme voters and thousands left to pass 2."""
+        voters = sample_voters(DiagonalGaussian(mean=[1.0, -0.5], var=[0.1, 0.1]), 400, seed=0)
+        slate = list(sample_alternatives(UniformBox(lo=[0, 0], hi=[1, 1]), 200, seed=1))
+        self._check(slate, voters, _model([1.0, -0.4]), [0.0, 0.1, 0.5])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(2, 40), st.integers(1, 50), st.integers(0, 2**32 - 1))
+    def test_the_reward_table_is_every_voters_1d_dots(self, d, m, n, seed):
+        """slate x voters, each entry as np.dot(thetas[:, None], slate.T)[:, 0] gives it."""
+        rng = np.random.default_rng(seed)
+        slate, thetas = rng.uniform(-3, 3, (m, d)), rng.uniform(-3, 3, (n, d))
+        seen = []
+        gap = prefaudit.axioms._unanimity_gap
+
+        def capture(rewards, floor):
+            seen.append(rewards)
+            return gap(rewards, floor)
+
+        with mock.patch.object(prefaudit.axioms, "_unanimity_gap", capture):
+            audit_unanimity(_model(thetas[0]), slate, [VoterParams(voter_id=0, theta=t) for t in thetas], [0.0])
+        want = np.dot(thetas[:, None], slate.T)[:, 0].T
+        assert len(seen) == 1 and seen[0].shape == (m, n) and seen[0].tobytes() == want.tobytes()
 
 
 class TestCondorcet:

@@ -19,7 +19,10 @@ from prefaudit.annotation import (
 from prefaudit.axioms import FIT_BLOCK, _block_models, audit_consistency
 from prefaudit.config import config_from_dict
 from prefaudit.errors import InputError
-from prefaudit.estimation import DEFAULT_GRAD_TOL, _fit_counts, _rowwise, borda_scores, fit_mle, nll, nll_gradient, score
+import prefaudit.estimation
+from prefaudit.estimation import (
+    DEFAULT_GRAD_TOL, _fit_counts, _gradient, _rowwise, borda_scores, fit_mle, nll, nll_gradient, score,
+)
 from prefaudit.model import Dataset, RewardModel
 from prefaudit.oracle import brute_force_mle
 from prefaudit.pipeline import DATASET_FILE, SLATE_FILE, run_pipeline
@@ -386,6 +389,64 @@ def test_rowwise_equals_a_product_per_row(case):
     got = _rowwise(a, b)
     assert got.shape == (len(a), b.shape[1])
     assert got.tobytes() == np.array([np.matmul(x, b) for x in a]).tobytes()
+
+
+def _masked_gradient(thetas, deltas, counts, lam):
+    """The gradient and Hessian weights as written with masked divides:
+    q = e / (1 + e) where z >= 0 and 1 / (1 + e) elsewhere, e = exp(-|z|)."""
+    z = np.matmul(thetas[:, None], deltas.T)[:, 0]
+    won = z >= 0
+    e = np.exp(-np.abs(z))
+    q = np.empty_like(z)
+    np.divide(e, e + 1.0, out=q, where=won)
+    np.divide(1.0, e + 1.0, out=q, where=~won)
+    cq = q * counts
+    return 2.0 * lam * thetas - np.matmul(cq[:, None], deltas)[:, 0], (1.0 - q) * cq
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shapes, NaN where the other is NaN, and equal bits elsewhere (so 0.0 != -0.0)."""
+    nan = np.isnan(a)
+    return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+# d = 1 and deltas of +-1, so z = theta * delta exactly: +-0.0, |z| > 745 (e
+# underflows to 0), NaN, and values around 0 and the underflow
+_z_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 745.5, -745.5, 800.0, -800.0, 1e300, -1e300, float("nan")]),
+    st.floats(-50, 50, allow_nan=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_z_values, min_size=1, max_size=6), st.lists(st.sampled_from([1.0, -1.0, 2.0]), min_size=1, max_size=5),
+       st.booleans(), st.sampled_from([0.0, 1e-3]), st.integers(0, 2**32 - 1))
+def test_gradient_equals_the_masked_divides_bit_for_bit(thetas, signs, per_row, lam, seed):
+    thetas, deltas = np.array(thetas)[:, None], np.array(signs)[:, None]
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 4, (len(thetas), len(deltas)) if per_row else len(deltas)).astype(np.float64)
+    got, want = _gradient(thetas, deltas, counts, lam), _masked_gradient(thetas, deltas, counts, lam)
+    assert all(_same_bits(g, w) for g, w in zip(got, want, strict=True))
+
+
+def test_hessian_products_are_the_gathered_product_in_its_layout(monkeypatch):
+    """The products _fit_counts passes to the Hessian equal deltas[:, i] *
+    deltas[:, j] over the upper triangle bit for bit, F-ordered like the
+    gathered product (the Hessian's matmul rounds by the layout)."""
+    rng = np.random.default_rng(3)
+    deltas = rng.uniform(-1, 1, (40, 3))
+    seen = []
+
+    def rowwise(a, b):
+        seen.append(b)
+        return _rowwise(a, b)
+
+    monkeypatch.setattr(prefaudit.estimation, "_rowwise", rowwise)
+    _fit_counts(deltas, rng.integers(1, 5, (2, 40)).astype(np.float64), 1e-3, 2, DEFAULT_GRAD_TOL, np.zeros((2, 3)))
+    upper = np.nonzero(np.tri(3, dtype=bool).T)
+    gathered = deltas[:, upper[0]] * deltas[:, upper[1]]
+    products = [b for b in seen if b.shape == gathered.shape]
+    assert products and all(b.flags.f_contiguous and b.tobytes("A") == gathered.tobytes("A") for b in products)
 
 
 _NON_FINITE = [float("nan"), float("inf"), -float("inf")]

@@ -638,6 +638,36 @@ MODEL_JSON = {"theta_hat": [1.0, -0.5], "lambda": 1e-3, "final_nll": 1.0, "conve
               "iterations": 3, "diagnostic": ""}
 
 
+# Loads a config ("load") or runs it, then prints whether numpy.ma was imported
+_NUMPY_MA_PROBE = """
+import sys
+from prefaudit.cli import main
+from prefaudit.config import load_config
+if sys.argv[1] == "load":
+    load_config(sys.argv[2])
+else:
+    main(["--config", sys.argv[2], "--out", sys.argv[3], "run"])
+print("numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("case", ["explicit-slate", "grid-d3", "large-n"])
+def test_no_run_imports_numpy_ma(tmp_path, case):
+    """numpy.ma costs 10-14 ms of a fresh process; numpy 2.4 imports it on
+    the first np.unique without return_index."""
+    if case == "explicit-slate":
+        action, raw = "load", {**MINIMAL, "alternatives": {"kind": "explicit-slate", "points": [[0.0, 1.0], [1.0, 0.0]]}}
+    else:
+        workloads = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json").read_text())
+        action, raw = "run", workloads["workloads"][case]["config"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    result = subprocess.run([sys.executable, "-c", _NUMPY_MA_PROBE, action, str(cfg_path), str(tmp_path / "out")],
+                            capture_output=True, text=True, cwd=tmp_path, env=cli_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 class TestCli:
     @staticmethod
     def _run(args, cwd):
