@@ -4,9 +4,9 @@ Three audits over a finite candidate slate: unanimity (every sampled
 voter agrees on the gap), Condorcet consistency (the analytic population
 mean agrees), and consistency (every retrained large-enough voter-block
 model agrees; the block models are fitted in batches by the estimation
-kernel, over their records' pair counts). The unanimity gap, each pair's
-minimum reward gap over voters, takes two passes over a slate x voters
-table: over the voters S first to hold some alternative's lowest or
+kernel, over one ``Dataset.pair_table`` per batch). The unanimity gap,
+each pair's minimum reward gap over voters, takes two passes over a slate
+x voters table: over the voters S first to hold some alternative's lowest or
 highest reward, then over all V voters on the pairs still above the
 smallest epsilon, m^2 // V pairs at a time. A minimum over S is never
 below that over all voters, so a pair pass 1 closes is dominated at no
@@ -223,19 +223,14 @@ FIT_BLOCK = 2048
 
 def _block_models(data, by_voter, blocks, lam, max_iters, grad_tol) -> list[RewardModel]:
     """A model per block of voters (indices into by_voter, each voter's records),
-    fitted FIT_BLOCK // m^2 blocks at a time over the pairs their records hold,
-    counted by cell of the m x m pair table."""
-    m = len(data.slate)
-    size = max(1, FIT_BLOCK // m**2)
+    fitted FIT_BLOCK // m^2 blocks at a time over one ``Dataset.pair_table`` of
+    their records."""
+    size = max(1, FIT_BLOCK // len(data.slate) ** 2)
     models = []
     for start in range(0, len(blocks), size):
-        cells = (data._pair_cells(np.concatenate([by_voter[v] for v in block])) for block in blocks[start:start + size])
-        table = np.stack([np.bincount(c, minlength=m * m) for c in cells])
-        used = np.flatnonzero(table.any(axis=0))
-        counts = table[:, used].astype(np.float64)
-        del table
-        deltas = data.slate[used // m] - data.slate[used % m]
-        models += _fit_counts(deltas, counts, lam, max_iters, grad_tol, np.zeros((len(counts), data.dim)))
+        batch = blocks[start:start + size]
+        deltas, counts = data.pair_table([np.concatenate([by_voter[v] for v in block]) for block in batch])
+        models += _fit_counts(deltas, counts, lam, max_iters, grad_tol, np.zeros((len(batch), data.dim)))
     return models
 
 

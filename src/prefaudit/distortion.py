@@ -24,7 +24,7 @@ from .errors import InputError
 # nll is unused here but stays importable: the benchmark's tracer wraps
 # prefaudit.distortion.nll, and a test patches it to prove that the search
 # never calls it per hypothesis
-from .estimation import _nll_rows, _pair_rows, nll, scores
+from .estimation import _nll_rows, nll, scores
 from .model import RewardModel
 from .population import seeded_rng
 
@@ -143,7 +143,7 @@ def worst_case_regret(
     # nll(theta * w). The threshold is the best NLL on the grid (the fit sits
     # strictly below every grid point, so it would empty the set at delta=0).
     thetas, ws = _hypotheses(slate.shape[1], search)
-    deltas, counts = _pair_rows(data)
+    deltas, (counts,) = data.pair_table()
     rows = max(1, SEARCH_BLOCK // len(deltas))
     vals = np.empty(len(thetas))
     for start in range(0, len(thetas), rows):

@@ -2,8 +2,8 @@
 
 The objective, sum over records of -log sigma(<theta, winner - loser>)
 plus lambda * ||theta||^2, is summed over the distinct winner-minus-loser
-rows D of ``Dataset.pair_counts`` weighted by their counts c, as
-sum_k c_k (log1p(exp(-|z_k|)) + max(-z_k, 0)), z = D theta. ``_fit_counts``
+rows D of ``Dataset.pair_table`` weighted by their counts c, as
+sum_k c_k (log1p(exp(-|z_k|)) - min(z_k, 0)), z = D theta. ``_fit_counts``
 minimizes it for B count vectors at once by damped Newton steps with an
 Armijo safeguard; ``fit_mle`` is its B = 1 case, and the consistency
 audit fits its voter blocks through it.
@@ -30,12 +30,6 @@ BACKTRACK_SHRINK = 0.5
 MAX_BACKTRACKS = 60
 
 
-def _pair_rows(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """The K x d winner-minus-loser rows of the data's distinct pairs, and their counts."""
-    winner, loser, counts = data.pair_counts()
-    return data.slate[winner] - data.slate[loser], counts
-
-
 def _rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Each row of a times b as one (1, d) item of a stacked product, so it
     rounds as for B = 1 (a 2-D product rounds differently and reads in more
@@ -50,9 +44,9 @@ def _nll_rows(thetas, deltas, counts, lam) -> np.ndarray:
     np.negative(t, out=t)
     np.exp(t, out=t)
     np.log1p(t, out=t)
-    np.negative(z, out=z)
-    np.maximum(z, 0.0, out=z)
-    t += z
+    np.minimum(z, 0.0, out=z)
+    t -= z
+    del z  # numpy's buffer for a broadcast count row can reuse its memory
     t *= counts
     return np.add.reduce(t, axis=1) + lam * np.add.reduce(thetas * thetas, axis=1)
 
@@ -82,7 +76,7 @@ def _checked(theta, data: Dataset, lam: float):
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (data.dim,):
         raise InputError(f"theta of shape {theta.shape} differs from data dimension {data.dim}")
-    return (theta[None], *_pair_rows(data), lam)
+    return (theta[None], *data.pair_table(), lam)
 
 
 def nll(theta, data: Dataset, lam: float = 0.0) -> float:
@@ -219,7 +213,7 @@ def fit_mle(
     """Fit theta_hat by damped Newton steps with an Armijo safeguard over the
     data's distinct pairs (``_fit_counts`` gives the steps and stopping rules)."""
     theta, deltas, counts, lam = _checked(np.zeros(data.dim) if init is None else init, data, lam)
-    return _fit_counts(deltas, counts[None], lam, max_iters, grad_tol, theta)[0]
+    return _fit_counts(deltas, counts, lam, max_iters, grad_tol, theta)[0]
 
 
 def borda_scores(data: Dataset) -> dict:
@@ -246,8 +240,8 @@ def score(model: RewardModel, a) -> float:
 
 
 def scores(model: RewardModel, slate: np.ndarray) -> np.ndarray:
-    """f(a) for each row of an (m, d) slate, each a 1-D dot as in ``score``
-    (a matrix product can round differently in the last bit)."""
+    """f(a) for each row of an (m, d) slate, each entry a 1-D dot as in
+    ``score`` (a matrix product can round differently in the last bit)."""
     if slate.shape[1:] != model.theta_hat.shape:
         raise InputError("alternative dimension differs from model dimension")
-    return np.array([float(model.theta_hat @ a) for a in slate])
+    return np.dot(slate[:, None], model.theta_hat)[:, 0]

@@ -177,15 +177,6 @@ class Dataset:
         won = self.label == 1
         return np.where(won, self.i1, self.i0), np.where(won, self.i0, self.i1)
 
-    def pair_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The distinct (winner, loser) pairs of points in row-major order, each
-        named by the first slate rows holding them, and their record counts
-        (float64), from one m x m table."""
-        m = len(self.slate)
-        table = np.bincount(self._pair_cells(), np.ones(len(self)), m * m).reshape(m, m)
-        winner, loser = np.nonzero(table)
-        return winner, loser, table[winner, loser]
-
     @cached_property
     def _first_rows(self) -> np.ndarray:
         """The first slate row holding each row's point bytes, the row a records
@@ -193,16 +184,23 @@ class Dataset:
         first = {}
         return np.array([first.setdefault(p.tobytes(), k) for k, p in enumerate(self.slate)])
 
-    def _pair_cells(self, rows=slice(None)) -> np.ndarray:
-        """The cell winner * m + loser of the m x m pair table of each record (of
-        ``rows``), each slate row taken as its first row."""
-        canon = self._first_rows
-        won = self.label[rows] == 1
-        i0, i1 = canon[self.i0[rows]], canon[self.i1[rows]]
-        cell = np.where(won, i1, i0)
-        cell *= len(canon)
-        cell += np.where(won, i0, i1)
-        return cell
+    def pair_table(self, groups=(slice(None),)) -> tuple[np.ndarray, np.ndarray]:
+        """The winner-minus-loser rows (K, d) of the distinct (winner, loser)
+        cells of the m x m pair table that any group of records holds, in
+        row-major order with each point named by its first slate row, and each
+        group's record counts (B, K), float64. Each group indexes record rows."""
+        m = len(self.slate)
+        cell, loser = self.winner_loser()
+        cell = self._first_rows[cell]  # the rebinding frees the winners
+        cell *= m
+        cell += self._first_rows[loser]
+        del loser
+        table = np.stack([np.bincount(cell[g], minlength=m * m) for g in groups])
+        del cell
+        used = np.flatnonzero(table.any(axis=0))
+        counts = table[:, used].astype(np.float64)
+        del table
+        return self.slate[used // m] - self.slate[used % m], counts
 
 
 def _check_lambda(lam) -> None:

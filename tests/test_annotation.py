@@ -144,7 +144,7 @@ def test_swap_and_flip_preserves_nll(d, rows, theta, lam):
                                  [x[:d] for x, _ in rows], [x[4:4 + d] for x, _ in rows])
     swapped = replace(records, label=1 - records.label, i0=records.i1, i1=records.i0)
     for before, after in [(records.winner_loser(), swapped.winner_loser()),
-                          (records.pair_counts(), swapped.pair_counts())]:
+                          (records.pair_table(), swapped.pair_table())]:
         assert all(np.array_equal(x, y) for x, y in zip(before, after))
     theta = np.array(theta[:d])
     assert nll(theta, records, lam) == nll(theta, swapped, lam)

@@ -308,10 +308,10 @@ def test_every_hypothesis_is_scored_once_in_search_order(monkeypatch, block):
     expected = np.array([theta * w for theta, w in _reference_hypotheses(2, search)])
     assert scored.tobytes() == expected.tobytes()  # each once, in search order
     # every call sees one row per distinct (winner, loser) pair, weighted by its count
-    winner, loser, count = data.pair_counts()
+    rows, (count,) = data.pair_table()
     assert len(count) <= 20 < len(data)
     for phi, deltas, counts, lam in calls:
-        assert deltas.tobytes() == (data.slate[winner] - data.slate[loser]).tobytes()
+        assert deltas.tobytes() == rows.tobytes()
         assert np.array_equal(counts, count) and lam == model.lam
         assert len(phi) * len(deltas) <= limit or len(phi) == 1
     rows = max(1, limit // len(count))  # each block as full as the limit allows

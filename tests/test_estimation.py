@@ -3,6 +3,7 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from prefaudit.config import config_from_dict
 from prefaudit.errors import InputError
 import prefaudit.estimation
 from prefaudit.estimation import (
-    DEFAULT_GRAD_TOL, _fit_counts, _gradient, _rowwise, borda_scores, fit_mle, nll, nll_gradient, score,
+    DEFAULT_GRAD_TOL, _fit_counts, _gradient, _nll_rows, _rowwise, borda_scores, fit_mle, nll, nll_gradient, score,
+    scores,
 )
 from prefaudit.model import Dataset, RewardModel
 from prefaudit.oracle import brute_force_mle
@@ -429,6 +431,32 @@ def test_gradient_equals_the_masked_divides_bit_for_bit(thetas, signs, per_row, 
     assert all(_same_bits(g, w) for g, w in zip(got, want, strict=True))
 
 
+def _three_call_nll_rows(z, thetas, counts, lam):
+    """The NLL rows over z with max(-z, 0) taken by a negate and a maximum, then added."""
+    t = np.log1p(np.exp(-np.abs(z)))
+    t += np.maximum(np.negative(z), 0.0)
+    t *= counts
+    return np.add.reduce(t, axis=1) + lam * np.add.reduce(thetas * thetas, axis=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.booleans(), st.sampled_from([0.0, 1e-3]), st.data())
+def test_nll_rows_subtract_the_negative_part_bit_for_bit(batch, k, per_row, lam, data):
+    """z is set directly: the stacked product of theta and D gives +0.0
+    where its one term is -0.0, so it never yields z = -0.0 at d = 1."""
+    inf = float("inf")
+    values = st.one_of(_z_values, st.sampled_from([inf, -inf]))
+    z = np.array(data.draw(st.lists(st.lists(values, min_size=k, max_size=k), min_size=batch, max_size=batch)))
+    counts = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 3.0]), min_size=k, max_size=k)))
+    if per_row:
+        counts = np.array(data.draw(st.permutations(np.resize(counts, batch * k).tolist()))).reshape(batch, k)
+    thetas = np.array(data.draw(st.lists(st.floats(-2, 2), min_size=batch, max_size=batch)))[:, None]
+    with np.errstate(invalid="ignore"):  # an infinite term times a zero count
+        with mock.patch.object(prefaudit.estimation, "_rowwise", lambda a, b: z.copy()):
+            got = _nll_rows(thetas, np.empty((k, 1)), counts, lam)
+        assert _same_bits(got, _three_call_nll_rows(z, thetas, counts, lam))
+
+
 def test_hessian_products_are_the_gathered_product_in_its_layout(monkeypatch):
     """The products _fit_counts passes to the Hessian equal deltas[:, i] *
     deltas[:, j] over the upper triangle bit for bit, F-ordered like the
@@ -549,3 +577,17 @@ class TestScore:
                             converged=True, iterations=0)
         with pytest.raises(InputError):
             score(model, [1.0, 2.0])
+
+
+# -0.0, 0.0 and magnitudes from 1e-3 to 1e3
+_mixed = st.one_of(st.sampled_from([0.0, -0.0]),
+                   st.tuples(st.floats(-1, 1), st.integers(-3, 3)).map(lambda p: p[0] * 10.0 ** p[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_scores_equal_score_per_row_bit_for_bit(d, data):
+    theta = data.draw(st.lists(_mixed, min_size=d, max_size=d))
+    slate = np.array(data.draw(st.lists(st.lists(_mixed, min_size=d, max_size=d), min_size=1, max_size=12)))
+    model = RewardModel(theta_hat=theta, lam=0.0, final_nll=0.0, converged=True, iterations=0)
+    assert scores(model, slate).tobytes() == np.array([score(model, a) for a in slate]).tobytes()

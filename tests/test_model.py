@@ -1,13 +1,16 @@
 
+import ast
 import json
 import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prefaudit
 from conftest import coordinate_dataset, take
 from prefaudit.annotation import (
     PARTITION_BY_VOTER,
@@ -240,21 +243,81 @@ def _repeating_slate_datasets(draw):
     return Dataset(voter=[0] * len(records), label=label, slate=slate, i0=i0, i1=i1)
 
 
-@settings(max_examples=80, deadline=None)
-@given(_repeating_slate_datasets(), st.data())
-def test_pair_counts_are_the_distinct_winner_loser_pairs_in_row_major_order(data, extra):
-    """Pairs of points, each named by the first slate row holding it, as a
-    records file read back names them."""
-    winner, loser, count = data.pair_counts()
-    pairs = list(zip(winner.tolist(), loser.tolist()))
+def _first_row_pairs(data, rows) -> Counter:
+    """The records (of ``rows``) per (winner, loser) pair, each point named by
+    the first slate row holding it, as a records file read back names it."""
     points = data.slate.tolist()
     first = [points.index(p) for p in points]
-    expected = Counter((first[w], first[lo]) for w, lo in zip(*(a.tolist() for a in data.winner_loser())))
-    assert dict(zip(pairs, count.tolist())) == expected
-    assert count.sum() == len(data)
-    assert pairs == sorted(set(pairs))  # row-major, each pair once
+    winner, loser = (a[rows].tolist() for a in data.winner_loser())
+    return Counter((first[w], first[lo]) for w, lo in zip(winner, loser))
+
+
+def _rows_of(data, pairs) -> bytes:
+    """The winner-minus-loser rows of ``pairs``, one 1-D subtraction each."""
+    return np.array([data.slate[w] - data.slate[lo] for w, lo in pairs]).reshape(-1, data.dim).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_repeating_slate_datasets(), st.data())
+def test_pair_table_holds_the_distinct_winner_loser_pairs_in_row_major_order(data, extra):
+    """Pairs of points, each named by the first slate row holding it, as a
+    records file read back names them."""
+    deltas, counts = data.pair_table()
+    expected = _first_row_pairs(data, slice(None))
+    pairs = sorted(expected)  # row-major, each pair once
+    assert deltas.tobytes() == _rows_of(data, pairs)
+    assert counts.dtype == np.float64 and counts.tolist() == [[expected[p] for p in pairs]]
+    assert counts.sum() == len(data)
     permuted = take(data, extra.draw(st.permutations(range(len(data)))))
-    assert all(np.array_equal(a, b) for a, b in zip(permuted.pair_counts(), (winner, loser, count)))
+    assert all(np.array_equal(a, b) for a, b in zip(permuted.pair_table(), (deltas, counts)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_repeating_slate_datasets(), st.data())
+def test_pair_table_counts_each_group_on_the_union_of_their_pairs(data, extra):
+    """Each group's row is its own records' table on the union's columns and 0
+    elsewhere; the union is row-major, each pair once; the result does not
+    depend on the order of the records."""
+    rows = st.lists(st.integers(0, len(data) - 1), min_size=1, max_size=2 * len(data))
+    groups = [np.array(g) for g in extra.draw(st.lists(rows, min_size=1, max_size=4))]
+    deltas, counts = data.pair_table(groups)
+    union = sorted(set().union(*(_first_row_pairs(data, g) for g in groups)))
+    assert deltas.tobytes() == _rows_of(data, union)
+    assert counts.shape == (len(groups), len(union))
+    for group, row in zip(groups, counts):
+        own = sorted(_first_row_pairs(data, group))
+        columns = [union.index(p) for p in own]
+        own_deltas, own_counts = take(data, group).pair_table()
+        assert deltas[columns].tobytes() == own_deltas.tobytes()
+        assert row[columns].tolist() == own_counts[0].tolist()
+        assert not np.delete(row, columns).any()
+    order = extra.draw(st.permutations(range(len(data))))
+    moved = np.argsort(order)  # record r of data is record moved[r] of the permuted data
+    permuted = take(data, order).pair_table([moved[g] for g in groups])
+    assert all(np.array_equal(a, b) for a, b in zip(permuted, (deltas, counts)))
+
+
+def _identifiers(path: Path) -> set:
+    """Every name a module defines, imports, reads or takes as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.alias)):
+            names.add(node.name)
+    return names
+
+
+def test_only_the_dataset_builds_a_pair_table():
+    """Every fit reads its pairs from Dataset.pair_table, so model.py alone
+    knows how records become cells of the m x m table."""
+    for path in sorted(Path(prefaudit.__file__).parent.glob("*.py")):
+        names = _identifiers(path)
+        assert not names & {"pair_counts", "_pair_cells", "_pair_rows"}, path.name
+        assert path.name == "model.py" or "_first_rows" not in names, path.name
+        assert path.name != "axioms.py" or "bincount" not in names
 
 
 @pytest.mark.parametrize("column, value", [
