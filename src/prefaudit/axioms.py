@@ -30,10 +30,8 @@ from functools import reduce
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .estimation import (
-    DEFAULT_GRAD_TOL, DEFAULT_LAMBDA, DEFAULT_MAX_ITERS, _fit_counts, fit_mle, scores,
-)
-from .model import RewardModel, _check_lambda, slate_array
+from .estimation import DEFAULT_GRAD_TOL, DEFAULT_MAX_ITERS, _fit_counts, scores
+from .model import RewardModel, _check_stopping, slate_array
 from .population import seeded_rng
 
 __all__ = [
@@ -230,41 +228,33 @@ def _block_models(data, by_voter, blocks, lam, max_iters, grad_tol) -> list[Rewa
     for start in range(0, len(blocks), size):
         batch = blocks[start:start + size]
         deltas, counts = data.pair_table([np.concatenate([by_voter[v] for v in block]) for block in batch])
-        models += _fit_counts(deltas, counts, lam, max_iters, grad_tol, np.zeros((len(batch), data.dim)))
+        models += _fit_counts(deltas, counts, lam, max_iters, grad_tol)
     return models
 
 
-def audit_consistency(
-    data,
-    epsilons,
-    scheme: ConsistencyScheme = ConsistencyScheme(),
-    model: RewardModel | None = None,
-    *,
-    lam: float = DEFAULT_LAMBDA,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    grad_tol: float = DEFAULT_GRAD_TOL,
-) -> list[AxiomReport]:
+def audit_consistency(model: RewardModel, data, epsilons, scheme: ConsistencyScheme = ConsistencyScheme(), *,
+                      max_iters: int = DEFAULT_MAX_ITERS, grad_tol: float = DEFAULT_GRAD_TOL) -> list[AxiomReport]:
     """Check consistency by retraining on random voter partitions, once per epsilon.
 
     The audited slate is ``data.slate``. Voters are split into num_blocks
     blocks (each >= min_fraction of the voters) for each of num_partitions
     random partitions, and each block model is fitted once, as ``fit_mle``
-    with the given settings fits the block's records; A'_a holds the pairs
-    on which every successfully retrained block model's score gap exceeds
-    epsilon. The full-data model (so fitted when not supplied) must then
+    at the model's lambda and the given settings fits the block's records;
+    A'_a holds the pairs on which every successfully retrained block
+    model's score gap exceeds epsilon. The full-data model must then
     agree. A partition with a non-convergent block fit is skipped, counted
     in metadata. With every partition skipped there is no evidence either
     way, so the audit fails with a diagnostic instead of passing
     vacuously. ``block_grad_norm`` in metadata is the largest final
     max-abs gradient of the block fits used.
     """
-    _check_lambda(lam)
+    _check_stopping(max_iters, grad_tol)
     epsilons = _epsilons(epsilons)
     # each voter's row indices in record order, voters by ascending id
     order = np.argsort(data.voter, kind="stable")
-    voter_ids, starts = np.unique(data.voter[order], return_index=True)
+    _, starts = np.unique(data.voter[order], return_index=True)
     by_voter = np.split(order, starts[1:])
-    n = len(voter_ids)
+    n = len(by_voter)
     if n < 2:
         raise InputError("consistency audit needs >= 2 voters with data")
     k = scheme.num_blocks
@@ -282,7 +272,7 @@ def audit_consistency(
     for _ in range(scheme.num_partitions):
         perm = rng.permutation(n)
         blocks += [perm[b::k] for b in range(k)]
-    fits = _block_models(data, by_voter, blocks, lam, max_iters, grad_tol) if blocks else []
+    fits = _block_models(data, by_voter, blocks, model.lam, max_iters, grad_tol)
     block_models = []
     skip_reasons = []
     for start in range(0, len(fits), k):
@@ -292,8 +282,6 @@ def audit_consistency(
             skip_reasons.append(f"a block fit did not converge ({failed[0].diagnostic})")
         else:
             block_models += partition
-    if model is None:
-        model = fit_mle(data, lam, max_iters, grad_tol)
     score_gaps = _score_gap_matrix(model, data.slate)
     metadata = {
         "num_blocks": k,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError, NumericError
-from .model import Dataset, RewardModel, _check_lambda
+from .model import Dataset, RewardModel, _check_lambda, _check_stopping
 
 __all__ = ["nll", "nll_gradient", "fit_mle", "borda_scores", "score", "scores"]
 
@@ -124,13 +124,11 @@ def _newton_directions(upper, products, weights, grad, lam):
 # carried over if it rises by rounding, so nll_history never increases. With
 # lam=0 on data the fit separates (z > 0 on every row of positive count) the
 # MLE diverges: that fit is reported as converged=False with a diagnostic.
-def _fit_counts(deltas, counts, lam, max_iters, grad_tol, init) -> list[RewardModel]:
+def _fit_counts(deltas, counts, lam, max_iters, grad_tol) -> list[RewardModel]:
     """B damped-Newton fits in lockstep, one per row of counts (B, K) over the
-    rows deltas (K, d), each from its row of init (B, d) with its own state."""
-    theta = np.array(init, dtype=np.float64)
-    loss = _nll_rows(theta, deltas, counts, lam)
-    if not np.all(np.isfinite(loss)):
-        raise NumericError("non-finite loss at the initial point")
+    rows deltas (K, d), each from theta = 0 with its own state."""
+    theta = np.zeros((len(counts), deltas.shape[1]))
+    loss = _nll_rows(theta, deltas, counts, lam)  # finite at theta = 0
     batch = len(theta)
     history = [[x] for x in loss.tolist()]
     iterations = np.zeros(batch, dtype=np.int64)
@@ -203,17 +201,13 @@ def _fit_counts(deltas, counts, lam, max_iters, grad_tol, init) -> list[RewardMo
     return models
 
 
-def fit_mle(
-    data: Dataset,
-    lam: float = DEFAULT_LAMBDA,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    grad_tol: float = DEFAULT_GRAD_TOL,
-    init=None,
-) -> RewardModel:
-    """Fit theta_hat by damped Newton steps with an Armijo safeguard over the
-    data's distinct pairs (``_fit_counts`` gives the steps and stopping rules)."""
-    theta, deltas, counts, lam = _checked(np.zeros(data.dim) if init is None else init, data, lam)
-    return _fit_counts(deltas, counts, lam, max_iters, grad_tol, theta)[0]
+def fit_mle(data: Dataset, lam: float = DEFAULT_LAMBDA, max_iters: int = DEFAULT_MAX_ITERS,
+            grad_tol: float = DEFAULT_GRAD_TOL) -> RewardModel:
+    """Fit theta_hat from 0 by damped Newton steps with an Armijo safeguard over
+    the data's distinct pairs (``_fit_counts`` gives the steps and stopping rules)."""
+    _check_lambda(lam)
+    _check_stopping(max_iters, grad_tol)
+    return _fit_counts(*data.pair_table(), lam, max_iters, grad_tol)[0]
 
 
 def borda_scores(data: Dataset) -> dict:

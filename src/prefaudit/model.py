@@ -209,6 +209,13 @@ def _check_lambda(lam) -> None:
         raise InputError(f"lambda must be >= 0 and finite, got {lam!r}")
 
 
+def _check_stopping(max_iters, grad_tol) -> None:
+    if not (isinstance(max_iters, (int, np.integer)) and max_iters >= 0):
+        raise InputError(f"max_iters must be an integer >= 0, got {max_iters!r}")
+    if not (math.isfinite(grad_tol) and grad_tol > 0):
+        raise InputError(f"grad_tol must be > 0 and finite, got {grad_tol!r}")
+
+
 @dataclass(frozen=True)
 class RewardModel:
     """Fitted preference-modeling voting rule f(a) = <theta_hat, a>."""

@@ -111,8 +111,8 @@ def stage_audit(config: ExperimentConfig, run: RunDir) -> dict:
     per_axiom = (
         audit_unanimity(run.model, run.slate, run.voters, eps),
         audit_condorcet(run.model, run.slate, config.population, eps),
-        audit_consistency(run.dataset, eps, scheme=scheme, model=run.model,
-                          lam=config.lam, max_iters=config.max_iters, grad_tol=config.grad_tol),
+        audit_consistency(run.model, run.dataset, eps, scheme, max_iters=config.max_iters,
+                          grad_tol=config.grad_tol),
     )
     # one unanimity, condorcet, consistency triple per epsilon, in config order
     run.axioms = reports = [r for triple in zip(*per_axiom) for r in triple]

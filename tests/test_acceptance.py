@@ -140,7 +140,7 @@ def test_criterion_4_axiom_audits():
             cond = audit_condorcet(model, slate, pop, [eps])[0]
             assert uni.passed and not uni.vacuous, f"unanimity eps={eps}"
             assert cond.passed and not cond.vacuous, f"condorcet eps={eps}"
-        cons = audit_consistency(data, [0.0], scheme=scheme, model=model, lam=1e-3)[0]
+        cons = audit_consistency(model, data, [0.0], scheme)[0]
         assert cons.passed and not cons.vacuous
         assert cons.metadata["skipped_partitions"] == 0
 
@@ -149,7 +149,7 @@ def test_criterion_4_axiom_audits():
                                 iterations=model.iterations)
         assert not audit_unanimity(corrupted, slate, voters, [0.0])[0].passed
         assert not audit_condorcet(corrupted, slate, pop, [0.0])[0].passed
-        bad_cons = audit_consistency(data, [0.0], scheme=scheme, model=corrupted, lam=1e-3)[0]
+        bad_cons = audit_consistency(corrupted, data, [0.0], scheme)[0]
         assert not bad_cons.passed and bad_cons.violations
     assert t.elapsed < 300
     _report("axiom audits", f"3 audits pass honest model, fail negated model in {t.elapsed:.1f}s")

@@ -24,7 +24,7 @@ from prefaudit.axioms import (
     audit_unanimity,
 )
 from prefaudit.errors import InputError
-from prefaudit.estimation import DEFAULT_GRAD_TOL, _fit_counts
+from prefaudit.estimation import DEFAULT_GRAD_TOL, _fit_counts, fit_mle
 from prefaudit.model import RewardModel, VoterParams
 from prefaudit.oracle import exhaustive_axiom_check
 from prefaudit.population import (
@@ -226,16 +226,13 @@ class TestConsistency:
 
     def test_identical_voters_pass(self):
         data = self._dataset([2.0, -1.0])
-        report = audit_consistency(data, epsilons=[0.0], lam=1e-3,
-                                   scheme=ConsistencyScheme(num_partitions=3, seed=4))[0]
+        report = audit_consistency(fit_mle(data, lam=1e-3), data, [0.0], ConsistencyScheme(num_partitions=3, seed=4))[0]
         assert report.passed and not report.vacuous
         assert report.metadata["skipped_partitions"] == 0
 
     def test_negated_full_model_fails(self):
         data = self._dataset([2.0, -1.0])
-        report = audit_consistency(data, epsilons=[0.0], lam=1e-3,
-                                   scheme=ConsistencyScheme(num_partitions=3, seed=4),
-                                   model=_model([-2.0, 1.0]))[0]
+        report = audit_consistency(_model([-2.0, 1.0]), data, [0.0], ConsistencyScheme(num_partitions=3, seed=4))[0]
         assert not report.passed
         assert report.violations
         assert report.metadata["skipped_partitions"] == 0
@@ -243,25 +240,23 @@ class TestConsistency:
     def test_degenerate_slate_vacuous(self):
         a = np.array([0.5, 0.5])
         data = self._dataset([2.0, -1.0], slate=[a, np.array(a)])
-        report = audit_consistency(data, epsilons=[0.0], lam=1e-3,
-                                   scheme=ConsistencyScheme(num_partitions=2, seed=4))[0]
+        report = audit_consistency(fit_mle(data, lam=1e-3), data, [0.0], ConsistencyScheme(num_partitions=2, seed=4))[0]
         assert report.passed and report.vacuous
         assert report.metadata["skipped_partitions"] == 0
 
     def test_determinism(self):
         data = self._dataset([1.0, 1.0])
         scheme = ConsistencyScheme(num_partitions=3, seed=9)
-        a = audit_consistency(data, [0.1], scheme=scheme, lam=1e-3)[0]
-        b = audit_consistency(data, [0.1], scheme=scheme, lam=1e-3)[0]
+        a = audit_consistency(fit_mle(data, lam=1e-3), data, [0.1], scheme)[0]
+        b = audit_consistency(fit_mle(data, lam=1e-3), data, [0.1], scheme)[0]
         assert a.anchors == b.anchors and a.min_margin == b.min_margin
         assert a.metadata["skipped_partitions"] == 0
 
     def test_no_usable_partition_fails(self):
         # a block fit of one iteration never converges, so every partition is skipped
         data = self._dataset([2.0, -1.0])
-        report = audit_consistency(data, epsilons=[0.0], lam=1e-3, max_iters=1,
-                                   scheme=ConsistencyScheme(num_partitions=3, seed=4),
-                                   model=_model([2.0, -1.0]))[0]
+        report = audit_consistency(_model([2.0, -1.0]), data, [0.0], ConsistencyScheme(num_partitions=3, seed=4),
+                                   max_iters=1)[0]
         assert not report.passed
         assert report.metadata["skipped_partitions"] == 3
         reason = "a block fit did not converge (gradient tolerance 1e-08 not reached in 1 iterations)"
@@ -281,34 +276,45 @@ class TestConsistency:
         monkeypatch.setattr(prefaudit.axioms, "_fit_counts", spy)
         data = self._dataset([2.0, -1.0])
         scheme = ConsistencyScheme(num_partitions=3, seed=4)
-        audit_consistency(data, [0.0], scheme=scheme, lam=1e-3, model=_model([2.0, -1.0]))
+        audit_consistency(_model([2.0, -1.0]), data, [0.0], scheme)
         last = max(f.iterations for f in fits)
-        skipped = [audit_consistency(data, [0.0], scheme=scheme, lam=1e-3, max_iters=k,
-                                     model=_model([2.0, -1.0]))[0].metadata["skipped_partitions"]
-                   for k in (last - 1, last)]
+        skipped = [audit_consistency(_model([2.0, -1.0]), data, [0.0], scheme, max_iters=k)[0]
+                   .metadata["skipped_partitions"] for k in (last - 1, last)]
         assert skipped[0] > 0 and skipped[1] == 0
 
     def test_zero_partitions_fail(self):
         data = self._dataset([2.0, -1.0])
-        report = audit_consistency(data, epsilons=[0.0], lam=1e-3,
-                                   scheme=ConsistencyScheme(num_partitions=0),
-                                   model=_model([2.0, -1.0]))[0]
+        report = audit_consistency(_model([2.0, -1.0]), data, [0.0], ConsistencyScheme(num_partitions=0))[0]
         assert not report.passed
         assert report.metadata["diagnostic"] == "no usable voter partition of 0: none was requested"
 
     def test_negative_lambda_rejected_before_any_fit(self, monkeypatch):
+        """The blocks are fitted at the model's lambda, which the model checks."""
         def fit(*args):
             raise AssertionError("a block model was fitted")
 
         monkeypatch.setattr(prefaudit.axioms, "_fit_counts", fit)
         with pytest.raises(InputError, match="lambda must be >= 0"):
-            audit_consistency(self._dataset([1.0, 1.0]), [0.1], lam=-1e-3)
+            model = RewardModel(theta_hat=[1.0, 1.0], lam=-1e-3, final_nll=1.0, converged=True, iterations=1)
+            audit_consistency(model, self._dataset([1.0, 1.0]), [0.1])
+
+    def test_the_blocks_are_fitted_at_the_models_lambda(self, monkeypatch):
+        lams = []
+
+        def spy(deltas, counts, lam, *args):
+            lams.append(lam)
+            return _fit_counts(deltas, counts, lam, *args)
+
+        monkeypatch.setattr(prefaudit.axioms, "_fit_counts", spy)
+        data = self._dataset([2.0, -1.0])
+        report = audit_consistency(fit_mle(data, lam=1e-2), data, [0.0], ConsistencyScheme(num_partitions=3, seed=4))[0]
+        assert lams and set(lams) == {1e-2}
+        assert report.passed and report.metadata["skipped_partitions"] == 0
 
     def test_negative_seed(self):
         data = self._dataset([1.0, 1.0])
         with pytest.raises(InputError, match="seed"):
-            audit_consistency(data, [0.1], lam=1e-3,
-                              scheme=ConsistencyScheme(num_partitions=1, seed=-1))
+            audit_consistency(_model([1.0, 1.0]), data, [0.1], ConsistencyScheme(num_partitions=1, seed=-1))
 
 
 class TestEpsilonMonotonicity:
@@ -354,7 +360,7 @@ class TestEpsilonValidation:
             with pytest.raises(InputError, match="epsilon"):
                 audit_condorcet(model, slate, pop, epsilons)
             with pytest.raises(InputError, match="epsilon"):
-                audit_consistency(data, epsilons, model=model)
+                audit_consistency(model, data, epsilons)
 
 
 class TestKernelCosts:
@@ -414,8 +420,7 @@ def _audit_case(draw):
 
 
 def _consistency(data, model, epsilons):
-    return audit_consistency(data, epsilons, model=model, lam=1e-2,
-                             scheme=ConsistencyScheme(num_partitions=2, seed=5))
+    return audit_consistency(replace(model, lam=1e-2), data, epsilons, ConsistencyScheme(num_partitions=2, seed=5))
 
 
 def _reindexed(data, perm):

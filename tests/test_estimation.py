@@ -20,6 +20,7 @@ from prefaudit.annotation import (
 from prefaudit.axioms import FIT_BLOCK, _block_models, audit_consistency
 from prefaudit.config import config_from_dict
 from prefaudit.errors import InputError
+import prefaudit.axioms
 import prefaudit.estimation
 from prefaudit.estimation import (
     DEFAULT_GRAD_TOL, _fit_counts, _gradient, _nll_rows, _rowwise, borda_scores, fit_mle, nll, nll_gradient, score,
@@ -68,8 +69,7 @@ class TestNll:
     @pytest.mark.parametrize("call", [
         lambda data, theta: nll(theta, data),
         lambda data, theta: nll_gradient(theta, data),
-        lambda data, theta: fit_mle(data, init=theta),
-    ], ids=["nll", "nll_gradient", "fit_mle"])
+    ], ids=["nll", "nll_gradient"])
     @pytest.mark.parametrize("d, theta", [(2, 0.5), (2, [[1.0], [2.0]]), (1, [[1.0]]), (2, [1.0, 2.0, 3.0])])
     def test_theta_of_the_wrong_shape(self, rng, call, d, theta):
         with pytest.raises(InputError, match=r"of shape \(.*\) differs from data dimension"):
@@ -147,10 +147,11 @@ class TestFitMle:
         assert np.max(np.abs(model_a.theta_hat - model_b.theta_hat)) < 1e-5
 
     def test_final_nll_not_above_init(self, rng):
+        """Every fit starts at theta = 0."""
         records = random_records(rng, 2, 25)
-        init = rng.normal(size=2)
-        model = fit_mle(records, lam=1e-3, init=init)
-        assert model.final_nll <= nll(init, records, 1e-3)
+        model = fit_mle(records, lam=1e-3)
+        assert model.nll_history[0] == nll(np.zeros(2), records, 1e-3)
+        assert model.final_nll <= model.nll_history[0]
 
 
 def _bt_records(rng, theta_star, n):
@@ -349,8 +350,8 @@ class TestBatchedFits:
         so gradient steps), block 1 is separated by its fit, block 2 is neither."""
         deltas = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         counts = np.array([[3.0, 1.0, 0.0, 0.0], [2.0, 0.0, 1.0, 0.0], [3.0, 1.0, 2.0, 1.0]])
-        batch = _fit_counts(deltas, counts, 0.0, 10000, DEFAULT_GRAD_TOL, np.zeros((3, 2)))
-        alone = [_fit_counts(deltas, c[None], 0.0, 10000, DEFAULT_GRAD_TOL, np.zeros((1, 2)))[0] for c in counts]
+        batch = _fit_counts(deltas, counts, 0.0, 10000, DEFAULT_GRAD_TOL)
+        alone = [_fit_counts(deltas, c[None], 0.0, 10000, DEFAULT_GRAD_TOL)[0] for c in counts]
         for model, own in zip(batch, alone):
             assert np.max(np.abs(model.theta_hat - own.theta_hat)) <= 1e-12
             assert (model.converged, model.iterations, model.diagnostic) == (own.converged, own.iterations,
@@ -393,10 +394,9 @@ def test_rowwise_equals_a_product_per_row(case):
     assert got.tobytes() == np.array([np.matmul(x, b) for x in a]).tobytes()
 
 
-def _masked_gradient(thetas, deltas, counts, lam):
-    """The gradient and Hessian weights as written with masked divides:
+def _masked_gradient(z, thetas, deltas, counts, lam):
+    """The gradient and Hessian weights over z as written with masked divides:
     q = e / (1 + e) where z >= 0 and 1 / (1 + e) elsewhere, e = exp(-|z|)."""
-    z = np.matmul(thetas[:, None], deltas.T)[:, 0]
     won = z >= 0
     e = np.exp(-np.abs(z))
     q = np.empty_like(z)
@@ -412,22 +412,47 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
 
 
-# d = 1 and deltas of +-1, so z = theta * delta exactly: +-0.0, |z| > 745 (e
-# underflows to 0), NaN, and values around 0 and the underflow
+# Entries of z, which the tests below set directly in place of theta @ D.T:
+# the stacked product gives +0.0 where its one term is -0.0, so it never
+# yields z = -0.0 at d = 1. Here +-0.0, |z| > 745 (e underflows to 0), NaN,
+# and values around 0 and the underflow
 _z_values = st.one_of(
     st.sampled_from([0.0, -0.0, 745.5, -745.5, 800.0, -800.0, 1e300, -1e300, float("nan")]),
     st.floats(-50, 50, allow_nan=False),
 )
 
 
+@st.composite
+def _z_case(draw):
+    """(z, thetas, deltas, counts) for a batch of B rows over K pairs: z (B, K)
+    with infinities too, thetas (B, 1), deltas (K, 1) of 1, -1 or 2, and counts
+    (K,) or (B, K) of 0, 1 or 3."""
+    batch, k = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    values = st.one_of(_z_values, st.sampled_from([float("inf"), -float("inf")]))
+    z = np.array(draw(st.lists(st.lists(values, min_size=k, max_size=k), min_size=batch, max_size=batch)))
+    counts = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 3.0]), min_size=k, max_size=k)))
+    if draw(st.booleans()):
+        counts = np.array(draw(st.permutations(np.resize(counts, batch * k).tolist()))).reshape(batch, k)
+    thetas = np.array(draw(st.lists(st.floats(-2, 2), min_size=batch, max_size=batch)))[:, None]
+    deltas = np.array(draw(st.lists(st.sampled_from([1.0, -1.0, 2.0]), min_size=k, max_size=k)))[:, None]
+    return z, thetas, deltas, counts
+
+
+def _first_call_gives(z):
+    """A stand-in for _rowwise whose first call returns z and later calls the real one."""
+    calls = iter([lambda a, b: z.copy()])
+    return lambda a, b: next(calls, _rowwise)(a, b)
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_z_values, min_size=1, max_size=6), st.lists(st.sampled_from([1.0, -1.0, 2.0]), min_size=1, max_size=5),
-       st.booleans(), st.sampled_from([0.0, 1e-3]), st.integers(0, 2**32 - 1))
-def test_gradient_equals_the_masked_divides_bit_for_bit(thetas, signs, per_row, lam, seed):
-    thetas, deltas = np.array(thetas)[:, None], np.array(signs)[:, None]
-    rng = np.random.default_rng(seed)
-    counts = rng.integers(0, 4, (len(thetas), len(deltas)) if per_row else len(deltas)).astype(np.float64)
-    got, want = _gradient(thetas, deltas, counts, lam), _masked_gradient(thetas, deltas, counts, lam)
+@given(_z_case(), st.sampled_from([0.0, 1e-3]))
+@example((np.array([[-0.0, 0.0]]), np.array([[1.0]]), np.array([[1.0], [-1.0]]), np.array([1.0, 3.0])), 0.0)
+def test_gradient_equals_the_masked_divides_bit_for_bit(case, lam):
+    """z is set directly, so +-0.0 reaches the kernel (see _z_values)."""
+    z, thetas, deltas, counts = case
+    with mock.patch.object(prefaudit.estimation, "_rowwise", _first_call_gives(z)):
+        got = _gradient(thetas, deltas, counts, lam)
+    want = _masked_gradient(z, thetas, deltas, counts, lam)
     assert all(_same_bits(g, w) for g, w in zip(got, want, strict=True))
 
 
@@ -440,20 +465,13 @@ def _three_call_nll_rows(z, thetas, counts, lam):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 6), st.booleans(), st.sampled_from([0.0, 1e-3]), st.data())
-def test_nll_rows_subtract_the_negative_part_bit_for_bit(batch, k, per_row, lam, data):
-    """z is set directly: the stacked product of theta and D gives +0.0
-    where its one term is -0.0, so it never yields z = -0.0 at d = 1."""
-    inf = float("inf")
-    values = st.one_of(_z_values, st.sampled_from([inf, -inf]))
-    z = np.array(data.draw(st.lists(st.lists(values, min_size=k, max_size=k), min_size=batch, max_size=batch)))
-    counts = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 3.0]), min_size=k, max_size=k)))
-    if per_row:
-        counts = np.array(data.draw(st.permutations(np.resize(counts, batch * k).tolist()))).reshape(batch, k)
-    thetas = np.array(data.draw(st.lists(st.floats(-2, 2), min_size=batch, max_size=batch)))[:, None]
+@given(_z_case(), st.sampled_from([0.0, 1e-3]))
+def test_nll_rows_subtract_the_negative_part_bit_for_bit(case, lam):
+    """z is set directly, so +-0.0 reaches the kernel (see _z_values)."""
+    z, thetas, deltas, counts = case
     with np.errstate(invalid="ignore"):  # an infinite term times a zero count
-        with mock.patch.object(prefaudit.estimation, "_rowwise", lambda a, b: z.copy()):
-            got = _nll_rows(thetas, np.empty((k, 1)), counts, lam)
+        with mock.patch.object(prefaudit.estimation, "_rowwise", _first_call_gives(z)):
+            got = _nll_rows(thetas, deltas, counts, lam)
         assert _same_bits(got, _three_call_nll_rows(z, thetas, counts, lam))
 
 
@@ -470,7 +488,7 @@ def test_hessian_products_are_the_gathered_product_in_its_layout(monkeypatch):
         return _rowwise(a, b)
 
     monkeypatch.setattr(prefaudit.estimation, "_rowwise", rowwise)
-    _fit_counts(deltas, rng.integers(1, 5, (2, 40)).astype(np.float64), 1e-3, 2, DEFAULT_GRAD_TOL, np.zeros((2, 3)))
+    _fit_counts(deltas, rng.integers(1, 5, (2, 40)).astype(np.float64), 1e-3, 2, DEFAULT_GRAD_TOL)
     upper = np.nonzero(np.tri(3, dtype=bool).T)
     gathered = deltas[:, upper[0]] * deltas[:, upper[1]]
     products = [b for b in seen if b.shape == gathered.shape]
@@ -486,11 +504,47 @@ _NON_FINITE = [float("nan"), float("inf"), -float("inf")]
     lambda data, lam: nll([1.0], data, lam),
     lambda data, lam: nll_gradient([1.0], data, lam),
     lambda data, lam: fit_mle(data, lam),
-    lambda data, lam: audit_consistency(data, [0.0], lam=lam),
-], ids=["RewardModel", "nll", "nll_gradient", "fit_mle", "audit_consistency"])
+], ids=["RewardModel", "nll", "nll_gradient", "fit_mle"])
 def test_a_non_finite_lambda_is_rejected(rng, call, lam):
     with pytest.raises(InputError, match="lambda must be >= 0 and finite"):
         call(random_records(rng, 1, 5, voter_ids=(0, 1)), lam)
+
+
+# 4 records by 2 voters in d = 2: at theta = 0 the max-abs gradient is 1.5
+_PROBE = Dataset(voter=[0, 1, 0, 1], label=[1, 0, 1, 1], slate=[[0, 1], [1, 0], [1, 1]],
+                 i0=[0, 1, 0, 2], i1=[1, 2, 2, 1])
+
+
+@pytest.mark.parametrize("stop, shown", [
+    ({"max_iters": -1}, "max_iters must be an integer >= 0, got -1"),
+    ({"max_iters": 2.0}, "max_iters must be an integer >= 0, got 2.0"),
+    ({"max_iters": "10"}, "max_iters must be an integer >= 0, got '10'"),
+    ({"grad_tol": float("nan")}, "grad_tol must be > 0 and finite, got nan"),
+    ({"grad_tol": float("inf")}, "grad_tol must be > 0 and finite, got inf"),
+    ({"grad_tol": 0.0}, "grad_tol must be > 0 and finite, got 0.0"),
+    ({"grad_tol": -1e-8}, "grad_tol must be > 0 and finite, got -1e-08"),
+], ids=["iters=-1", "iters=2.0", "iters='10'", "tol=nan", "tol=inf", "tol=0", "tol<0"])
+@pytest.mark.parametrize("call", [
+    lambda model, **stop: fit_mle(_PROBE, **stop),
+    lambda model, **stop: audit_consistency(model, _PROBE, [0.0], **stop),
+], ids=["fit_mle", "audit_consistency"])
+def test_stopping_controls_are_checked_before_any_fit(monkeypatch, call, stop, shown):
+    model = fit_mle(_PROBE)
+
+    def fit(*args):
+        raise AssertionError("a model was fitted")
+
+    monkeypatch.setattr(prefaudit.estimation, "_fit_counts", fit)
+    monkeypatch.setattr(prefaudit.axioms, "_fit_counts", fit)
+    with pytest.raises(InputError, match=f"^{re.escape(shown)}$"):
+        call(model, **stop)
+
+
+def test_a_fit_of_zero_iterations_returns_its_start_unconverged():
+    model = fit_mle(_PROBE, max_iters=0)
+    assert model.theta_hat.tolist() == [0.0, 0.0] and model.iterations == 0 and not model.converged
+    assert model.grad_norm == np.max(np.abs(nll_gradient(np.zeros(2), _PROBE, model.lam))) == 1.5
+    assert model.diagnostic == "gradient tolerance 1e-08 not reached in 0 iterations"
 
 
 @pytest.mark.parametrize("lam", _NON_FINITE, ids=["nan", "inf", "-inf"])

@@ -27,10 +27,10 @@ import prefaudit.estimation
 import prefaudit.pipeline
 from prefaudit.annotation import RoundRobin, UniformRandomPairs
 from prefaudit.axioms import AnchorResult, AxiomReport, ConsistencyScheme
-from prefaudit.config import config_from_dict, load_config
-from prefaudit.distortion import DistortionReport
+from prefaudit.config import DEFAULTS, config_from_dict, load_config
+from prefaudit.distortion import DistortionReport, SearchSpec
 from prefaudit.errors import ConfigError, InputError
-from prefaudit.estimation import fit_mle
+from prefaudit.estimation import DEFAULT_GRAD_TOL, DEFAULT_LAMBDA, DEFAULT_MAX_ITERS, fit_mle
 from prefaudit.model import Dataset, RewardModel
 from prefaudit.pipeline import STAGES, RunDir, child_seed, run_pipeline
 from prefaudit.reports import emit_rows, emit_table, parse_rows, rows_from_reports
@@ -1028,9 +1028,8 @@ def _modules():
                           for m in pkgutil.iter_modules(prefaudit.__path__)]
 
 
-def test_no_public_callable_takes_both_data_and_a_slate():
-    """A function given a Dataset reads the slate the data carries, so no
-    caller can hand it alternatives the data never compared."""
+def _public_callables():
+    """(qualified name, callable) for every public callable but the exception classes."""
     callables = [
         (f"{module.__name__}.{name}", obj)
         for module in _modules() for name in getattr(module, "__all__", ())
@@ -1038,8 +1037,38 @@ def test_no_public_callable_takes_both_data_and_a_slate():
         if callable(obj := getattr(module, name)) and not (isinstance(obj, type) and issubclass(obj, Exception))
     ]
     assert len(callables) > 30
-    both = [name for name, obj in callables if {"data", "slate"} <= inspect.signature(obj).parameters.keys()]
+    return callables
+
+
+def test_no_public_callable_takes_both_data_and_a_slate():
+    """A function given a Dataset reads the slate the data carries, so no
+    caller can hand it alternatives the data never compared."""
+    both = [name for name, obj in _public_callables()
+            if {"data", "slate"} <= inspect.signature(obj).parameters.keys()]
     assert both == []
+
+
+def test_every_audit_takes_the_model_first_and_none_takes_a_lambda_beside_it():
+    """An audit reads lambda from the model it audits, so no caller can
+    retrain the audited rule at another lambda."""
+    callables = _public_callables()
+    audits = [(name, obj) for name, obj in callables
+              if name.rpartition(".")[2].startswith("audit_") or name.endswith(".worst_case_regret")]
+    assert {name.rpartition(".")[2] for name, _ in audits} == {
+        "audit_unanimity", "audit_condorcet", "audit_consistency", "worst_case_regret"}
+    assert [name for name, obj in audits if next(iter(inspect.signature(obj).parameters)) != "model"] == []
+    both = [name for name, obj in callables if {"model", "lam"} <= inspect.signature(obj).parameters.keys()]
+    assert both == []
+
+
+def test_each_config_default_equals_the_library_default_it_feeds():
+    est, cons, dist = DEFAULTS["estimation"], DEFAULTS["audit"]["consistency"], DEFAULTS["distortion"]
+    assert (est["lambda"], est["grad_tol"], est["max_iters"]) == (DEFAULT_LAMBDA, DEFAULT_GRAD_TOL, DEFAULT_MAX_ITERS)
+    scheme = ConsistencyScheme()
+    assert (cons["blocks"], cons["min_fraction"], cons["partitions"]) == (
+        scheme.num_blocks, scheme.min_fraction, scheme.num_partitions)
+    keys = ("grid_resolution", "bound", "w_mode", "w_lo", "w_hi", "random_samples")
+    assert {key: dist[key] for key in keys} == {key: getattr(SearchSpec(), key) for key in keys}
 
 
 def test_the_oracles_import_no_private_name_of_the_package():
