@@ -16,9 +16,10 @@ epsilon-independent m x m gap matrix, then reports once per epsilon
 through one dominance kernel: the dominated set A'_a of anchor a holds
 the alternatives the condition ranks strictly below a by more than
 epsilon, and a violation is flagged whenever the audited model's score
-gap fails to exceed epsilon on such a pair. Score-gap comparisons are
-strict with no floating tolerance; the minimum margin over checked pairs
-is reported so near-misses stay visible.
+gap fails to exceed epsilon on such a pair. A report holds both relations
+as two read-only m x m masks, and no per-anchor objects. Score-gap
+comparisons are strict with no floating tolerance; the minimum margin
+over checked pairs is reported so near-misses stay visible.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .model import RewardModel, _check_stopping, slate_array
 from .population import seeded_rng
 
 __all__ = [
-    "AnchorResult",
     "AxiomReport",
     "ConsistencyScheme",
     "audit_unanimity",
@@ -44,33 +44,51 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AnchorResult:
-    """Audit outcome for one anchor alternative (slate index)."""
-
-    anchor: int
-    dominated: tuple  # slate indices in A'_a
-    violations: tuple  # (anchor, a') pairs where the score condition failed
-    vacuous: bool  # A'_a is empty: pass carries no information
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AxiomReport:
+    """One audit at one epsilon; equality compares every field but metadata."""
+
     axiom: str
     epsilon: float
-    slate_size: int
-    anchors: tuple
+    dominated: np.ndarray  # read-only (m, m) bool: [i, j] when j is in A'_i
+    violated: np.ndarray  # read-only (m, m) bool: dominated, and the score gap is not > epsilon
     passed: bool
     min_margin: float | None  # min over checked pairs of (score gap - epsilon)
-    metadata: dict = field(default_factory=dict, compare=False)
+    metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("dominated", "violated"):
+            mask = np.array(getattr(self, name), dtype=bool)
+            mask.flags.writeable = False
+            object.__setattr__(self, name, mask)
+        m = len(self.dominated)
+        if {self.dominated.shape, self.violated.shape} != {(m, m)} or (self.violated & ~self.dominated).any():
+            raise InputError("dominated and violated must be (m, m) masks with every violated pair dominated")
+
+    def __eq__(self, other):
+        if not isinstance(other, AxiomReport):
+            return NotImplemented
+        return ((self.axiom, self.epsilon, self.passed, self.min_margin)
+                == (other.axiom, other.epsilon, other.passed, other.min_margin)
+                and np.array_equal(self.dominated, other.dominated) and np.array_equal(self.violated, other.violated))
+
+    @property
+    def slate_size(self) -> int:
+        return len(self.dominated)
 
     @property
     def vacuous(self) -> bool:
-        return all(a.vacuous for a in self.anchors)
+        return not self.dominated.any()
 
     @property
     def violations(self) -> tuple:
-        return tuple(v for a in self.anchors for v in a.violations)
+        """The violated (anchor, alternative) pairs, row-major."""
+        return tuple(zip(*(axis.tolist() for axis in np.nonzero(self.violated))))
+
+    @property
+    def anchors(self) -> tuple:
+        """Each anchor's (dominated, violated) column-index tuples, in slate order."""
+        return tuple(zip(_row_indices(self.dominated), _row_indices(self.violated)))
 
 
 def _epsilons(epsilons) -> list[float]:
@@ -104,15 +122,11 @@ def _dominance_reports(axiom, epsilons, gap, score_gaps, metadata) -> list[Axiom
         dominated = (gap > eps) & off_diagonal
         violated = dominated & ~(score_gaps > eps)
         margins = score_gaps[dominated] - eps
-        anchors = tuple(
-            AnchorResult(anchor=i, dominated=dom, violations=tuple((i, j) for j in bad), vacuous=not dom)
-            for i, (dom, bad) in enumerate(zip(_row_indices(dominated), _row_indices(violated)))
-        )
         reports.append(AxiomReport(
             axiom=axiom,
             epsilon=eps,
-            slate_size=len(gap),
-            anchors=anchors,
+            dominated=dominated,
+            violated=violated,
             passed=not violated.any(),
             min_margin=float(margins.min()) if margins.size else None,
             metadata=dict(metadata),

@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .axioms import AnchorResult, AxiomReport
+from .axioms import AxiomReport
 from .errors import InputError
 
 __all__ = [
@@ -115,9 +115,9 @@ def _score(model, a) -> float:
 def exhaustive_axiom_check(model, slate, voters_or_pop, epsilon: float, axiom: str) -> AxiomReport:
     """Naive per-pair re-derivation of the unanimity/condorcet audits.
 
-    Produces an AxiomReport whose anchors, violations, pass flag, and
-    margin must match the audit_* report for the same epsilon
-    field-for-field.
+    Produces an AxiomReport that must equal (``==``) the audit_* report for
+    the same epsilon: the same dominated and violated masks, pass flag and
+    minimum margin.
     """
     if axiom not in ("unanimity", "condorcet"):
         raise InputError(f"exhaustive check supports unanimity/condorcet, not {axiom!r}")
@@ -131,37 +131,28 @@ def exhaustive_axiom_check(model, slate, voters_or_pop, epsilon: float, axiom: s
         if not all(math.isfinite(x) for x in a):
             raise InputError(f"slate point {i} has non-finite coordinates")
     pair_gap = empirical_unanimous_gap if axiom == "unanimity" else population_mean_gap
-    anchors = []
+    dominated = np.zeros((len(slate), len(slate)), dtype=bool)
+    violated = np.zeros_like(dominated)
     min_margin = None
     for i, a in enumerate(slate):
-        dominated = []
-        violations = []
         for j, b in enumerate(slate):
             if i == j:
                 continue
             gap = pair_gap(voters_or_pop, a, b)
             if gap > epsilon:
-                dominated.append(j)
+                dominated[i, j] = True
                 score_gap = _score(model, a) - _score(model, b)
                 margin = score_gap - epsilon
                 if min_margin is None or margin < min_margin:
                     min_margin = margin
                 if not score_gap > epsilon:
-                    violations.append((i, j))
-        anchors.append(
-            AnchorResult(
-                anchor=i,
-                dominated=tuple(dominated),
-                violations=tuple(violations),
-                vacuous=not dominated,
-            )
-        )
+                    violated[i, j] = True
     return AxiomReport(
         axiom=axiom,
         epsilon=float(epsilon),
-        slate_size=len(slate),
-        anchors=tuple(anchors),
-        passed=all(not a.violations for a in anchors),
+        dominated=dominated,
+        violated=violated,
+        passed=not violated.any(),
         min_margin=min_margin,
         metadata={"method": "exhaustive"},
     )

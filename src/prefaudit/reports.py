@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import io
 
+import numpy as np
+
 from .axioms import AxiomReport
 from .distortion import DistortionReport
 from .errors import InputError
@@ -21,18 +23,13 @@ __all__ = ["rows_from_reports", "emit_rows", "parse_rows", "emit_table"]
 ROW_FIELDS = ["axiom", "epsilon", "anchor", "status", "dominated", "violations", "margin"]
 
 
-def _anchor_status(anchor) -> str:
-    if anchor.vacuous:
-        return "VACUOUS"
-    return "FAIL" if anchor.violations else "PASS"
-
-
 def rows_from_reports(reports: list[AxiomReport]) -> list[dict]:
+    """One row per anchor of each report; ``margin`` is the report's min_margin."""
     return [
-        {"axiom": rep.axiom, "epsilon": rep.epsilon, "anchor": anchor.anchor, "status": _anchor_status(anchor),
-         "dominated": ";".join(map(str, anchor.dominated)),
-         "violations": ";".join(f"{i}>{j}" for i, j in anchor.violations), "margin": rep.min_margin}
-        for rep in reports for anchor in rep.anchors
+        {"axiom": rep.axiom, "epsilon": rep.epsilon, "anchor": i,
+         "status": "FAIL" if bad else "PASS" if dom else "VACUOUS", "dominated": ";".join(map(str, dom)),
+         "violations": ";".join(f"{i}>{j}" for j in bad), "margin": rep.min_margin}
+        for rep in reports for i, (dom, bad) in enumerate(rep.anchors)
     ]
 
 
@@ -72,8 +69,8 @@ def emit_table(axiom_reports: list[AxiomReport], distortion: DistortionReport | 
     for rep in axiom_reports:
         status = "FAIL" if not rep.passed else "VACUOUS" if rep.vacuous else "PASS"
         margin = "-" if rep.min_margin is None else f"{rep.min_margin:.6g}"
-        lines.append(f"{rep.axiom:<12} {rep.epsilon:>8.3g} {status:>8} {len(rep.violations):>11d} {margin:>12}")
-        vacuous_anchors = [a.anchor for a in rep.anchors if a.vacuous]
+        lines.append(f"{rep.axiom:<12} {rep.epsilon:>8.3g} {status:>8} {rep.violated.sum():>11d} {margin:>12}")
+        vacuous_anchors = np.flatnonzero(~rep.dominated.any(axis=1)).tolist()
         if vacuous_anchors and not rep.vacuous:
             lines.append(f"  vacuous anchors: {vacuous_anchors}")
         if "diagnostic" in rep.metadata:

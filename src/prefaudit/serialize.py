@@ -1,22 +1,24 @@
 """Wire formats for datasets, models, and reports.
 
 Dataset records are key=value lines with floats at 17 significant
-digits, so a write/read round trip is exact; reports and models are JSON
-objects keyed by their dataclass fields. axioms.json has one line per
-report and per anchor, and parses to the value of an indented dump of
-the report list; the other JSON files use ``indent=2``. The line writers
-make each index's, point's and voter's text once and stream the lines.
+digits, so a write/read round trip is exact; models and reports are JSON
+objects keyed by their dataclass fields, except that an axiom report's
+two masks are written as ``slate_size``, ``vacuous`` and one anchor object
+per row. axioms.json has one line per report and per anchor, and parses
+to the value of an indented dump of the report list; the other JSON files
+use ``indent=2``. The line writers make each index's, point's and voter's
+text once and stream the lines.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass
 from functools import cache
 
 import numpy as np
 
-from .axioms import AnchorResult, AxiomReport
+from .axioms import AxiomReport
 from .distortion import DistortionReport
 from .errors import InputError
 from .model import Dataset, RewardModel, VoterParams, slate_array
@@ -32,7 +34,6 @@ __all__ = [
     "model_to_dict",
     "model_from_dict",
     "read_model",
-    "axiom_report_to_dict",
     "axiom_report_from_dict",
     "write_axiom_reports",
     "distortion_report_to_dict",
@@ -176,16 +177,13 @@ def _field_names(cls) -> tuple:  # () for a type that is not a dataclass
 
 
 def _plain(value):
-    """The JSON form of a report or model: a dataclass becomes the object of its
-    fields, an array its .tolist() and a tuple a list, copied by one list() call
-    when it holds scalars (every tuple here holds items of one kind).
+    """The JSON form of a voter, model or distortion report: a dataclass becomes
+    the object of its fields, an array its .tolist() and a tuple (of scalars) a list.
     """
     if type(value) in _SCALARS:
         return value
     if isinstance(value, tuple):
-        if not value or type(value[0]) in _SCALARS:
-            return list(value)
-        return list(map(_plain, value))
+        return list(value)
     if isinstance(value, np.ndarray):
         return value.tolist()
     names = _field_names(type(value))
@@ -206,37 +204,51 @@ def read_model(path) -> RewardModel:
     return _read_json(path, model_from_dict)
 
 
-def axiom_report_to_dict(report: AxiomReport) -> dict:
-    return {**_plain(report), "vacuous": report.vacuous}
-
-
 def axiom_report_from_dict(d: dict) -> AxiomReport:
-    anchors = tuple(AnchorResult(**{**a, "dominated": tuple(a["dominated"]),
-                                    "violations": tuple(map(tuple, a["violations"]))}) for a in d["anchors"])
-    d = {**d, "anchors": anchors}
-    d.pop("vacuous", None)  # derived from the anchors
-    return AxiomReport(**d)
+    """The report of an axioms.json entry: its anchors must be 0..slate_size-1 in
+    order, its vacuous flags must agree with them, and its other keys go to the
+    constructor."""
+    d = {**d}
+    m, anchors, vacuous = d.pop("slate_size"), d.pop("anchors"), d.pop("vacuous")
+    if [a["anchor"] for a in anchors] != list(range(m)):
+        raise InputError(f"anchors must be 0..{m - 1} in order")
+    dominated, violated = np.zeros((m, m), dtype=bool), np.zeros((m, m), dtype=bool)
+    for i, a in enumerate(anchors):
+        if set(a) != {"anchor", "dominated", "vacuous", "violations"}:
+            raise InputError(f"anchor {i}: keys must be anchor, dominated, vacuous and violations")
+        dom = a["dominated"]
+        if not all(type(j) is int and 0 <= j < m for j in dom):
+            raise InputError(f"anchor {i}: a dominated index is outside [0, {m})")
+        if i in dom or dom != sorted(set(dom)):
+            raise InputError(f"anchor {i}: dominated {dom} is not increasing or holds the anchor")
+        if a["vacuous"] is not (not dom):
+            raise InputError(f"anchor {i}: vacuous is {a['vacuous']!r} beside dominated {dom}")
+        bad = [j for j in dom if [i, j] in a["violations"]]
+        if len(bad) != len(a["violations"]):
+            raise InputError(f"anchor {i}: violations must be distinct [{i}, j] with j in its dominated list")
+        dominated[i, dom] = violated[i, bad] = True
+    if vacuous is not (not dominated.any()):
+        raise InputError(f"vacuous is {vacuous!r}, but {dominated.sum()} pairs are dominated")
+    return AxiomReport(dominated=dominated, violated=violated, **d)
 
 
 _compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_HEAD_KEYS = ("axiom", "epsilon", "metadata", "min_margin", "passed", "slate_size", "vacuous")
 
 
 def write_axiom_reports(path, reports) -> None:
-    """axioms.json: ``[``, a line per report (its other fields by the C encoder,
-    then ``"anchors":[``) and per anchor, then ``]``; it parses to
-    ``[axiom_report_to_dict(r) for r in reports]``. An anchor line joins the
-    texts of its slate indices, each made once per call."""
+    """axioms.json: ``[``, a line per report (its _HEAD_KEYS by the C encoder,
+    then ``"anchors":[``) and per anchor (its row of both masks as index lists,
+    joining texts of slate indices made once per call), then ``]``."""
     t = [str(k) for k in range(max((r.slate_size for r in reports), default=0))]
 
     def block(report):
-        head = {**_plain(replace(report, anchors=())), "vacuous": report.vacuous}
-        del head["anchors"]
         anchors = ",".join(
-            f'\n{{"anchor":{t[a.anchor]},"dominated":[{",".join(map(t.__getitem__, a.dominated))}],'
-            f'"vacuous":{"true" if a.vacuous else "false"},'
-            f'"violations":[{",".join(f"[{t[i]},{t[j]}]" for i, j in a.violations)}]}}'
-            for a in report.anchors)
-        return f'{_compact(head)[:-1]},"anchors":[{anchors}]}}'
+            f'\n{{"anchor":{t[i]},"dominated":[{",".join(map(t.__getitem__, dom))}],'
+            f'"vacuous":{"false" if dom else "true"},'
+            f'"violations":[{",".join(f"[{t[i]},{t[j]}]" for j in bad)}]}}'
+            for i, (dom, bad) in enumerate(report.anchors))
+        return f'{_compact({k: getattr(report, k) for k in _HEAD_KEYS})[:-1]},"anchors":[{anchors}]}}'
 
     with open(path, "w") as fh:
         fh.write("[")

@@ -16,7 +16,7 @@ from prefaudit.annotation import (
     generate_dataset,
 )
 from prefaudit.axioms import (
-    AnchorResult,
+    AxiomReport,
     ConsistencyScheme,
     _dominance_reports,
     audit_condorcet,
@@ -68,7 +68,7 @@ class TestUnanimity:
         voters = sample_voters(PointMass(theta=[1.0, 0.0]), 5, seed=0)
         report = audit_unanimity(_model([1.0, 0.0]), SLATE_2D, voters, epsilons=[0.5])[0]
         assert report.passed and not report.vacuous
-        assert report.anchors[0].dominated == (1,)
+        assert report.dominated.tolist() == [[False, True], [False, False]]
 
     def test_disagreeing_voters_vacuous(self):
         voters = [
@@ -77,7 +77,7 @@ class TestUnanimity:
         ]
         report = audit_unanimity(_model([1.0, 0.0]), SLATE_2D, voters, epsilons=[0.0])[0]
         assert report.passed and report.vacuous
-        assert all(not a.dominated for a in report.anchors)
+        assert not report.dominated.any()
 
     def test_negated_model_fails(self):
         voters = sample_voters(PointMass(theta=[1.0, 0.0]), 5, seed=0)
@@ -161,9 +161,8 @@ class TestTwoPassUnanimity:
             reports = audit_unanimity(model, slate, voters, epsilons)
         s = np.array([float(model.theta_hat @ a) for a in slate])
         for eps, report in zip(epsilons, reports, strict=True):
-            anchors, min_margin = _naive_dominance(gap, s[:, None] - s[None, :], eps)
-            assert (report.epsilon, report.anchors, report.min_margin) == (eps, anchors, min_margin)
-            assert report.passed == all(not a.violations for a in anchors)
+            dominated, violated, _, min_margin = _naive_dominance(gap, s[:, None] - s[None, :], eps)
+            assert report == AxiomReport("unanimity", eps, dominated, violated, not violated.any(), min_margin)
 
     @settings(max_examples=300, deadline=None)
     @given(_unanimity_case())
@@ -249,7 +248,7 @@ class TestConsistency:
         scheme = ConsistencyScheme(num_partitions=3, seed=9)
         a = audit_consistency(fit_mle(data, lam=1e-3), data, [0.1], scheme)[0]
         b = audit_consistency(fit_mle(data, lam=1e-3), data, [0.1], scheme)[0]
-        assert a.anchors == b.anchors and a.min_margin == b.min_margin
+        assert a == b
         assert a.metadata["skipped_partitions"] == 0
 
     def test_no_usable_partition_fails(self):
@@ -325,8 +324,7 @@ class TestEpsilonMonotonicity:
         for eps1, eps2 in [(0.0, 0.1), (0.1, 0.5)]:
             r1 = audit_unanimity(model, slate, voters, [eps1])[0]
             r2 = audit_unanimity(model, slate, voters, [eps2])[0]
-            for a1, a2 in zip(r1.anchors, r2.anchors):
-                assert set(a2.dominated) <= set(a1.dominated)
+            assert not (r2.dominated & ~r1.dominated).any()
 
 
 def test_scaled_model_passes_at_zero_epsilon(rng):
@@ -430,19 +428,10 @@ def _reindexed(data, perm):
 
 
 def _permuted(report, perm):
-    """The report an audit of slate [s[perm[k]] for k] must give, from the report on s."""
-    new_index = {old: new for new, old in enumerate(perm)}
-    by_old = {a.anchor: a for a in report.anchors}
-    anchors = tuple(
-        AnchorResult(
-            anchor=k,
-            dominated=tuple(sorted(new_index[j] for j in by_old[old].dominated)),
-            violations=tuple(sorted((k, new_index[j]) for _, j in by_old[old].violations)),
-            vacuous=by_old[old].vacuous,
-        )
-        for k, old in enumerate(perm)
-    )
-    return replace(report, anchors=anchors)
+    """The report an audit of slate [s[perm[k]] for k] must give, from the report
+    on s: pair (k, l) of the new slate is pair (perm[k], perm[l]) of the old."""
+    pairs = np.ix_(perm, perm)
+    return replace(report, dominated=report.dominated[pairs], violated=report.violated[pairs])
 
 
 class TestDominanceKernelProperties:
@@ -506,20 +495,20 @@ _finite = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0])
 
 
 def _naive_dominance(gap, score_gaps, eps):
-    """One anchor at a time, one pair at a time: (anchors, min_margin)."""
+    """One pair at a time: (dominated mask, violated mask, violated pairs in
+    row-major order, min_margin)."""
     m = len(gap)
-    anchors, margins = [], []
+    dominated, violated = np.zeros((m, m), dtype=bool), np.zeros((m, m), dtype=bool)
+    violations, margins = [], []
     for i in range(m):
-        dominated, violations = [], []
         for j in range(m):
             if i != j and gap[i][j] > eps:
-                dominated.append(j)
+                dominated[i, j] = True
                 margins.append(score_gaps[i][j] - eps)
                 if not score_gaps[i][j] > eps:
+                    violated[i, j] = True
                     violations.append((i, j))
-        anchors.append(AnchorResult(anchor=i, dominated=tuple(dominated), violations=tuple(violations),
-                                    vacuous=not dominated))
-    return tuple(anchors), (min(margins) if margins else None)
+    return dominated, violated, tuple(violations), (min(margins) if margins else None)
 
 
 @settings(max_examples=200, deadline=None)
@@ -533,11 +522,50 @@ def test_dominance_kernel_matches_a_naive_double_loop(matrices, more_epsilons):
     reports = _dominance_reports("unanimity", epsilons, np.array(gap), np.array(score_gaps), {"k": 1})
     assert len(reports) == len(epsilons)
     for eps, report in zip(epsilons, reports):
-        anchors, min_margin = _naive_dominance(gap, score_gaps, eps)
-        assert report.anchors == anchors
-        assert report.violations == tuple(v for a in anchors for v in a.violations)
-        assert report.vacuous == all(a.vacuous for a in anchors)
-        assert report.passed == all(not a.violations for a in anchors)
-        assert all(type(j) is int for a in report.anchors for j in a.dominated)
+        dominated, violated, violations, min_margin = _naive_dominance(gap, score_gaps, eps)
+        assert np.array_equal(report.dominated, dominated) and np.array_equal(report.violated, violated)
+        # each anchor's view is its row of both masks as tuples of ints
+        columns = [[tuple(j for j, bit in enumerate(row) if bit) for row in mask] for mask in (dominated, violated)]
+        assert report.anchors == tuple(zip(*columns))
+        assert all(type(j) is int for anchor in report.anchors for part in anchor for j in part)
+        assert report.violations == violations
+        assert report.vacuous == (not dominated.any())
+        assert report.passed == (not violated.any())
         assert report.min_margin == min_margin
         assert (report.epsilon, report.slate_size, report.metadata) == (eps, len(gap), {"k": 1})
+
+
+def _report(**changes):
+    """A two-alternative report: 0 dominates 1, and the pair is violated."""
+    fields = dict(axiom="condorcet", epsilon=0.1, dominated=[[False, True], [False, False]],
+                  violated=[[False, True], [False, False]], passed=False, min_margin=-0.5, metadata={"k": 1})
+    return AxiomReport(**{**fields, **changes})
+
+
+def test_the_masks_are_read_only_copies():
+    given = np.array([[False, True], [False, False]])
+    report = _report(dominated=given)
+    given[0, 1] = False
+    assert report.dominated[0, 1]
+    for mask in (report.dominated, report.violated):
+        assert mask.dtype == bool and mask.shape == (2, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            mask[1, 0] = True
+
+
+def test_equality_ignores_metadata_and_sees_one_flipped_violated_bit():
+    report = _report()
+    assert report == _report(metadata={"other": 2}) and report != replace(report, min_margin=-0.25)
+    # every other field equal, the one violated pair cleared
+    flipped = _report(violated=[[False, False], [False, False]])
+    assert report != flipped and np.array_equal(report.dominated, flipped.dominated)
+
+
+@pytest.mark.parametrize("changes", [
+    {"dominated": [[False, True]]},
+    {"violated": [[False, False, False]] * 3},
+    {"violated": [[False, False], [True, False]]},
+], ids=["not-square", "shapes-differ", "violated-not-dominated"])
+def test_masks_that_are_not_one_dominance_relation_are_rejected(changes):
+    with pytest.raises(InputError, match="masks"):
+        _report(**changes)

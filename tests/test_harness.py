@@ -26,7 +26,7 @@ import prefaudit.axioms
 import prefaudit.estimation
 import prefaudit.pipeline
 from prefaudit.annotation import RoundRobin, UniformRandomPairs
-from prefaudit.axioms import AnchorResult, AxiomReport, ConsistencyScheme
+from prefaudit.axioms import AxiomReport, ConsistencyScheme
 from prefaudit.config import DEFAULTS, config_from_dict, load_config
 from prefaudit.distortion import DistortionReport, SearchSpec
 from prefaudit.errors import ConfigError, InputError
@@ -36,7 +36,6 @@ from prefaudit.pipeline import STAGES, RunDir, child_seed, run_pipeline
 from prefaudit.reports import emit_rows, emit_table, parse_rows, rows_from_reports
 from prefaudit.serialize import (
     axiom_report_from_dict,
-    axiom_report_to_dict,
     distortion_report_from_dict,
     distortion_report_to_dict,
     load_json,
@@ -529,16 +528,38 @@ def _axiom_report(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dominated = (rng.random((m, m)) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))) & ~np.eye(m, dtype=bool)
     violated = dominated & (rng.random((m, m)) < draw(st.sampled_from([0.0, 0.2, 1.0])))
-    anchors = tuple(
-        AnchorResult(anchor=i, dominated=tuple(np.flatnonzero(dom).tolist()),
-                     violations=tuple((i, j) for j in np.flatnonzero(bad).tolist()), vacuous=not dom.any())
-        for i, (dom, bad) in enumerate(zip(dominated, violated)))
     value = _TEXT | st.integers() | st.floats(allow_nan=False) | st.booleans() | st.none()
     return AxiomReport(
-        axiom=draw(_TEXT), epsilon=draw(st.floats(0, 1e300)), slate_size=m, anchors=anchors,
+        axiom=draw(_TEXT), epsilon=draw(st.floats(0, 1e300)), dominated=dominated, violated=violated,
         passed=not violated.any(),
         min_margin=draw(st.sampled_from([None, -0.0, 1e300]) | st.floats(allow_nan=False, allow_infinity=False)),
         metadata=draw(st.dictionaries(_TEXT, value | st.lists(value, max_size=2), max_size=3)))
+
+
+def _entry(report) -> dict:
+    """The axioms.json entry of a report, built from its masks alone."""
+    head = {"axiom": report.axiom, "epsilon": report.epsilon, "metadata": report.metadata,
+            "min_margin": report.min_margin, "passed": report.passed, "slate_size": len(report.dominated),
+            "vacuous": not report.dominated.any()}
+    anchors = [{"anchor": i, "dominated": np.flatnonzero(dom).tolist(), "vacuous": not dom.any(),
+                "violations": [[i, j] for j in np.flatnonzero(bad).tolist()]}
+               for i, (dom, bad) in enumerate(zip(report.dominated, report.violated))]
+    return {**head, "anchors": anchors}
+
+
+def _written_entry(report) -> dict:
+    """The axioms.json entry write_axiom_reports writes for a report."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "axioms.json"
+        write_axiom_reports(path, [report])
+        return load_json(path)[0]
+
+
+# an axioms.json entry over 2 alternatives: 0 dominates 1, and the pair is violated
+ENTRY = {"axiom": "condorcet", "epsilon": 0.0, "metadata": {}, "min_margin": -0.5, "passed": False,
+         "slate_size": 2, "vacuous": False,
+         "anchors": [{"anchor": 0, "dominated": [1], "vacuous": False, "violations": [[0, 1]]},
+                     {"anchor": 1, "dominated": [], "vacuous": True, "violations": []}]}
 
 
 class TestReports:
@@ -561,31 +582,76 @@ class TestReports:
 
     def test_report_dict_round_trip(self, tmp_path):
         failed = AxiomReport(
-            axiom="consistency", epsilon=0.1, slate_size=3,
-            anchors=(AnchorResult(anchor=0, dominated=(1, 2), violations=((0, 2),), vacuous=False),
-                     AnchorResult(anchor=1, dominated=(), violations=(), vacuous=True),
-                     AnchorResult(anchor=2, dominated=(1,), violations=(), vacuous=False)),
+            axiom="consistency", epsilon=0.1,
+            dominated=[[False, True, True], [False, False, False], [False, True, False]],
+            violated=[[False, False, True], [False, False, False], [False, False, False]],
             passed=False, min_margin=-0.25,
             metadata={"diagnostic": "no usable voter partition of 2", "skipped_partitions": 2},
         )
+        keys = {"axiom", "epsilon", "slate_size", "anchors", "passed", "min_margin", "metadata", "vacuous"}
         for report in [*self._reports(tmp_path), failed]:
-            _assert_wire_round_trip(report, axiom_report_to_dict, axiom_report_from_dict,
-                                    _field_names(AxiomReport) | {"vacuous"})
-            for anchor in axiom_report_to_dict(report)["anchors"]:
-                assert set(anchor) == _field_names(AnchorResult)
+            _assert_wire_round_trip(report, _written_entry, axiom_report_from_dict, keys)
+            entry = _written_entry(report)
+            assert entry == _entry(report)
+            for anchor in entry["anchors"]:
+                assert set(anchor) == {"anchor", "dominated", "vacuous", "violations"}
+
+    @pytest.mark.parametrize("anchors, message", [
+        (ENTRY["anchors"][::-1], r"anchors must be 0\.\.1 in order"),
+        (ENTRY["anchors"][:1], r"anchors must be 0\.\.1 in order"),
+        ([{**ENTRY["anchors"][0], "dominated": [7], "violations": []}, ENTRY["anchors"][1]],
+         r"anchor 0: a dominated index is outside \[0, 2\)"),
+        ([{**ENTRY["anchors"][0], "dominated": [-1], "violations": []}, ENTRY["anchors"][1]],
+         r"anchor 0: a dominated index is outside \[0, 2\)"),
+        ([{**ENTRY["anchors"][0], "violations": [[5, -1]]}, ENTRY["anchors"][1]],
+         r"anchor 0: violations must be distinct \[0, j\] with j in its dominated list"),
+        ([ENTRY["anchors"][0], {**ENTRY["anchors"][1], "violations": [[1, 0]]}],
+         r"anchor 1: violations must be distinct \[1, j\] with j in its dominated list"),
+        ([{**ENTRY["anchors"][0], "violations": [[0, 1], [0, 1]]}, ENTRY["anchors"][1]],
+         r"anchor 0: violations must be distinct \[0, j\] with j in its dominated list"),
+        ([{**ENTRY["anchors"][0], "dominated": [1, 1]}, ENTRY["anchors"][1]],
+         r"anchor 0: dominated \[1, 1\] is not increasing or holds the anchor"),
+        ([ENTRY["anchors"][0], {**ENTRY["anchors"][1], "dominated": [1], "vacuous": False}],
+         r"anchor 1: dominated \[1\] is not increasing or holds the anchor"),
+        ([{**ENTRY["anchors"][0], "vacuous": True}, ENTRY["anchors"][1]],
+         r"anchor 0: vacuous is True beside dominated \[1\]"),
+        ([ENTRY["anchors"][0], {**ENTRY["anchors"][1], "vacuous": False}],
+         r"anchor 1: vacuous is False beside dominated \[\]"),
+        ([ENTRY["anchors"][0], {**ENTRY["anchors"][1], "margin": 0.5}], "anchor 1: keys must be"),
+    ], ids=["out-of-order", "too-few", "index-above", "index-negative", "violation-elsewhere",
+            "violation-not-dominated", "violation-twice", "index-twice", "anchor-dominates-itself",
+            "vacuous-beside-dominated", "not-vacuous-beside-none", "unknown-key"])
+    def test_the_reader_rejects_a_malformed_anchor(self, anchors, message):
+        assert axiom_report_from_dict(ENTRY) == AxiomReport(
+            axiom="condorcet", epsilon=0.0, dominated=[[False, True], [False, False]],
+            violated=[[False, True], [False, False]], passed=False, min_margin=-0.5)
+        with pytest.raises(InputError, match=f"^{message}"):
+            axiom_report_from_dict({**ENTRY, "anchors": anchors})
+
+    @pytest.mark.parametrize("entry, message", [
+        ({**ENTRY, "vacuous": True}, "vacuous is True, but 1 pairs are dominated"),
+        ({**ENTRY, "anchors": [{**ENTRY["anchors"][0], "dominated": [], "vacuous": True, "violations": []},
+                               ENTRY["anchors"][1]], "passed": True}, "vacuous is False, but 0 pairs are dominated"),
+    ], ids=["vacuous-beside-a-dominated-pair", "not-vacuous-beside-none"])
+    def test_the_reader_rejects_a_report_vacuous_flag_that_disagrees_with_the_anchors(self, entry, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            axiom_report_from_dict(entry)
+
+    @pytest.mark.parametrize("missing", ["slate_size", "anchors", "vacuous", "epsilon", "passed"])
+    def test_the_reader_rejects_a_missing_or_unknown_report_key(self, missing):
+        with pytest.raises((KeyError, TypeError), match=missing):
+            axiom_report_from_dict({k: v for k, v in ENTRY.items() if k != missing})
+        with pytest.raises(TypeError, match="unexpected keyword argument 'anchor_count'"):
+            axiom_report_from_dict({**ENTRY, "anchor_count": 2})
 
     def test_axiom_reports_file_round_trip(self, tmp_path):
         vacuous = AxiomReport(
-            axiom="unanimity", epsilon=0.0, slate_size=2,
-            anchors=(AnchorResult(anchor=0, dominated=(), violations=(), vacuous=True),
-                     AnchorResult(anchor=1, dominated=(), violations=(), vacuous=True)),
-            passed=True, min_margin=None, metadata={"voter_count": 3},
+            axiom="unanimity", epsilon=0.0, dominated=np.zeros((2, 2), dtype=bool),
+            violated=np.zeros((2, 2), dtype=bool), passed=True, min_margin=None, metadata={"voter_count": 3},
         )
         quoted = AxiomReport(
-            axiom="consistency", epsilon=0.5, slate_size=2,
-            anchors=(AnchorResult(anchor=0, dominated=(1,), violations=((0, 1),), vacuous=False),
-                     AnchorResult(anchor=1, dominated=(), violations=(), vacuous=True)),
-            passed=False, min_margin=-0.75,
+            axiom="consistency", epsilon=0.5, dominated=[[False, True], [False, False]],
+            violated=[[False, True], [False, False]], passed=False, min_margin=-0.75,
             metadata={"diagnostic": 'a block fit did not converge ("max_iters" — θ̂ ≠ 0\\)', "skipped_partitions": 1},
         )
         for reports in ([*self._reports(tmp_path), vacuous, quoted], [vacuous], []):
@@ -594,13 +660,13 @@ class TestReports:
             write_axiom_reports(second, reports)
             assert first.read_bytes() == second.read_bytes()
             value = load_json(first)
-            assert value == [axiom_report_to_dict(r) for r in reports]
+            assert value == [_entry(r) for r in reports]
             back = [axiom_report_from_dict(d) for d in value]
             assert back == reports
             assert [r.metadata for r in back] == [r.metadata for r in reports]
             # [, a line per report and per anchor, ]
             lines = first.read_text().splitlines()
-            assert len(lines) == 2 + len(reports) + sum(len(r.anchors) for r in reports)
+            assert len(lines) == 2 + len(reports) + sum(len(r.dominated) for r in reports)
 
     @settings(max_examples=100, deadline=None)
     @given(reports=st.lists(_axiom_report(), max_size=3))
@@ -612,10 +678,8 @@ class TestReports:
 
         blocks = []
         for r in reports:
-            head = {"axiom": r.axiom, "epsilon": r.epsilon, "metadata": r.metadata, "min_margin": r.min_margin,
-                    "passed": r.passed, "slate_size": r.slate_size, "vacuous": r.vacuous}
-            anchors = [dumps({"anchor": a.anchor, "dominated": list(a.dominated), "vacuous": a.vacuous,
-                              "violations": [list(v) for v in a.violations]}) for a in r.anchors]
+            head = _entry(r)
+            anchors = [dumps(anchor) for anchor in head.pop("anchors")]
             blocks.append(f'\n{dumps(head)[:-1]},"anchors":[' + ",".join("\n" + a for a in anchors) + "]}")
         expected = "[" + ",".join(blocks) + "\n]\n"
         with tempfile.TemporaryDirectory() as tmp:
@@ -746,6 +810,18 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("fit NLL ") and lines[0].endswith("(rtol 1e-9): FAIL")
         assert [line for line in lines if line.endswith("FAIL")] == lines[:1]
+
+    def test_verify_checks_the_model_at_its_own_lambda(self, tmp_path, capsys):
+        """A run fitted at lambda 1e-3 verifies under a config that says 1e-2:
+        both NLL checks take the lambda the model was fitted at."""
+        out = tmp_path / "out"
+        run_pipeline(config_from_dict({**SMALL_RUN, "estimation": {"lambda": 1e-3}}), out)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**SMALL_RUN, "estimation": {"lambda": 1e-2}}))
+        capsys.readouterr()
+        assert prefaudit.cli.main(["--config", str(cfg_path), "--out", str(out), "verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4 and all(line.endswith(": OK") for line in lines)
 
     def test_stage_commands_write_what_run_writes(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -1021,6 +1097,15 @@ def test_public_surface_resolves(capsys):
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_no_source_or_readme_names_the_per_anchor_report_api():
+    """Each axiom report holds two masks: the per-anchor result type and the
+    report-to-dict encoder are gone from the package and its README."""
+    root = Path(prefaudit.__file__).resolve().parent
+    texts = {path.name: path.read_text() for path in [*root.glob("*.py"), root.parents[1] / "README.md"]}
+    assert len(texts) > 10
+    assert [name for name, text in texts.items() if re.search(r"AnchorResult|axiom_report_to_dict", text)] == []
 
 
 def _modules():

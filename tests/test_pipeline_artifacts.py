@@ -19,7 +19,8 @@ from prefaudit.config import config_from_dict
 from prefaudit.pipeline import (
     AXIOMS_FILE, DATASET_FILE, DISTORTION_FILE, MANIFEST_FILE, STAGES, run_pipeline,
 )
-from prefaudit.serialize import axiom_report_to_dict, distortion_report_to_dict, load_json, read_records
+from prefaudit.reports import emit_rows, emit_table, rows_from_reports
+from prefaudit.serialize import axiom_report_from_dict, distortion_report_to_dict, load_json, read_records
 
 CONFIG = {
     "dimension": 2,
@@ -55,6 +56,12 @@ DIGESTS = {
 # the one-line-per-anchor layout; re-recorded with the DIGESTS above for the
 # sum over distinct pairs and for the voter-row array
 INDENTED_AXIOMS_DIGEST = "0de1eac1a6fbcaa72310c2de8765298350239c37e41cbea5035bdf94f56759a1"
+# sha256 of the text the CLI prints for CONFIG's reports, as a table and as
+# --format rows, recorded while each report still held one object per anchor
+PRINTED_DIGESTS = {
+    "table": "bf2c834166156c991a7e0da1c6f5c410e91f08e9f799eed94d2feaf487738db4",
+    "rows": "3b8f424afd86ed77b0d1b1e7a1e2e7093a1d7f85601f31ca3972bc4d6b625e7b",
+}
 
 
 def _digests(out) -> dict:
@@ -88,6 +95,12 @@ def test_artifacts_match_the_recorded_digests(tmp_path):
     assert _digests(tmp_path) == DIGESTS
 
 
+def test_printed_reports_match_the_recorded_digests(tmp_path):
+    run = run_pipeline(config_from_dict(CONFIG), tmp_path)
+    printed = {"table": emit_table(run.axioms, run.distortion), "rows": emit_rows(rows_from_reports(run.axioms))}
+    assert {name: hashlib.sha256(text.encode()).hexdigest() for name, text in printed.items()} == PRINTED_DIGESTS
+
+
 def test_axioms_hold_the_json_value_of_the_indented_layout(tmp_path):
     run_pipeline(config_from_dict(CONFIG), tmp_path)
     indented = json.dumps(load_json(tmp_path / AXIOMS_FILE), indent=2, sort_keys=True) + "\n"
@@ -106,7 +119,8 @@ def test_in_memory_dataset_equals_its_artifact(tmp_path):
 
 def test_returned_reports_equal_their_artifacts(tmp_path):
     run = run_pipeline(config_from_dict(CONFIG), tmp_path)
-    assert [axiom_report_to_dict(r) for r in run.axioms] == load_json(tmp_path / AXIOMS_FILE)
+    back = [axiom_report_from_dict(d) for d in load_json(tmp_path / AXIOMS_FILE)]
+    assert back == run.axioms and [r.metadata for r in back] == [r.metadata for r in run.axioms]
     assert distortion_report_to_dict(run.distortion) == load_json(tmp_path / DISTORTION_FILE)
     assert run.manifest == load_json(tmp_path / MANIFEST_FILE)
 
@@ -122,7 +136,7 @@ def test_audit_manifest_entry_counts_vacuous_reports_and_skipped_partitions(tmp_
     run = run_pipeline(config_from_dict(raw), tmp_path)
     entry = run.manifest["stages"]["audit"]
     assert (entry["vacuous"], entry["skipped_partitions"]) == (vacuous, skipped)
-    assert entry["vacuous"] == sum(1 for r in run.axioms if all(a.vacuous for a in r.anchors))
+    assert entry["vacuous"] == sum(1 for r in run.axioms if not r.dominated.any())
     assert {r.metadata["skipped_partitions"] for r in run.axioms if r.axiom == "consistency"} == {skipped}
 
 
