@@ -2,8 +2,8 @@
 reward models, and audit them against social-choice style axioms and a
 worst-case distortion metric.
 
-The labelled comparisons travel between every layer as one columnar,
-read-only ``Dataset``."""
+The voters travel between every layer as one read-only ``Voters``, and
+the labelled comparisons as one columnar, read-only ``Dataset``."""
 
 __version__ = "0.1.0"
 
@@ -11,7 +11,7 @@ from .errors import ConfigError, InputError, NumericError, PrefAuditError
 from .model import (
     Dataset,
     RewardModel,
-    VoterParams,
+    Voters,
     btl_prob,
     feature_vector,
 )
@@ -23,7 +23,7 @@ __all__ = [
     "ConfigError",
     "NumericError",
     "feature_vector",
-    "VoterParams",
+    "Voters",
     "Dataset",
     "RewardModel",
     "btl_prob",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .model import SCHEME_PROXY, SCHEME_TRUE, Dataset, VoterParams, btl_prob, feature_vector, slate_array
+from .model import SCHEME_PROXY, SCHEME_TRUE, Dataset, Voters, btl_prob, feature_vector, slate_array
 from .population import seeded_rng
 
 __all__ = [
@@ -114,7 +114,7 @@ def _labels(r0: np.ndarray, r1: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def generate_dataset(
-    voters: list[VoterParams],
+    voters: Voters,
     slate: np.ndarray,
     pair_scheme,
     assignment: str,
@@ -131,17 +131,15 @@ def generate_dataset(
     the reward gap as btl_prob computes it (see _labels).
     """
     slate = slate_array(slate)
-    if not voters:
-        raise ConfigError("dataset generation needs at least 1 voter")
     if assignment not in (EACH_PAIR_RANDOM_VOTER, PARTITION_BY_VOTER):
         raise ConfigError(f"unknown assignment scheme {assignment!r}")
-    shapes = {v.theta.shape for v in voters}
+    shapes = {voters.thetas.shape[1:]}
     if label_scheme.w is not None:
         shapes.add(label_scheme.w.shape)
     if shapes != {slate.shape[1:]}:
         raise InputError(f"dimension mismatch: slate points {slate.shape[1:]}, voters and weights {sorted(shapes)}")
     with np.errstate(over="ignore", invalid="ignore"):  # _labels checks the compared rewards
-        table = label_scheme.rewards(np.stack([v.theta for v in voters]), slate)
+        table = label_scheme.rewards(voters.thetas, slate)
     rng = seeded_rng(seed)
     low, high = pair_scheme.pairs(len(slate), rng)
     n = len(low)
@@ -153,6 +151,5 @@ def generate_dataset(
     swap = swap_u < 0.5
     first, second = np.where(swap, high, low), np.where(swap, low, high)
     label = _labels(table[voter_rows, first], table[voter_rows, second], label_u)
-    voter_ids = np.array([v.voter_id for v in voters], dtype=np.int64)
-    return Dataset(voter=voter_ids[voter_rows], label=label, slate=slate,
+    return Dataset(voter=voters.ids[voter_rows], label=label, slate=slate,
                    i0=first, i1=second, scheme=label_scheme.kind, w=label_scheme.w)

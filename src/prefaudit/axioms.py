@@ -4,22 +4,16 @@ Three audits over a finite candidate slate: unanimity (every sampled
 voter agrees on the gap), Condorcet consistency (the analytic population
 mean agrees), and consistency (every retrained large-enough voter-block
 model agrees; the block models are fitted in batches by the estimation
-kernel, over one ``Dataset.pair_table`` per batch). The unanimity gap,
-each pair's minimum reward gap over voters, takes two passes over a slate
-x voters table: over the voters S first to hold some alternative's lowest or
-highest reward, then over all V voters on the pairs still above the
-smallest epsilon, m^2 // V pairs at a time. A minimum over S is never
-below that over all voters, so a pair pass 1 closes is dominated at no
-epsilon: it is exact, in O(|S| m^2 + V open pairs) time and one m x m
-buffer (a point mass leaves every untied pair open). Each audit builds one
-epsilon-independent m x m gap matrix, then reports once per epsilon
-through one dominance kernel: the dominated set A'_a of anchor a holds
-the alternatives the condition ranks strictly below a by more than
-epsilon, and a violation is flagged whenever the audited model's score
-gap fails to exceed epsilon on such a pair. A report holds both relations
-as two read-only m x m masks, and no per-anchor objects. Score-gap
-comparisons are strict with no floating tolerance; the minimum margin
-over checked pairs is reported so near-misses stay visible.
+kernel, over one ``Dataset.pair_table`` per batch). Each audit builds one
+epsilon-independent m x m gap matrix (the unanimity gap in two exact
+passes, see ``_unanimity_gap``), then reports once per epsilon through
+one dominance kernel: the dominated set A'_a of anchor a holds the
+alternatives the condition ranks strictly below a by more than epsilon,
+and a violation is flagged whenever the audited model's score gap fails
+to exceed epsilon on such a pair. A report holds both relations as two
+read-only m x m masks. Score-gap comparisons are strict with no floating
+tolerance; the minimum margin over checked pairs is reported so
+near-misses stay visible.
 """
 
 from __future__ import annotations
@@ -32,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .estimation import DEFAULT_GRAD_TOL, DEFAULT_MAX_ITERS, _fit_counts, scores
-from .model import RewardModel, _check_stopping, slate_array
+from .model import RewardModel, Voters, _check_stopping, slate_array
 from .population import seeded_rng
 
 __all__ = [
@@ -139,8 +133,8 @@ def _score_gap_matrix(model: RewardModel, slate: np.ndarray) -> np.ndarray:
     return s[:, None] - s[None, :]
 
 
-def audit_unanimity(model: RewardModel, slate, voters, epsilons) -> list[AxiomReport]:
-    """Check empirical unanimity over the sampled voter set, once per epsilon.
+def audit_unanimity(model: RewardModel, slate, voters: Voters, epsilons) -> list[AxiomReport]:
+    """Check empirical unanimity over the sampled voters, once per epsilon.
 
     A'_a holds the alternatives every voter ranks below a by more than
     epsilon; the model must then also score a above them by more than
@@ -148,13 +142,11 @@ def audit_unanimity(model: RewardModel, slate, voters, epsilons) -> list[AxiomRe
     """
     slate = slate_array(slate)
     epsilons = _epsilons(epsilons)
-    if not voters:
-        raise InputError("unanimity audit needs at least one voter")
-    if {v.theta.shape for v in voters} != {slate.shape[1:]}:
-        raise InputError(f"dimension mismatch: every voter needs the slate's dimension {slate.shape[1]}")
+    if voters.thetas.shape[1:] != slate.shape[1:]:
+        raise InputError(f"dimension mismatch: the voters need the slate's dimension {slate.shape[1]}")
     score_gaps = _score_gap_matrix(model, slate)
     # slate x voters, each entry a 1-D dot (a matrix product rounds differently)
-    rewards = np.dot(slate[:, None], np.stack([v.theta for v in voters]).T)[:, 0]
+    rewards = np.dot(slate[:, None], voters.thetas.T)[:, 0]
     return _dominance_reports(
         "unanimity", epsilons, _unanimity_gap(rewards, min(epsilons)), score_gaps,
         {"voter_count": len(voters), "gap_source": "sampled voters (empirical)"},
@@ -163,7 +155,13 @@ def audit_unanimity(model: RewardModel, slate, voters, epsilons) -> list[AxiomRe
 
 def _unanimity_gap(rewards, floor) -> np.ndarray:
     """min over voters v of rewards[i, v] - rewards[j, v] where it exceeds
-    floor; elsewhere a bound <= floor (see the module docstring)."""
+    floor; elsewhere a bound <= floor. Pass 1 takes the minimum over the
+    voters S first to hold some alternative's lowest or highest reward,
+    pass 2 over all V voters on the pairs still above floor, m^2 // V pairs
+    at a time. A minimum over S is never below that over all voters, so a
+    pair pass 1 closes is dominated at no epsilon: exact, in O(|S| m^2 + V
+    open pairs) time and one m x m buffer (a point mass leaves every untied
+    pair open)."""
     m, n = rewards.shape
     size = max(1, m * m // n)  # pass-2 pairs per chunk: both passes share one buffer
     buffer = np.empty(max(m * m, size * n))
@@ -250,17 +248,16 @@ def audit_consistency(model: RewardModel, data, epsilons, scheme: ConsistencySch
                       max_iters: int = DEFAULT_MAX_ITERS, grad_tol: float = DEFAULT_GRAD_TOL) -> list[AxiomReport]:
     """Check consistency by retraining on random voter partitions, once per epsilon.
 
-    The audited slate is ``data.slate``. Voters are split into num_blocks
-    blocks (each >= min_fraction of the voters) for each of num_partitions
-    random partitions, and each block model is fitted once, as ``fit_mle``
-    at the model's lambda and the given settings fits the block's records;
-    A'_a holds the pairs on which every successfully retrained block
-    model's score gap exceeds epsilon. The full-data model must then
-    agree. A partition with a non-convergent block fit is skipped, counted
-    in metadata. With every partition skipped there is no evidence either
-    way, so the audit fails with a diagnostic instead of passing
-    vacuously. ``block_grad_norm`` in metadata is the largest final
-    max-abs gradient of the block fits used.
+    The audited slate is ``data.slate``. Each of num_partitions random
+    partitions splits the voters into num_blocks blocks of >= min_fraction
+    of them, and each block model is fitted once, as ``fit_mle`` fits the
+    block's records at the model's lambda and the given settings. A'_a
+    holds the pairs on which every retrained block model's score gap
+    exceeds epsilon, and the full-data model must agree. A partition with
+    a non-convergent block fit is skipped, counted in metadata; with every
+    partition skipped there is no evidence, so the audit fails with a
+    diagnostic instead of passing vacuously. ``block_grad_norm`` in
+    metadata is the largest final max-abs gradient of the block fits used.
     """
     _check_stopping(max_iters, grad_tol)
     epsilons = _epsilons(epsilons)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .config import config_from_dict, load_config
 from .errors import ConfigError, InputError, PrefAuditError
+from .model import VoterParams
 from .oracle import AXIOM_MAX_SLATE, MLE_MAX_DIM, brute_force_mle, exhaustive_axiom_check, record_nll
 from .pipeline import MODEL_FILE, STAGES, RunDir, run_pipeline
 from .reports import emit_rows, emit_table, rows_from_reports
@@ -59,8 +60,9 @@ def _verify(config, run: RunDir) -> int:
     if len(slate) <= AXIOM_MAX_SLATE:
         unanimity = audit_unanimity(model, slate, voters, config.epsilons)
         condorcet = audit_condorcet(model, slate, config.population, config.epsilons)
+        records = [VoterParams(i, theta) for i, theta in zip(voters.ids.tolist(), voters.thetas)]
         for eps, uni, cond in zip(config.epsilons, unanimity, condorcet):
-            for report, population in ((uni, voters), (cond, config.population)):
+            for report, population in ((uni, records), (cond, config.population)):
                 ok = report == exhaustive_axiom_check(model, slate, population, eps, report.axiom)
                 print(f"{report.axiom} audit vs exhaustive oracle (eps={eps:g}): {'OK' if ok else 'FAIL'}")
                 failures += 0 if ok else 1

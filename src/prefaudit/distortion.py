@@ -124,15 +124,14 @@ def worst_case_regret(
 ) -> DistortionReport:
     """Worst-case welfare regret of the learned winner over the grid.
 
-    The slate is the data's own, ``data.slate``. The learned winner a*
-    maximizes the fitted score (ties break to the lowest index). For
-    each consistent hypothesis (theta, w), regret is max_a <theta, a> -
-    <theta, a*>: true utility ignores w. The maximum over the consistent
-    set is reported with its attaining hypothesis; an empty consistent
-    set yields regret None with a diagnostic, never a silent zero. The
-    NLL threshold is the best NLL achieved on the grid plus delta, so
-    delta=0 keeps exactly the grid's own optimum; the continuous fit's
-    NLL is reported alongside for reference.
+    The slate is ``data.slate``. The learned winner a* maximizes the fitted
+    score (ties break to the lowest index). A consistent hypothesis
+    (theta, w) has regret max_a <theta, a> - <theta, a*>: true utility
+    ignores w. The largest regret is reported with its hypothesis; an
+    empty consistent set gives regret None with a diagnostic, never a
+    silent zero. The NLL threshold is the grid's best NLL plus delta, so
+    delta=0 keeps exactly the grid's own optimum; the fit's NLL is
+    reported alongside for reference.
     """
     if not delta >= 0:  # NaN too
         raise InputError(f"delta must be >= 0, got {delta}")

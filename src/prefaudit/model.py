@@ -1,13 +1,12 @@
 """Core domain types and the Bradley-Terry choice probability.
 
-A voter's preference weights are one read-only 1-D float64 array,
-validated through :func:`feature_vector`, and a slate of alternatives is
-one read-only (m, d) float64 array, validated through :func:`slate_array`.
-A voter's reward for an alternative is the inner product of the
-preference weights with the alternative's features (the label schemes in
-``annotation`` compute it for every voter and alternative at once);
-pairwise labels follow the Bradley-Terry noise model on reward
-differences, :func:`btl_prob`.
+The voters are one read-only ``Voters``: distinct ids and (V, d)
+preference weights. A slate of alternatives is one read-only (m, d)
+float64 array, validated through :func:`slate_array`. A voter's reward
+for an alternative is the inner product of the preference weights with
+the alternative's features (the label schemes in ``annotation`` compute
+it for every voter and alternative at once); pairwise labels follow the
+Bradley-Terry noise model on reward differences, :func:`btl_prob`.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ __all__ = [
     "feature_vector",
     "slate_array",
     "VoterParams",
+    "Voters",
     "Dataset",
     "RewardModel",
     "btl_prob",
@@ -60,23 +60,29 @@ def feature_vector(coords) -> np.ndarray:
     return arr
 
 
+def _points(what: str, points, least: int) -> np.ndarray:
+    """``points`` as ``slate_array`` checks a slate, with m >= ``least``; an
+    InputError names ``what``."""
+    try:  # an array cannot be ragged
+        shapes = () if isinstance(points, np.ndarray) else {np.shape(p) for p in points}
+    except ValueError:  # a ragged point: _array names the value
+        shapes = ()
+    if len(shapes) > 1:
+        raise InputError(f"dimension mismatch: {what} points differ in dimension")
+    arr = _array(what, points, np.float64).copy()
+    if arr.ndim != 2 or arr.shape[0] < least or arr.shape[1] < 1:
+        raise InputError(f"{what}: need m >= {least} points of dimension d >= 1, got shape {arr.shape}")
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise InputError(f"{what} point {np.argmin(finite)} has non-finite coordinates")
+    arr.setflags(write=False)
+    return arr
+
+
 def slate_array(points) -> np.ndarray:
     """Validate and freeze a slate of m >= 2 finite points in one R^d, d >= 1,
     as a read-only, C-contiguous (m, d) float64 copy."""
-    try:
-        shapes = {np.shape(p) for p in points}
-    except ValueError:  # a ragged point: _array names the slate
-        shapes = set()
-    if len(shapes) > 1:
-        raise InputError("dimension mismatch: slate points differ in dimension")
-    arr = _array("slate", points, np.float64).copy()
-    if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 1:
-        raise InputError(f"a slate must be m >= 2 points of dimension d >= 1, got shape {arr.shape}")
-    finite = np.isfinite(arr).all(axis=1)
-    if not finite.all():
-        raise InputError(f"slate point {np.argmin(finite)} has non-finite coordinates")
-    arr.setflags(write=False)
-    return arr
+    return _points("slate", points, 2)
 
 
 def _ids(name: str, values) -> np.ndarray:
@@ -89,7 +95,7 @@ def _ids(name: str, values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VoterParams:
-    """A voter's preference weights over features."""
+    """One voter's preference weights, the oracle's per-voter record."""
 
     voter_id: int
     theta: np.ndarray
@@ -99,6 +105,30 @@ class VoterParams:
             raise InputError(f"voter_id must be one integer, got {self.voter_id!r}")
         object.__setattr__(self, "voter_id", int(_ids("voter_id", self.voter_id)))
         object.__setattr__(self, "theta", feature_vector(self.theta))
+
+
+@dataclass(frozen=True, eq=False)
+class Voters:
+    """V voters: ``ids`` (V,) distinct int64 ids and ``thetas``, their (V, d)
+    preference weights as ``_points``; read-only, validated once."""
+
+    ids: np.ndarray
+    thetas: np.ndarray
+
+    def __post_init__(self):
+        ids, thetas = _ids("voter_id", self.ids), _points("theta", self.thetas, 1)
+        if ids.shape != thetas.shape[:1]:
+            raise InputError(f"voter_id: need shape ({len(thetas)},), one per voter, got {ids.shape}")
+        order = np.argsort(ids, kind="stable")
+        repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
+        if repeats.size:
+            raise InputError(f"voter_id {ids[repeats.min()]} repeats an earlier voter's")
+        ids.setflags(write=False)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "thetas", thetas)
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +149,6 @@ class Dataset:
     i1: np.ndarray
     scheme: str = SCHEME_TRUE
     w: np.ndarray | None = None
-
-    _COLUMNS = ("voter", "label", "i0", "i1")
 
     def __post_init__(self):
         label = _array("label", self.label)
@@ -147,7 +175,7 @@ class Dataset:
             if self.w.shape[0] != slate.shape[1]:
                 raise InputError(f"dimension mismatch: {slate.shape[1]} vs {self.w.shape[0]}")
         object.__setattr__(self, "slate", slate)
-        for name, column in zip(self._COLUMNS, (voter, label.astype(np.int64), i0, i1)):
+        for name, column in zip(("voter", "label", "i0", "i1"), (voter, label.astype(np.int64), i0, i1)):
             column.setflags(write=False)
             object.__setattr__(self, name, column)
 

@@ -69,39 +69,30 @@ def brute_force_mle(data, lam: float, resolution: int = 11, bound: float = 4.0) 
         raise InputError("grid resolution must be >= 11 per axis")
     rows = _winner_minus_loser(data)
     axis = [float(x) for x in np.linspace(-bound, bound, resolution)]
-    best_val = math.inf
-    best = None
-    for point in product(axis, repeat=d):
-        val = _record_nll(point, rows, lam)
-        if val < best_val:
-            best_val = val
-            best = point
-    return np.array(best)
+    return np.array(min(product(axis, repeat=d), key=lambda point: _record_nll(point, rows, lam)))
+
+
+def _difference(a, a_prime) -> np.ndarray:
+    a, a_prime = np.asarray(a, dtype=np.float64), np.asarray(a_prime, dtype=np.float64)
+    if a.shape != a_prime.shape:
+        raise InputError("alternatives have mismatched dimensions")
+    return a - a_prime
 
 
 def population_mean_gap(spec, a: np.ndarray, a_prime: np.ndarray) -> float:
     """Analytic expected reward gap E_theta[<theta, a - a'>]."""
-    a = np.asarray(a, dtype=np.float64)
-    a_prime = np.asarray(a_prime, dtype=np.float64)
-    if a.shape != a_prime.shape:
-        raise InputError("alternatives have mismatched dimensions")
-    mean = spec.expected_theta()
-    if mean.shape != a.shape:
+    delta, mean = _difference(a, a_prime), spec.expected_theta()
+    if mean.shape != delta.shape:
         raise InputError("alternative dimension differs from population dimension")
-    return float(mean @ (a - a_prime))
+    return float(mean @ delta)
 
 
 def empirical_unanimous_gap(voters, a: np.ndarray, a_prime: np.ndarray) -> float:
     """Minimum reward gap min_i <theta_i, a - a'> over the given voters."""
     if not voters:
         raise InputError("empirical unanimous gap needs at least one voter")
-    a = np.asarray(a, dtype=np.float64)
-    a_prime = np.asarray(a_prime, dtype=np.float64)
-    if a.shape != a_prime.shape:
-        raise InputError("alternatives have mismatched dimensions")
-    delta = a - a_prime
-    gaps = [float(v.theta @ delta) for v in voters]
-    return min(gaps)
+    delta = _difference(a, a_prime)
+    return min(float(v.theta @ delta) for v in voters)
 
 
 def _score(model, a) -> float:

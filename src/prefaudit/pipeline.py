@@ -2,14 +2,13 @@
 
 Each stage derives its own RNG substream from the root seed by a stable
 hash of (root seed, stage name, index), so artifacts reproduce
-bit-for-bit regardless of which stages run or in what order. All stage
-outputs land under the run's output directory; the manifest echoes the
-full config with defaults applied, every derived seed, library
-versions, and the time taken by the whole run and by each stage (the
-only fields that vary between otherwise identical runs). One RunDir
-carries the run from stage to stage and back to the caller: its derived
-seeds, artifacts, reports and manifest. A run of every stage reads
-nothing back from disk, while a stage run alone reads what it needs.
+bit-for-bit whichever stages run, in any order. All stage outputs land
+under the run's output directory; the manifest echoes the full config
+with defaults applied, every derived seed, library versions, and the
+time taken by the run and by each stage (the only fields that vary
+between otherwise identical runs). One RunDir carries the run from
+stage to stage and back to the caller. A run of every stage reads
+nothing back from disk; a stage run alone reads what it needs.
 """
 
 from __future__ import annotations

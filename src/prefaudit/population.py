@@ -6,9 +6,10 @@ zero-variance diagonal Gaussian. Alternative spaces are uniform boxes,
 diagonal Gaussians, or explicit slates. Each spec validates itself on
 construction (raising ConfigError) and carries its dimension ``dim`` and
 its sampler ``sample(rng, n)``, an (n, dim) array; population specs also
-carry their analytic mean ``expected_theta()``. Sampling uses numpy's
-counter-based Philox generator so identical (spec, n, seed) triples
-reproduce bitwise identical draws.
+carry their analytic mean ``expected_theta()``. ``sample_voters`` wraps
+one population draw in a ``Voters``. Sampling uses numpy's counter-based
+Philox generator so identical (spec, n, seed) triples reproduce bitwise
+identical draws.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .model import VoterParams, feature_vector, slate_array
+from .model import Voters, _points, feature_vector, slate_array
 
 __all__ = [
     "PointMass",
@@ -146,28 +147,22 @@ class ExplicitSlate:
     equals its size (sampling without replacement), sampled with
     replacement otherwise."""
 
-    points: tuple
+    points: np.ndarray  # read-only (n, d)
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(feature_vector(p) for p in self.points))
-        if not self.points:
-            raise ConfigError("explicit slate must be non-empty")
-        if any(p.shape[0] != self.dim for p in self.points):
-            raise ConfigError("explicit slate has inconsistent dimensions")
-        points = np.stack(self.points)
+        object.__setattr__(self, "points", points := _points("slate", self.points, 1))
         # by value, so 0.0 equals -0.0; np.unique would import numpy.ma
         if (points == points[0]).all():  # every alternative would be the same, and every audit vacuous
             raise ConfigError("points: need at least 2 distinct points, got 1")
 
     @property
     def dim(self) -> int:
-        return self.points[0].shape[0]
+        return self.points.shape[1]
 
     def sample(self, rng, n: int) -> np.ndarray:
-        points = np.stack(self.points)
         if n == len(self.points):
-            return points
-        return points[rng.integers(0, len(self.points), size=n)]
+            return self.points
+        return self.points[rng.integers(0, len(self.points), size=n)]
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -181,12 +176,11 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_voters(spec, n: int, seed: int) -> list[VoterParams]:
-    """Draw n i.i.d. voters from the population; voter ids are 0..n-1."""
+def sample_voters(spec, n: int, seed: int) -> Voters:
+    """Draw n i.i.d. voters from the population, with ids 0..n-1."""
     if n < 1:
         raise ConfigError("need at least one voter")
-    thetas = spec.sample(seeded_rng(seed), n)
-    return [VoterParams(voter_id=i, theta=thetas[i]) for i in range(n)]
+    return Voters(np.arange(n), spec.sample(seeded_rng(seed), n))
 
 
 def sample_alternatives(spec, m: int, seed: int) -> np.ndarray:

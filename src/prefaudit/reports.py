@@ -47,20 +47,8 @@ def parse_rows(text: str) -> list[dict]:
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames != ROW_FIELDS:
         raise InputError(f"unexpected row header: {reader.fieldnames}")
-    rows = []
-    for raw in reader:
-        rows.append(
-            {
-                "axiom": raw["axiom"],
-                "epsilon": float(raw["epsilon"]),
-                "anchor": int(raw["anchor"]),
-                "status": raw["status"],
-                "dominated": raw["dominated"],
-                "violations": raw["violations"],
-                "margin": None if raw["margin"] == "" else float(raw["margin"]),
-            }
-        )
-    return rows
+    return [{**{k: raw[k] for k in ROW_FIELDS}, "epsilon": float(raw["epsilon"]), "anchor": int(raw["anchor"]),
+             "margin": None if raw["margin"] == "" else float(raw["margin"])} for raw in reader]
 
 
 def emit_table(axiom_reports: list[AxiomReport], distortion: DistortionReport | None = None) -> str:
@@ -76,14 +64,8 @@ def emit_table(axiom_reports: list[AxiomReport], distortion: DistortionReport | 
         if "diagnostic" in rep.metadata:
             lines.append(f"  {rep.metadata['diagnostic']}")
     if distortion is not None:
-        if distortion.regret is None:
-            lines.append(
-                f"distortion   delta={distortion.delta:g}  regret=UNDEFINED "
-                f"({distortion.metadata.get('diagnostic', 'empty consistent set')})"
-            )
-        else:
-            lines.append(
-                f"distortion   delta={distortion.delta:g}  regret={distortion.regret:.6g}  "
-                f"winner={distortion.learned_winner}"
-            )
+        regret = (f"regret=UNDEFINED ({distortion.metadata.get('diagnostic', 'empty consistent set')})"
+                  if distortion.regret is None else
+                  f"regret={distortion.regret:.6g}  winner={distortion.learned_winner}")
+        lines.append(f"distortion   delta={distortion.delta:g}  {regret}")
     return "\n".join(lines) + "\n"

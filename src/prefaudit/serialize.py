@@ -1,4 +1,4 @@
-"""Wire formats for datasets, models, and reports.
+"""Wire formats for datasets, voters, models, and reports.
 
 Dataset records are key=value lines with floats at 17 significant
 digits, so a write/read round trip is exact; models and reports are JSON
@@ -6,22 +6,22 @@ objects keyed by their dataclass fields, except that an axiom report's
 two masks are written as ``slate_size``, ``vacuous`` and one anchor object
 per row. axioms.json has one line per report and per anchor, and parses
 to the value of an indented dump of the report list; the other JSON files
-use ``indent=2``. The line writers make each index's, point's and voter's
-text once and stream the lines.
+use ``indent=2``, slate.json and voters.json by one row template. The
+line writers make each index's, point's and voter's text once and
+stream the lines.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields, is_dataclass
-from functools import cache
+from dataclasses import fields
 
 import numpy as np
 
 from .axioms import AxiomReport
 from .distortion import DistortionReport
 from .errors import InputError
-from .model import Dataset, RewardModel, VoterParams, slate_array
+from .model import Dataset, RewardModel, Voters, slate_array
 
 __all__ = [
     "format_float",
@@ -122,8 +122,17 @@ def read_records(path, slate) -> Dataset:
         raise InputError(f"{path}: {e}") from None
 
 
+def _write_rows(path, rows, indent: int, head: str, tails) -> None:
+    """The dump_json text of a list whose entry k is head, rows[k] (a list of
+    floats at ``indent``) and tails[k]; json writes a float as repr does."""
+    sep = ",\n" + " " * (indent + 2)
+    entries = (f"{head}[{sep[1:]}{sep.join(map(repr, row))}\n{' ' * indent}]{tail}" for row, tail in zip(rows, tails))
+    with open(path, "w") as fh:
+        fh.write("[\n" + ",\n".join(entries) + "\n]\n")
+
+
 def write_slate(path, slate: np.ndarray) -> None:
-    dump_json(path, slate.tolist())
+    _write_rows(path, slate.tolist(), 2, "  ", [""] * len(slate))
 
 
 def _read_json(path, build):
@@ -149,45 +158,29 @@ def read_slate(path) -> np.ndarray:
     return _read_json(path, lambda entries: slate_array(_non_empty(entries)))
 
 
-def write_voters(path, voters) -> None:
-    dump_json(path, [_plain(v) for v in voters])
+def write_voters(path, voters: Voters) -> None:
+    tails = (f',\n    "voter_id": {i}\n  }}' for i in voters.ids.tolist())
+    _write_rows(path, voters.thetas.tolist(), 4, '  {\n    "theta": ', tails)
 
 
-def _voters(entries) -> list[VoterParams]:
-    voters = []
+def _voters(entries) -> Voters:
     for entry in _non_empty(entries):
         if not isinstance(entry, dict):
             raise InputError(f"a voter must be an object with voter_id and theta, got {entry!r}")
-        voters.append(VoterParams(voter_id=entry["voter_id"], theta=entry["theta"]))
-    if len({v.theta.size for v in voters}) > 1:
-        raise InputError("entries differ in dimension")
-    return voters
+    ids, thetas = [e["voter_id"] for e in entries], [e["theta"] for e in entries]
+    if bool in map(type, ids):
+        raise InputError("voter_id: need integers, got a boolean")
+    return Voters(ids, thetas)
 
 
-def read_voters(path) -> list[VoterParams]:
+def read_voters(path) -> Voters:
     return _read_json(path, _voters)
 
 
-_SCALARS = frozenset({bool, int, float, str, type(None)})
-
-
-@cache
-def _field_names(cls) -> tuple:  # () for a type that is not a dataclass
-    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else ()
-
-
-def _plain(value):
-    """The JSON form of a voter, model or distortion report: a dataclass becomes
-    the object of its fields, an array its .tolist() and a tuple (of scalars) a list.
-    """
-    if type(value) in _SCALARS:
-        return value
-    if isinstance(value, tuple):
-        return list(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    names = _field_names(type(value))
-    return {name: _plain(getattr(value, name)) for name in names} if names else value
+def _plain(report) -> dict:
+    """A model's or distortion report's fields, each array as a list."""
+    values = {f.name: getattr(report, f.name) for f in fields(report)}
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
 
 def model_to_dict(model: RewardModel) -> dict:

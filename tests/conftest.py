@@ -7,7 +7,7 @@ import pytest
 
 import prefaudit
 from prefaudit.estimation import nll
-from prefaudit.model import Dataset
+from prefaudit.model import Dataset, VoterParams
 
 
 def central_difference_gradient(theta, data, lam, h=1e-5):
@@ -43,6 +43,11 @@ def coordinate_dataset(voter, label, a0, a1, **scheme):
     a0, a1 = list(a0), list(a1)
     n = len(a0)
     return Dataset(voter=voter, label=label, slate=a0 + a1, i0=range(n), i1=range(n, n + len(a1)), **scheme)
+
+
+def voter_records(voters):
+    """The oracle's per-voter records of a Voters, one VoterParams per voter."""
+    return [VoterParams(voter_id=i, theta=t) for i, t in zip(voters.ids.tolist(), voters.thetas)]
 
 
 def random_records(rng, d, n, voter_ids=(0,)):

@@ -9,7 +9,7 @@ import time
 import numpy as np
 from scipy.stats import kendalltau
 
-from conftest import central_difference_gradient, cli_env, random_records
+from conftest import central_difference_gradient, cli_env, random_records, voter_records
 from prefaudit.annotation import (
     EACH_PAIR_RANDOM_VOTER,
     RoundRobin,
@@ -169,7 +169,7 @@ def test_criterion_5_oracle_equivalence():
                     DiagonalGaussian(mean=rng.normal(size=d), var=rng.uniform(0.01, 1, d)),
                     int(rng.integers(1, 8)), seed=int(rng.integers(0, 10000)))
                 main = audit_unanimity(model, slate, voters, [eps])[0]
-                oracle = exhaustive_axiom_check(model, slate, voters, eps, "unanimity")
+                oracle = exhaustive_axiom_check(model, slate, voter_records(voters), eps, "unanimity")
             else:
                 pop = DiagonalGaussian(mean=rng.normal(size=d), var=rng.uniform(0.01, 1, d))
                 main = audit_condorcet(model, slate, pop, [eps])[0]

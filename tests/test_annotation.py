@@ -21,7 +21,7 @@ from prefaudit.annotation import (
 )
 from prefaudit.errors import InputError
 from prefaudit.estimation import nll
-from prefaudit.model import Dataset, VoterParams, btl_prob
+from prefaudit.model import Dataset, Voters, btl_prob
 from prefaudit.population import PointMass, sample_voters
 
 N_DRAWS = 10000
@@ -115,7 +115,7 @@ class TestGenerateDataset:
 
         monkeypatch.setattr(prefaudit.annotation, "seeded_rng", no_draws)
         with pytest.raises(InputError, match="dimension mismatch"):
-            generate_dataset([VoterParams(voter_id=0, theta=theta)], alts, RoundRobin(),
+            generate_dataset(Voters(ids=[0], thetas=[theta]), alts, RoundRobin(),
                              EACH_PAIR_RANDOM_VOTER, labels, seed=0)
 
     def test_proxy_scheme_tagged_in_records(self):
@@ -173,7 +173,7 @@ def _reference_dataset(voters, alts, pair_scheme, assignment, label_scheme, seed
     else:
         rows = [k % len(voters) for k in range(len(pairs))]
     points = np.array(alts, dtype=np.float64)
-    thetas = np.stack([v.theta for v in voters])
+    thetas = np.array(voters.thetas)
     if label_scheme.w is not None:
         thetas = thetas * label_scheme.w
     table = thetas @ points.T
@@ -183,7 +183,7 @@ def _reference_dataset(voters, alts, pair_scheme, assignment, label_scheme, seed
             i, j = j, i
         gap = float(table[v, j]) - float(table[v, i])
         p = 1.0 / (1.0 + math.exp(-gap)) if gap >= 0 else math.exp(gap) / (1.0 + math.exp(gap))
-        voter.append(voters[v].voter_id)
+        voter.append(int(voters.ids[v]))
         label.append(int(label_u < p))
         i0.append(i)
         i1.append(j)
@@ -206,7 +206,7 @@ def _reference_dataset(voters, alts, pair_scheme, assignment, label_scheme, seed
 def test_matches_the_record_at_a_time_reference(data, d, m, n_voters, uniform, count, repeats,
                                                 assignment, proxy, seed):
     vec = st.lists(st.floats(-5, 5), min_size=d, max_size=d)
-    voters = [VoterParams(voter_id=3 * k + 1, theta=data.draw(vec)) for k in range(n_voters)]
+    voters = Voters(ids=[3 * k + 1 for k in range(n_voters)], thetas=[data.draw(vec) for _ in range(n_voters)])
     alts = data.draw(st.lists(vec, min_size=m, max_size=m))
     pair_scheme = UniformRandomPairs(count=count) if uniform else RoundRobin(repeats=repeats)
     label_scheme = ProxyLabels(w=data.draw(vec)) if proxy else TrueRewardLabels()
@@ -219,7 +219,7 @@ def test_matches_the_record_at_a_time_reference(data, d, m, n_voters, uniform, c
 def test_one_voter_gives_the_same_dataset_under_both_assignments(pair_scheme, label_scheme):
     """One voter's integer draws take no bits, so under each-pair-random-voter
     a one-voter dataset is the partition-by-voter one, record for record."""
-    voters = [VoterParams(voter_id=7, theta=[1.0, -0.5])]
+    voters = Voters(ids=[7], thetas=[[1.0, -0.5]])
     slate = [[0.0, 0.0], [1.0, 0.5], [0.5, 1.0], [0.2, 0.9], [1.0, 1.0]]
     for seed in range(5):
         each, by_position = (generate_dataset(voters, slate, pair_scheme, assignment, label_scheme, seed)
@@ -261,7 +261,7 @@ def test_non_finite_reward_raises_only_on_a_compared_pair(assignment):
         # the two overflowing terms of slate row 2's reward cancel to nan
         ([1e200, 1e200], [[0.0, 0.0], [1.0, 0.0], [1e200, -1e200]]),
     ]:
-        voters = [VoterParams(voter_id=k, theta=theta) for k in range(2)]
+        voters = Voters(ids=[0, 1], thetas=[theta, theta])
         data = generate_dataset(voters, slate, _FixedPairs(0, 1), assignment, TrueRewardLabels(), seed=0)
         assert len(data) == 1
         with pytest.raises(InputError, match="finite rewards"):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prefaudit.axioms
+from conftest import voter_records
 from prefaudit.annotation import (
     PARTITION_BY_VOTER,
     RoundRobin,
@@ -25,7 +26,7 @@ from prefaudit.axioms import (
 )
 from prefaudit.errors import InputError
 from prefaudit.estimation import DEFAULT_GRAD_TOL, _fit_counts, fit_mle
-from prefaudit.model import RewardModel, VoterParams
+from prefaudit.model import RewardModel, Voters
 from prefaudit.oracle import exhaustive_axiom_check
 from prefaudit.population import (
     DiagonalGaussian,
@@ -71,10 +72,7 @@ class TestUnanimity:
         assert report.dominated.tolist() == [[False, True], [False, False]]
 
     def test_disagreeing_voters_vacuous(self):
-        voters = [
-            VoterParams(voter_id=0, theta=[1.0, 0.0]),
-            VoterParams(voter_id=1, theta=[-1.0, 0.0]),
-        ]
+        voters = Voters(ids=[0, 1], thetas=[[1.0, 0.0], [-1.0, 0.0]])
         report = audit_unanimity(_model([1.0, 0.0]), SLATE_2D, voters, epsilons=[0.0])[0]
         assert report.passed and report.vacuous
         assert not report.dominated.any()
@@ -88,13 +86,13 @@ class TestUnanimity:
     @pytest.mark.parametrize("thetas", [[[1.0, 0.0, 0.5]], [[1.0, 0.0], [1.0, 0.0, 0.5]]],
                              ids=["every-voter", "one-voter"])
     def test_voters_of_another_dimension_fail_loudly(self, thetas):
-        voters = [VoterParams(voter_id=i, theta=t) for i, t in enumerate(thetas)]
+        # one voter of another dimension fails as the Voters is built
         with pytest.raises(InputError, match="dimension mismatch"):
-            audit_unanimity(_model([1.0, 0.0]), SLATE_2D, voters, [0.0])
+            audit_unanimity(_model([1.0, 0.0]), SLATE_2D, Voters(ids=range(len(thetas)), thetas=thetas), [0.0])
 
     def test_empty_inputs(self):
         with pytest.raises(InputError):
-            audit_unanimity(_model([1.0, 0.0]), SLATE_2D, [], [0.0])
+            audit_unanimity(_model([1.0, 0.0]), SLATE_2D, Voters(ids=[], thetas=[]), [0.0])
         with pytest.raises(InputError):
             audit_unanimity(_model([1.0, 0.0]), [SLATE_2D[0]],
                             sample_voters(PointMass(theta=[1.0, 0.0]), 1, 0), [0.0])
@@ -103,18 +101,18 @@ class TestUnanimity:
         # theta . (0.1, 0.2) is 0 in exact arithmetic; a one-row matrix product
         # rounds it to -1.67e-18, the oracle's 1-D dot to +1.67e-18
         slate = [(0.0, 0.0), (1 / 3, 0.7), (0.1, 0.2)]
-        voters = [VoterParams(voter_id=0, theta=[0.2, -0.1])]
+        voters = Voters(ids=[0], thetas=[[0.2, -0.1]])
         model = _model([0.2, -0.1])
         report = audit_unanimity(model, slate, voters, [0.0])[0]
-        assert report == exhaustive_axiom_check(model, slate, voters, 0.0, "unanimity")
+        assert report == exhaustive_axiom_check(model, slate, voter_records(voters), 0.0, "unanimity")
 
     @settings(max_examples=200, deadline=None)
     @given(_tie_case())
     def test_one_voter_equals_that_voter_listed_twice(self, case):
         theta, slate, model = case
-        voter = VoterParams(voter_id=0, theta=theta)
+        once, twice = Voters(ids=[0], thetas=[theta]), Voters(ids=[0, 1], thetas=[theta, theta])
         epsilons = [0.0, 0.5]
-        assert audit_unanimity(model, slate, [voter], epsilons) == audit_unanimity(model, slate, [voter, voter], epsilons)
+        assert audit_unanimity(model, slate, once, epsilons) == audit_unanimity(model, slate, twice, epsilons)
 
 
 # Coordinates of slate points and voter thetas, with magnitudes whose
@@ -143,7 +141,7 @@ def _unanimity_case(draw):
         thetas = draw(st.lists(vector, min_size=1, max_size=8))
         n = draw(st.integers(1, 30))
         picks = [0] * n if draw(st.booleans()) else draw(st.lists(st.integers(0, len(thetas) - 1), min_size=n, max_size=n))
-    voters = [VoterParams(voter_id=v, theta=thetas[k]) for v, k in enumerate(picks)]
+    voters = Voters(ids=range(len(picks)), thetas=[thetas[k] for k in picks])
     model = _model(draw(st.lists(st.sampled_from([-0.25, 0.0, 0.25]), min_size=d, max_size=d)))
     epsilons = draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 1.0, 3.0]), min_size=1, max_size=4))
     return slate, voters, model, epsilons
@@ -155,8 +153,8 @@ class TestTwoPassUnanimity:
         m = len(slate)
         gap = np.full((m, m), np.inf)
         with np.errstate(invalid="ignore", over="ignore"):  # rewards of +-inf, and inf - inf
-            for v in voters:
-                r = np.array([float(v.theta @ a) for a in slate])
+            for theta in voters.thetas:
+                r = np.array([float(theta @ a) for a in slate])
                 gap = np.minimum(gap, r[:, None] - r[None, :])
             reports = audit_unanimity(model, slate, voters, epsilons)
         s = np.array([float(model.theta_hat @ a) for a in slate])
@@ -190,7 +188,7 @@ class TestTwoPassUnanimity:
             return gap(rewards, floor)
 
         with mock.patch.object(prefaudit.axioms, "_unanimity_gap", capture):
-            audit_unanimity(_model(thetas[0]), slate, [VoterParams(voter_id=0, theta=t) for t in thetas], [0.0])
+            audit_unanimity(_model(thetas[0]), slate, Voters(ids=range(n), thetas=thetas), [0.0])
         want = np.dot(thetas[:, None], slate.T)[:, 0].T
         assert len(seen) == 1 and seen[0].shape == (m, n) and seen[0].tobytes() == want.tobytes()
 
@@ -444,7 +442,7 @@ class TestDominanceKernelProperties:
         assert len(uni) == len(cond) == len(epsilons)
         for eps, u, c in zip(epsilons, uni, cond):
             # AxiomReport equality covers every field but metadata, min_margin included
-            assert u == exhaustive_axiom_check(model, slate, voters, eps, "unanimity")
+            assert u == exhaustive_axiom_check(model, slate, voter_records(voters), eps, "unanimity")
             assert c == exhaustive_axiom_check(model, slate, pop, eps, "condorcet")
 
     @settings(max_examples=40, deadline=None)

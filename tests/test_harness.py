@@ -31,7 +31,7 @@ from prefaudit.config import DEFAULTS, config_from_dict, load_config
 from prefaudit.distortion import DistortionReport, SearchSpec
 from prefaudit.errors import ConfigError, InputError
 from prefaudit.estimation import DEFAULT_GRAD_TOL, DEFAULT_LAMBDA, DEFAULT_MAX_ITERS, fit_mle
-from prefaudit.model import Dataset, RewardModel
+from prefaudit.model import Dataset, RewardModel, Voters
 from prefaudit.pipeline import STAGES, RunDir, child_seed, run_pipeline
 from prefaudit.reports import emit_rows, emit_table, parse_rows, rows_from_reports
 from prefaudit.serialize import (
@@ -47,6 +47,8 @@ from prefaudit.serialize import (
     read_voters,
     write_axiom_reports,
     write_records,
+    write_slate,
+    write_voters,
 )
 
 MINIMAL = {
@@ -421,6 +423,29 @@ class TestRecordWireFormat:
         write_records(path, coordinate_dataset([3], [0], [[1.0]], [[2.0]]))
         line = path.read_text()
         assert line.startswith("voter=3 label=0 scheme=true-reward")
+
+
+# Finite floats, with the ones whose text is easiest to get wrong: a signed
+# zero, the smallest subnormal, and the edges of repr's fixed notation
+_json_floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 9999999999999998.0, 0.0001]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda d: st.lists(st.lists(_json_floats, min_size=d, max_size=d), min_size=2, max_size=6)), st.data())
+def test_slate_and_voters_files_hold_the_indented_json_encoders_text(rows, data):
+    """write_slate and write_voters fill one row template; their files must be
+    byte for byte what json.dump with indent=2 and sorted keys writes."""
+    n = data.draw(st.integers(1, len(rows)))
+    ids = data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n, unique=True)
+                    | st.just([2**63 - 1 - k for k in range(n)]))
+    want = {"slate.json": rows, "voters.json": [{"voter_id": i, "theta": t} for i, t in zip(ids, rows)]}
+    with tempfile.TemporaryDirectory() as tmp:
+        write_slate(Path(tmp) / "slate.json", np.array(rows))
+        write_voters(Path(tmp) / "voters.json", Voters(ids=ids, thetas=rows[:n]))
+        for name, value in want.items():
+            assert (Path(tmp) / name).read_text() == json.dumps(value, indent=2, sort_keys=True) + "\n", name
 
 
 class TestDistortionReportWireFormat:
@@ -1080,6 +1105,27 @@ def test_benchmark_output_checks_pass(tmp_path, alternatives):
     results = checks.output_checks(out, cfg_path, [checks.artifact_digests(out)])
     branch = "exhaustive oracle" if alternatives <= checks.ORACLE_MAX_SLATE else "numpy recomputation"
     assert sum(branch in name for name, _ in results) == 4  # unanimity and condorcet per epsilon
+    assert [name for name, ok in results if not ok] == []
+
+
+@pytest.mark.parametrize("workload", ["grid-d3", "large-n"])
+def test_benchmark_workloads_pass_every_output_check(tmp_path, capsys, workload):
+    """``prefaudit run`` on each benchmark workload at seed 42 passes every
+    output check the benchmark gates a run on, with perfbench/checks.py
+    loaded from its file as it stands: grid-d3 goes through the exhaustive
+    oracle and its VoterParams, large-n through the numpy recomputation. An
+    API change that breaks the benchmark fails here."""
+    checks = _perfbench_module("checks")
+    workloads = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json").read_text())
+    config = {**workloads["workloads"][workload]["config"], "seed": 42}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert prefaudit.cli.main(["--config", str(cfg_path), "--out", str(out), "run"]) == 0
+    assert capsys.readouterr().out.startswith("axiom ")
+    results = checks.output_checks(out, cfg_path, [checks.artifact_digests(out)])
+    branch = "exhaustive oracle" if workload == "grid-d3" else "numpy recomputation"
+    assert sum(branch in name for name, _ in results) == 2 * len(config["audit"]["epsilons"])
     assert [name for name, ok in results if not ok] == []
 
 

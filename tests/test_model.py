@@ -21,7 +21,7 @@ from prefaudit.annotation import (
 )
 from prefaudit.axioms import audit_condorcet, audit_unanimity
 from prefaudit.errors import InputError
-from prefaudit.model import Dataset, RewardModel, VoterParams, btl_prob, feature_vector, slate_array
+from prefaudit.model import Dataset, RewardModel, VoterParams, Voters, btl_prob, feature_vector, slate_array
 from prefaudit.population import PointMass
 from prefaudit.serialize import read_voters, write_voters
 
@@ -95,7 +95,7 @@ BAD_SLATES = {
 
 def _slate_entry_points():
     """Every public function that takes a slate, as slate -> result, on d=2 inputs."""
-    voters = [VoterParams(voter_id=i, theta=[1.0, -0.5]) for i in range(2)]
+    voters = Voters(ids=[0, 1], thetas=[[1.0, -0.5], [1.0, -0.5]])
     model = RewardModel(theta_hat=[1.0, -0.5], lam=1e-3, final_nll=1.0, converged=True, iterations=1)
     return {
         "generate_dataset": lambda slate: generate_dataset(
@@ -327,10 +327,12 @@ def test_only_the_dataset_builds_a_pair_table():
 ])
 def test_ids_must_be_integers_in_the_int64_range(column, value, tmp_path):
     """A float, string, NaN or out-of-range id is an InputError, never a truncated
-    or wrapped id, in a Dataset column, a VoterParams and a voters.json entry."""
+    or wrapped id, in a Dataset column, a VoterParams, a Voters and a voters.json entry."""
     if column == "voter_id":
         with pytest.raises(InputError, match="^voter_id"):
             VoterParams(voter_id=value, theta=[1.0])
+        with pytest.raises(InputError, match="^voter_id"):
+            Voters(ids=[value], thetas=[[1.0]])
         path = tmp_path / "voters.json"
         path.write_text(json.dumps([{"voter_id": value, "theta": [1.0]}]))
         with pytest.raises(InputError, match=f"^{re.escape(str(path))}: voter_id"):
@@ -344,10 +346,62 @@ def test_ids_must_be_integers_in_the_int64_range(column, value, tmp_path):
 def test_numpy_integer_ids_are_accepted(tmp_path):
     voter = VoterParams(voter_id=np.int32(3), theta=[1.0])
     assert type(voter.voter_id) is int
-    write_voters(tmp_path / "voters.json", [voter])
-    assert read_voters(tmp_path / "voters.json")[0].voter_id == 3
+    write_voters(tmp_path / "voters.json", Voters(ids=np.array([3], dtype=np.int32), thetas=[[1.0]]))
+    assert read_voters(tmp_path / "voters.json").ids.tolist() == [3]
     data = Dataset(voter=np.array([2**63 - 1], dtype=np.uint64), label=[1], slate=[[0.0], [1.0]], i0=[0], i1=[1])
     assert data.voter.tolist() == [2**63 - 1]
+
+
+class TestVoters:
+    def test_holds_read_only_copies(self):
+        thetas = np.array([[1.0, -0.5], [0.25, 2.0]])
+        voters = Voters(ids=np.array([7, 3], dtype=np.int32), thetas=thetas)
+        thetas[0, 0] = 9.0  # the Voters holds its own copy
+        assert len(voters) == 2
+        assert voters.ids.dtype == np.int64 and voters.ids.tolist() == [7, 3]
+        assert voters.thetas.dtype == np.float64 and voters.thetas.tolist() == [[1.0, -0.5], [0.25, 2.0]]
+        for column in (voters.ids, voters.thetas):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+
+    @pytest.mark.parametrize("ids, thetas, message", [
+        ([], [], r"^theta: need m >= 1 points of dimension d >= 1, got shape \(0,\)$"),
+        ([0], [[]], r"^theta: need m >= 1 points of dimension d >= 1, got shape \(1, 0\)$"),
+        ([0, 1], [1.0, 2.0], r"^theta: need m >= 1 points of dimension d >= 1, got shape \(2,\)$"),
+        ([0, 1], [[1.0, 2.0], [3.0]], "^dimension mismatch: theta points differ in dimension$"),
+        ([0, 1], [[1.0, 2.0], [3.0, float("inf")]], "^theta point 1 has non-finite coordinates$"),
+        ([0], [[1.0], [2.0]], r"^voter_id: need shape \(2,\), one per voter, got \(1,\)$"),
+        ([0, 1.5], [[1.0], [2.0]], "^voter_id: need integers in the int64 range"),
+    ], ids=["no-voters", "no-dimensions", "one-dimensional", "ragged", "non-finite", "too-few-ids", "float-id"])
+    def test_invalid_voters_are_input_errors(self, ids, thetas, message):
+        with pytest.raises(InputError, match=message):
+            Voters(ids=ids, thetas=thetas)
+
+    @pytest.mark.parametrize("ids, repeated", [([4, 4], 4), ([5, 3, 3, 5], 3), ([2**63 - 1, 0, 2**63 - 1], 2**63 - 1)])
+    def test_ids_must_be_unique(self, ids, repeated):
+        """A repeated id would merge two voters' records; the error names the
+        first id that an earlier voter already holds."""
+        with pytest.raises(InputError, match=f"^voter_id {repeated} repeats an earlier voter's$"):
+            Voters(ids=ids, thetas=[[float(k)] for k in range(len(ids))])
+
+    def test_voters_json_with_a_repeated_id_names_the_file(self, tmp_path):
+        path = tmp_path / "voters.json"
+        path.write_text(json.dumps([{"voter_id": v, "theta": [1.0, -0.5]} for v in (0, 1, 1)]))
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: voter_id 1 repeats an earlier voter's$"):
+            read_voters(path)
+
+    def test_voters_json_rejects_a_boolean_id_beside_integers(self, tmp_path):
+        path = tmp_path / "voters.json"
+        path.write_text(json.dumps([{"voter_id": 0, "theta": [1.0]}, {"voter_id": True, "theta": [2.0]}]))
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: voter_id: need integers"):
+            read_voters(path)
+
+    def test_round_trip_through_voters_json(self, tmp_path):
+        voters = Voters(ids=[9, 2**63 - 1, 0], thetas=[[0.1, -0.0], [5e-324, 1e16], [-1e-7, 2.5]])
+        write_voters(tmp_path / "voters.json", voters)
+        back = read_voters(tmp_path / "voters.json")
+        assert back.ids.tolist() == voters.ids.tolist()
+        assert back.thetas.tobytes() == voters.thetas.tobytes()
 
 
 TWO_POINTS = [[0.0], [1.0]]

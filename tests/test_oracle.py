@@ -7,11 +7,11 @@ import pytest
 
 import prefaudit.cli
 import prefaudit.oracle
-from conftest import make_dataset, mirrored, random_records
+from conftest import make_dataset, mirrored, random_records, voter_records
 from prefaudit.axioms import audit_condorcet, audit_unanimity
 from prefaudit.errors import InputError
 from prefaudit.estimation import fit_mle, nll
-from prefaudit.model import RewardModel
+from prefaudit.model import RewardModel, Voters
 from prefaudit.oracle import (
     brute_force_mle,
     empirical_unanimous_gap,
@@ -69,7 +69,7 @@ class TestExhaustiveAxiomCheck:
         model = _model(rng.normal(size=2))
         for eps in (0.0, 0.1, 0.5):
             main = audit_unanimity(model, slate, voters, [eps])[0]
-            oracle = exhaustive_axiom_check(model, slate, voters, eps, "unanimity")
+            oracle = exhaustive_axiom_check(model, slate, voter_records(voters), eps, "unanimity")
             assert np.array_equal(main.dominated, oracle.dominated) and np.array_equal(main.violated, oracle.violated)
             assert main.passed == oracle.passed
             assert main.min_margin == oracle.min_margin
@@ -93,17 +93,16 @@ class TestExhaustiveAxiomCheck:
         slate = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.5, 0.5])]
         model = _model(-theta_star)
         main = audit_unanimity(model, slate, voters, [0.0])[0]
-        oracle = exhaustive_axiom_check(model, slate, voters, 0.0, "unanimity")
+        oracle = exhaustive_axiom_check(model, slate, voter_records(voters), 0.0, "unanimity")
         assert not main.passed
         assert main.violations == oracle.violations
 
     def test_vacuous_flag_agrees(self):
-        voters = [v for s in (1.0, -1.0)
-                  for v in sample_voters(PointMass(theta=[s, 0.0]), 1, seed=0)]
+        voters = Voters(ids=[0, 1], thetas=[[1.0, 0.0], [-1.0, 0.0]])
         slate = [np.array([1.0, 0.0]), np.array([0.0, 0.0])]
         model = _model([1.0, 0.0])
         main = audit_unanimity(model, slate, voters, [0.0])[0]
-        oracle = exhaustive_axiom_check(model, slate, voters, 0.0, "unanimity")
+        oracle = exhaustive_axiom_check(model, slate, voter_records(voters), 0.0, "unanimity")
         assert main.vacuous and oracle.vacuous
 
     def test_rejects_unsupported_axiom(self):
@@ -115,7 +114,7 @@ class TestExhaustiveAxiomCheck:
     def test_rejects_epsilon_not_finite_and_non_negative(self, epsilon):
         # at epsilon 0 this negated model fails; a NaN or infinite epsilon
         # would dominate nothing and report a vacuous pass
-        voters = sample_voters(PointMass(theta=[1.0, 0.0]), 1, seed=0)
+        voters = voter_records(sample_voters(PointMass(theta=[1.0, 0.0]), 1, seed=0))
         slate = [np.array([1.0, 0.0]), np.array([0.0, 0.0])]
         model = _model([-1.0, 0.0])
         assert not exhaustive_axiom_check(model, slate, voters, 0.0, "unanimity").passed
@@ -126,7 +125,7 @@ class TestExhaustiveAxiomCheck:
     def test_rejects_a_non_finite_slate_point(self):
         # a NaN point dominates nothing and is dominated by nothing, so
         # without the check this negated model would pass vacuously
-        voters = sample_voters(PointMass(theta=[1.0, 0.0]), 1, seed=0)
+        voters = voter_records(sample_voters(PointMass(theta=[1.0, 0.0]), 1, seed=0))
         slate = [np.array([1.0, 0.0]), np.array([np.nan, 0.0])]
         model = _model([-1.0, 0.0])
         for axiom, population in (("unanimity", voters), ("condorcet", PointMass(theta=[1.0, 0.0]))):
@@ -161,16 +160,16 @@ class TestPopulationMeanGap:
 
 class TestEmpiricalUnanimousGap:
     def test_single_voter(self):
-        voters = sample_voters(PointMass(theta=[1.0, 0.0]), 1, seed=0)
+        voters = voter_records(sample_voters(PointMass(theta=[1.0, 0.0]), 1, seed=0))
         assert empirical_unanimous_gap(voters, [1.0, 0.0], [0.0, 0.0]) == 1.0
 
     def test_disagreeing_voters(self):
-        voters = sample_voters(PointMass(theta=[1.0, 0.0]), 1, seed=0)
-        voters += sample_voters(PointMass(theta=[-1.0, 0.0]), 1, seed=0)
+        voters = voter_records(sample_voters(PointMass(theta=[1.0, 0.0]), 1, seed=0))
+        voters += voter_records(sample_voters(PointMass(theta=[-1.0, 0.0]), 1, seed=0))
         assert empirical_unanimous_gap(voters, [1.0, 0.0], [0.0, 0.0]) == -1.0
 
     def test_identical_alternatives(self):
-        voters = sample_voters(DiagonalGaussian(mean=[0.0], var=[1.0]), 10, seed=1)
+        voters = voter_records(sample_voters(DiagonalGaussian(mean=[0.0], var=[1.0]), 10, seed=1))
         a = [0.6]
         assert empirical_unanimous_gap(voters, a, a) == 0.0
 
@@ -180,7 +179,7 @@ class TestEmpiricalUnanimousGap:
 
     def test_point_mass_matches_analytic(self, rng):
         spec = PointMass(theta=[0.5, -1.5])
-        voters = sample_voters(spec, 17, seed=2)
+        voters = voter_records(sample_voters(spec, 17, seed=2))
         for _ in range(20):
             a, b = rng.normal(size=2), rng.normal(size=2)
             assert empirical_unanimous_gap(voters, a, b) == population_mean_gap(spec, a, b)

@@ -20,30 +20,28 @@ from prefaudit.population import (
 class TestSampleVoters:
     def test_point_mass(self):
         voters = sample_voters(PointMass(theta=[1.0, 2.0]), 3, seed=0)
-        assert [v.voter_id for v in voters] == [0, 1, 2]
-        for v in voters:
-            assert np.array_equal(v.theta, [1.0, 2.0])
+        assert voters.ids.tolist() == [0, 1, 2]
+        assert voters.thetas.tolist() == [[1.0, 2.0]] * 3
 
     def test_gaussian_mean_concentrates(self):
         # law of large numbers: 3*sigma/sqrt(n) ~ 0.03, relaxed to 0.05
         spec = DiagonalGaussian(mean=[0.0, 0.0], var=[1.0, 1.0])
         voters = sample_voters(spec, 10000, seed=1)
-        sample_mean = np.mean([v.theta for v in voters], axis=0)
+        sample_mean = np.mean(voters.thetas, axis=0)
         assert np.all(np.abs(sample_mean) < 0.05)
 
     def test_mixture_component_frequencies(self):
         mu_a, mu_b = [10.0, 0.0], [-10.0, 0.0]
         spec = Mixture(components=((0.5, mu_a, [0.01, 0.01]), (0.5, mu_b, [0.01, 0.01])))
         voters = sample_voters(spec, 10000, seed=2)
-        frac_a = np.mean([v.theta[0] > 0 for v in voters])
+        frac_a = np.mean(voters.thetas[:, 0] > 0)
         assert abs(frac_a - 0.5) < 0.02
 
     def test_determinism(self):
         spec = DiagonalGaussian(mean=[1.0], var=[2.0])
         a = sample_voters(spec, 100, seed=7)
         b = sample_voters(spec, 100, seed=7)
-        for va, vb in zip(a, b):
-            assert va.theta.tobytes() == vb.theta.tobytes()
+        assert a.thetas.tobytes() == b.thetas.tobytes()
 
     def test_invalid_specs(self):
         with pytest.raises(ConfigError):
@@ -94,7 +92,7 @@ class TestSampleAlternatives:
         assert np.all(out[:, 0] == 0.5) and len(np.unique(out[:, 1])) == 5
         # a population keeps accepting zero variance: every voter is the mean
         voters = sample_voters(DiagonalGaussian(mean=[0.5, 0.5], var=[0.0, 0.0]), 3, seed=4)
-        assert all(np.array_equal(v.theta, [0.5, 0.5]) for v in voters)
+        assert voters.thetas.tolist() == [[0.5, 0.5]] * 3
 
     def test_slate_oversampling_with_replacement(self):
         pts = ([0.0], [1.0])

@@ -121,8 +121,8 @@ LABEL_SCHEMES = {"true-reward": TrueRewardLabels(), "proxy": ProxyLabels(w=[1.0,
 @pytest.mark.parametrize("kind", sorted(POPULATIONS))
 def test_voter_stream(kind):
     voters = sample_voters(POPULATIONS[kind], 25, SEED)
-    assert [v.voter_id for v in voters] == list(range(25))
-    assert _digest(v.theta for v in voters) == VOTER_DIGESTS[kind]
+    assert voters.ids.tolist() == list(range(25))
+    assert _digest(voters.thetas) == VOTER_DIGESTS[kind]
 
 
 @pytest.mark.parametrize("kind", sorted(SLATES))
