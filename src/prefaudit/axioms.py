@@ -81,7 +81,11 @@ class AxiomReport:
 
     @property
     def anchors(self) -> tuple:
-        """Each anchor's (dominated, violated) column-index tuples, in slate order."""
+        """Each anchor's (dominated, violated) column-index tuples, in slate order.
+
+        The writers cut their texts from the masks, not from this view; it
+        serves readers, tests and perfbench's output checks that compare
+        reports anchor by anchor."""
         return tuple(zip(_row_indices(self.dominated), _row_indices(self.violated)))
 
 

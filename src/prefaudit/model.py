@@ -228,7 +228,7 @@ class Dataset:
         used = np.flatnonzero(table.any(axis=0))
         counts = table[:, used].astype(np.float64)
         del table
-        return self.slate[used // m] - self.slate[used % m], counts
+        return np.take(self.slate, used // m, axis=0) - np.take(self.slate, used % m, axis=0), counts
 
 
 def _check_lambda(lam) -> None:

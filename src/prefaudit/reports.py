@@ -16,7 +16,7 @@ import numpy as np
 from .axioms import AxiomReport
 from .distortion import DistortionReport
 from .errors import InputError
-from .serialize import format_float
+from .serialize import _index_texts, _row_texts, format_float
 
 __all__ = ["rows_from_reports", "emit_rows", "parse_rows", "emit_table"]
 
@@ -24,12 +24,15 @@ ROW_FIELDS = ["axiom", "epsilon", "anchor", "status", "dominated", "violations",
 
 
 def rows_from_reports(reports: list[AxiomReport]) -> list[dict]:
-    """One row per anchor of each report; ``margin`` is the report's min_margin."""
+    """One row per anchor of each report, its lists cut by serialize._row_texts;
+    ``margin`` is the report's min_margin."""
+    t = _index_texts(reports)
     return [
         {"axiom": rep.axiom, "epsilon": rep.epsilon, "anchor": i,
-         "status": "FAIL" if bad else "PASS" if dom else "VACUOUS", "dominated": ";".join(map(str, dom)),
-         "violations": ";".join(f"{i}>{j}" for j in bad), "margin": rep.min_margin}
-        for rep in reports for i, (dom, bad) in enumerate(rep.anchors)
+         "status": "FAIL" if bad else "PASS" if dom else "VACUOUS", "dominated": dom,
+         "violations": bad and f"{t[i]}>{bad.replace(';', ';' + t[i] + '>')}", "margin": rep.min_margin}
+        for rep in reports
+        for i, (dom, bad) in enumerate(zip(_row_texts(rep.dominated, t, ";"), _row_texts(rep.violated, t, ";")))
     ]
 
 

@@ -7,8 +7,9 @@ two masks are written as ``slate_size``, ``vacuous`` and one anchor object
 per row. axioms.json has one line per report and per anchor, and parses
 to the value of an indented dump of the report list; the other JSON files
 use ``indent=2``, slate.json and voters.json by one row template. The
-line writers make each index's, point's and voter's text once and
-stream the lines.
+line writers make each point's and voter's text once and stream the
+lines; each mask's anchor lists are cut from one join of its set cells'
+index texts (``_row_texts``), as are the CSV rows of ``reports``.
 """
 
 from __future__ import annotations
@@ -216,7 +217,8 @@ def axiom_report_from_dict(d: dict) -> AxiomReport:
             raise InputError(f"anchor {i}: dominated {dom} is not increasing or holds the anchor")
         if a["vacuous"] is not (not dom):
             raise InputError(f"anchor {i}: vacuous is {a['vacuous']!r} beside dominated {dom}")
-        bad = [j for j in dom if [i, j] in a["violations"]]
+        named = {v[1] for v in a["violations"] if type(v) is list and len(v) == 2 and v[0] == i and type(v[1]) is int}
+        bad = [j for j in dom if j in named]
         if len(bad) != len(a["violations"]):
             raise InputError(f"anchor {i}: violations must be distinct [{i}, j] with j in its dominated list")
         dominated[i, dom] = violated[i, bad] = True
@@ -229,18 +231,42 @@ _compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _HEAD_KEYS = ("axiom", "epsilon", "metadata", "min_margin", "passed", "slate_size", "vacuous")
 
 
+def _row_texts(mask: np.ndarray, texts: list, sep: str) -> list[str]:
+    """Each row of a square boolean matrix as the texts of its set columns
+    joined by sep: one row-major nonzero and one join of the whole mask, cut
+    at each row's bounds, the cumulative character counts (a text and its sep
+    per cell). texts[j] is column j's text; it may hold more than the mask's
+    columns."""
+    m = len(mask)
+    if not mask.any():
+        return [""] * m
+    columns = np.flatnonzero(mask) % m
+    whole = sep.join(np.array(texts[:m], dtype=object)[columns].tolist())
+    starts = np.zeros(len(columns) + 1, dtype=np.int64)  # cell k's text starts at starts[k]
+    np.cumsum(np.array(list(map(len, texts[:m])))[columns] + len(sep), out=starts[1:])
+    counts = mask.sum(axis=1)
+    ends = np.cumsum(counts)
+    first, stop = starts[ends - counts], starts[ends] - len(sep)
+    return [whole[a:b] for a, b in zip(first.tolist(), np.maximum(first, stop).tolist())]
+
+
+def _index_texts(reports) -> list[str]:
+    """The text of every slate index of the largest report."""
+    return [str(k) for k in range(max((r.slate_size for r in reports), default=0))]
+
+
 def write_axiom_reports(path, reports) -> None:
     """axioms.json: ``[``, a line per report (its _HEAD_KEYS by the C encoder,
     then ``"anchors":[``) and per anchor (its row of both masks as index lists,
-    joining texts of slate indices made once per call), then ``]``."""
-    t = [str(k) for k in range(max((r.slate_size for r in reports), default=0))]
+    cut by _row_texts), then ``]``."""
+    t = _index_texts(reports)
 
     def block(report):
+        violated = _row_texts(report.violated, t, ",")
+        bad = [b and f"[{t[i]},{b.replace(',', '],[' + t[i] + ',')}]" for i, b in enumerate(violated)]
         anchors = ",".join(
-            f'\n{{"anchor":{t[i]},"dominated":[{",".join(map(t.__getitem__, dom))}],'
-            f'"vacuous":{"false" if dom else "true"},'
-            f'"violations":[{",".join(f"[{t[i]},{t[j]}]" for j in bad)}]}}'
-            for i, (dom, bad) in enumerate(report.anchors))
+            f'\n{{"anchor":{t[i]},"dominated":[{dom}],"vacuous":{"false" if dom else "true"},"violations":[{bad[i]}]}}'
+            for i, dom in enumerate(_row_texts(report.dominated, t, ",")))
         return f'{_compact({k: getattr(report, k) for k in _HEAD_KEYS})[:-1]},"anchors":[{anchors}]}}'
 
     with open(path, "w") as fh:

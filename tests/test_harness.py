@@ -26,7 +26,7 @@ import prefaudit.axioms
 import prefaudit.estimation
 import prefaudit.pipeline
 from prefaudit.annotation import RoundRobin, UniformRandomPairs
-from prefaudit.axioms import AxiomReport, ConsistencyScheme
+from prefaudit.axioms import AxiomReport, ConsistencyScheme, _row_indices
 from prefaudit.config import DEFAULTS, config_from_dict, load_config
 from prefaudit.distortion import DistortionReport, SearchSpec
 from prefaudit.errors import ConfigError, InputError
@@ -35,6 +35,8 @@ from prefaudit.model import Dataset, RewardModel, Voters
 from prefaudit.pipeline import STAGES, RunDir, child_seed, run_pipeline
 from prefaudit.reports import emit_rows, emit_table, parse_rows, rows_from_reports
 from prefaudit.serialize import (
+    _index_texts,
+    _row_texts,
     axiom_report_from_dict,
     distortion_report_from_dict,
     distortion_report_to_dict,
@@ -580,6 +582,18 @@ def _written_entry(report) -> dict:
         return load_json(path)[0]
 
 
+@st.composite
+def _mask(draw):
+    """A square bool mask of 1-12 or 99-110 rows (index texts of 1 to 3 digits):
+    cells set at some density, then some rows cleared and some filled."""
+    m = draw(st.integers(1, 12) | st.integers(99, 110))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((m, m)) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    mask[rng.random(m) < draw(st.sampled_from([0.0, 0.3]))] = False
+    mask[rng.random(m) < draw(st.sampled_from([0.0, 0.3]))] = True
+    return mask
+
+
 # an axioms.json entry over 2 alternatives: 0 dominates 1, and the pair is violated
 ENTRY = {"axiom": "condorcet", "epsilon": 0.0, "metadata": {}, "min_margin": -0.5, "passed": False,
          "slate_size": 2, "vacuous": False,
@@ -653,6 +667,19 @@ class TestReports:
         with pytest.raises(InputError, match=f"^{message}"):
             axiom_report_from_dict({**ENTRY, "anchors": anchors})
 
+    @pytest.mark.parametrize("column", [1.0, True, "1", [1], None])
+    def test_the_reader_rejects_a_violation_column_that_is_not_an_integer(self, column):
+        anchors = [{**ENTRY["anchors"][0], "violations": [[0, column]]}, ENTRY["anchors"][1]]
+        with pytest.raises(InputError, match=r"^anchor 0: violations must be distinct \[0, j\]"):
+            axiom_report_from_dict({**ENTRY, "anchors": anchors})
+
+    def test_the_reader_reads_an_all_violated_report_back(self, tmp_path):
+        every = ~np.eye(200, dtype=bool)
+        report = AxiomReport(axiom="condorcet", epsilon=0.0, dominated=every, violated=every, passed=False,
+                             min_margin=-1.0)
+        write_axiom_reports(tmp_path / "axioms.json", [report])
+        assert [axiom_report_from_dict(d) for d in load_json(tmp_path / "axioms.json")] == [report]
+
     @pytest.mark.parametrize("entry, message", [
         ({**ENTRY, "vacuous": True}, "vacuous is True, but 1 pairs are dominated"),
         ({**ENTRY, "anchors": [{**ENTRY["anchors"][0], "dominated": [], "vacuous": True, "violations": []},
@@ -711,6 +738,26 @@ class TestReports:
             path = Path(tmp) / "axioms.json"
             write_axiom_reports(path, reports)
             assert path.read_bytes() == expected.encode()
+
+    @settings(max_examples=100, deadline=None)
+    @given(masks=st.lists(_mask(), min_size=1, max_size=3), sep=st.sampled_from([",", ";"]))
+    def test_row_texts_join_each_anchors_index_lists(self, masks, sep):
+        """Over reports whose slate sizes differ, each mask's row texts are its
+        anchors' column indices joined by sep, and the CSV rows cut from them
+        are the rows built anchor by anchor."""
+        reports = [AxiomReport(axiom="unanimity", epsilon=0.5, dominated=mask, violated=mask & mask.T,
+                               passed=not (mask & mask.T).any(), min_margin=None) for mask in masks]
+        texts = _index_texts(reports)
+        assert texts == [str(k) for k in range(max(map(len, masks)))]
+        for r in reports:
+            for mask, column in ((r.dominated, 0), (r.violated, 1)):
+                want = [sep.join(map(str, row)) for row in _row_indices(mask)]
+                assert _row_texts(mask, texts, sep) == want == [sep.join(map(str, a[column])) for a in r.anchors]
+        assert rows_from_reports(reports) == [
+            {"axiom": r.axiom, "epsilon": r.epsilon, "anchor": i,
+             "status": "FAIL" if bad else "PASS" if dom else "VACUOUS", "dominated": ";".join(map(str, dom)),
+             "violations": ";".join(f"{i}>{j}" for j in bad), "margin": None}
+            for r in reports for i, (dom, bad) in enumerate(r.anchors)]
 
     def test_model_dict_round_trip(self):
         model = RewardModel(theta_hat=[0.5, -1.25], lam=1e-3, final_nll=12.5, converged=False,
