@@ -37,12 +37,22 @@ def rows_from_reports(reports: list[AxiomReport]) -> list[dict]:
 
 
 def emit_rows(rows: list[dict]) -> str:
+    """The CSV text of rows under a ROW_FIELDS header, epsilon and margin by
+    format_float (a None margin empty). A row that holds the epsilon and margin
+    objects of the row before it, as one report's rows do, reuses their texts."""
+
+    def cells():
+        held = None  # the last row's epsilon and margin, and their texts
+        for r in rows:
+            eps, margin = r["epsilon"], r["margin"]
+            if held is None or eps is not held[0] or margin is not held[1]:
+                held = eps, margin, format_float(eps), "" if margin is None else format_float(margin)
+            yield r["axiom"], held[2], r["anchor"], r["status"], r["dominated"], r["violations"], held[3]
+
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=ROW_FIELDS)
-    writer.writeheader()
-    for row in rows:
-        margin = "" if row["margin"] is None else format_float(row["margin"])
-        writer.writerow({**row, "epsilon": format_float(row["epsilon"]), "margin": margin})
+    writer = csv.writer(buf)
+    writer.writerow(ROW_FIELDS)
+    writer.writerows(cells())
     return buf.getvalue()
 
 

@@ -6,10 +6,10 @@ objects keyed by their dataclass fields, except that an axiom report's
 two masks are written as ``slate_size``, ``vacuous`` and one anchor object
 per row. axioms.json has one line per report and per anchor, and parses
 to the value of an indented dump of the report list; the other JSON files
-use ``indent=2``, slate.json and voters.json by one row template. The
-line writers make each point's and voter's text once and stream the
-lines; each mask's anchor lists are cut from one join of its set cells'
-index texts (``_row_texts``), as are the CSV rows of ``reports``.
+use ``indent=2``, slate.json and voters.json by one row template. Each
+point's and voter's text is made once; dataset.records is one gather and
+join of them per RECORDS_CHUNK lines, and each mask's anchor lists (and the
+CSV rows of ``reports``) are cut from one join of its set cells' index texts.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ __all__ = [
     "load_json",
 ]
 
+RECORDS_CHUNK = 512  # write_records holds the text of at most this many records at a time
+
 
 def format_float(x: float) -> str:
     return f"{float(x):.17g}"
@@ -53,18 +55,26 @@ def _coords(a) -> str:
 
 
 def write_records(path, data: Dataset) -> None:
-    """One line per record: voter, label, scheme, a0, a1, and w for proxy. Each
-    line joins texts made once per voter and label and per slate row, and is
-    streamed: joining the lines would hold the whole file in memory."""
+    """One line per record: voter, label, scheme, a0, a1, and w for proxy. Texts
+    per voter and label (heads) and per slate row (a0, a1) are made once; each
+    RECORDS_CHUNK records are one gather of them into reused cells, one join."""
     tail = "" if data.w is None else f" w={_coords(data.w)}"
     coords = [_coords(p) for p in data.slate.tolist()]
-    a0 = [f" scheme={data.scheme} a0={c} a1=" for c in coords]
-    a1 = [f"{c}{tail}\n" for c in coords]
-    voter = data.voter.tolist()
-    heads = {v: (f"voter={v} label=0", f"voter={v} label=1") for v in set(voter)}
-    columns = (voter, data.label.tolist(), data.i0.tolist(), data.i1.tolist())
+    a0 = np.array([f" scheme={data.scheme} a0={c} a1=" for c in coords], dtype=object)
+    a1 = np.array([f"{c}{tail}\n" for c in coords], dtype=object)
+    order = np.argsort(data.voter, kind="stable")
+    ids, new = data.voter[order], np.ones(len(data), dtype=bool)  # new: the first record of an id, in id order
+    np.not_equal(ids[1:], ids[:-1], out=new[1:])
+    heads = np.array([f"voter={v} label={y}" for v in ids[new].tolist() for y in (0, 1)], dtype=object)
+    key = np.empty_like(ids)  # a record's heads row: 2 * (its id's rank) + its label
+    key[order] = np.cumsum(new) * 2 - 2
+    key += data.label
+    cells = np.empty((RECORDS_CHUNK, 3), dtype=object)
     with open(path, "w") as fh:
-        fh.writelines(f"{heads[v][y]}{a0[i]}{a1[j]}" for v, y, i, j in zip(*columns))
+        for s in range(0, len(key), RECORDS_CHUNK):
+            chunk, e = cells[:len(key) - s], min(s + RECORDS_CHUNK, len(key))
+            chunk[:, 0], chunk[:, 1], chunk[:, 2] = heads[key[s:e]], a0[data.i0[s:e]], a1[data.i1[s:e]]
+            fh.write("".join(chunk.ravel().tolist()))
 
 
 def _open(path):

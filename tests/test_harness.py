@@ -1,5 +1,6 @@
 import ast
 import builtins
+import csv
 import importlib
 import importlib.util
 import inspect
@@ -25,6 +26,7 @@ import prefaudit.cli
 import prefaudit.axioms
 import prefaudit.estimation
 import prefaudit.pipeline
+import prefaudit.serialize
 from prefaudit.annotation import RoundRobin, UniformRandomPairs
 from prefaudit.axioms import AxiomReport, ConsistencyScheme, _row_indices
 from prefaudit.config import DEFAULTS, config_from_dict, load_config
@@ -33,8 +35,9 @@ from prefaudit.errors import ConfigError, InputError
 from prefaudit.estimation import DEFAULT_GRAD_TOL, DEFAULT_LAMBDA, DEFAULT_MAX_ITERS, fit_mle
 from prefaudit.model import Dataset, RewardModel, Voters
 from prefaudit.pipeline import STAGES, RunDir, child_seed, run_pipeline
-from prefaudit.reports import emit_rows, emit_table, parse_rows, rows_from_reports
+from prefaudit.reports import ROW_FIELDS, emit_rows, emit_table, parse_rows, rows_from_reports
 from prefaudit.serialize import (
+    RECORDS_CHUNK,
     _index_texts,
     _row_texts,
     axiom_report_from_dict,
@@ -342,23 +345,25 @@ class TestRecordWireFormat:
             assert back.slate[getattr(back, name)].tobytes() == records.slate[getattr(records, name)].tobytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), d=st.integers(1, 3), n=st.integers(1, 30), proxy=st.booleans())
+    @given(data=st.data(), d=st.integers(1, 3), proxy=st.booleans(), n=st.integers(1, 30) | st.sampled_from(
+        [RECORDS_CHUNK - 1, RECORDS_CHUNK, RECORDS_CHUNK + 1, 2 * RECORDS_CHUNK + 1]))
     def test_write_equals_a_per_line_writer(self, data, d, n, proxy):
-        """Slates with repeated points, and with 0.0 beside -0.0, and repeated
-        and negative voter ids, write the bytes of a writer that formats every
-        field of every line."""
+        """Slates with repeated points, and with 0.0 beside -0.0, and repeated,
+        negative, non-contiguous and 2**31-or-larger voter ids, in files of up to
+        and past a chunk of records and of two, write the bytes of a writer that
+        formats every field of every line, and read back as the dataset."""
         coordinate = st.sampled_from([0.0, -0.0, 1.0, 1 / 3]) | st.floats(allow_nan=False, allow_infinity=False)
         vec = st.lists(coordinate, min_size=d, max_size=d)
         slate = data.draw(st.lists(vec, min_size=2, max_size=4))
-        rows = st.lists(st.integers(0, len(slate) - 1), min_size=n, max_size=n)
         # a small pool of ids, so voters repeat, with both ends of the int64 range
-        pool = [-2**63, -1, 2**63 - 1, *data.draw(st.lists(st.integers(-2**63, 2**63 - 1), max_size=2))]
-        records = Dataset(
-            voter=data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
-            slate=slate, i0=data.draw(rows), i1=data.draw(rows),
-            label=data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
-            scheme="proxy" if proxy else "true-reward",
-            w=data.draw(vec) if proxy else None)
+        pool = [-2**63, -1, 7, 2**31, 2**63 - 1, *data.draw(st.lists(st.integers(-2**63, 2**63 - 1), max_size=2))]
+        row = st.integers(0, len(slate) - 1)
+        # up to 30 drawn records, repeated in turn to fill n (drawing 1,025 is slow)
+        drawn = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(0, 1), row, row), min_size=1,
+                                   max_size=min(n, 30)))
+        voter, label, i0, i1 = zip(*(drawn[k % len(drawn)] for k in range(n)))
+        records = Dataset(voter=voter, label=label, slate=slate, i0=i0, i1=i1,
+                          scheme="proxy" if proxy else "true-reward", w=data.draw(vec) if proxy else None)
 
         def coords(a):
             return ",".join(f"{float(x):.17g}" for x in a)
@@ -370,7 +375,10 @@ class TestRecordWireFormat:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "data.records"
             write_records(path, records)
-            assert path.read_text() == expected
+            text = path.read_text()
+            # as lines first: pytest explains a differing line cheaply, a 1,025-line string slowly
+            assert text.splitlines() == expected.splitlines()
+            assert text == expected
             back = read_records(path, records.slate)
         # each point reads back as the first slate row that holds its bytes
         first = {}
@@ -378,6 +386,7 @@ class TestRecordWireFormat:
             first.setdefault(p.tobytes(), k)
         assert back.i0.tolist() == [first[records.slate[i].tobytes()] for i in records.i0]
         assert back.i1.tolist() == [first[records.slate[i].tobytes()] for i in records.i1]
+        assert back == records
 
     def test_malformed_json_names_the_path(self, tmp_path):
         path = tmp_path / "axioms.json"
@@ -425,6 +434,25 @@ class TestRecordWireFormat:
         write_records(path, coordinate_dataset([3], [0], [[1.0]], [[2.0]]))
         line = path.read_text()
         assert line.startswith("voter=3 label=0 scheme=true-reward")
+
+    def test_each_write_holds_at_most_a_chunk_of_records(self, tmp_path, monkeypatch):
+        """write_records never joins the whole file: 2 * RECORDS_CHUNK + 1
+        records go out as two writes of RECORDS_CHUNK lines and one of one."""
+        lines = []
+
+        def recording_open(path, mode="r"):
+            fh = builtins.open(path, mode)
+            write = fh.write
+            fh.write = lambda text: (lines.append(text.count("\n")), write(text))[1]
+            return fh
+
+        monkeypatch.setattr(prefaudit.serialize, "open", recording_open, raising=False)
+        n = 2 * RECORDS_CHUNK + 1
+        records = Dataset(voter=np.arange(n) % 7, label=np.arange(n) % 2, slate=[[0.0], [1.0]],
+                          i0=np.zeros(n, dtype=int), i1=np.ones(n, dtype=int))
+        write_records(tmp_path / "data.records", records)
+        assert lines == [RECORDS_CHUNK, RECORDS_CHUNK, 1]
+        assert read_records(tmp_path / "data.records", records.slate) == records
 
 
 # Finite floats, with the ones whose text is easiest to get wrong: a signed
@@ -614,6 +642,23 @@ class TestReports:
         rows = rows_from_reports(reports)
         assert parse_rows(emit_rows(rows)) == rows
 
+    def test_rows_text_equals_a_dict_writers(self):
+        """emit_rows formats each row's epsilon and margin, also where they
+        equal the row before's as other objects (so 0.0 and -0.0 stay apart),
+        and quotes as csv.DictWriter does."""
+        eps, third = 0.1, 1 / 3  # one report's rows share these objects
+        cells = [(eps, None), (eps, None), (eps, third), (0.0, -0.0), (-0.0, 0.0), (-0.0, 0.0), (0.5, third)]
+        rows = [{"axiom": 'a,"b"' if k == 2 else "unanimity", "epsilon": e, "anchor": k, "status": "FAIL",
+                 "dominated": "1;2", "violations": f"{k}>1;{k}>2", "margin": m} for k, (e, m) in enumerate(cells)]
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=ROW_FIELDS)
+        writer.writeheader()
+        for r in rows:
+            writer.writerow({**r, "epsilon": f"{r['epsilon']:.17g}",
+                             "margin": "" if r["margin"] is None else f"{r['margin']:.17g}"})
+        assert emit_rows(rows) == buf.getvalue()
+        assert parse_rows(emit_rows(rows)) == rows
+
     def test_table_marks_status(self, tmp_path):
         reports = self._reports(tmp_path)
         table = emit_table(reports)
@@ -774,7 +819,8 @@ MODEL_JSON = {"theta_hat": [1.0, -0.5], "lambda": 1e-3, "final_nll": 1.0, "conve
               "iterations": 3, "diagnostic": ""}
 
 
-# Loads a config ("load") or runs it, then prints whether numpy.ma was imported
+# Loads a config ("load") or runs it, printing the reports as a "table" or as
+# "rows", then prints whether numpy.ma was imported
 _NUMPY_MA_PROBE = """
 import sys
 from prefaudit.cli import main
@@ -782,20 +828,22 @@ from prefaudit.config import load_config
 if sys.argv[1] == "load":
     load_config(sys.argv[2])
 else:
-    main(["--config", sys.argv[2], "--out", sys.argv[3], "run"])
+    main(["--config", sys.argv[2], "--out", sys.argv[3], "--format", sys.argv[1], "run"])
 print("numpy.ma" in sys.modules)
 """
 
 
-@pytest.mark.parametrize("case", ["explicit-slate", "grid-d3", "large-n"])
+@pytest.mark.parametrize("case", ["explicit-slate", "grid-d3", "large-n", "large-n-rows"])
 def test_no_run_imports_numpy_ma(tmp_path, case):
     """numpy.ma costs 10-14 ms of a fresh process; numpy 2.4 imports it on
-    the first np.unique without return_index."""
+    the first np.unique without return_index. A whole `prefaudit run` of each
+    benchmark workload, printing either report format, must not."""
     if case == "explicit-slate":
         action, raw = "load", {**MINIMAL, "alternatives": {"kind": "explicit-slate", "points": [[0.0, 1.0], [1.0, 0.0]]}}
     else:
         workloads = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json").read_text())
-        action, raw = "run", workloads["workloads"][case]["config"]
+        action = "rows" if case.endswith("-rows") else "table"
+        raw = workloads["workloads"][case.removesuffix("-rows")]["config"]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
     result = subprocess.run([sys.executable, "-c", _NUMPY_MA_PROBE, action, str(cfg_path), str(tmp_path / "out")],
